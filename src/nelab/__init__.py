@@ -12,25 +12,26 @@ from .errors import (DegenerateBodyError, DomainError, EstimationError,
                      ParameterError, RangeError, SamplerExhausted)
 from .gauges import (Gauge, GaugePair, Ladder, PiecewiseGauge, PowerGauge,
                      RatioGauge, RungSelection, SqrtRatioGauge, build_pair,
-                     gauge_K, ladder, least_concave_majorant, select_j)
-from .harness import (ExperimentConfig, closing_bound, run_dual, run_porosity,
-                      run_typical, run_verify, SUITES)
+                     gauge_from_desc, gauge_K, ladder, least_concave_majorant,
+                     select_j)
+from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
+                      run_verify, SUITES)
 from .maps import (AffineContraction, Compose, Constant, ConvexCombo,
                    FlatCollapse, GeneratorConfig, Identity, LipEstimate,
-                   MapExpr, RadialScale, Tent, evaluate, lip_global_est,
-                   lip_local_profile, lip_local_scale, map_from_json_dict,
-                   random_nonexpansive, steep_density, sup_dist_est)
+                   MapExpr, Tent, lip_global_est, lip_local_profile,
+                   pair_quotients, random_nonexpansive, steep_density,
+                   sup_dist_est)
 from .perturb import (BumpSpec, BumpWitnesses, DirectionField, FlatSpec,
                       bump_perturb, bump_witnesses, direction_field,
                       flat_collapse)
 from .porosity import (FinitePointSet, HoleWitness, IntervalUnionSet,
                        LadderWitnessReport, LowSlopeResult, PorosityVerdict,
-                       PredicateSet, ReciprocalSet, SetOracle, gamma_est,
+                       ReciprocalSet, SetOracle, closing_bound, gamma_est,
                        ladder_witness, low_slope_alpha, low_slope_member,
                        lower_porous_at, upper_porous_at)
 from .reports import CaseRecord, Report, dumps, emit_report
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, as_point,
-                    body_from_json_dict, greedy_net, grid_candidates)
+                    body_from_desc, greedy_net, grid_candidates)
 
 __version__ = "0.1.0"
 

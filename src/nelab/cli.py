@@ -21,11 +21,11 @@ import sys
 import numpy as np
 
 from .errors import NelabError
-from .gauges import build_pair, ladder
-from .harness import (ExperimentConfig, _body_from_desc, _gauge_from_desc,
-                      run_dual, run_porosity, run_typical, run_verify)
-from .reports import _fmt_float, emit_report
-from .space import Norm
+from .gauges import build_pair, gauge_from_desc, ladder
+from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
+                      run_verify)
+from .reports import csv_value, emit_report
+from .space import Norm, body_from_desc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -99,29 +99,25 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _csv_num(x: float) -> str:
-    return _fmt_float(float(x)).strip('"')
-
-
 def _gauge_csv(cfg: ExperimentConfig, rungs: int, points: int) -> str:
     """Plot data: the pair inequality curve, then ladder rungs (when the
     gauge vanishes at zero; otherwise there is no ladder to tabulate)."""
-    phi = _gauge_from_desc(cfg.gauge)
+    phi = gauge_from_desc(cfg.gauge)
     pair = build_pair(phi)
     lines = ["kind,t,phi,xi,prod_over_t,j,s_j,inv_ratio"]
     ts = np.geomspace(1e-8 / pair.K, (1.0 / pair.K) * (1.0 - 1e-12), points)
     for t in ts:
         pv = float(phi.value(float(t)))
         xv = float(pair.xi.value(float(t)))
-        lines.append(f"curve,{_csv_num(t)},{_csv_num(pv)},{_csv_num(xv)},"
-                     f"{_csv_num(pv * xv / t)},,,")
+        lines.append(f"curve,{csv_value(t)},{csv_value(pv)},{csv_value(xv)},"
+                     f"{csv_value(pv * xv / t)},,,")
     if phi.inf == 0.0:
         norm = Norm(cfg.norm_p)
-        body = _body_from_desc(cfg.body, cfg.dim, norm)
+        body = body_from_desc(cfg.body, cfg.dim, norm)
         lad = ladder(phi, body, norm, rungs=rungs)
         for j in range(1, len(lad) + 1):
-            lines.append(f"rung,,,,,{j},{_csv_num(lad.rung(j))},"
-                         f"{_csv_num(lad.inv_ratio(j))}")
+            lines.append(f"rung,,,,,{j},{csv_value(lad.rung(j))},"
+                         f"{csv_value(lad.inv_ratio(j))}")
     return "\n".join(lines) + "\n"
 
 

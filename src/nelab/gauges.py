@@ -217,6 +217,27 @@ class PiecewiseGauge(Gauge):
         return float(t0 + (y - y0) * (t1 - t0) / (y1 - y0))
 
 
+def gauge_from_desc(desc: str) -> Gauge:
+    """Gauge from a descriptor: sqrt | power:p | power:a/b | sqrt-ratio |
+    ratio | offset:p | identity."""
+    name, _, arg = desc.partition(":")
+    if name == "sqrt":
+        return PowerGauge(p=0.5)
+    if name == "power":
+        num, _, den = arg.partition("/")
+        p = float(num) / float(den) if den else float(num)
+        return PowerGauge(p=p)
+    if name == "sqrt-ratio":
+        return SqrtRatioGauge()
+    if name == "ratio":
+        return RatioGauge()
+    if name == "offset":
+        return PowerGauge(p=float(arg) if arg else 0.5, offset=1.0)
+    if name == "identity":
+        return PowerGauge(p=1.0)
+    raise ValueError(f"unknown gauge descriptor {desc!r}")
+
+
 def gauge_K(phi: Gauge, edge: float = 1e-9) -> float:
     """sup of t/phi(t) over (0, eta); attained at the right edge for concave phi."""
     t = phi.eta * (1.0 - edge)
@@ -382,12 +403,6 @@ class Ladder:
         """phi^{-1}(s_j) / s_j for rung j."""
         sj = self.rung(j)
         return self.gauge.inverse(sj) / sj
-
-    def extended(self, extra: int) -> "Ladder":
-        s = list(self.s)
-        for _ in range(extra):
-            s.append(_next_rung(self.gauge, s[-1]))
-        return Ladder(self.gauge, tuple(s))
 
 
 def _next_rung(phi: Gauge, sj: float, tol: float = 1e-10) -> float:

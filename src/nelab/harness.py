@@ -34,20 +34,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import GaugeError, LadderExhausted, RangeError
-from .gauges import (Gauge, GaugePair, Ladder, PiecewiseGauge, PowerGauge,
-                     RatioGauge, SqrtRatioGauge, build_pair, gauge_K, ladder,
-                     select_j)
+from .gauges import (Gauge, GaugePair, PiecewiseGauge, PowerGauge, RatioGauge,
+                     SqrtRatioGauge, build_pair, gauge_from_desc, gauge_K,
+                     ladder, select_j)
 from .maps import (Constant, ConvexCombo, GeneratorConfig, Identity, MapExpr,
-                   lip_global_est, lip_local_profile, random_nonexpansive,
-                   steep_density, sup_dist_est)
+                   lip_global_est, lip_local_profile, pair_quotients,
+                   random_nonexpansive, steep_density, sup_dist_est)
 from .perturb import BumpSpec, FlatSpec, bump_perturb, bump_witnesses, \
     direction_field, flat_collapse
 from .porosity import (FinitePointSet, IntervalUnionSet, ReciprocalSet,
-                       gamma_est, ladder_witness, low_slope_alpha,
-                       low_slope_member, lower_porous_at, upper_porous_at)
+                       closing_bound, gamma_est, ladder_witness,
+                       low_slope_alpha, low_slope_member, lower_porous_at,
+                       upper_porous_at)
 from .reports import CaseRecord, Report
-from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, greedy_net,
-                    grid_candidates)
+from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, body_from_desc,
+                    greedy_net, grid_candidates)
 
 LAM_SWEEP = (0.1, 0.25, 0.5, 0.75, 0.9)
 K_SWEEP = (1.5, 2.0, 4.0)
@@ -136,41 +137,6 @@ def _random_body(rng: np.random.Generator, dim: int, norm: Norm,
     return Hull(verts)
 
 
-def _body_from_desc(desc: str, dim: int, norm: Norm) -> ConvexBody:
-    name, _, arg = desc.partition(":")
-    if name == "box":
-        lo, hi = (-1.0, 1.0)
-        if arg:
-            lo, hi = (float(v) for v in arg.split(","))
-        return Box(np.full(dim, lo), np.full(dim, hi))
-    if name == "ball":
-        radius = float(arg) if arg else 1.0
-        return Ball(np.zeros(dim), radius, norm)
-    if name == "simplex":
-        verts = np.vstack([np.zeros(dim), np.eye(dim)])
-        return Hull(verts)
-    raise ValueError(f"unknown body descriptor {desc!r}")
-
-
-def _gauge_from_desc(desc: str) -> Gauge:
-    name, _, arg = desc.partition(":")
-    if name == "sqrt":
-        return PowerGauge(p=0.5)
-    if name == "power":
-        num, _, den = arg.partition("/")
-        p = float(num) / float(den) if den else float(num)
-        return PowerGauge(p=p)
-    if name == "sqrt-ratio":
-        return SqrtRatioGauge()
-    if name == "ratio":
-        return RatioGauge()
-    if name == "offset":
-        return PowerGauge(p=float(arg) if arg else 0.5, offset=1.0)
-    if name == "identity":
-        return PowerGauge(p=1.0)
-    raise ValueError(f"unknown gauge descriptor {desc!r}")
-
-
 def _grid_axis(dim: int) -> int:
     return {1: 41, 2: 13, 3: 7}[dim]
 
@@ -184,20 +150,6 @@ def _net_for(body: ConvexBody, norm: Norm, s: float, retries: int = 3,
             return net
         s *= 0.6
     raise ValueError("could not build a two-point net on the body")
-
-
-def _max_pair_quotient(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int,
-                       rng: np.random.Generator, min_sep: float) -> float:
-    xs = body.sample_many(rng, pairs)
-    ys = body.sample_many(rng, pairs)
-    ext = body.extreme_points()
-    if ext.shape[0] >= 2:
-        ii, jj = np.triu_indices(ext.shape[0], k=1)
-        xs, ys = np.vstack([xs, ext[ii]]), np.vstack([ys, ext[jj]])
-    d = norm.of(ys - xs, axis=1)
-    keep = d >= min_sep
-    q = norm.of(m._apply(ys[keep]) - m._apply(xs[keep]), axis=1) / d[keep]
-    return float(q.max())
 
 
 def _ball_probes(x: np.ndarray, radius: float, body: ConvexBody, norm: Norm,
@@ -262,7 +214,7 @@ def suite_flat(cfg: ExperimentConfig) -> list[CaseRecord]:
         delta = float(rng.uniform(0.05, 0.85)) * r
         m = flat_collapse(FlatSpec(center, delta, r), body, norm)
         cert = m.certificate
-        mq = _max_pair_quotient(m, body, norm, 1000, rng, 1e-4 * diam)
+        mq = lip_global_est(m, body, norm, pairs=1000, seed=rng).lower_bound
         sd = sup_dist_est(m, Identity(), body, norm, samples=400,
                           seed=_sub_seed(rng))
         inner = _flat_inner_exact(m, center, delta, body, norm, rng)
@@ -365,15 +317,18 @@ def suite_bump(cfg: ExperimentConfig) -> list[CaseRecord]:
         lb = lip_global_est(g, body, norm, pairs=10000,
                             seed=_sub_seed(rng)).lower_bound
         iso = _isometry_residual(g, net, spec.rho, body, norm, rng, probes=100)
-        passed = (sd <= eps + cfg.scaled(1e-12) and lb <= 1.0 + cfg.scaled(1e-9)
-                  and iso <= cfg.scaled(1e-9) and g.certificate == 1.0)
+        # g's certificate is max(1, (1 - delta/r) cert(f) (1 + delta/(r - delta)));
+        # the product is at most 1 exactly but can round one ulp above it
+        q_bound = 1.0 + cfg.scaled(1e-9)
+        passed = (sd <= eps + cfg.scaled(1e-12) and lb <= q_bound
+                  and iso <= cfg.scaled(1e-9) and g.certificate <= q_bound)
         cases.append(CaseRecord(
             f"bump/{i:03d}",
             {"dim": dim, "p": norm.p, "body": type(body).__name__, "s": net.s,
              "eps": eps, "net_size": len(net), "rho": spec.rho},
             {"sup_dist": sd, "pair_quotient": lb, "isometry_residual": iso,
              "certificate": g.certificate},
-            {"eps": eps, "quotient_bound": 1.0 + cfg.scaled(1e-9),
+            {"eps": eps, "quotient_bound": q_bound,
              "isometry_tol": cfg.scaled(1e-9)},
             passed))
     return cases
@@ -381,14 +336,6 @@ def suite_bump(cfg: ExperimentConfig) -> list[CaseRecord]:
 
 # --------------------------------------------------------------------------
 # witness: steep quotients survive sup-metric perturbation
-
-
-def _witness_min_quotient(h: MapExpr, records, norm: Norm) -> float:
-    worst = math.inf
-    for rec in records:
-        num = float(norm.of(h(rec.y) - h(rec.x)))
-        worst = min(worst, num / float(norm.of(rec.y - rec.x)))
-    return worst
 
 
 def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
@@ -409,6 +356,8 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
         g = bump_perturb(BumpSpec.create(f, net, net.s, eps, body, norm),
                          body, norm)
         w = bump_witnesses(g, net, net.s, eps, lam, body, norm)
+        xs = np.array([r.x for r in w.records])
+        ys = np.array([r.y for r in w.records])
         h_per = min(10, total - 10 * gi)
         for hi in range(h_per):
             if hi == 0:
@@ -420,7 +369,7 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
             tau = u * w.beta * eps / diam
             h: MapExpr = g if tau == 0.0 else \
                 ConvexCombo(tau, g, Constant(body.sample(rng)))
-            minq = _witness_min_quotient(h, w.records, norm)
+            minq = float(pair_quotients(h, norm, xs, ys).min())
             passed = minq > lam and minq >= w.bound - cfg.scaled(1e-9)
             cases.append(CaseRecord(
                 f"witness/{gi:02d}-{hi:02d}",
@@ -450,11 +399,12 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
                          body, norm)
         w = bump_witnesses(g, net, s, eps, lam, body, norm)
         tau = w.beta * eps / diam
-        minqs = [_witness_min_quotient(g, w.records, norm),
-                 _witness_min_quotient(
-                     ConvexCombo(tau, g, Constant(body.sample(rng))),
-                     w.records, norm)]
-        minq = min(minqs)
+        xs = np.array([r.x for r in w.records])
+        ys = np.array([r.y for r in w.records])
+        minq = float(min(
+            pair_quotients(g, norm, xs, ys).min(),
+            pair_quotients(ConvexCombo(tau, g, Constant(body.sample(rng))),
+                           norm, xs, ys).min()))
         passed = minq > lam and minq >= w.bound - cfg.scaled(1e-9)
         cases.append(CaseRecord(
             f"witness/two-{pi:02d}",
@@ -574,14 +524,6 @@ def suite_invratio(cfg: ExperimentConfig) -> list[CaseRecord]:
 
 # --------------------------------------------------------------------------
 # ladder: rungs, selection, margins, end-to-end witness
-
-
-def closing_bound(lam: float, K: float, diam: float) -> tuple[float, float, float]:
-    """(beta, bound, margin) of the gauge-scale witness constants."""
-    beta = (1.0 - lam) ** 2 * (1.0 + lam) / (97.0 * (3.0 - lam) * K * (1.0 + diam))
-    bound = ((1.0 + lam) ** 2 - 96.0 * (3.0 - lam) * beta * K * (1.0 + diam)) / (
-        (1.0 + lam) * (3.0 - lam))
-    return beta, bound, bound - lam
 
 
 def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
@@ -791,8 +733,8 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
 
 def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
     norm = Norm(cfg.norm_p)
-    body = _body_from_desc(cfg.body, cfg.dim, norm)
-    phi = _gauge_from_desc(cfg.gauge)
+    body = body_from_desc(cfg.body, cfg.dim, norm)
+    phi = gauge_from_desc(cfg.gauge)
     diam = body.diameter(norm)
     cases = []
     if phi.inf > 0.0:
@@ -844,11 +786,8 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
             hole_r = phi.inverse(alpha * d)
             fit = hole_r <= probe_r * (1.0 + 1e-12)
             ys = _ball_probes(x, hole_r, body, norm, rng, 25)
-            quot_ok = True
-            for y in ys:
-                dzy = float(norm.of(z - y))
-                quot_ok = quot_ok and \
-                    float(norm.of(g(z) - g(y))) / dzy > lam
+            quot_ok = bool(np.all(pair_quotients(
+                g, norm, ys, np.broadcast_to(z, ys.shape)) > lam))
             mem_ok = all(
                 not low_slope_member(g, y, lam, lad, l=rep.j, j_max=j_top,
                                      body=body, norm=norm,
@@ -908,21 +847,23 @@ SUITES = {
 }
 
 
-def _assemble(cases: list[CaseRecord]) -> list[CaseRecord]:
+def _run(suite: str, cfg: ExperimentConfig, cases_of) -> Report:
+    """Validate cfg, build the cases `cases_of(cfg)` and time it all."""
+    cfg.validate()
+    t0 = time.perf_counter()
     # cases are sorted by id, never by completion order
-    return sorted(cases, key=lambda c: c.case_id)
+    cases = sorted(cases_of(cfg), key=lambda c: c.case_id)
+    return Report(suite, cfg.as_dict(), cases, wall=time.perf_counter() - t0)
 
 
 def run_verify(cfg: ExperimentConfig) -> Report:
     """Run one named suite (or all of them) and collect a report."""
-    cfg.validate()
-    t0 = time.perf_counter()
+    return _run(f"verify:{cfg.suite}", cfg, _verify_cases)
+
+
+def _verify_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
-    cases: list[CaseRecord] = []
-    for name in names:
-        cases.extend(SUITES[name](cfg))
-    return Report(f"verify:{cfg.suite}", cfg.as_dict(), _assemble(cases),
-                  wall=time.perf_counter() - t0)
+    return [case for name in names for case in SUITES[name](cfg)]
 
 
 def run_typical(cfg: ExperimentConfig) -> Report:
@@ -934,10 +875,12 @@ def run_typical(cfg: ExperimentConfig) -> Report:
     scale 2^{-j-k} min{1, diam}, while unperturbed constant maps show
     density 0.
     """
-    cfg.validate()
-    t0 = time.perf_counter()
+    return _run("typical", cfg, _typical_cases)
+
+
+def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     norm = Norm(cfg.norm_p)
-    body = _body_from_desc(cfg.body, cfg.dim, norm)
+    body = body_from_desc(cfg.body, cfg.dim, norm)
     diam = body.diameter(norm)
     lam = cfg.lam
     n_maps = cfg.trials or 10
@@ -996,17 +939,12 @@ def run_typical(cfg: ExperimentConfig) -> Report:
             f"typical/const-{ci}",
             {"j": j, "lam": lam, "net_size": len(net)},
             {"net_density": dens}, {"expected": 0.0}, dens == 0.0))
-    return Report("typical", cfg.as_dict(), _assemble(cases),
-                  wall=time.perf_counter() - t0)
+    return cases
 
 
 def run_dual(cfg: ExperimentConfig) -> Report:
     """Gauge pipeline: pair, ladder, nets, witnesses, holes, cover check."""
-    cfg.validate()
-    t0 = time.perf_counter()
-    cases = _dual_cases(cfg, "dual")
-    return Report("dual", cfg.as_dict(), _assemble(cases),
-                  wall=time.perf_counter() - t0)
+    return _run("dual", cfg, lambda c: _dual_cases(c, "dual"))
 
 
 def _oracle_from_desc(desc: str, norm: Norm):
@@ -1033,11 +971,13 @@ def run_porosity(cfg: ExperimentConfig) -> Report:
     the closed-form hole size, or a claimed hole that re-probing shows
     to be non-empty.
     """
-    cfg.validate()
-    t0 = time.perf_counter()
+    return _run("porosity", cfg, _porosity_cases)
+
+
+def _porosity_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     norm = Norm(cfg.norm_p)
     oracle = _oracle_from_desc(cfg.target, norm)
-    phi = _gauge_from_desc(cfg.gauge)
+    phi = gauge_from_desc(cfg.gauge)
     q = np.array([cfg.point])
     if not oracle.in_space(q):
         raise ValueError(f"point {cfg.point} outside the ambient space")
@@ -1076,5 +1016,4 @@ def run_porosity(cfg: ExperimentConfig) -> Report:
         {"status": lo.status, "beta": lo.constant,
          "witnesses": len(lo.witnesses)},
         {"holes_reverified": True}, lo_ok))
-    return Report("porosity", cfg.as_dict(), _assemble(cases),
-                  wall=time.perf_counter() - t0)
+    return cases

@@ -15,14 +15,12 @@ on the tent balls -> max(base, 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EstimationError
 from .space import ConvexBody, Norm, as_point
-
-RANGE_TOL = 1e-9
 
 
 class MapExpr:
@@ -41,19 +39,6 @@ class MapExpr:
     def certificate(self) -> float:
         raise NotImplementedError
 
-    def children(self) -> tuple["MapExpr", ...]:
-        return ()
-
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
-
-def _norm_tag(norm: Norm):
-    return "inf" if np.isinf(norm.p) else norm.p
-
-
-def _norm_from_tag(tag) -> Norm:
-    return Norm(np.inf if tag in ("inf", "Infinity") else float(tag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +51,6 @@ class Identity(MapExpr):
     @property
     def certificate(self) -> float:
         return 1.0
-
-    def to_json_dict(self):
-        return {"kind": "identity"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +68,6 @@ class Constant(MapExpr):
     @property
     def certificate(self) -> float:
         return 0.0
-
-    def to_json_dict(self):
-        return {"kind": "constant", "value": self.value.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,30 +88,6 @@ class AffineContraction(MapExpr):
     @property
     def certificate(self) -> float:
         return self.scale
-
-    def to_json_dict(self):
-        return {"kind": "affine_contraction", "scale": self.scale, "anchor": self.anchor.tolist()}
-
-
-@dataclass(frozen=True, eq=False)
-class RadialScale(MapExpr):
-    """x -> factor * x (scaling about the origin; body must contain 0)."""
-
-    factor: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.factor <= 1.0):
-            raise ValueError(f"radial factor must lie in [0, 1], got {self.factor}")
-
-    def _apply(self, pts):
-        return self.factor * pts
-
-    @property
-    def certificate(self) -> float:
-        return self.factor
-
-    def to_json_dict(self):
-        return {"kind": "radial_scale", "factor": self.factor}
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,15 +139,6 @@ class FlatCollapse(MapExpr):
     @property
     def certificate(self) -> float:
         return 1.0 + self.delta / (self.r - self.delta)
-
-    def to_json_dict(self):
-        return {
-            "kind": "flat_collapse",
-            "centers": self.centers.tolist(),
-            "delta": self.delta,
-            "r": self.r,
-            "p": _norm_tag(self.norm),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,20 +196,6 @@ class Tent(MapExpr):
     def certificate(self) -> float:
         return max(self.base.certificate, 1.0)
 
-    def children(self):
-        return (self.base,)
-
-    def to_json_dict(self):
-        return {
-            "kind": "tent",
-            "centers": self.centers.tolist(),
-            "directions": self.directions.tolist(),
-            "apexes": self.apexes.tolist(),
-            "delta": self.delta,
-            "p": _norm_tag(self.norm),
-            "base": self.base.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ConvexCombo(MapExpr):
@@ -285,17 +217,6 @@ class ConvexCombo(MapExpr):
         # the weighted average bound; never worse than the weighted max
         return (1.0 - self.weight) * self.left.certificate + self.weight * self.right.certificate
 
-    def children(self):
-        return (self.left, self.right)
-
-    def to_json_dict(self):
-        return {
-            "kind": "convex_combo",
-            "weight": self.weight,
-            "left": self.left.to_json_dict(),
-            "right": self.right.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Compose(MapExpr):
@@ -311,52 +232,6 @@ class Compose(MapExpr):
     def certificate(self) -> float:
         return self.outer.certificate * self.inner.certificate
 
-    def children(self):
-        return (self.outer, self.inner)
-
-    def to_json_dict(self):
-        return {
-            "kind": "compose",
-            "outer": self.outer.to_json_dict(),
-            "inner": self.inner.to_json_dict(),
-        }
-
-
-def map_from_json_dict(d: dict) -> MapExpr:
-    kind = d.get("kind")
-    if kind == "identity":
-        return Identity()
-    if kind == "constant":
-        return Constant(np.asarray(d["value"]))
-    if kind == "affine_contraction":
-        return AffineContraction(float(d["scale"]), np.asarray(d["anchor"]))
-    if kind == "radial_scale":
-        return RadialScale(float(d["factor"]))
-    if kind == "flat_collapse":
-        return FlatCollapse(np.asarray(d["centers"]), float(d["delta"]), float(d["r"]),
-                            _norm_from_tag(d.get("p", 2.0)))
-    if kind == "tent":
-        return Tent(np.asarray(d["centers"]), np.asarray(d["directions"]),
-                    np.asarray(d["apexes"]), float(d["delta"]),
-                    map_from_json_dict(d["base"]), _norm_from_tag(d.get("p", 2.0)))
-    if kind == "convex_combo":
-        return ConvexCombo(float(d["weight"]), map_from_json_dict(d["left"]),
-                           map_from_json_dict(d["right"]))
-    if kind == "compose":
-        return Compose(map_from_json_dict(d["outer"]), map_from_json_dict(d["inner"]))
-    raise ValueError(f"unknown map kind {kind!r}")
-
-
-def evaluate(m: MapExpr, x, body: ConvexBody, tol: float = RANGE_TOL) -> np.ndarray:
-    """Evaluate m at x in the body; checks the domain and the range closure."""
-    x = as_point(x)
-    if not body.contains(x, tol):
-        raise DomainError("evaluation point lies outside the body")
-    y = m(x)
-    if not body.contains(y, tol):
-        raise DomainError("map value escaped the body: broken construction")
-    return y
-
 
 @dataclass(frozen=True)
 class LipEstimate:
@@ -367,21 +242,31 @@ class LipEstimate:
     samples: int
 
 
+def pair_quotients(m: MapExpr, norm: Norm, xs: np.ndarray,
+                   ys: np.ndarray) -> np.ndarray:
+    """Difference quotients ||m(y) - m(x)|| / ||y - x|| of aligned (k, n)
+    batches, with one map evaluation per side."""
+    return norm.of(m._apply(ys) - m._apply(xs), axis=1) / norm.of(ys - xs, axis=1)
+
+
 def _best_quotient(m: MapExpr, norm: Norm, xs: np.ndarray, ys: np.ndarray,
                    min_sep: float) -> tuple[float, tuple, int]:
-    d = norm.of(ys - xs, axis=1)
-    keep = d >= min_sep
+    keep = norm.of(ys - xs, axis=1) >= min_sep
     if not np.any(keep):
         raise EstimationError("all sampled pairs effectively coincident")
-    xs, ys, d = xs[keep], ys[keep], d[keep]
-    q = norm.of(m._apply(ys) - m._apply(xs), axis=1) / d
+    xs, ys = xs[keep], ys[keep]
+    q = pair_quotients(m, norm, xs, ys)
     i = int(np.argmax(q))
     return float(q[i]), (xs[i].copy(), ys[i].copy()), int(keep.sum())
 
 
 def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
-                   seed: int = 0, min_sep_rel: float = 1e-4) -> LipEstimate:
+                   seed: int | np.random.Generator = 0,
+                   min_sep_rel: float = 1e-4) -> LipEstimate:
     """Max sampled difference quotient over uniform pairs plus extreme-point pairs.
+
+    `seed` is anything `np.random.default_rng` accepts; a Generator is used
+    as is, so its draws continue the caller's stream.
 
     Pairs closer than min_sep_rel * diam are dropped: at tiny separations the
     rounding error of the evaluated difference dominates the quotient, which
@@ -465,12 +350,6 @@ def lip_local_profile(m: MapExpr, x, scales, body: ConvexBody, norm: Norm,
     return out
 
 
-def lip_local_scale(m: MapExpr, x, r: float, body: ConvexBody, norm: Norm,
-                    samples: int = 64, seed: int = 0) -> LipEstimate:
-    """Sampled lower bound for the local Lipschitz constant at scale r."""
-    return lip_local_profile(m, x, [r], body, norm, samples, seed)[0]
-
-
 def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
                  samples: int = 1000, seed: int = 0) -> float:
     """Sampled sup-metric distance max_x ||m1(x) - m2(x)|| (a lower bound)."""
@@ -489,7 +368,8 @@ def steep_density(m: MapExpr, body: ConvexBody, norm: Norm, lam: float,
         raise ValueError("empty density grid")
     hits = 0
     for i, x in enumerate(grid):
-        est = lip_local_scale(m, x, scale, body, norm, samples, seed=[seed, i])
+        est = lip_local_profile(m, x, [scale], body, norm, samples,
+                                seed=[seed, i])[0]
         if est.lower_bound > lam:
             hits += 1
     return hits / grid.shape[0]

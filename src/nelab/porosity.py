@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import EstimationError, LadderExhausted, ParameterError
 from .gauges import Gauge, GaugePair, Ladder, select_j
-from .maps import Constant, ConvexCombo, MapExpr, lip_local_profile
+from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
+                   pair_quotients)
 from .perturb import BumpSpec, bump_perturb, direction_field
 from .space import Box, ConvexBody, Net, Norm, as_point
 
@@ -53,9 +54,6 @@ class SetOracle:
 
     def in_space(self, x) -> bool:
         return self.ambient.contains(x, tol=1e-12)
-
-    def sample_ambient(self, rng: np.random.Generator) -> np.ndarray:
-        return self.ambient.sample(rng)
 
     def sample_in_ball(self, center, radius: float, rng: np.random.Generator,
                        max_tries: int = 10000) -> np.ndarray:
@@ -242,33 +240,6 @@ class IntervalUnionSet(SetOracle):
         gaps.append(max(0.0, b - iv[-1, 1]))
         best = max(gaps) / 2.0
         return best if best > 0.0 else None
-
-
-@dataclass(frozen=True, eq=False)
-class PredicateSet(SetOracle):
-    """Black-box membership predicate; ball intersection tested by probing.
-
-    The probe test is one-sided: it can miss thin sets, so holes certified
-    against this oracle are 'empty as far as sampling can tell'.
-    """
-
-    fn: object
-    ambient: ConvexBody
-    norm: Norm
-    probes: int = 256
-    seed: int = 0
-
-    def contains(self, x) -> bool:
-        return bool(self.fn(as_point(x)))
-
-    def intersects_ball(self, center, radius: float) -> bool:
-        center = as_point(center)
-        rng = np.random.default_rng([self.seed, int(1e6 * radius) % (2**31)])
-        for _ in range(self.probes):
-            cand = center + (2.0 * rng.random(center.size) - 1.0) * radius
-            if self.norm.of(cand - center) < radius and self.contains(cand):
-                return True
-        return False
 
 
 def _hole_radius_at(oracle: SetOracle, q: np.ndarray, r: float, c: np.ndarray,
@@ -515,9 +486,6 @@ class LowSlopeResult:
     j_max: int
     estimates: tuple        # sampled local slope lower bound per rung l..j_max
 
-    def __bool__(self) -> bool:
-        return self.member
-
 
 def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
                      j_max: int = 12, body: ConvexBody = None, norm: Norm = None,
@@ -542,6 +510,14 @@ def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
     ests = lip_local_profile(f, x, scales, body, norm, samples, seed, shells)
     vals = tuple(e.lower_bound for e in ests)
     return LowSlopeResult(all(v <= lam for v in vals), lam, l, j_max, vals)
+
+
+def closing_bound(lam: float, K: float, diam: float) -> tuple[float, float, float]:
+    """(beta, bound, margin) of the gauge-scale witness constants."""
+    beta = (1.0 - lam) ** 2 * (1.0 + lam) / (97.0 * (3.0 - lam) * K * (1.0 + diam))
+    bound = ((1.0 + lam) ** 2 - 96.0 * (3.0 - lam) * beta * K * (1.0 + diam)) / (
+        (1.0 + lam) * (3.0 - lam))
+    return beta, bound, bound - lam
 
 
 @dataclass(frozen=True)
@@ -598,14 +574,10 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
         raise ParameterError("net separation does not match the selected rung")
     diam = body.diameter(norm)
     d1 = 1.0 + diam
-    K = pair.K
-    beta = (1.0 - lam) ** 2 * (1.0 + lam) / (97.0 * (3.0 - lam) * K * d1)
-    if beta * K >= 1.0:
+    beta, bound, margin = closing_bound(lam, pair.K, diam)
+    if beta * pair.K >= 1.0:
         raise ParameterError("inconsistent constants: beta*K >= 1")
     h_radius = pair.xi.inverse(beta * eps)
-    bound = ((1.0 + lam) ** 2 - 96.0 * (3.0 - lam) * beta * K * d1) / (
-        (1.0 + lam) * (3.0 - lam))
-    margin = bound - lam
     spec = BumpSpec.create(f, net, s_j, eps, body, norm)
     g = bump_perturb(spec, body, norm)
     field = direction_field(body, norm, s_j)
@@ -618,21 +590,22 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     for _ in range(h_count):
         tau = h_radius * rng.uniform(0.25, 1.0) / diam
         h_family.append(ConvexCombo(tau, g, Constant(body.sample(rng))))
-    records, ok = [], True
-    for x in net.points:
-        z = x + z_off * field(x)
-        ys = [x.copy()]
-        for _ in range(probes - 1):
-            cand = x + (2.0 * rng.random(x.size) - 1.0) * probe_r
-            if norm.of(cand - x) <= probe_r and body.contains(cand, tol=1e-12):
-                ys.append(cand)
-        best = math.inf
-        for h in h_family:
-            for y in ys:
-                dzy = float(norm.of(z - y))
-                q = float(norm.of(h(z) - h(y))) / dzy
-                best = min(best, q)
-        ok = ok and best > lam
-        records.append(LadderWitnessRecord(x.copy(), z, best, len(ys)))
-    return LadderWitnessReport(j, g, beta, h_radius, bound, margin,
-                               tuple(records), ok)
+    pts = net.points
+    n_pts, dim = pts.shape
+    zs = np.array([x + z_off * field(x) for x in pts])
+    # the probes of each x: x itself, then the draws in B(x, probe_r) ∩ body
+    unit = 2.0 * rng.random((n_pts, probes - 1, dim)) - 1.0
+    cands = pts[:, None, :] + unit * probe_r
+    inside = (norm.of(cands - pts[:, None, :], axis=2) <= probe_r) & \
+        body.contains_all(cands.reshape(-1, dim), tol=1e-12).reshape(
+            n_pts, probes - 1)
+    keep = np.hstack([np.ones((n_pts, 1), dtype=bool), inside])
+    ys = np.concatenate([pts[:, None, :], cands], axis=1)[keep]
+    counts = keep.sum(axis=1)
+    zs_rep = np.repeat(zs, counts, axis=0)
+    q = np.min([pair_quotients(h, norm, ys, zs_rep) for h in h_family], axis=0)
+    best = np.minimum.reduceat(q, np.concatenate([[0], np.cumsum(counts)[:-1]]))
+    records = tuple(LadderWitnessRecord(x.copy(), z, float(b), int(c))
+                    for x, z, b, c in zip(pts, zs, best, counts))
+    return LadderWitnessReport(j, g, beta, h_radius, bound, margin, records,
+                               bool(np.all(best > lam)))

@@ -106,7 +106,8 @@ def dumps_json(report: Report) -> str:
     return _emit(report.to_json_dict()) + "\n"
 
 
-def _flat_value(v) -> str:
+def csv_value(v) -> str:
+    """One value as CSV text: floats with 17 significant digits, unquoted."""
     if isinstance(v, (float, np.floating)):
         s = _fmt_float(float(v))
         return s.strip('"')
@@ -119,7 +120,7 @@ def _flat_value(v) -> str:
     if isinstance(v, np.ndarray):
         v = v.tolist()
     if isinstance(v, (list, tuple)):
-        return ";".join(_flat_value(x) for x in v)
+        return ";".join(csv_value(x) for x in v)
     return str(v)
 
 
@@ -129,7 +130,7 @@ def _flatten(prefix: str, d: dict, out: dict) -> None:
         if isinstance(v, dict):
             _flatten(key, v, out)
         else:
-            out[key] = _flat_value(v)
+            out[key] = csv_value(v)
 
 
 def dumps_csv(report: Report) -> str:

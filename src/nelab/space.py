@@ -54,20 +54,12 @@ class Norm:
             return np.sqrt((a * a).sum(axis=axis))
         return (a ** self.p).sum(axis=axis) ** (1.0 / self.p)
 
-    def dist(self, x, y, axis: int = -1):
-        return self.of(np.asarray(y, dtype=float) - np.asarray(x, dtype=float), axis=axis)
-
     def unit(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         n = float(self.of(v))
         if n == 0.0:
             raise ValueError("cannot normalise the zero vector")
         return v / n
-
-
-def norm_eval(coords, norm: Norm) -> float:
-    """Norm of a single coordinate vector, with input validation."""
-    return float(norm.of(as_point(coords)))
 
 
 def segment_point(x, y, t: float) -> np.ndarray:
@@ -120,9 +112,6 @@ class ConvexBody:
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.array([self.sample(rng) for _ in range(count)])
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexBody):
@@ -172,9 +161,6 @@ class Box(ConvexBody):
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.lo + rng.random((count, self.dim)) * (self.hi - self.lo)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +225,6 @@ class Ball(ConvexBody):
             have += keep.shape[0]
         return np.vstack(chunks)[:count]
 
-    def to_json_dict(self) -> dict:
-        p = "inf" if math.isinf(self.norm.p) else self.norm.p
-        return {"kind": "ball", "center": self.c.tolist(), "radius": self.radius, "p": p}
-
 
 @dataclass(frozen=True, eq=False)
 class Hull(ConvexBody):
@@ -291,21 +273,22 @@ class Hull(ConvexBody):
     def extreme_points(self) -> np.ndarray:
         return self.vertices.copy()
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "hull", "vertices": self.vertices.tolist()}
 
-
-def body_from_json_dict(d: dict) -> ConvexBody:
-    kind = d.get("kind")
-    if kind == "box":
-        return Box(np.asarray(d["lo"]), np.asarray(d["hi"]))
-    if kind == "ball":
-        p = d.get("p", 2.0)
-        p = math.inf if p in ("inf", "Infinity") else float(p)
-        return Ball(np.asarray(d["center"]), float(d["radius"]), Norm(p))
-    if kind == "hull":
-        return Hull(np.asarray(d["vertices"]))
-    raise ValueError(f"unknown body kind {kind!r}")
+def body_from_desc(desc: str, dim: int, norm: Norm) -> ConvexBody:
+    """Body from a descriptor: box | box:lo,hi | ball | ball:r | simplex."""
+    name, _, arg = desc.partition(":")
+    if name == "box":
+        lo, hi = (-1.0, 1.0)
+        if arg:
+            lo, hi = (float(v) for v in arg.split(","))
+        return Box(np.full(dim, lo), np.full(dim, hi))
+    if name == "ball":
+        radius = float(arg) if arg else 1.0
+        return Ball(np.zeros(dim), radius, norm)
+    if name == "simplex":
+        verts = np.vstack([np.zeros(dim), np.eye(dim)])
+        return Hull(verts)
+    raise ValueError(f"unknown body descriptor {desc!r}")
 
 
 def grid_candidates(body: ConvexBody, per_axis: int) -> np.ndarray:
@@ -321,11 +304,10 @@ def grid_candidates(body: ConvexBody, per_axis: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class Net:
-    """Finite s-separated point family inside a body, optional density bound."""
+    """Finite s-separated point family inside a body."""
 
     points: np.ndarray
     s: float
-    theta: float | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -350,25 +332,6 @@ class Net:
     def check_separated(self, norm: Norm, tol: float = 0.0) -> bool:
         return self.min_separation(norm) >= self.s - tol
 
-    def covers(self, candidates, norm: Norm, radius: float | None = None) -> bool:
-        """Is every candidate within `radius` (default s) of some net point?"""
-        radius = self.s if radius is None else radius
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        for c in candidates:
-            if float(norm.of(self.points - c, axis=1).min()) > radius:
-                return False
-        return True
-
-    def to_json_dict(self) -> dict:
-        d = {"points": self.points.tolist(), "s": self.s}
-        if self.theta is not None:
-            d["theta"] = self.theta
-        return d
-
-
-def net_from_json_dict(d: dict) -> Net:
-    return Net(np.asarray(d["points"]), float(d["s"]), d.get("theta"))
-
 
 def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:
     """First-fit greedy s-separated subset of a candidate stream.
@@ -389,4 +352,4 @@ def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:
             raise ValueError("net candidate lies outside the body")
         if not accepted or float(norm.of(np.asarray(accepted) - c, axis=1).min()) >= s:
             accepted.append(c)
-    return Net(np.asarray(accepted), s, theta=s)
+    return Net(np.asarray(accepted), s)

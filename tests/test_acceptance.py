@@ -4,6 +4,7 @@ Each test prints exactly one `criterion N (<name>): PASS|FAIL` line and
 then asserts.  Tolerances are fixed here, not tuned: loosening any of
 them is a change to what the package promises.
 """
+import hashlib
 import re
 import time
 
@@ -146,6 +147,11 @@ def test_criterion_7_typical_density():
     _verdict(7, "unit-slope density at net points", problems)
 
 
+# sha256 of the seed-20260823 `verify --suite all` report bytes
+GOLDEN_JSON = "d772c05c20cbecd599fa082b4c32055f846d71b5d53a20b81b44f525b14f8cd4"
+GOLDEN_CSV = "f2c66b47224a64029ccd4269e6d2ccc62b9c5d7c61010a42f40a56d1b0d38605"
+
+
 def test_criterion_8_byte_identical_reports():
     cfg = ExperimentConfig(suite="all", seed=20260823)
     first = run_verify(cfg)
@@ -155,5 +161,9 @@ def test_criterion_8_byte_identical_reports():
         problems.append("json reports differ between identical runs")
     if dumps_csv(first) != dumps_csv(second):
         problems.append("csv reports differ between identical runs")
+    if hashlib.sha256(dumps_json(first).encode()).hexdigest() != GOLDEN_JSON:
+        problems.append("json report differs from its golden digest")
+    if hashlib.sha256(dumps_csv(first).encode()).hexdigest() != GOLDEN_CSV:
+        problems.append("csv report differs from its golden digest")
     problems += [f"case {c.case_id} failed" for c in first.failures]
     _verdict(8, "byte-identical reports", problems)

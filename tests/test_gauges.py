@@ -167,8 +167,8 @@ def test_ladder_rung_bounds_and_extension():
         lad.rung(0)
     with pytest.raises(RangeError):
         lad.rung(6)
-    ext = lad.extended(3)
-    assert len(ext) == 8 and ext.rung(8) == 0.25 * 2.0 ** -7
+    longer = ladder(SQRT, BOX1, NORM2, rungs=8)
+    assert longer.s[:5] == lad.s and longer.rung(8) == 0.25 * 2.0 ** -7
     with pytest.raises(ValueError):
         ladder(SQRT, BOX1, NORM2, rungs=0)
 

@@ -1,4 +1,5 @@
 """Experiment harness, report serialization, and the command line."""
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,33 @@ def test_report_bytes_are_reproducible():
     assert dumps_csv(a) == dumps_csv(b)
     c = run_verify(_cfg(suite="flat", trials=6, seed=12))
     assert dumps_json(a) != dumps_json(c)
+
+
+def test_bump_certificate_rounding_one_ulp_above_one_passes():
+    # bump/011 at seed 14 has certificate 1 + 2^-52: the product of the
+    # collapse, contraction and base certificates rounds above 1
+    rep = run_verify(_cfg(suite="bump", seed=14, trials=12))
+    assert rep.passed
+    case = {c.case_id: c for c in rep.cases}["bump/011"]
+    assert case.measured["certificate"] > 1.0
+    assert case.measured["certificate"] <= case.bounds["quotient_bound"]
+
+
+# sha256 of the JSON report bytes; a change to any digest is a change to
+# what the runs compute and must be explained
+GOLDEN = {
+    "typical": "95af3b18933d05444427f84430ad119e8868205e3f75963a5549c3b61949aa6f",
+    "dual": "44f22eb9c756f9b2f52e9b8682ce5ae164ceaffb4a747397dd4272fed3aa58e0",
+}
+
+
+def test_golden_report_digests():
+    reports = {"typical": run_typical(_cfg(trials=4, lam=0.99)),
+               # dim 2 reaches the multi-point ladder-witness batches
+               "dual": run_dual(_cfg(gauge="sqrt", dim=2))}
+    for name, rep in reports.items():
+        digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
+        assert digest == GOLDEN[name], name
 
 
 def test_zero_tolerance_turns_exact_checks_into_failures():

@@ -1,5 +1,4 @@
 """Mapping expressions: certificates, evaluation and sampling estimators."""
-import json
 import math
 
 import numpy as np
@@ -9,9 +8,8 @@ from hypothesis import strategies as st
 
 from nelab.errors import DomainError, EstimationError
 from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
-                        FlatCollapse, GeneratorConfig, Identity, RadialScale,
-                        Tent, evaluate, lip_global_est, lip_local_profile,
-                        lip_local_scale, map_from_json_dict,
+                        FlatCollapse, GeneratorConfig, Identity, Tent,
+                        lip_global_est, lip_local_profile, pair_quotients,
                         random_nonexpansive, steep_density, sup_dist_est)
 from nelab.perturb import FlatSpec, flat_collapse
 from nelab.space import Ball, Box, Norm, greedy_net
@@ -41,11 +39,12 @@ def test_leaf_certificates_and_values():
     with pytest.raises(ValueError):
         AffineContraction(1.5, [0.0])
     with pytest.raises(ValueError):
-        RadialScale(-0.1)
+        AffineContraction(-0.1, [0.0])
 
 
 def test_compose_product_rule():
-    m = Compose(RadialScale(0.5), RadialScale(0.8))
+    m = Compose(AffineContraction(0.5, [0.0, 0.0]),
+                AffineContraction(0.8, [0.0, 0.0]))
     assert m.certificate == pytest.approx(0.4, abs=1e-15)
     np.testing.assert_allclose(m([1.0, 0.0]), [0.4, 0.0], atol=1e-15)
 
@@ -77,8 +76,23 @@ def test_flat_collapse_quotient_bracket():
     assert 1.8 <= est.lower_bound <= m.certificate + CERT_SLACK
 
 
+def test_pair_quotients_match_the_pairwise_loop():
+    box2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    rng = np.random.default_rng(2)
+    xs, ys = box2.sample_many(rng, 300), box2.sample_many(rng, 300)
+    for norm in (Norm(1.0), Norm(math.inf)):
+        collapse = FlatCollapse(np.array([[0.0, 0.0], [0.9, 0.9]]), 0.1, 0.4,
+                                norm)
+        for m in (collapse, Compose(
+                random_nonexpansive(GeneratorConfig(), box2, seed=4), collapse)):
+            loop = [float(norm.of(m(y) - m(x))) / float(norm.of(y - x))
+                    for x, y in zip(xs, ys)]
+            assert pair_quotients(m, norm, xs, ys).tolist() == loop
+
+
 def test_lip_global_linear_maps_are_exact():
-    assert lip_global_est(RadialScale(0.5), BOX1, NORM2, 200).lower_bound \
+    assert lip_global_est(AffineContraction(0.5, [0.0]), BOX1, NORM2,
+                          200).lower_bound \
         == pytest.approx(0.5, abs=1e-12)
     assert lip_global_est(Identity(), BOX1, NORM2, 200).lower_bound \
         == pytest.approx(1.0, abs=1e-12)
@@ -88,9 +102,11 @@ def test_lip_global_linear_maps_are_exact():
 
 def test_lip_local_ramp_is_steep_only_past_the_knee():
     m = _ramp()
-    steep = lip_local_scale(m, [0.9], 0.1, BOX01, NORM2, samples=128, seed=0)
+    steep = lip_local_profile(m, [0.9], [0.1], BOX01, NORM2, samples=128,
+                              seed=0)[0]
     assert steep.lower_bound == pytest.approx(1.0, rel=1e-12)
-    flat = lip_local_scale(m, [0.2], 0.1, BOX01, NORM2, samples=128, seed=0)
+    flat = lip_local_profile(m, [0.2], [0.1], BOX01, NORM2, samples=128,
+                             seed=0)[0]
     assert flat.lower_bound == 0.0
 
 
@@ -105,14 +121,15 @@ def test_lip_local_profile_monotone_in_scale():
 
 def test_lip_local_domain_and_exhaustion_errors():
     with pytest.raises(DomainError):
-        lip_local_scale(Identity(), [2.0], 0.1, BOX1, NORM2)
+        lip_local_profile(Identity(), [2.0], [0.1], BOX1, NORM2)
     with pytest.raises(ValueError):
         lip_local_profile(Identity(), [0.0], [], BOX1, NORM2)
 
 
 def test_sup_dist_hand_values():
     assert sup_dist_est(Identity(), Constant([0.0]), BOX1, NORM2) == 1.0
-    assert sup_dist_est(Identity(), RadialScale(0.5), BOX1, NORM2) == 0.5
+    assert sup_dist_est(Identity(), AffineContraction(0.5, [0.0]), BOX1,
+                        NORM2) == 0.5
     m = _ramp()
     assert sup_dist_est(m, m, BOX01, NORM2) == 0.0
     a = sup_dist_est(Identity(), m, BOX01, NORM2, seed=5)
@@ -140,15 +157,6 @@ def test_tent_input_validation():
              0.0, Identity(), NORM2)                 # flat tent
 
 
-def test_evaluate_checks_domain_and_range():
-    assert np.array_equal(evaluate(Identity(), [0.3], BOX1), [0.3])
-    with pytest.raises(DomainError):
-        evaluate(Identity(), [1.5], BOX1)
-    # a translation-off-the-body is expressible only through a bad constant
-    with pytest.raises(DomainError):
-        evaluate(Constant([2.0]), [0.3], BOX1)
-
-
 def test_range_closure_under_random_trees():
     ball = Ball(np.zeros(2), 1.0, Norm(1.0))
     for seed in (0, 1, 2):
@@ -160,7 +168,8 @@ def test_range_closure_under_random_trees():
 def test_random_nonexpansive_contract():
     a = random_nonexpansive(GeneratorConfig(), BOX1, seed=7)
     b = random_nonexpansive(GeneratorConfig(), BOX1, seed=7)
-    assert a.to_json_dict() == b.to_json_dict()
+    xs = BOX1.sample_many(np.random.default_rng(1), 50)
+    assert np.array_equal(a._apply(xs), b._apply(xs))
     for seed in range(8):
         m = random_nonexpansive(GeneratorConfig(), BOX1, seed=seed)
         assert m.certificate <= 1.0
@@ -178,24 +187,8 @@ def test_certificate_soundness_property(seed):
     assert est.lower_bound <= m.certificate + CERT_SLACK
 
 
-def test_map_json_roundtrip():
-    maps = [
-        Identity(),
-        Constant([0.25]),
-        _ramp(),
-        Compose(RadialScale(0.5), AffineContraction(0.8, [0.1])),
-        random_nonexpansive(GeneratorConfig(), BOX1, seed=11),
-    ]
-    xs = BOX1.sample_many(np.random.default_rng(1), 50)
-    for m in maps:
-        back = map_from_json_dict(json.loads(json.dumps(m.to_json_dict())))
-        assert np.array_equal(back._apply(xs), m._apply(xs))
-        assert back.certificate == m.certificate
-    with pytest.raises(ValueError):
-        map_from_json_dict({"kind": "mystery"})
-
-
 def test_estimator_rejects_coincident_samples():
     # below float resolution every probe rounds onto the centre itself
     with pytest.raises(EstimationError):
-        lip_local_scale(Identity(), [0.5], 1e-300, BOX01, NORM2, samples=16)
+        lip_local_profile(Identity(), [0.5], [1e-300], BOX01, NORM2,
+                          samples=16)

@@ -9,7 +9,7 @@ from nelab.gauges import PowerGauge, build_pair, ladder
 from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive, GeneratorConfig
 from nelab.perturb import FlatSpec, flat_collapse
 from nelab.porosity import (FinitePointSet, HoleWitness, IntervalUnionSet,
-                            PorosityVerdict, PredicateSet, ReciprocalSet,
+                            PorosityVerdict, ReciprocalSet,
                             gamma_est, ladder_witness, low_slope_alpha,
                             low_slope_member, lower_porous_at, upper_porous_at)
 from nelab.space import Box, Norm, greedy_net, grid_candidates
@@ -129,13 +129,6 @@ def test_verify_holes_flags_a_bogus_witness():
     assert not bogus.verify_holes(CANTOR3, probes=2000, seed=0)
 
 
-def test_predicate_set_probes_membership():
-    half = PredicateSet(lambda x: x[0] > 0.5, BOX01, NORM2)
-    assert half.contains([0.7]) and not half.contains([0.2])
-    assert not half.intersects_ball([0.2], 0.1)
-    assert half.intersects_ball([0.45], 0.1)
-
-
 def test_low_slope_alpha_hand_values():
     assert low_slope_alpha(0.5, 2.0) == pytest.approx(0.5 / 144.0, abs=1e-18)
     assert low_slope_alpha(0.0, 0.0) == pytest.approx(1.0 / 48.0, abs=1e-18)
@@ -149,7 +142,7 @@ def test_low_slope_membership_examples():
     lad = ladder(SQRT, BOX01, NORM2, rungs=12)
     const = low_slope_member(Constant([0.4]), [0.5], 0.1, lad, j_max=8,
                              body=BOX01, norm=NORM2)
-    assert const.member and bool(const)
+    assert const.member
     assert all(e == 0.0 for e in const.estimates)
     ident = low_slope_member(Identity(), [0.5], 0.9, lad, j_max=8,
                              body=BOX01, norm=NORM2)
