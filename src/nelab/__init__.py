@@ -17,10 +17,9 @@ from .gauges import (Gauge, GaugePair, Ladder, PiecewiseGauge, PowerGauge,
 from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
                       run_verify, SUITES)
 from .maps import (AffineContraction, Compose, Constant, ConvexCombo,
-                   FlatCollapse, GeneratorConfig, Identity, LipEstimate,
-                   MapExpr, Tent, lip_global_est, lip_local_profile,
-                   pair_quotients, random_nonexpansive, steep_density,
-                   sup_dist_est)
+                   FlatCollapse, Identity, LipEstimate, MapExpr, Tent,
+                   lip_global_est, lip_local_profile, pair_quotients,
+                   random_nonexpansive, steep_density, sup_dist_est)
 from .perturb import (BumpSpec, BumpWitnesses, DirectionField, FlatSpec,
                       bump_perturb, bump_witnesses, direction_field,
                       flat_collapse)
@@ -31,7 +30,8 @@ from .porosity import (FinitePointSet, HoleWitness, IntervalUnionSet,
                        lower_porous_at, upper_porous_at)
 from .reports import CaseRecord, Report, dumps, emit_report
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, as_point,
-                    body_from_desc, greedy_net, grid_candidates)
+                    body_from_desc, distances, greedy_net, grid_candidates,
+                    nearest)
 
 __version__ = "0.1.0"
 

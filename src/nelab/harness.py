@@ -37,9 +37,9 @@ from .errors import GaugeError, LadderExhausted, RangeError
 from .gauges import (Gauge, GaugePair, PiecewiseGauge, PowerGauge, RatioGauge,
                      SqrtRatioGauge, build_pair, gauge_from_desc, gauge_K,
                      ladder, select_j)
-from .maps import (Constant, ConvexCombo, GeneratorConfig, Identity, MapExpr,
-                   lip_global_est, lip_local_profile, pair_quotients,
-                   random_nonexpansive, steep_density, sup_dist_est)
+from .maps import (Constant, ConvexCombo, Identity, MapExpr, lip_global_est,
+                   lip_local_profile, pair_quotients, random_nonexpansive,
+                   steep_density, sup_dist_est)
 from .perturb import BumpSpec, FlatSpec, bump_perturb, bump_witnesses, \
     direction_field, flat_collapse
 from .porosity import (FinitePointSet, IntervalUnionSet, ReciprocalSet,
@@ -48,11 +48,13 @@ from .porosity import (FinitePointSet, IntervalUnionSet, ReciprocalSet,
                        upper_porous_at)
 from .reports import CaseRecord, Report
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, body_from_desc,
-                    greedy_net, grid_candidates)
+                    greedy_net, grid_candidates, nearest)
 
 LAM_SWEEP = (0.1, 0.25, 0.5, 0.75, 0.9)
 K_SWEEP = (1.5, 2.0, 4.0)
 DIAM_SWEEP = (1.0, 2.0, 4.0)
+# _net_for's attempts, each at 0.6 times the previous separation
+NET_RETRIES = 3
 
 _TAGS = {"flat": 1, "field": 2, "bump": 3, "witness": 4, "witness2": 5,
          "pairs": 6, "invratio": 7, "ladder": 8, "porosity": 9, "holes": 10,
@@ -141,10 +143,10 @@ def _grid_axis(dim: int) -> int:
     return {1: 41, 2: 13, 3: 7}[dim]
 
 
-def _net_for(body: ConvexBody, norm: Norm, s: float, retries: int = 3,
+def _net_for(body: ConvexBody, norm: Norm, s: float,
              per_axis: int | None = None) -> Net:
     cands = grid_candidates(body, per_axis or _grid_axis(body.dim))
-    for _ in range(retries):
+    for _ in range(NET_RETRIES):
         net = greedy_net(body, norm, s, cands)
         if len(net) >= 2:
             return net
@@ -309,7 +311,7 @@ def suite_bump(cfg: ExperimentConfig) -> list[CaseRecord]:
         # a coarse candidate grid keeps the nets small enough that the
         # 10^4-pair quotient scan stays within the suite's time budget
         net = _net_for(body, norm, s, per_axis={1: 41, 2: 9, 3: 5}[dim])
-        f = random_nonexpansive(GeneratorConfig(), body, seed=_sub_seed(rng))
+        f = random_nonexpansive(body, seed=_sub_seed(rng))
         eps = float(rng.uniform(0.1, 0.8))
         spec = BumpSpec.create(f, net, net.s, eps, body, norm)
         g = bump_perturb(spec, body, norm)
@@ -352,12 +354,10 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
         net = _net_for(body, norm, s)
         lam = float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9]))
         eps = float(rng.uniform(0.1, 0.8))
-        f = random_nonexpansive(GeneratorConfig(), body, seed=_sub_seed(rng))
+        f = random_nonexpansive(body, seed=_sub_seed(rng))
         g = bump_perturb(BumpSpec.create(f, net, net.s, eps, body, norm),
                          body, norm)
         w = bump_witnesses(g, net, net.s, eps, lam, body, norm)
-        xs = np.array([r.x for r in w.records])
-        ys = np.array([r.y for r in w.records])
         h_per = min(10, total - 10 * gi)
         for hi in range(h_per):
             if hi == 0:
@@ -369,7 +369,7 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
             tau = u * w.beta * eps / diam
             h: MapExpr = g if tau == 0.0 else \
                 ConvexCombo(tau, g, Constant(body.sample(rng)))
-            minq = float(pair_quotients(h, norm, xs, ys).min())
+            minq = float(pair_quotients(h, norm, w.xs, w.ys).min())
             passed = minq > lam and minq >= w.bound - cfg.scaled(1e-9)
             cases.append(CaseRecord(
                 f"witness/{gi:02d}-{hi:02d}",
@@ -394,17 +394,15 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
         lam = float(rng.uniform(0.2, 0.8))
         eps = float(rng.uniform(0.2, 0.7))
         f: MapExpr = Identity() if pi % 2 == 0 else \
-            random_nonexpansive(GeneratorConfig(), body, seed=_sub_seed(rng))
+            random_nonexpansive(body, seed=_sub_seed(rng))
         g = bump_perturb(BumpSpec.create(f, net, s, eps, body, norm),
                          body, norm)
         w = bump_witnesses(g, net, s, eps, lam, body, norm)
         tau = w.beta * eps / diam
-        xs = np.array([r.x for r in w.records])
-        ys = np.array([r.y for r in w.records])
         minq = float(min(
-            pair_quotients(g, norm, xs, ys).min(),
+            pair_quotients(g, norm, w.xs, w.ys).min(),
             pair_quotients(ConvexCombo(tau, g, Constant(body.sample(rng))),
-                           norm, xs, ys).min()))
+                           norm, w.xs, w.ys).min()))
         passed = minq > lam and minq >= w.bound - cfg.scaled(1e-9)
         cases.append(CaseRecord(
             f"witness/two-{pi:02d}",
@@ -589,7 +587,7 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
         pair = build_pair(phi)
         ladg = ladder(phi, body, norm, rungs=12)
         nets = [_net_for(body, norm, ladg.rung(j)) for j in range(1, 4)]
-        f = random_nonexpansive(GeneratorConfig(), body, seed=_sub_seed(rng))
+        f = random_nonexpansive(body, seed=_sub_seed(rng))
         rep = ladder_witness(f, eps, cfg.lam, ladg, nets, pair, k=1,
                              body=body, norm=norm, seed=_sub_seed(rng))
         minq = min(r.min_quotient for r in rep.records)
@@ -760,7 +758,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
     for ei, frac in enumerate((0.9, 0.45)):
         rng = _case_rng(cfg, tag, ei)
         eps = frac * lad.inv_ratio(1)
-        f = random_nonexpansive(GeneratorConfig(), body, seed=_sub_seed(rng))
+        f = random_nonexpansive(body, seed=_sub_seed(rng))
         rep = ladder_witness(f, eps, lam, lad, nets, pair, k=1, body=body,
                              norm=norm, seed=_sub_seed(rng))
         minq = min(r.min_quotient for r in rep.records)
@@ -771,20 +769,18 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
              "margin": rep.margin},
             {"lam": lam}, rep.passed and rep.margin > 0.0))
         s_j = lad.rung(rep.j)
-        phi_inv = phi.inverse(s_j)
-        probe_r = (1.0 - lam) * phi_inv / (48.0 * (1.0 + diam))
+        net_pts = nets[rep.j - 1].points
         g = rep.g
         for qi in range(4):
             q = body.sample(rng)
-            dists = norm.of(nets[rep.j - 1].points - q, axis=1)
-            xi_idx = int(np.argmin(dists))
-            x = nets[rep.j - 1].points[xi_idx]
+            [xi_idx], [dq] = nearest(net_pts, q[None, :], norm)
+            x = net_pts[xi_idx]
             z = rep.records[xi_idx].z
-            d = min(float(dists[xi_idx]), s_j)
+            d = min(float(dq), s_j)
             if d <= 0.0:
                 continue
             hole_r = phi.inverse(alpha * d)
-            fit = hole_r <= probe_r * (1.0 + 1e-12)
+            fit = hole_r <= rep.probe_r * (1.0 + 1e-12)
             ys = _ball_probes(x, hole_r, body, norm, rng, 25)
             quot_ok = bool(np.all(pair_quotients(
                 g, norm, ys, np.broadcast_to(z, ys.shape)) > lam))
@@ -798,14 +794,14 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
                 {"j": rep.j, "d": d, "hole_radius": hole_r, "alpha": alpha},
                 {"fits_probe_ball": fit, "quotients_steep": quot_ok,
                  "hole_outside_set": mem_ok, "probed": len(ys)},
-                {"probe_radius": probe_r, "lam": lam},
+                {"probe_radius": rep.probe_r, "lam": lam},
                 fit and quot_ok and mem_ok))
     rng = _case_rng(cfg, tag, 99)
     grid = grid_candidates(body, 21)[:12]
     scales = [phi.inverse(lad.rung(j)) for j in range(1, j_top + 1)]
     probe_maps: list[MapExpr] = [
         Constant(body.sample(rng)), Identity(),
-        random_nonexpansive(GeneratorConfig(), body, seed=_sub_seed(rng))]
+        random_nonexpansive(body, seed=_sub_seed(rng))]
     checked = consistent = 0
     for f in probe_maps:
         for x in grid:
@@ -897,7 +893,7 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
         if j not in net_cache:
             net_cache[j] = _net_for(body, norm, sep)
         net = net_cache[j]
-        f = random_nonexpansive(GeneratorConfig(), body, seed=_sub_seed(rng))
+        f = random_nonexpansive(body, seed=_sub_seed(rng))
         spec = BumpSpec.create(f, net, net.s, eps, body, norm)
         g = bump_perturb(spec, body, norm)
         bump_scale = 0.5 * spec.rho
@@ -911,11 +907,11 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
             for k, e in enumerate(ests[1:]):
                 coarse_hits[k] += e.lower_bound > lam
         coarse_dens = (coarse_hits / len(net)).tolist()
-        off = [x for x in grid_candidates(body, 21)
-               if float(norm.of(net.points - x, axis=1).min()) > net.s / 2.0]
-        dens_off = steep_density(g, body, norm, lam, bump_scale,
-                                 np.atleast_2d(np.array(off[:6])), samples=32,
-                                 seed=_sub_seed(rng)) if off else 0.0
+        grid = grid_candidates(body, 21)
+        off = grid[nearest(net.points, grid, norm)[1] > net.s / 2.0]
+        dens_off = steep_density(g, body, norm, lam, bump_scale, off[:6],
+                                 samples=32,
+                                 seed=_sub_seed(rng)) if len(off) else 0.0
         passed = dens_net == 1.0 and all(d == 1.0 for d in coarse_dens)
         cases.append(CaseRecord(
             f"typical/map-{i:02d}",

@@ -10,8 +10,9 @@ give matching lower bounds, so every estimate is bracketed:
 
 Certificate rules: identity -> 1, constant -> 0, contraction -> its scale,
 composition -> product, convex combination -> weighted average, ball
-collapse -> 1 + delta/(r - delta), tent field over a base that is constant
-on the tent balls -> max(base, 1).
+collapse -> 1 + delta/(r - delta), tent field -> max(base, 1); a Tent
+accepts only a base whose first stage is a FlatCollapse at least as deep
+as the tent, which makes the base constant on every tent ball.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .space import ConvexBody, Norm, as_point
+from .space import ConvexBody, Net, Norm, as_point, nearest
 
 
 class MapExpr:
@@ -116,16 +117,14 @@ class FlatCollapse(MapExpr):
         object.__setattr__(self, "centers", ctrs)
         if not (0.0 < self.delta < self.r):
             raise ValueError(f"need 0 < delta < r, got delta={self.delta}, r={self.r}")
-        k = ctrs.shape[0]
-        for i in range(k - 1):
-            d = self.norm.of(ctrs[i + 1:] - ctrs[i], axis=1)
-            if float(d.min()) < 2.0 * self.r:
-                raise ValueError("collapse centres closer than 2r: balls would overlap")
+        if not Net(ctrs, 2.0 * self.r).check_separated(self.norm):
+            raise ValueError("collapse centres closer than 2r: balls would overlap")
 
     def _apply(self, pts):
-        dists = self.norm.of(pts[:, None, :] - self.centers[None, :, :], axis=2)
-        idx = np.argmin(dists, axis=1)
-        d = dists[np.arange(pts.shape[0]), idx]
+        return self._profile(pts, *nearest(self.centers, pts, self.norm))
+
+    def _profile(self, pts, idx, d):
+        """The radial profile at pts, given their nearest centres and distances."""
         ctr = self.centers[idx]
         out = pts.copy()
         inner = d <= self.delta
@@ -143,47 +142,55 @@ class FlatCollapse(MapExpr):
 
 @dataclass(frozen=True, eq=False)
 class Tent(MapExpr):
-    """Replace the base map on disjoint balls B(c, delta) by radial tents.
+    """Replace a collapsed base map on the balls B(c, delta) by radial tents.
 
-    With t = ||z - c|| for the nearest tent centre c and its apex a (the
-    base value at c) and unit direction u:
+    The base must be a FlatCollapse or a chain Compose(s_k, ...
+    Compose(s_1, collapse)) that starts with one, and 0 < delta <= the
+    collapse's inner radius; anything else raises ValueError.  The tents sit
+    at the collapse's centres and use its norm.  With t = ||z - c|| for the
+    nearest centre c, its apex a = base(c) and unit direction u:
 
         z -> a + t u              if t < delta/2,
         z -> a + (delta - t) u    if delta/2 <= t < delta,
         z -> base(z)              otherwise.
 
-    Sound only when the base map is constant (= a) on each B(c, delta) and
-    the balls are disjoint; then the inner branch is an isometry towards c
-    and the whole map is no more expansive than max(base, 1).
+    The collapse makes the base constant (= a) on each B(c, delta) and its
+    2r-separation makes the balls disjoint, so the inner branch is an
+    isometry towards c and the whole map is no more expansive than
+    max(base, 1).  `collapse`, `centers`, `apexes` and the outer `stages`
+    (in the order they apply) are derived from the base.
     """
 
-    centers: np.ndarray
     directions: np.ndarray
-    apexes: np.ndarray
     delta: float
     base: MapExpr
-    norm: Norm = Norm(2.0)
 
     def __post_init__(self):
-        ctrs = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        stages, node = [], self.base
+        while isinstance(node, Compose):
+            stages.append(node.outer)
+            node = node.inner
+        if not isinstance(node, FlatCollapse):
+            raise ValueError("tent base must start with a FlatCollapse")
+        if not (0.0 < self.delta <= node.delta):
+            raise ValueError(f"tent height must satisfy 0 < delta <= {node.delta} "
+                             f"(the collapse's inner radius), got {self.delta}")
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        apex = np.atleast_2d(np.asarray(self.apexes, dtype=float))
-        if not (ctrs.shape == dirs.shape == apex.shape):
-            raise ValueError("tent centres, directions and apexes must align")
-        if not (self.delta > 0.0):
-            raise ValueError("tent height delta must be positive")
-        lens = self.norm.of(dirs, axis=1)
-        if np.any(np.abs(lens - 1.0) > 1e-9):
+        if dirs.shape != node.centers.shape:
+            raise ValueError("tent directions must align with the collapse centres")
+        if np.any(np.abs(node.norm.of(dirs, axis=1) - 1.0) > 1e-9):
             raise ValueError("tent directions must be unit vectors in the ambient norm")
-        object.__setattr__(self, "centers", ctrs)
         object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "apexes", apex)
+        object.__setattr__(self, "collapse", node)
+        object.__setattr__(self, "centers", node.centers)
+        object.__setattr__(self, "stages", tuple(reversed(stages)))
+        object.__setattr__(self, "apexes", self.base._apply(node.centers))
 
     def _apply(self, pts):
-        out = self.base._apply(pts)
-        dists = self.norm.of(pts[:, None, :] - self.centers[None, :, :], axis=2)
-        idx = np.argmin(dists, axis=1)
-        d = dists[np.arange(pts.shape[0]), idx]
+        idx, d = nearest(self.centers, pts, self.collapse.norm)
+        out = self.collapse._profile(pts, idx, d)
+        for stage in self.stages:
+            out = stage._apply(out)
         apex = self.apexes[idx]
         u = self.directions[idx]
         inner = d < 0.5 * self.delta
@@ -260,17 +267,19 @@ def _best_quotient(m: MapExpr, norm: Norm, xs: np.ndarray, ys: np.ndarray,
     return float(q[i]), (xs[i].copy(), ys[i].copy()), int(keep.sum())
 
 
+# pairs closer than MIN_SEP_REL * diam are dropped: at tiny separations the
+# rounding error of the evaluated difference dominates the quotient, which
+# would poison upper-bound comparisons at 1e-9 tolerances
+MIN_SEP_REL = 1e-4
+
+
 def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
-                   seed: int | np.random.Generator = 0,
-                   min_sep_rel: float = 1e-4) -> LipEstimate:
+                   seed: int | np.random.Generator = 0) -> LipEstimate:
     """Max sampled difference quotient over uniform pairs plus extreme-point pairs.
 
     `seed` is anything `np.random.default_rng` accepts; a Generator is used
-    as is, so its draws continue the caller's stream.
-
-    Pairs closer than min_sep_rel * diam are dropped: at tiny separations the
-    rounding error of the evaluated difference dominates the quotient, which
-    would poison upper-bound comparisons at 1e-9 tolerances.
+    as is, so its draws continue the caller's stream.  Pairs closer than
+    MIN_SEP_REL * diam are dropped.
     """
     if pairs < 1:
         raise ValueError("need at least one pair")
@@ -282,7 +291,7 @@ def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
         ii, jj = np.triu_indices(ext.shape[0], k=1)
         xs = np.vstack([xs, ext[ii]])
         ys = np.vstack([ys, ext[jj]])
-    min_sep = min_sep_rel * body.diameter(norm)
+    min_sep = MIN_SEP_REL * body.diameter(norm)
     lb, wit, n = _best_quotient(m, norm, xs, ys, min_sep)
     return LipEstimate(lb, wit, n)
 
@@ -375,27 +384,21 @@ def steep_density(m: MapExpr, body: ConvexBody, norm: Norm, lam: float,
     return hits / grid.shape[0]
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs for the random non-expansive map generator."""
-
-    max_depth: int = 3
-    leaf_weights: tuple = (0.25, 0.35, 0.40)   # identity, constant, contraction
-    branch_prob: float = 0.6                   # chance to branch while depth remains
-    combo_weights: tuple = (0.5, 0.5)          # convex_combo, compose
-
-    def __post_init__(self):
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+# the shape of random_nonexpansive's trees: depth, leaf odds (identity,
+# constant, contraction), chance to branch while depth remains, and branch
+# odds (convex combo, compose)
+MAX_DEPTH = 3
+LEAF_WEIGHTS = (0.25, 0.35, 0.40)
+BRANCH_PROB = 0.6
+COMBO_WEIGHTS = (0.5, 0.5)
 
 
-def random_nonexpansive(config: GeneratorConfig, body: ConvexBody,
-                        seed: int = 0) -> MapExpr:
+def random_nonexpansive(body: ConvexBody, seed: int = 0) -> MapExpr:
     """Random expression with certificate <= 1 and range inside the body."""
     rng = np.random.default_rng(seed)
 
     def leaf() -> MapExpr:
-        k = rng.choice(3, p=np.asarray(config.leaf_weights) / sum(config.leaf_weights))
+        k = rng.choice(3, p=np.asarray(LEAF_WEIGHTS) / sum(LEAF_WEIGHTS))
         if k == 0:
             return Identity()
         if k == 1:
@@ -403,11 +406,11 @@ def random_nonexpansive(config: GeneratorConfig, body: ConvexBody,
         return AffineContraction(float(rng.uniform(0.0, 1.0)), body.sample(rng))
 
     def build(depth: int) -> MapExpr:
-        if depth <= 0 or rng.random() > config.branch_prob:
+        if depth <= 0 or rng.random() > BRANCH_PROB:
             return leaf()
-        w = np.asarray(config.combo_weights) / sum(config.combo_weights)
+        w = np.asarray(COMBO_WEIGHTS) / sum(COMBO_WEIGHTS)
         if rng.choice(2, p=w) == 0:
             return ConvexCombo(float(rng.uniform(0.0, 1.0)), build(depth - 1), build(depth - 1))
         return Compose(build(depth - 1), build(depth - 1))
 
-    return build(config.max_depth)
+    return build(MAX_DEPTH)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, GeometryError, ParameterError
 from .maps import AffineContraction, Compose, FlatCollapse, MapExpr, Tent
-from .space import ConvexBody, Net, Norm, as_point, segment_point
+from .space import ConvexBody, Net, Norm, as_point, distances, segment_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +81,18 @@ class DirectionField:
             )
 
     def __call__(self, z) -> np.ndarray:
-        z = as_point(z)
-        dv = float(self.norm.of(self.v - z))
-        if dv >= self.s / 3.0:
-            return (self.v - z) / dv
-        dw = float(self.norm.of(self.w - z))
-        return (self.w - z) / dw
+        """e_z for one point, or row-wise for a (k, n) batch."""
+        z = np.asarray(z, dtype=float)
+        if z.ndim < 2:
+            return self(as_point(z)[None, :])[0]
+        out = self.v - z
+        dv = self.norm.of(out, axis=1)
+        far = dv >= self.s / 3.0
+        out[far] /= dv[far, None]
+        # rows within s/3 of v are over s/3 from w (||w - v|| > 2s/3): no 0/0
+        to_w = self.w - z[~far]
+        out[~far] = to_w / self.norm.of(to_w, axis=1)[:, None]
+        return out
 
     def segment_inside(self, body: ConvexBody, z, checks: int = 20,
                        tol: float = 1e-9) -> bool:
@@ -99,25 +105,17 @@ class DirectionField:
         return True
 
 
-def direction_field(body: ConvexBody, norm: Norm, s: float,
-                    v=None, w=None) -> DirectionField:
-    """Direction field on the body; anchors default to a diameter-realising pair."""
+def direction_field(body: ConvexBody, norm: Norm, s: float) -> DirectionField:
+    """Direction field on the body anchored at a diameter-realising pair of
+    extreme points (the first such pair in row order)."""
     if not (s > 0.0):
         raise ParameterError("field scale s must be positive")
-    if (v is None) != (w is None):
-        raise ParameterError("give both anchors or neither")
-    if v is None:
-        ext = body.extreme_points()
-        best, pair = -1.0, None
-        for i in range(ext.shape[0] - 1):
-            d = norm.of(ext[i + 1:] - ext[i], axis=1)
-            j = int(np.argmax(d))
-            if float(d[j]) > best:
-                best, pair = float(d[j]), (ext[i], ext[i + 1 + j])
-        if pair is None or not best > 2.0 * s / 3.0:
-            raise GeometryError("no admissible far pair among extreme points")
-        v, w = pair
-    return DirectionField(v, w, s, norm)
+    ext = body.extreme_points()
+    d = distances(ext, ext, norm)
+    i, j = np.unravel_index(np.argmax(d), d.shape)
+    if not d[i, j] > 2.0 * s / 3.0:
+        raise GeometryError("no admissible far pair among extreme points")
+    return DirectionField(ext[i], ext[j], s, norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,31 +169,23 @@ def bump_perturb(spec: BumpSpec, body: ConvexBody, norm: Norm) -> MapExpr:
     collapse = FlatCollapse(pts, spec.delta, spec.r, norm)
     g0 = Compose(spec.base, collapse)
     g1 = Compose(AffineContraction(1.0 - spec.delta / spec.r, spec.anchor), g0)
-    field = direction_field(body, norm, spec.s)
-    apexes = g1(pts)
-    dirs = np.array([field(a) for a in apexes])
-    for a, u in zip(apexes, dirs):
-        # the tent needs room of height delta above each apex; the field
-        # guarantees a segment of length s/3 > delta
-        if not body.contains(a + spec.delta * u, tol=1e-9):
-            raise GeometryError("tent tip escaped the body")
-    return Tent(pts, dirs, apexes, spec.delta, g1, norm)
-
-
-@dataclass(frozen=True)
-class BumpWitnessRecord:
-    """One net point with its probe point and certified quotient bound."""
-
-    x: np.ndarray
-    y: np.ndarray
-    bound: float
+    apexes = g1._apply(pts)
+    dirs = direction_field(body, norm, spec.s)(apexes)
+    # the tent needs room of height delta above each apex; the field
+    # guarantees a segment of length s/3 > delta
+    if not np.all(body.contains_all(apexes + spec.delta * dirs, tol=1e-9)):
+        raise GeometryError("tent tip escaped the body")
+    return Tent(dirs, spec.delta, g1)
 
 
 @dataclass(frozen=True)
 class BumpWitnesses:
-    """Stable-quotient certificate around a bump perturbation."""
+    """Stable-quotient certificate around a bump perturbation: row i of `ys`
+    is the probe of net point `xs[i]`, and each pair's quotient is at least
+    `bound` for every map beta*eps-close to g."""
 
-    records: tuple
+    xs: np.ndarray
+    ys: np.ndarray
     beta: float
     bound: float
 
@@ -222,14 +212,10 @@ def bump_witnesses(g: MapExpr, net: Net, s: float, eps: float, lam: float,
         raise ParameterError("g's tent height does not match (net, s, eps)")
     if g.centers.shape != net.points.shape or np.max(np.abs(g.centers - net.points)) > 1e-12:
         raise ParameterError("g's tent centres do not match the net")
-    field = direction_field(body, norm, s)
     offset = eps * s / (24.0 * (1.0 + diam))
     beta = (1.0 - lam) * s / (96.0 * (1.0 + diam))
     bound = 1.0 - 48.0 * beta * (1.0 + diam) / s
-    records = []
-    for x in net.points:
-        y = x + offset * field(x)
-        if not body.contains(y, tol=1e-9):
-            raise GeometryError("witness probe escaped the body")
-        records.append(BumpWitnessRecord(x.copy(), y, bound))
-    return BumpWitnesses(tuple(records), beta, bound)
+    ys = net.points + offset * direction_field(body, norm, s)(net.points)
+    if not np.all(body.contains_all(ys, tol=1e-9)):
+        raise GeometryError("witness probe escaped the body")
+    return BumpWitnesses(net.points.copy(), ys, beta, bound)

@@ -41,6 +41,12 @@ from .perturb import BumpSpec, bump_perturb, direction_field
 from .space import Box, ConvexBody, Net, Norm, as_point
 
 DYADIC_BITS = 16
+GAMMA_ROUNDS = 9            # gamma_est: lattice halvings
+GAMMA_PER_AXIS = 17         # gamma_est: 1-D lattice points (9 in 2-D, else 5)
+UPPER_EPS = tuple(2.0 ** -k for k in range(2, 19))   # upper_porous_at's scales
+LOWER_LEVELS = 16           # lower_porous_at: halvings of eps0 probed
+LADDER_PROBES = 8           # ladder_witness: probes per net point, itself included
+LADDER_H_COUNT = 4          # ladder_witness: test maps besides g
 
 
 class SetOracle:
@@ -270,11 +276,10 @@ def _lattice_centers(q: np.ndarray, span: float, per_axis: int) -> np.ndarray:
 
 
 def _refine(oracle: SetOracle, q: np.ndarray, r: float, center: np.ndarray,
-            span: float, rounds: int, per_axis: int,
-            best_r: float = 0.0) -> float:
+            span: float, per_axis: int, best_r: float = 0.0) -> float:
     """Lattice search around `center`, halving the span around the best hole."""
     best_c = center if best_r > 0.0 else None
-    for _ in range(rounds):
+    for _ in range(GAMMA_ROUNDS):
         for c in _lattice_centers(center, span, per_axis):
             if not oracle.in_space(c):
                 continue
@@ -288,8 +293,8 @@ def _refine(oracle: SetOracle, q: np.ndarray, r: float, center: np.ndarray,
     return best_r
 
 
-def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128, seed: int = 0,
-              rounds: int = 9, per_axis: int = 17) -> float | None:
+def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
+              seed: int = 0) -> float | None:
     """Sampled lower estimate of the hole size gamma(q, r, P); None if no hole.
 
     Three candidate streams feed a running maximum:
@@ -309,9 +314,8 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128, seed: int = 0,
     q = as_point(q)
     if not (r > 0.0):
         raise ValueError("window radius must be positive")
-    if q.size > 1:
-        per_axis = min(per_axis, 9 if q.size == 2 else 5)
-    best_r = _refine(oracle, q, r, q, r, rounds, per_axis)
+    per_axis = GAMMA_PER_AXIS if q.size == 1 else (9 if q.size == 2 else 5)
+    best_r = _refine(oracle, q, r, q, r, per_axis)
 
     edge_r, edge_c = 0.0, None
     for axis in range(q.size):
@@ -328,7 +332,7 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128, seed: int = 0,
     if edge_c is not None:
         cap = r - float(oracle.norm.of(edge_c - q))
         best_r = max(best_r, _refine(oracle, q, r, edge_c, 2.0 * cap,
-                                     rounds, per_axis, best_r=edge_r))
+                                     per_axis, best_r=edge_r))
 
     rng = np.random.default_rng(seed)
     record = 0.0
@@ -340,7 +344,7 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128, seed: int = 0,
         if s > record:
             record = s
             span = max(4.0 * s, r / 64.0)
-            s = _refine(oracle, q, r, c, span, rounds, per_axis, best_r=s)
+            s = _refine(oracle, q, r, c, span, per_axis, best_r=s)
         best_r = max(best_r, s)
     return best_r if best_r > 0.0 else None
 
@@ -392,22 +396,20 @@ def _witness_candidates(q: np.ndarray, eps: float, rng: np.random.Generator,
     return np.vstack([lattice, extra])
 
 
-def upper_porous_at(oracle: SetOracle, q, phi: Gauge, eps_grid=None,
-                    trials: int = 64, seed: int = 0,
+def upper_porous_at(oracle: SetOracle, q, phi: Gauge, trials: int = 64,
+                    seed: int = 0,
                     alpha_bits: int = DYADIC_BITS) -> PorosityVerdict:
     """Dyadic search for an upper-porosity constant alpha at the point q.
 
     The hole radius demanded at distance d is phi^{-1}(alpha d); a probe
     scale eps succeeds when some q' with 0 < d(q, q') <= eps carries such
     a hole.  The verdict reports the largest dyadic alpha (down to
-    2^-alpha_bits) that succeeds at every probe scale.
+    2^-alpha_bits) that succeeds at every probe scale in UPPER_EPS.
     """
     q = as_point(q)
-    if eps_grid is None:
-        eps_grid = [2.0 ** -k for k in range(2, 19)]
     for ai, alpha in enumerate(_dyadic(alpha_bits)):
         witnesses = []
-        for ei, eps in enumerate(eps_grid):
+        for ei, eps in enumerate(UPPER_EPS):
             rng = np.random.default_rng([seed, ai, ei])
             found = None
             for c in _witness_candidates(q, eps, rng, trials):
@@ -430,8 +432,7 @@ def upper_porous_at(oracle: SetOracle, q, phi: Gauge, eps_grid=None,
 
 
 def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
-                    trials: int = 64, seed: int = 0, levels: int = 16,
-                    beta_bits: int = DYADIC_BITS) -> PorosityVerdict:
+                    trials: int = 64, seed: int = 0) -> PorosityVerdict:
     """Dyadic search for a lower-porosity constant beta at the point q.
 
     Every probe scale eps in a geometric grid of (0, eps0) must admit a
@@ -441,8 +442,8 @@ def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
     q = as_point(q)
     if not (eps0 > 0.0):
         raise ValueError("eps0 must be positive")
-    eps_grid = [eps0 * 2.0 ** -i for i in range(1, levels + 1)]
-    for bi, beta in enumerate(_dyadic(beta_bits)):
+    eps_grid = [eps0 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
+    for bi, beta in enumerate(_dyadic(DYADIC_BITS)):
         witnesses = []
         for ei, eps in enumerate(eps_grid):
             if not (phi.inf < beta * eps < phi.sup):
@@ -538,6 +539,7 @@ class LadderWitnessReport:
     g: MapExpr
     beta: float
     h_radius: float          # sup-distance ball xi^{-1}(beta eps) around g
+    probe_r: float           # probe ball radius (1-lam) phi^{-1}(s_j)/(48(1+diam))
     bound: float             # certified closing bound, > lam by construction
     margin: float            # bound - lam = (1-lam)^2 / (97 (3-lam))
     records: tuple
@@ -546,8 +548,7 @@ class LadderWitnessReport:
 
 def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
                    pair: GaugePair, k: int = 1, body: ConvexBody = None,
-                   norm: Norm = None, probes: int = 8, h_count: int = 4,
-                   seed: int = 0) -> LadderWitnessReport:
+                   norm: Norm = None, seed: int = 0) -> LadderWitnessReport:
     """Perturb f at the rung selected by eps and verify steep quotients.
 
     The rung j satisfies inv_ratio(j+1) < eps <= inv_ratio(j); the net of
@@ -580,25 +581,24 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     h_radius = pair.xi.inverse(beta * eps)
     spec = BumpSpec.create(f, net, s_j, eps, body, norm)
     g = bump_perturb(spec, body, norm)
-    field = direction_field(body, norm, s_j)
     z_off = sel.phi_inv_s_j / (24.0 * d1)
     probe_r = (1.0 - lam) * sel.phi_inv_s_j / (48.0 * d1)
     if not z_off <= spec.rho + 1e-15:
         raise ParameterError("witness offset escaped the bump ball")
     rng = np.random.default_rng(seed)
     h_family = [g]
-    for _ in range(h_count):
+    for _ in range(LADDER_H_COUNT):
         tau = h_radius * rng.uniform(0.25, 1.0) / diam
         h_family.append(ConvexCombo(tau, g, Constant(body.sample(rng))))
     pts = net.points
     n_pts, dim = pts.shape
-    zs = np.array([x + z_off * field(x) for x in pts])
+    zs = pts + z_off * direction_field(body, norm, s_j)(pts)
     # the probes of each x: x itself, then the draws in B(x, probe_r) ∩ body
-    unit = 2.0 * rng.random((n_pts, probes - 1, dim)) - 1.0
+    unit = 2.0 * rng.random((n_pts, LADDER_PROBES - 1, dim)) - 1.0
     cands = pts[:, None, :] + unit * probe_r
     inside = (norm.of(cands - pts[:, None, :], axis=2) <= probe_r) & \
         body.contains_all(cands.reshape(-1, dim), tol=1e-12).reshape(
-            n_pts, probes - 1)
+            n_pts, LADDER_PROBES - 1)
     keep = np.hstack([np.ones((n_pts, 1), dtype=bool), inside])
     ys = np.concatenate([pts[:, None, :], cands], axis=1)[keep]
     counts = keep.sum(axis=1)
@@ -607,5 +607,5 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     best = np.minimum.reduceat(q, np.concatenate([[0], np.cumsum(counts)[:-1]]))
     records = tuple(LadderWitnessRecord(x.copy(), z, float(b), int(c))
                     for x, z, b, c in zip(pts, zs, best, counts))
-    return LadderWitnessReport(j, g, beta, h_radius, bound, margin, records,
-                               bool(np.all(best > lam)))
+    return LadderWitnessReport(j, g, beta, h_radius, probe_r, bound, margin,
+                               records, bool(np.all(best > lam)))

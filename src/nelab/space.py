@@ -62,6 +62,29 @@ class Norm:
         return v / n
 
 
+def distances(a, b, norm: Norm) -> np.ndarray:
+    """(m, k) matrix of the distances ||a_i - b_j|| between the rows of two
+    point batches."""
+    return norm.of(a[:, None, :] - b[None, :, :], axis=2)
+
+
+NEAREST_BLOCK = 1 << 18     # coordinates per (rows, k, n) temporary of nearest
+
+
+def nearest(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest centre for each row of pts (the first one on
+    ties) and the distance to it.  Rows go in blocks, which bounds the
+    temporaries without changing any distance."""
+    m = pts.shape[0]
+    idx, d = np.empty(m, dtype=np.intp), np.empty(m)
+    step = max(1, NEAREST_BLOCK // centers.size)
+    for lo in range(0, m, step):
+        block = distances(pts[lo:lo + step], centers, norm)
+        i = np.argmin(block, axis=1)
+        idx[lo:lo + step], d[lo:lo + step] = i, block[np.arange(i.size), i]
+    return idx, d
+
+
 def segment_point(x, y, t: float) -> np.ndarray:
     """Point (1-t)x + t y on the segment [x, y]; requires t in [0, 1]."""
     if not (0.0 <= t <= 1.0):
@@ -257,11 +280,7 @@ class Hull(ConvexBody):
         return bool(resid <= tol * (1.0 + np.linalg.norm(b)))
 
     def diameter(self, norm: Norm) -> float:
-        best = 0.0
-        for i in range(self.vertices.shape[0]):
-            d = norm.of(self.vertices - self.vertices[i], axis=1)
-            best = max(best, float(d.max()))
-        return best
+        return float(distances(self.vertices, self.vertices, norm).max())
 
     @property
     def center(self) -> np.ndarray:
@@ -319,18 +338,10 @@ class Net:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def min_separation(self, norm: Norm) -> float:
-        k = len(self)
-        if k < 2:
-            return math.inf
-        best = math.inf
-        for i in range(k - 1):
-            d = norm.of(self.points[i + 1:] - self.points[i], axis=1)
-            best = min(best, float(d.min()))
-        return best
-
     def check_separated(self, norm: Norm, tol: float = 0.0) -> bool:
-        return self.min_separation(norm) >= self.s - tol
+        gaps = distances(self.points, self.points, norm)
+        np.fill_diagonal(gaps, np.inf)
+        return bool(gaps.min() >= self.s - tol)
 
 
 def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:

@@ -79,13 +79,23 @@ def test_bump_certificate_rounding_one_ulp_above_one_passes():
 GOLDEN = {
     "typical": "95af3b18933d05444427f84430ad119e8868205e3f75963a5549c3b61949aa6f",
     "dual": "44f22eb9c756f9b2f52e9b8682ce5ae164ceaffb4a747397dd4272fed3aa58e0",
+    "typical-inf-ball": "6c8dafbade2c9633d1f16a9ef9bbaa2ea2b43ea00d82c818b20734328116022a",
+    "dual-l1-simplex": "2ec744cc6270e85f777de6aa8d69f45ce2e12493bca64ffba288a775fa8cc0be",
 }
 
 
 def test_golden_report_digests():
     reports = {"typical": run_typical(_cfg(trials=4, lam=0.99)),
                # dim 2 reaches the multi-point ladder-witness batches
-               "dual": run_dual(_cfg(gauge="sqrt", dim=2))}
+               "dual": run_dual(_cfg(gauge="sqrt", dim=2)),
+               # the off-net filter and the tents under the sup norm
+               "typical-inf-ball": run_typical(_cfg(
+                   dim=2, norm_p=float("inf"), body="ball", trials=4,
+                   lam=0.99)),
+               # the hull diameter, the far pair and the nearest net point
+               # in 3-D under the l1 norm
+               "dual-l1-simplex": run_dual(_cfg(dim=3, norm_p=1.0,
+                                                body="simplex"))}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
         assert digest == GOLDEN[name], name

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nelab.errors import DomainError, EstimationError
 from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
-                        FlatCollapse, GeneratorConfig, Identity, Tent,
+                        FlatCollapse, Identity, Tent,
                         lip_global_est, lip_local_profile, pair_quotients,
                         random_nonexpansive, steep_density, sup_dist_est)
 from nelab.perturb import FlatSpec, flat_collapse
@@ -84,7 +84,7 @@ def test_pair_quotients_match_the_pairwise_loop():
         collapse = FlatCollapse(np.array([[0.0, 0.0], [0.9, 0.9]]), 0.1, 0.4,
                                 norm)
         for m in (collapse, Compose(
-                random_nonexpansive(GeneratorConfig(), box2, seed=4), collapse)):
+                random_nonexpansive(box2, seed=4), collapse)):
             loop = [float(norm.of(m(y) - m(x))) / float(norm.of(y - x))
                     for x, y in zip(xs, ys)]
             assert pair_quotients(m, norm, xs, ys).tolist() == loop
@@ -112,7 +112,7 @@ def test_lip_local_ramp_is_steep_only_past_the_knee():
 
 def test_lip_local_profile_monotone_in_scale():
     for seed in range(5):
-        m = random_nonexpansive(GeneratorConfig(), BOX1, seed=seed)
+        m = random_nonexpansive(BOX1, seed=seed)
         ests = lip_local_profile(m, [0.1], [0.01, 0.05, 0.2], BOX1, NORM2,
                                  samples=96, seed=seed)
         lows = [e.lower_bound for e in ests]
@@ -145,44 +145,77 @@ def test_steep_density_extremes():
         steep_density(Identity(), BOX1, NORM2, 0.5, 0.05, np.empty((0, 1)))
 
 
+def _collapsed_base():
+    collapse = FlatCollapse(np.array([[0.0], [0.8]]), 0.1, 0.3, NORM2)
+    return collapse, Compose(AffineContraction(0.5, [0.0]), collapse)
+
+
 def test_tent_input_validation():
+    _, base = _collapsed_base()
+    up = np.array([[1.0], [1.0]])
+    Tent(up, 0.1, base)                              # valid
     with pytest.raises(ValueError):
-        Tent(np.array([[0.0]]), np.array([[2.0]]), np.array([[0.0]]),
-             0.1, Identity(), NORM2)                 # direction not unit
+        Tent(np.array([[2.0], [1.0]]), 0.1, base)    # direction not unit
     with pytest.raises(ValueError):
-        Tent(np.array([[0.0]]), np.array([[1.0], [1.0]]), np.array([[0.0]]),
-             0.1, Identity(), NORM2)                 # shapes disagree
+        Tent(np.array([[1.0]]), 0.1, base)           # one direction per centre
     with pytest.raises(ValueError):
-        Tent(np.array([[0.0]]), np.array([[1.0]]), np.array([[0.0]]),
-             0.0, Identity(), NORM2)                 # flat tent
+        Tent(up, 0.0, base)                          # flat tent
+
+
+def test_forged_tent_is_rejected():
+    # max(base, 1) certifies a tent only over a base that is constant on
+    # every tent ball: one whose first stage collapses those balls
+    collapse, base = _collapsed_base()
+    up = np.array([[1.0], [1.0]])
+    with pytest.raises(ValueError):
+        Tent(up, 0.1, Identity())
+    with pytest.raises(ValueError):
+        Tent(up, 0.1, Compose(collapse, AffineContraction(0.5, [0.0])))
+    with pytest.raises(ValueError):
+        Tent(up, 0.1 * (1.0 + 1e-9), base)          # taller than the collapse
+    g = Tent(up, 0.1, base)
+    assert np.array_equal(g.centers, collapse.centers)
+    assert np.array_equal(g.apexes, base._apply(collapse.centers))
+    assert g.stages == (base.outer,)
+
+
+def test_tent_matches_the_stacked_evaluation():
+    # one nearest-centre query drives both the collapse and the tents; the
+    # result must equal the base map with the tent formula laid over it
+    collapse, base = _collapsed_base()
+    g = Tent(np.array([[1.0], [-1.0]]), 0.1, base)
+    pts = BOX1.sample_many(np.random.default_rng(3), 2000)
+    want = base._apply(pts)
+    for x, row in zip(pts, want):
+        i = int(np.argmin(np.abs(collapse.centers[:, 0] - x[0])))
+        t = abs(x[0] - collapse.centers[i, 0])
+        if t < 0.1:
+            row[:] = g.apexes[i] + min(t, 0.1 - t) * g.directions[i]
+    assert np.array_equal(g._apply(pts), want)
 
 
 def test_range_closure_under_random_trees():
     ball = Ball(np.zeros(2), 1.0, Norm(1.0))
     for seed in (0, 1, 2):
-        m = random_nonexpansive(GeneratorConfig(), ball, seed=seed)
+        m = random_nonexpansive(ball, seed=seed)
         pts = ball.sample_many(np.random.default_rng(seed + 10), 10_000)
         assert ball.contains_all(m._apply(pts), tol=1e-9).all()
 
 
 def test_random_nonexpansive_contract():
-    a = random_nonexpansive(GeneratorConfig(), BOX1, seed=7)
-    b = random_nonexpansive(GeneratorConfig(), BOX1, seed=7)
+    a = random_nonexpansive(BOX1, seed=7)
+    b = random_nonexpansive(BOX1, seed=7)
     xs = BOX1.sample_many(np.random.default_rng(1), 50)
     assert np.array_equal(a._apply(xs), b._apply(xs))
     for seed in range(8):
-        m = random_nonexpansive(GeneratorConfig(), BOX1, seed=seed)
+        m = random_nonexpansive(BOX1, seed=seed)
         assert m.certificate <= 1.0
-    leaf = random_nonexpansive(GeneratorConfig(max_depth=0), BOX1, seed=3)
-    assert type(leaf) in (Identity, Constant, AffineContraction)
-    with pytest.raises(ValueError):
-        GeneratorConfig(max_depth=-1)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_certificate_soundness_property(seed):
-    m = random_nonexpansive(GeneratorConfig(), BOX1, seed=seed)
+    m = random_nonexpansive(BOX1, seed=seed)
     est = lip_global_est(m, BOX1, NORM2, pairs=1000, seed=seed)
     assert est.lower_bound <= m.certificate + CERT_SLACK
 

@@ -61,8 +61,6 @@ def test_direction_field_branches_and_units():
 def test_direction_field_validation():
     with pytest.raises(ParameterError):
         direction_field(BOX2, NORM2, 0.0)
-    with pytest.raises(ParameterError):
-        direction_field(BOX2, NORM2, 0.3, v=np.array([0.0, 0.0]))
     with pytest.raises(GeometryError):
         DirectionField(np.array([0.0]), np.array([0.05]), 0.3, NORM2)
     with pytest.raises(GeometryError):
@@ -126,14 +124,14 @@ def test_bump_witness_constants_frozen():
     # beta = (1-lam) s / (96 (1+diam)) and bound = (1+lam)/2, by hand
     assert w.beta == pytest.approx(0.25 / 192.0, abs=1e-18)
     assert w.bound == pytest.approx(0.75, abs=1e-15)
-    assert len(w.records) == len(NET3)
+    assert np.array_equal(w.xs, NET3.points)
+    assert w.ys.shape == NET3.points.shape
     offset = 0.5 * 0.5 / (24.0 * 2.0)
-    for rec in w.records:
-        assert float(NORM2.of(rec.y - rec.x)) == pytest.approx(offset, abs=1e-15)
-        assert rec.bound == w.bound
+    for x, y in zip(w.xs, w.ys):
+        assert float(NORM2.of(y - x)) == pytest.approx(offset, abs=1e-15)
     # the probes sit inside the isometry ball, so g itself scores exactly 1
-    for rec in w.records:
-        q = float(NORM2.of(g(rec.y) - g(rec.x))) / float(NORM2.of(rec.y - rec.x))
+    for x, y in zip(w.xs, w.ys):
+        q = float(NORM2.of(g(y) - g(x))) / float(NORM2.of(y - x))
         assert q == pytest.approx(1.0, rel=1e-12)
 
 
@@ -159,8 +157,8 @@ def test_witness_quotients_survive_nearby_maps():
     # drag g towards a constant by exactly the allowed sup-distance beta*eps
     tau = w.beta * 0.5 / 1.0        # sup distance tau * diam = beta * eps
     h = ConvexCombo(tau, g, Constant([0.3]))
-    for rec in w.records:
-        q = float(NORM2.of(h(rec.y) - h(rec.x))) / float(NORM2.of(rec.y - rec.x))
+    for x, y in zip(w.xs, w.ys):
+        q = float(NORM2.of(h(y) - h(x))) / float(NORM2.of(y - x))
         assert q > lam
         assert q >= w.bound - 1e-9
 
@@ -178,6 +176,6 @@ def test_witness_bound_property_two_point_net(lam, eps, u):
     w = bump_witnesses(g, net, 0.5, eps, lam, BOX2, NORM2)
     tau = u * w.beta * eps / BOX2.diameter(NORM2)
     h = ConvexCombo(tau, g, Constant([0.4, 0.6]))
-    for rec in w.records:
-        q = float(NORM2.of(h(rec.y) - h(rec.x))) / float(NORM2.of(rec.y - rec.x))
+    for x, y in zip(w.xs, w.ys):
+        q = float(NORM2.of(h(y) - h(x))) / float(NORM2.of(y - x))
         assert q > lam and q >= w.bound - 1e-9

@@ -6,7 +6,7 @@ import pytest
 
 from nelab.errors import ParameterError
 from nelab.gauges import PowerGauge, build_pair, ladder
-from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive, GeneratorConfig
+from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive
 from nelab.perturb import FlatSpec, flat_collapse
 from nelab.porosity import (FinitePointSet, HoleWitness, IntervalUnionSet,
                             PorosityVerdict, ReciprocalSet,
@@ -169,7 +169,7 @@ def test_ladder_witness_constants_and_quotients():
     pair = build_pair(SQRT)
     lad = ladder(SQRT, BOX1, NORM2, rungs=12)
     nets = _rung_nets(lad, BOX1, NORM2, 3)
-    f = random_nonexpansive(GeneratorConfig(), BOX1, seed=5)
+    f = random_nonexpansive(BOX1, seed=5)
     rep = ladder_witness(f, 0.1, lam, lad, nets, pair, body=BOX1, norm=NORM2,
                          seed=3)
     assert rep.j == 2
@@ -180,6 +180,8 @@ def test_ladder_witness_constants_and_quotients():
                                        rel=1e-12)
     assert rep.bound == pytest.approx(lam + rep.margin, rel=1e-12)
     z_off = 0.125 ** 2 / (24.0 * 3.0)
+    assert rep.probe_r == pytest.approx(0.5 * 0.125 ** 2 / (48.0 * 3.0),
+                                        rel=1e-12)
     for rec in rep.records:
         assert rec.min_quotient > lam
         assert float(NORM2.of(rec.z - rec.x)) == pytest.approx(z_off, rel=1e-12)

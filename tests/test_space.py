@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nelab.errors import DegenerateBodyError
-from nelab.space import (Ball, Box, Hull, Net, Norm, as_point, greedy_net,
-                         grid_candidates, segment_point)
+from nelab.space import (Ball, Box, Hull, Net, Norm, as_point, distances,
+                         greedy_net, grid_candidates, nearest, segment_point)
 
 TRIANGLE_TOL = 1e-12
 
@@ -162,10 +162,39 @@ def test_greedy_net_input_errors():
 
 def test_net_separation_helpers():
     net = Net(np.array([[0.0], [0.5], [1.0]]), 0.5)
-    assert net.min_separation(Norm(2.0)) == 0.5
-    assert net.check_separated(Norm(2.0))
+    assert net.check_separated(Norm(2.0))          # the closest pair is 0.5 apart
+    assert not Net(net.points, 0.5 + 1e-12).check_separated(Norm(2.0))
     assert not Net(np.array([[0.0], [0.3]]), 0.5).check_separated(Norm(2.0))
-    assert len(Net(np.array([0.2]), 0.1)) == 1
+    assert Net(np.array([[0.0], [0.3]]), 0.5).check_separated(Norm(2.0), tol=0.2)
+    single = Net(np.array([0.2]), 0.1)
+    assert len(single) == 1 and single.check_separated(Norm(2.0))
+
+
+def test_distances_and_nearest_match_the_row_loop():
+    # the reference is one Norm.of call per row, as in the loops these
+    # kernels replaced; a call on a single vector is no reference at
+    # p = 3, where numpy's scalar power can round one ulp off its array power
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        a = rng.normal(size=(40, dim))
+        b = rng.normal(size=(7, dim))
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            loop = [norm.of(x - b, axis=1).tolist() for x in a]
+            assert distances(a, b, norm).tolist() == loop
+            idx, d = nearest(b, a, norm)
+            assert idx.tolist() == [row.index(min(row)) for row in loop]
+            assert d.tolist() == [min(row) for row in loop]
+    # more rows than one block of nearest holds: same as one dense query
+    c, x = rng.normal(size=(300, 3)), rng.normal(size=(1000, 3))
+    dense = distances(x, c, Norm(3.0))
+    idx, d = nearest(c, x, Norm(3.0))
+    assert idx.tolist() == dense.argmin(axis=1).tolist()
+    assert d.tolist() == dense.min(axis=1).tolist()
+    # equidistant centres: the first one wins
+    idx, d = nearest(np.array([[-1.0], [1.0], [1.0]]),
+                     np.array([[0.0], [1.0], [2.0]]), Norm(2.0))
+    assert idx.tolist() == [0, 1, 1] and d.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_segment_stays_inside_hull():
