@@ -4,11 +4,14 @@ The hole size of a set P inside a ball B(q, r) is
 
     gamma(q, r, P) = sup { s > 0 : some B(x', s) fits inside B(q, r) \\ P },
 
-with the convention that no admissible hole at all reports `None`.  The
-one-dimensional example sets carry analytic gap structure so gamma can be
-computed exactly; the generic estimator searches hole centres on a
-shrinking lattice plus a random stream and certifies each hole against
-the oracle's exact (or probe-based) ball-intersection test.
+with the convention that no admissible hole at all reports `None`.  Every
+set oracle answers one query, the exact distance d(c, P) for a batch of
+centres: the ball B(c, s) misses P exactly when d(c, P) >= s, so the
+largest hole at a centre c of the window is min(r - ||c - q||, d(c, P)).
+The one-dimensional example sets also carry analytic gap structure, so
+gamma can be computed exactly; the generic estimator searches hole
+centres on a shrinking lattice plus a random stream, one distance query
+per batch of centres.
 
 Pointwise verdicts follow two dual patterns for a gauge phi:
 
@@ -33,12 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, LadderExhausted, ParameterError
+from .errors import LadderExhausted, ParameterError
 from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
 from .perturb import BumpSpec, bump_perturb, direction_field
-from .space import Box, ConvexBody, Net, Norm, as_point
+from .space import Box, ConvexBody, Net, Norm, as_point, distances
 
 DYADIC_BITS = 16
 GAMMA_ROUNDS = 9            # gamma_est: lattice halvings
@@ -50,28 +53,15 @@ LADDER_H_COUNT = 4          # ladder_witness: test maps besides g
 
 
 class SetOracle:
-    """Membership oracle for a subset P of a metric ambient space."""
+    """A subset P of a metric ambient space, known through its distance
+    function: the open ball B(c, s) misses P exactly when d(c, P) >= s."""
 
     ambient: ConvexBody
     norm: Norm
 
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def in_space(self, x) -> bool:
-        return self.ambient.contains(x, tol=1e-12)
-
-    def sample_in_ball(self, center, radius: float, rng: np.random.Generator,
-                       max_tries: int = 10000) -> np.ndarray:
-        center = as_point(center)
-        for _ in range(max_tries):
-            cand = center + (2.0 * rng.random(center.size) - 1.0) * radius
-            if self.norm.of(cand - center) < radius:
-                return cand
-        raise EstimationError("ball sampler exhausted")
-
-    def intersects_ball(self, center, radius: float) -> bool:
-        """Does P meet the open ball B(center, radius)?  Exact when possible."""
+    def distance(self, centers) -> np.ndarray:
+        """d(c, P) for each row c of the (k, n) batch `centers`; inf when P
+        is empty."""
         raise NotImplementedError
 
     def exact_gamma(self, q, r: float) -> float | None:
@@ -101,17 +91,11 @@ class FinitePointSet(SetOracle):
         pts = np.atleast_2d(pts)
         object.__setattr__(self, "points", pts)
 
-    def contains(self, x) -> bool:
+    def distance(self, centers) -> np.ndarray:
+        centers = np.asarray(centers, dtype=float)
         if self.points.shape[0] == 0:
-            return False
-        x = as_point(x)
-        return bool(self.norm.of(self.points - x, axis=1).min() <= 1e-12)
-
-    def intersects_ball(self, center, radius: float) -> bool:
-        if self.points.shape[0] == 0:
-            return False
-        center = as_point(center)
-        return bool(self.norm.of(self.points - center, axis=1).min() < radius)
+            return np.full(centers.shape[0], np.inf)
+        return distances(centers, self.points, self.norm).min(axis=1)
 
     def exact_gamma(self, q, r: float) -> float | None:
         if self.ambient.dim != 1:
@@ -170,19 +154,18 @@ class ReciprocalSet(SetOracle):
     def default(cls) -> "ReciprocalSet":
         return cls(Box(np.array([-1.0]), np.array([1.0])), Norm(2.0))
 
-    def contains(self, x) -> bool:
-        x0 = float(as_point(x)[0])
-        if x0 == 0.0 or abs(x0) > 1.0:
-            return False
-        n = round(1.0 / x0)
-        return n != 0 and abs(x0 - 1.0 / n) <= 1e-15
-
-    def intersects_ball(self, center, radius: float) -> bool:
-        c = float(as_point(center)[0])
-        a, b = c - radius, c + radius
-        if _reciprocal_points_in(a, b) is not None:
-            return True
-        return _reciprocal_points_in(-b, -a) is not None
+    def distance(self, centers) -> np.ndarray:
+        # the reciprocals next to |c| are 1/m and 1/(m+1), m = max(1,
+        # floor(1/|c|)); 0 lies in the closure of P, so d(0, P) = 0, and a
+        # |c| whose reciprocal overflows gets 0 too, which can only shrink
+        # a hole
+        c = np.abs(np.asarray(centers, dtype=float)[:, 0])
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / c
+        finite = np.isfinite(inv)
+        m = np.maximum(np.floor(np.where(finite, inv, 1.0)), 1.0)
+        d = np.minimum(np.abs(c - 1.0 / m), np.abs(c - 1.0 / (m + 1.0)))
+        return np.where(finite, d, 0.0)
 
     def exact_gamma(self, q, r: float) -> float | None:
         q0 = float(as_point(q)[0])
@@ -224,15 +207,10 @@ class IntervalUnionSet(SetOracle):
         ambient = ambient or Box(np.array([-0.5]), np.array([1.5]))
         return cls(np.asarray(segs), ambient, Norm(2.0))
 
-    def contains(self, x) -> bool:
-        x0 = float(as_point(x)[0])
-        i = int(np.searchsorted(self.intervals[:, 0], x0, side="right")) - 1
-        return i >= 0 and x0 <= self.intervals[i, 1]
-
-    def intersects_ball(self, center, radius: float) -> bool:
-        c = float(as_point(center)[0])
-        a, b = c - radius, c + radius
-        return bool(np.any((self.intervals[:, 1] > a) & (self.intervals[:, 0] < b)))
+    def distance(self, centers) -> np.ndarray:
+        c = np.asarray(centers, dtype=float)[:, :1]
+        lo, hi = self.intervals[:, 0], self.intervals[:, 1]
+        return np.maximum(np.maximum(lo - c, c - hi), 0.0).min(axis=1)
 
     def exact_gamma(self, q, r: float) -> float | None:
         q0 = float(as_point(q)[0])
@@ -248,25 +226,13 @@ class IntervalUnionSet(SetOracle):
         return best if best > 0.0 else None
 
 
-def _hole_radius_at(oracle: SetOracle, q: np.ndarray, r: float, c: np.ndarray,
-                    bisect_iters: int = 60) -> float:
-    """Largest verified-empty ball radius at centre c inside B(q, r)."""
-    cap = r - float(oracle.norm.of(c - q))
-    if cap <= 0.0:
-        return 0.0
-    if not oracle.intersects_ball(c, cap):
-        return cap
-    lo = cap * 2.0 ** -50
-    if oracle.intersects_ball(c, lo):
-        return 0.0
-    hi = cap
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if oracle.intersects_ball(c, mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def _hole_radii(oracle: SetOracle, q: np.ndarray, r: float,
+                cs: np.ndarray) -> np.ndarray:
+    """Radius of the largest ball at each centre of cs that lies inside
+    B(q, r) and misses P; 0 for centres outside the window or the space."""
+    cap = r - oracle.norm.of(cs - q, axis=1)
+    usable = (cap > 0.0) & oracle.ambient.contains_all(cs)
+    return np.where(usable, np.minimum(cap, oracle.distance(cs)), 0.0)
 
 
 def _lattice_centers(q: np.ndarray, span: float, per_axis: int) -> np.ndarray:
@@ -280,12 +246,11 @@ def _refine(oracle: SetOracle, q: np.ndarray, r: float, center: np.ndarray,
     """Lattice search around `center`, halving the span around the best hole."""
     best_c = center if best_r > 0.0 else None
     for _ in range(GAMMA_ROUNDS):
-        for c in _lattice_centers(center, span, per_axis):
-            if not oracle.in_space(c):
-                continue
-            s = _hole_radius_at(oracle, q, r, c)
-            if s > best_r:
-                best_r, best_c = s, c
+        cs = _lattice_centers(center, span, per_axis)
+        s = _hole_radii(oracle, q, r, cs)
+        i = int(np.argmax(s))           # the first best, as a running max keeps
+        if s[i] > best_r:
+            best_r, best_c = float(s[i]), cs[i]
         if best_c is None:
             break
         center = best_c
@@ -317,35 +282,26 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
     per_axis = GAMMA_PER_AXIS if q.size == 1 else (9 if q.size == 2 else 5)
     best_r = _refine(oracle, q, r, q, r, per_axis)
 
-    edge_r, edge_c = 0.0, None
-    for axis in range(q.size):
-        for sign in (-1.0, 1.0):
-            step = np.zeros(q.size)
-            step[axis] = sign
-            for i in range(2, 15):
-                c = q + step * (r * (1.0 - 2.0 ** -i))
-                if not oracle.in_space(c):
-                    continue
-                s = _hole_radius_at(oracle, q, r, c)
-                if s > edge_r:
-                    edge_r, edge_c = s, c
-    if edge_c is not None:
-        cap = r - float(oracle.norm.of(edge_c - q))
-        best_r = max(best_r, _refine(oracle, q, r, edge_c, 2.0 * cap,
-                                     per_axis, best_r=edge_r))
+    # the edge march: axis by axis, sign by sign, r (1 - 2^-i) out from q
+    steps = np.array([sign * e for e in np.eye(q.size) for sign in (-1.0, 1.0)])
+    reach = r * (1.0 - 2.0 ** -np.arange(2, 15))
+    cs = (q + steps[:, None, :] * reach[:, None]).reshape(-1, q.size)
+    s = _hole_radii(oracle, q, r, cs)
+    i = int(np.argmax(s))
+    if s[i] > 0.0:
+        cap = r - float(oracle.norm.of(cs[i] - q))
+        best_r = max(best_r, _refine(oracle, q, r, cs[i], 2.0 * cap,
+                                     per_axis, best_r=float(s[i])))
 
+    # the random stream: each draw that beats every earlier one is refined
     rng = np.random.default_rng(seed)
-    record = 0.0
-    for _ in range(trials):
-        c = q + (2.0 * rng.random(q.size) - 1.0) * r
-        if float(oracle.norm.of(c - q)) >= r or not oracle.in_space(c):
-            continue
-        s = _hole_radius_at(oracle, q, r, c)
-        if s > record:
-            record = s
-            span = max(4.0 * s, r / 64.0)
-            s = _refine(oracle, q, r, c, span, per_axis, best_r=s)
-        best_r = max(best_r, s)
+    cs = q + (2.0 * rng.random((trials, q.size)) - 1.0) * r
+    s = _hole_radii(oracle, q, r, cs)
+    before = np.maximum.accumulate(np.concatenate([[0.0], s]))[:-1]
+    for i in np.flatnonzero(s > before):
+        span = max(4.0 * float(s[i]), r / 64.0)
+        best_r = max(best_r, _refine(oracle, q, r, cs[i], span, per_axis,
+                                     best_r=float(s[i])))
     return best_r if best_r > 0.0 else None
 
 
@@ -372,16 +328,17 @@ class PorosityVerdict:
     def porous(self) -> bool:
         return self.status == "porous-at-point"
 
-    def verify_holes(self, oracle: SetOracle, probes: int = 1000,
-                     seed: int = 0) -> bool:
-        """Re-probe every witness hole by membership sampling."""
-        rng = np.random.default_rng(seed)
-        for w in self.witnesses:
-            for _ in range(probes):
-                pt = oracle.sample_in_ball(w.center, w.radius, rng)
-                if oracle.contains(pt):
-                    return False
-        return True
+    def verify_holes(self, oracle: SetOracle) -> bool:
+        """Re-check every witness: its centre lies in the ambient space,
+        within its eps of q (and apart from q for the upper pattern), and
+        its ball misses P."""
+        cs = np.array([w.center for w in self.witnesses]).reshape(-1, self.q.size)
+        eps = np.array([w.eps for w in self.witnesses])
+        radius = np.array([w.radius for w in self.witnesses])
+        d = oracle.norm.of(cs - self.q, axis=1)
+        near = (d <= eps) & ((d > 0.0) | (self.kind != "upper"))
+        return bool(np.all(near & oracle.ambient.contains_all(cs)
+                           & (oracle.distance(cs) >= radius)))
 
 
 def _dyadic(bits: int) -> list[float]:
@@ -411,15 +368,16 @@ def upper_porous_at(oracle: SetOracle, q, phi: Gauge, trials: int = 64,
         witnesses = []
         for ei, eps in enumerate(UPPER_EPS):
             rng = np.random.default_rng([seed, ai, ei])
+            cs = _witness_candidates(q, eps, rng, trials)
+            d = oracle.norm.of(cs - q, axis=1)
+            t = alpha * d
+            keep = ((0.0 < d) & (d <= eps) & oracle.ambient.contains_all(cs)
+                    & (phi.inf < t) & (t < phi.sup))
+            cs, t = cs[keep], t[keep]
             found = None
-            for c in _witness_candidates(q, eps, rng, trials):
-                d = float(oracle.norm.of(c - q))
-                if not (0.0 < d <= eps) or not oracle.in_space(c):
-                    continue
-                if not (phi.inf < alpha * d < phi.sup):
-                    continue
-                hole_r = phi.inverse(alpha * d)
-                if not oracle.intersects_ball(c, hole_r):
+            for c, ti, dist in zip(cs, t, oracle.distance(cs)):
+                hole_r = phi.inverse(float(ti))
+                if dist >= hole_r:
                     found = HoleWitness(eps, c, hole_r)
                     break
             if found is None:
@@ -451,18 +409,14 @@ def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
                 break
             hole_r = phi.inverse(beta * eps)
             rng = np.random.default_rng([seed, bi, ei])
-            found = None
-            for c in np.vstack([q[None, :], _witness_candidates(q, eps, rng, trials)]):
-                d = float(oracle.norm.of(c - q))
-                if d > eps or not oracle.in_space(c):
-                    continue
-                if not oracle.intersects_ball(c, hole_r):
-                    found = HoleWitness(eps, c, hole_r)
-                    break
-            if found is None:
+            cs = np.vstack([q[None, :], _witness_candidates(q, eps, rng, trials)])
+            cs = cs[(oracle.norm.of(cs - q, axis=1) <= eps)
+                    & oracle.ambient.contains_all(cs)]
+            empty = np.flatnonzero(oracle.distance(cs) >= hole_r)
+            if not empty.size:
                 witnesses = None
                 break
-            witnesses.append(found)
+            witnesses.append(HoleWitness(eps, cs[empty[0]], hole_r))
         if witnesses is not None:
             return PorosityVerdict("porous-at-point", "lower", beta, q, tuple(witnesses))
     return PorosityVerdict("not-detected", "lower", None, q, ())

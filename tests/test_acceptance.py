@@ -148,8 +148,8 @@ def test_criterion_7_typical_density():
 
 
 # sha256 of the seed-20260823 `verify --suite all` report bytes
-GOLDEN_JSON = "d772c05c20cbecd599fa082b4c32055f846d71b5d53a20b81b44f525b14f8cd4"
-GOLDEN_CSV = "f2c66b47224a64029ccd4269e6d2ccc62b9c5d7c61010a42f40a56d1b0d38605"
+GOLDEN_JSON = "529491846dbeb77e1eb146d26ef285b109081c5b92f99203559e84cbfed7f73c"
+GOLDEN_CSV = "f133660e98dcd490acf0871f49b8a125f03c7ab5c58c1f19afd17a5677dace81"
 
 
 def test_criterion_8_byte_identical_reports():

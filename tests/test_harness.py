@@ -81,6 +81,8 @@ GOLDEN = {
     "dual": "44f22eb9c756f9b2f52e9b8682ce5ae164ceaffb4a747397dd4272fed3aa58e0",
     "typical-inf-ball": "6c8dafbade2c9633d1f16a9ef9bbaa2ea2b43ea00d82c818b20734328116022a",
     "dual-l1-simplex": "2ec744cc6270e85f777de6aa8d69f45ce2e12493bca64ffba288a775fa8cc0be",
+    "porosity-reciprocal": "970cfabe56eebaaa78f91b56e7117431bb0c0730387ae248a5608d49322cb97a",
+    "porosity-cantor": "d32224b90ad610c9c9f2a4a92185c0b5eb88900d18de430e477c204316e22fe5",
 }
 
 
@@ -95,7 +97,13 @@ def test_golden_report_digests():
                # the hull diameter, the far pair and the nearest net point
                # in 3-D under the l1 norm
                "dual-l1-simplex": run_dual(_cfg(dim=3, norm_p=1.0,
-                                                body="simplex"))}
+                                                body="simplex")),
+               # the hole searches and witness re-checks at an accumulation
+               # point and inside the Cantor dust
+               "porosity-reciprocal": run_porosity(_cfg(
+                   target="reciprocal", point=0.0, window=0.01)),
+               "porosity-cantor": run_porosity(_cfg(
+                   target="cantor", point=0.3, window=0.2))}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
         assert digest == GOLDEN[name], name

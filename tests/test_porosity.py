@@ -30,19 +30,34 @@ CANTOR3 = IntervalUnionSet.cantor(3)
 REC_GAMMA = (0.01 - 1.0 / 101.0) / 2.0
 
 
-def test_reciprocal_membership():
-    assert REC.contains([1.0 / 7.0])
-    assert REC.contains([-1.0 / 3.0])
-    assert not REC.contains([0.0])
-    assert not REC.contains([0.15])
-    assert not REC.contains([1.5])
+def test_oracle_distances_match_brute_force():
+    rng = np.random.default_rng(0)
+    box2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    pts, cs = rng.uniform(-1.0, 1.0, (7, 2)), rng.uniform(-1.5, 1.5, (40, 2))
+    for p in (1.0, 2.0, math.inf):
+        cloud = FinitePointSet(pts, box2, Norm(p))
+        ref = [Norm(p).of(pts - c, axis=1).min() for c in cs]
+        assert np.array_equal(cloud.distance(cs), ref)
+    # |c| >= 1e-3 puts the nearest reciprocal at n <= 1000
+    cs = rng.uniform(1e-3, 1.2, (200, 1)) * rng.choice([-1.0, 1.0], (200, 1))
+    recips = 1.0 / np.arange(1, 100_001)
+    ref = [min(np.abs(c - recips).min(), np.abs(c + recips).min()) for c in cs]
+    assert np.array_equal(REC.distance(cs), ref)
+    cs = rng.uniform(-0.5, 1.5, (200, 1))
+    ref = [min(max(lo - c[0], c[0] - hi, 0.0) for lo, hi in CANTOR3.intervals)
+           for c in cs]
+    assert np.array_equal(CANTOR3.distance(cs), ref)
+    hand = REC.distance([[0.0], [1.0 / 7.0], [1.5], [-1.0 / 3.0]])
+    assert list(hand) == [0.0, 0.0, 0.5, 0.0]
+    assert EMPTY.distance([[0.3]])[0] == math.inf
 
 
 def test_reciprocal_ball_intersection_is_sharp():
-    # an interval pinched between 1/101 and the window edge is certified empty
-    assert not REC.intersects_ball([0.00995049], 4.4e-5)
-    assert REC.intersects_ball([0.00995049], 5.1e-5)
-    assert REC.intersects_ball([0.0095], 4.0e-4)
+    # an interval pinched between 1/101 and 1/100 is certified empty up to
+    # radius 4.4e-5 and no further than 5.1e-5
+    d = REC.distance([[0.00995049], [0.0095]])
+    assert 4.4e-5 <= d[0] < 5.1e-5
+    assert d[1] < 4.0e-4
 
 
 def test_exact_gamma_hand_values():
@@ -90,7 +105,7 @@ def test_upper_porosity_of_the_singleton():
     assert verdict.porous and verdict.kind == "upper"
     assert verdict.constant == 0.5
     assert len(verdict.witnesses) == 17          # one hole per probe scale
-    assert verdict.verify_holes(ZERO, probes=10_000, seed=99)
+    assert verdict.verify_holes(ZERO)
 
 
 def test_upper_porosity_not_detected_at_the_accumulation_point():
@@ -104,7 +119,7 @@ def test_lower_porosity_away_from_the_accumulation_point():
     verdict = lower_porous_at(REC, [0.5], IDENT, eps0=1.0 / 6.0)
     assert verdict.porous and verdict.kind == "lower"
     assert verdict.constant == 0.5
-    assert verdict.verify_holes(REC, probes=10_000, seed=77)
+    assert verdict.verify_holes(REC)
 
 
 def test_lower_porosity_not_detected_at_the_accumulation_point():
@@ -122,11 +137,26 @@ def test_lower_porous_implies_upper_porous():
             lower_porous_at(oracle, [q], IDENT, eps0=0.0)
 
 
+def _claim(kind, q, eps, center, radius):
+    return PorosityVerdict("porous-at-point", kind, 0.5, np.array([q]),
+                           (HoleWitness(eps, np.array([center]), radius),))
+
+
 def test_verify_holes_flags_a_bogus_witness():
-    bogus = PorosityVerdict(
-        "porous-at-point", "upper", 0.5, np.array([0.5]),
-        (HoleWitness(0.1, np.array([1.0 / 3.0]), 0.01),))
-    assert not bogus.verify_holes(CANTOR3, probes=2000, seed=0)
+    # a forged hole for each landmark set, next to a genuine one at the
+    # same q and eps: B(0, 0.1) meets {0}, B(0.5, 0.1) meets {1/n}
+    for oracle, q, genuine, forged in ((ZERO, 0.05, (0.1, 0.1), (0.0, 0.1)),
+                                       (REC, 0.45, (0.41, 0.01), (0.5, 0.1)),
+                                       (CANTOR3, 0.5, (0.45, 0.1),
+                                        (1.0 / 3.0, 0.01))):
+        assert _claim("upper", q, 0.2, *genuine).verify_holes(oracle)
+        assert not _claim("upper", q, 0.2, *forged).verify_holes(oracle)
+    # empty balls that still break the certificate: too far from q, outside
+    # the ambient space, or (for the upper pattern) centred at q itself
+    assert not _claim("upper", 0.0, 0.1, 0.9, 0.1).verify_holes(ZERO)
+    assert not _claim("lower", 0.0, 2.0, 1.5, 0.1).verify_holes(ZERO)
+    assert not _claim("upper", 0.5, 0.1, 0.5, 0.1).verify_holes(CANTOR3)
+    assert _claim("lower", 0.5, 0.1, 0.5, 0.1).verify_holes(CANTOR3)
 
 
 def test_low_slope_alpha_hand_values():
