@@ -18,8 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .errors import NelabError
 from .gauges import build_pair, gauge_from_desc, ladder
 from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
@@ -105,10 +103,7 @@ def _gauge_csv(cfg: ExperimentConfig, rungs: int, points: int) -> str:
     phi = gauge_from_desc(cfg.gauge)
     pair = build_pair(phi)
     lines = ["kind,t,phi,xi,prod_over_t,j,s_j,inv_ratio"]
-    ts = np.geomspace(1e-8 / pair.K, (1.0 / pair.K) * (1.0 - 1e-12), points)
-    for t in ts:
-        pv = float(phi.value(float(t)))
-        xv = float(pair.xi.value(float(t)))
+    for t, pv, xv in zip(*pair.grid(points)):
         lines.append(f"curve,{csv_value(t)},{csv_value(pv)},{csv_value(xv)},"
                      f"{csv_value(pv * xv / t)},,,")
     if phi.inf == 0.0:

@@ -16,10 +16,13 @@ s_1 = min{1, sup phi, diam C}/4 and the halving rule
     phi^{-1}(s_{j+1}) / s_{j+1}  =  phi^{-1}(s_j) / (2 s_j),
 
 solved in closed form for pure powers and by bisection otherwise.
+
+Every gauge inverts itself in closed form (`Gauge.inverse` is abstract),
+and the pair's check grid, `GaugePair.grid`, is the one log grid on
+which the sandwich is checked, reported and tabulated.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +30,6 @@ import numpy as np
 from .errors import GaugeError, LadderExhausted, RangeError
 from .space import ConvexBody, Norm
 
-INVERSE_TOL = 1e-12
 BISECT_CAP = 200
 
 
@@ -52,30 +54,19 @@ class Gauge:
         """Does phi(t)/t -> inf as t -> 0+ (with inf phi = 0)?"""
         raise NotImplementedError
 
-    def inverse(self, y: float, tol: float = INVERSE_TOL) -> float:
-        """Solve phi(t) = y by bisection; closed forms override this."""
-        if not (self.inf < y < self.sup):
-            raise RangeError(f"value {y} outside gauge range ({self.inf}, {self.sup})")
-        lo, hi = 0.0, self.eta
-        for _ in range(BISECT_CAP):
-            mid = 0.5 * (lo + hi)
-            fm = float(self.value(mid)) if mid > 0 else self.inf
-            if abs(fm - y) <= tol:
-                return mid
-            if fm < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def inverse(self, y: float) -> float:
+        """The t with phi(t) = y; RangeError outside (inf phi, sup phi)."""
+        raise NotImplementedError
 
-    def check(self, grid: int = 1000, tol: float = 1e-10) -> None:
-        """Raise GaugeError unless strictly increasing and midpoint-concave."""
-        ts = np.linspace(self.eta / grid, self.eta, grid)
+    def check(self) -> None:
+        """Raise GaugeError unless strictly increasing and midpoint-concave
+        on a grid of 1000 points."""
+        ts = np.linspace(self.eta / 1000, self.eta, 1000)
         ys = np.asarray(self.value(ts), dtype=float)
         if np.any(np.diff(ys) <= 0.0):
             raise GaugeError("gauge is not strictly increasing on the check grid")
         mid = self.value(0.5 * (ts[:-1] + ts[1:]))
-        if np.any(mid < 0.5 * (ys[:-1] + ys[1:]) - tol):
+        if np.any(mid < 0.5 * (ys[:-1] + ys[1:]) - 1e-10):
             raise GaugeError("gauge fails the midpoint concavity check")
 
 
@@ -105,7 +96,7 @@ class PowerGauge(Gauge):
     def slope_at_zero_unbounded(self) -> bool:
         return self.offset == 0.0 and self.p < 1.0
 
-    def inverse(self, y: float, tol: float = INVERSE_TOL) -> float:
+    def inverse(self, y: float) -> float:
         if not (self.inf < y < self.sup):
             raise RangeError(f"value {y} outside gauge range ({self.inf}, {self.sup})")
         return float(((y - self.offset) / self.coeff) ** (1.0 / self.p))
@@ -129,7 +120,7 @@ class RatioGauge(Gauge):
     def slope_at_zero_unbounded(self) -> bool:
         return False
 
-    def inverse(self, y: float, tol: float = INVERSE_TOL) -> float:
+    def inverse(self, y: float) -> float:
         if not (0.0 < y < self.sup):
             raise RangeError(f"value {y} outside gauge range (0, {self.sup})")
         return float(y / (1.0 - y))
@@ -153,7 +144,7 @@ class SqrtRatioGauge(Gauge):
     def slope_at_zero_unbounded(self) -> bool:
         return True
 
-    def inverse(self, y: float, tol: float = INVERSE_TOL) -> float:
+    def inverse(self, y: float) -> float:
         if not (0.0 < y < self.sup):
             raise RangeError(f"value {y} outside gauge range (0, {self.sup})")
         u = y / (1.0 - y)
@@ -204,7 +195,7 @@ class PiecewiseGauge(Gauge):
     def slope_at_zero_unbounded(self) -> bool:
         return False
 
-    def inverse(self, y: float, tol: float = INVERSE_TOL) -> float:
+    def inverse(self, y: float) -> float:
         ky, kt = self.knots_y, self.knots_t
         if np.any(np.diff(ky) <= 0.0):
             raise GaugeError("piecewise gauge not invertible: values not increasing")
@@ -238,9 +229,9 @@ def gauge_from_desc(desc: str) -> Gauge:
     raise ValueError(f"unknown gauge descriptor {desc!r}")
 
 
-def gauge_K(phi: Gauge, edge: float = 1e-9) -> float:
+def gauge_K(phi: Gauge) -> float:
     """sup of t/phi(t) over (0, eta); attained at the right edge for concave phi."""
-    t = phi.eta * (1.0 - edge)
+    t = phi.eta * (1.0 - 1e-9)
     v = float(phi.value(t))
     if v <= 0.0:
         raise GaugeError("gauge is non-positive near its right edge")
@@ -292,12 +283,19 @@ class GaugePair:
     xi: Gauge
     K: float
 
-    def check(self, grid: int = 1000, tol: float = 1e-13) -> None:
-        """Raise GaugeError unless the pair inequality holds on a log grid."""
-        ts = np.geomspace(1e-8 / self.K, (1.0 / self.K) * (1.0 - 1e-12), grid)
-        prod = np.asarray(self.phi.value(ts), dtype=float) * np.asarray(
-            self.xi.value(ts), dtype=float)
-        if np.any(prod < ts / self.K - tol * ts) or np.any(prod > self.K * ts + tol * ts):
+    def grid(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ts, phi(ts), xi(ts)) on `count` log-spaced points of
+        [1e-8/K, 1/K)."""
+        ts = np.geomspace(1e-8 / self.K, (1.0 / self.K) * (1.0 - 1e-12), count)
+        return (ts, np.asarray(self.phi.value(ts), dtype=float),
+                np.asarray(self.xi.value(ts), dtype=float))
+
+    def check(self) -> None:
+        """Raise GaugeError unless the pair inequality holds on a log grid of
+        1000 points, up to 1e-13 t."""
+        ts, phi, xi = self.grid(1000)
+        prod, slack = phi * xi, 1e-13 * ts
+        if np.any(prod < ts / self.K - slack) or np.any(prod > self.K * ts + slack):
             raise GaugeError("pair inequality t/K <= phi*xi <= K*t fails on the grid")
         small = min(1e-6, 0.5 / self.K)
         if float(self.xi.value(small)) > 1e-2:
@@ -311,7 +309,7 @@ def _next_pow2_above(x: float) -> float:
     return k
 
 
-def build_pair(phi: Gauge, grid_size: int = 2000, verify_grid: int = 1000) -> GaugePair:
+def build_pair(phi: Gauge) -> GaugePair:
     """Construct the companion gauge and constant for an admissible gauge.
 
     Requires phi strictly increasing and concave with phi(t)/t -> inf as
@@ -329,7 +327,7 @@ def build_pair(phi: Gauge, grid_size: int = 2000, verify_grid: int = 1000) -> Ga
             raise GaugeError("gauge grows linearly near 0: no companion exists")
         t0, slope = _stable_slope_point(phi)
         eta = phi.eta
-        ts = np.concatenate([[0.0], np.geomspace(eta * 1e-12, eta, grid_size)])
+        ts = np.concatenate([[0.0], np.geomspace(eta * 1e-12, eta, 2000)])
         phi_hat = np.where(ts <= t0, np.asarray(phi.value(np.maximum(ts, eta * 1e-300))),
                            float(phi.value(t0)) + slope * (ts - t0))
         psi = np.zeros_like(ts)
@@ -343,7 +341,7 @@ def build_pair(phi: Gauge, grid_size: int = 2000, verify_grid: int = 1000) -> Ga
         cand = GaugePair(phi, xi, K)
         try:
             _check_xi_increasing(xi, 1.0 / K)
-            cand.check(grid=verify_grid)
+            cand.check()
             pair = cand
             break
         except GaugeError:
@@ -405,7 +403,7 @@ class Ladder:
         return self.gauge.inverse(sj) / sj
 
 
-def _next_rung(phi: Gauge, sj: float, tol: float = 1e-10) -> float:
+def _next_rung(phi: Gauge, sj: float) -> float:
     target = 0.5 * phi.inverse(sj) / sj
     if isinstance(phi, PowerGauge) and phi.offset == 0.0:
         if phi.p >= 1.0:
@@ -427,13 +425,12 @@ def _next_rung(phi: Gauge, sj: float, tol: float = 1e-10) -> float:
             hi = mid
     out = 0.5 * (lo + hi)
     resid = abs(phi.inverse(out) / out - target)
-    if resid > tol * (2.0 * target):
+    if resid > 1e-10 * (2.0 * target):
         raise GaugeError(f"halving-rule residual {resid} exceeds tolerance")
     return out
 
 
-def ladder(phi: Gauge, body: ConvexBody, norm: Norm, rungs: int = 20,
-           tol: float = 1e-10) -> Ladder:
+def ladder(phi: Gauge, body: ConvexBody, norm: Norm, rungs: int = 20) -> Ladder:
     """Scale ladder for the gauge over the body; s_1 = min{1, sup phi, diam}/4."""
     if rungs < 1:
         raise ValueError("need at least one rung")
@@ -441,22 +438,19 @@ def ladder(phi: Gauge, body: ConvexBody, norm: Norm, rungs: int = 20,
     s1 = 0.25 * min(1.0, phi.sup, diam)
     s = [s1]
     for _ in range(rungs - 1):
-        s.append(_next_rung(phi, s[-1], tol))
+        s.append(_next_rung(phi, s[-1]))
     return Ladder(phi, tuple(s))
 
 
 @dataclass(frozen=True)
 class RungSelection:
-    """Chosen rung j with phi^{-1}(s_j) and the companion-derived bound."""
+    """Chosen rung j with phi^{-1}(s_j)."""
 
     j: int
-    s_j: float
     phi_inv_s_j: float
-    xi_inv_bound: float | None
 
 
-def select_j(lad: Ladder, eps: float, k: int = 1,
-             pair: GaugePair | None = None) -> RungSelection:
+def select_j(lad: Ladder, eps: float, k: int = 1) -> RungSelection:
     """Unique rung j >= k with inv_ratio(j+1) < eps <= inv_ratio(j).
 
     Raises RangeError when eps is not in (0, min(inv_ratio(k), 1)] and
@@ -471,11 +465,7 @@ def select_j(lad: Ladder, eps: float, k: int = 1,
         )
     for j in range(k, len(lad)):
         if lad.inv_ratio(j + 1) < eps:
-
-            bound = None
-            if pair is not None:
-                bound = pair.xi.inverse(eps / pair.K)
-            return RungSelection(j, lad.rung(j), lad.gauge.inverse(lad.rung(j)), bound)
+            return RungSelection(j, lad.gauge.inverse(lad.rung(j)))
     raise LadderExhausted(
         f"ladder with {len(lad)} rungs cannot bracket eps={eps}; extend it"
     )

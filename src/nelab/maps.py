@@ -344,7 +344,8 @@ def lip_local_profile(m: MapExpr, x, scales, body: ConvexBody, norm: Norm,
     pool = _local_candidates(x, sorted(set(scales), reverse=True), body, norm,
                              samples, rng, shells)
     if pool.shape[0] == 0:
-        raise EstimationError("no admissible local sample around the centre")
+        raise EstimationError(f"no admissible local sample around the centre "
+                              f"{x.tolist()} up to scale {max(scales)}")
     d = norm.of(pool - x, axis=1)
     fx = m(x)
     fpool = m._apply(pool)
@@ -353,7 +354,8 @@ def lip_local_profile(m: MapExpr, x, scales, body: ConvexBody, norm: Norm,
     for r in scales:
         sel = (d > 0) & (d <= r)
         if not np.any(sel):
-            raise EstimationError(f"no admissible sample at scale {r}")
+            raise EstimationError(f"no admissible sample at scale {r} around "
+                                  f"the centre {x.tolist()}")
         i = int(np.argmax(np.where(sel, q, -np.inf)))
         out.append(LipEstimate(float(q[i]), (x.copy(), pool[i].copy()), int(sel.sum())))
     return out

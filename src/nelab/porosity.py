@@ -198,14 +198,15 @@ class IntervalUnionSet(SetOracle):
         object.__setattr__(self, "intervals", iv)
 
     @classmethod
-    def cantor(cls, level: int, ambient: ConvexBody | None = None) -> "IntervalUnionSet":
+    def cantor(cls, level: int) -> "IntervalUnionSet":
+        """The level-th Cantor iterate on [0, 1], in the ambient [-0.5, 1.5]."""
         segs = [(0.0, 1.0)]
         for _ in range(level):
             segs = [piece
                     for lo, hi in segs
                     for piece in ((lo, lo + (hi - lo) / 3.0), (hi - (hi - lo) / 3.0, hi))]
-        ambient = ambient or Box(np.array([-0.5]), np.array([1.5]))
-        return cls(np.asarray(segs), ambient, Norm(2.0))
+        return cls(np.asarray(segs), Box(np.array([-0.5]), np.array([1.5])),
+                   Norm(2.0))
 
     def distance(self, centers) -> np.ndarray:
         c = np.asarray(centers, dtype=float)[:, :1]
@@ -328,17 +329,23 @@ class PorosityVerdict:
     def porous(self) -> bool:
         return self.status == "porous-at-point"
 
-    def verify_holes(self, oracle: SetOracle) -> bool:
+    def verify_holes(self, oracle: SetOracle, phi: Gauge) -> bool:
         """Re-check every witness: its centre lies in the ambient space,
-        within its eps of q (and apart from q for the upper pattern), and
-        its ball misses P."""
+        within its eps of q (and apart from q for the upper pattern), its
+        radius reaches the one the constant claims, phi^{-1}(alpha d(q, q'))
+        (upper) or phi^{-1}(beta eps) (lower), and its ball misses P."""
         cs = np.array([w.center for w in self.witnesses]).reshape(-1, self.q.size)
         eps = np.array([w.eps for w in self.witnesses])
         radius = np.array([w.radius for w in self.witnesses])
         d = oracle.norm.of(cs - self.q, axis=1)
         near = (d <= eps) & ((d > 0.0) | (self.kind != "upper"))
+        args = [self.constant * float(t)
+                for t in (d if self.kind == "upper" else eps)]
+        # an argument outside phi's range has no inverse: reject the witness
+        need = np.array([phi.inverse(t) if phi.inf < t < phi.sup else np.inf
+                         for t in args])
         return bool(np.all(near & oracle.ambient.contains_all(cs)
-                           & (oracle.distance(cs) >= radius)))
+                           & (radius >= need) & (oracle.distance(cs) >= radius)))
 
 
 def _dyadic(bits: int) -> list[float]:
@@ -501,7 +508,7 @@ class LadderWitnessReport:
 
 
 def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
-                   pair: GaugePair, k: int = 1, body: ConvexBody = None,
+                   pair: GaugePair, body: ConvexBody = None,
                    norm: Norm = None, seed: int = 0) -> LadderWitnessReport:
     """Perturb f at the rung selected by eps and verify steep quotients.
 
@@ -519,7 +526,7 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
         raise ParameterError("body and norm are required")
     if not (0.0 < lam < 1.0):
         raise ParameterError(f"lam must lie in (0, 1), got {lam}")
-    sel = select_j(lad, eps, k, pair)
+    sel = select_j(lad, eps)
     j = sel.j
     if j > len(nets):
         raise ParameterError(f"no net supplied for rung {j}")

@@ -2,10 +2,12 @@
 
 Everything downstream works over an lp norm on R^n (n small, p in
 [1, inf]) and a bounded convex body: axis-aligned boxes, lp balls and
-convex hulls of finite vertex sets.  Bodies expose exact membership,
-exact diameters, seeded rejection samplers and a handful of extreme
-points used as deterministic probe candidates.  Nets are finite
-s-separated families of points built greedily from a candidate stream.
+convex hulls of finite vertex sets.  Each body answers one membership
+query, `contains_all`, for a batch of points; `contains` is its view of a
+single point.  Bodies also expose exact diameters, seeded rejection
+samplers and a handful of extreme points used as deterministic probe
+candidates.  Nets are finite s-separated families of points built
+greedily from a candidate stream.
 """
 from __future__ import annotations
 
@@ -14,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DegenerateBodyError, SamplerExhausted
 
 MEMBERSHIP_TOL = 1e-12
+SAMPLE_TRIES = 20000        # ConvexBody.sample: rejection draws before giving up
 
 
 def as_point(coords) -> np.ndarray:
@@ -54,13 +56,6 @@ class Norm:
             return np.sqrt((a * a).sum(axis=axis))
         return (a ** self.p).sum(axis=axis) ** (1.0 / self.p)
 
-    def unit(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        n = float(self.of(v))
-        if n == 0.0:
-            raise ValueError("cannot normalise the zero vector")
-        return v / n
-
 
 def distances(a, b, norm: Norm) -> np.ndarray:
     """(m, k) matrix of the distances ||a_i - b_j|| between the rows of two
@@ -85,27 +80,17 @@ def nearest(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     return idx, d
 
 
-def segment_point(x, y, t: float) -> np.ndarray:
-    """Point (1-t)x + t y on the segment [x, y]; requires t in [0, 1]."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"segment parameter must lie in [0, 1], got {t}")
-    x, y = as_point(x), as_point(y)
-    if x.shape != y.shape:
-        raise ValueError("segment endpoints have mismatched dimensions")
-    return (1.0 - t) * x + t * y
-
-
 class ConvexBody:
     """Bounded convex body with exact membership and diameter."""
 
     dim: int
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """Membership of each row of a (k, n) batch, up to tol."""
         raise NotImplementedError
 
-    def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.array([self.contains(p, tol) for p in pts], dtype=bool)
+    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+        return bool(self.contains_all(x, tol)[0])
 
     def diameter(self, norm: Norm) -> float:
         raise NotImplementedError
@@ -122,14 +107,14 @@ class ConvexBody:
         """Deterministic boundary probe points (corners / axis points / vertices)."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, max_tries: int = 20000) -> np.ndarray:
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
         lo, hi = self.bounds()
-        for _ in range(max_tries):
+        for _ in range(SAMPLE_TRIES):
             cand = lo + rng.random(self.dim) * (hi - lo)
             if self.contains(cand):
                 return cand
         raise SamplerExhausted(
-            f"no accepted sample in {max_tries} tries for {type(self).__name__}"
+            f"no accepted sample in {SAMPLE_TRIES} tries for {type(self).__name__}"
         )
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -157,10 +142,6 @@ class Box(ConvexBody):
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
     def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
@@ -179,7 +160,7 @@ class Box(ConvexBody):
         corners = itertools.product(*[(float(a), float(b)) for a, b in zip(self.lo, self.hi)])
         return np.array(list(corners))
 
-    def sample(self, rng: np.random.Generator, max_tries: int = 20000) -> np.ndarray:
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.lo + rng.random(self.dim) * (self.hi - self.lo)
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -202,9 +183,6 @@ class Ball(ConvexBody):
     @property
     def dim(self) -> int:
         return self.c.size
-
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(self.norm.of(np.asarray(x, dtype=float) - self.c) <= self.radius + tol)
 
     def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -233,7 +211,7 @@ class Ball(ConvexBody):
             e[i] = 1.0
             pts.append(self.c + self.radius * e)
             pts.append(self.c - self.radius * e)
-        diag = self.norm.unit(np.ones(self.dim))
+        diag = np.ones(self.dim) / self.norm.of(np.ones(self.dim))
         pts.append(self.c + self.radius * diag)
         pts.append(self.c - self.radius * diag)
         return np.array(pts)
@@ -269,15 +247,18 @@ class Hull(ConvexBody):
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         # x is in the hull iff some lam >= 0 with sum(lam)=1 reproduces it;
         # solved as NNLS on the stacked (coords; 1) system, membership iff the
-        # residual vanishes up to tol.
-        x = np.asarray(x, dtype=float)
+        # residual vanishes up to tol.  scipy is imported here: it is the
+        # package's only scipy use, and importing it at the top took longer
+        # than the rest of `import nelab.cli` together
+        from scipy.optimize import nnls
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         a = np.vstack([self.vertices.T, np.ones(self.vertices.shape[0])])
-        b = np.append(x, 1.0)
-        _, resid = nnls(a, b)
-        return bool(resid <= tol * (1.0 + np.linalg.norm(b)))
+        bs = np.hstack([pts, np.ones((pts.shape[0], 1))])
+        return np.array([nnls(a, b)[1] <= tol * (1.0 + np.linalg.norm(b))
+                         for b in bs], dtype=bool)
 
     def diameter(self, norm: Norm) -> float:
         return float(distances(self.vertices, self.vertices, norm).max())
@@ -357,10 +338,10 @@ def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:
     diam = body.diameter(norm)
     if not (0.0 < s <= diam):
         raise ValueError(f"need 0 < s <= diam C = {diam}, got s={s}")
+    if not body.contains_all(cands, tol=1e-9).all():
+        raise ValueError("net candidate lies outside the body")
     accepted = []
     for c in cands:
-        if not body.contains(c, tol=1e-9):
-            raise ValueError("net candidate lies outside the body")
         if not accepted or float(norm.of(np.asarray(accepted) - c, axis=1).min()) >= s:
             accepted.append(c)
     return Net(np.asarray(accepted), s)

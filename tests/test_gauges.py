@@ -180,10 +180,7 @@ def test_select_j_hand_traces():
     assert select_j(lad, 0.1).j == 2
     assert select_j(lad, 0.05).j == 3
     assert select_j(lad, 0.1, k=2).j == 2
-    sel = select_j(lad, 0.1)
-    assert sel.s_j == 0.125
-    assert sel.phi_inv_s_j == 0.125 ** 2
-    assert sel.xi_inv_bound is None
+    assert select_j(lad, 0.1).phi_inv_s_j == 0.125 ** 2
 
 
 def test_select_j_bracket_is_exclusive_below():
@@ -206,11 +203,3 @@ def test_select_j_errors():
         select_j(lad, 0.1, k=0)
     with pytest.raises(LadderExhausted):
         select_j(lad, 1e-9)
-
-
-def test_select_j_carries_companion_bound():
-    lad = ladder(SQRT, BOX1, NORM2, rungs=20)
-    pair = build_pair(SQRT)
-    sel = select_j(lad, 0.1, pair=pair)
-    assert sel.xi_inv_bound == pair.xi.inverse(0.1 / pair.K)
-    assert sel.xi_inv_bound > 0.0

@@ -83,6 +83,15 @@ GOLDEN = {
     "dual-l1-simplex": "2ec744cc6270e85f777de6aa8d69f45ce2e12493bca64ffba288a775fa8cc0be",
     "porosity-reciprocal": "970cfabe56eebaaa78f91b56e7117431bb0c0730387ae248a5608d49322cb97a",
     "porosity-cantor": "d32224b90ad610c9c9f2a4a92185c0b5eb88900d18de430e477c204316e22fe5",
+    "field-120": "05ab3770ea3fca4842cce6d184c44a5356f05e30ce79a45c5b84353b917e2483",
+}
+# sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
+GOLDEN_GAUGE_CSV = {
+    ("--gauge", "sqrt-ratio"):
+        "737b00dbe9bff3f8bbe66260b70260b8338e625b5dab309cb6b42c5f09d88ef8",
+    ("--gauge", "power:2/3", "--dim", "2", "--body", "ball", "--norm-p", "3",
+     "--rungs", "20", "--points", "300"):
+        "72b81edc7385da03e0158aac8d63be4ea8349467d00e4c052e6a9e52b052a7fc",
 }
 
 
@@ -103,10 +112,40 @@ def test_golden_report_digests():
                "porosity-reciprocal": run_porosity(_cfg(
                    target="reciprocal", point=0.0, window=0.01)),
                "porosity-cantor": run_porosity(_cfg(
-                   target="cantor", point=0.3, window=0.2))}
+                   target="cantor", point=0.3, window=0.2)),
+               # batched direction-field checks over 63 Ball, 47 Box and
+               # 10 Hull cases
+               "field-120": run_verify(_cfg(suite="field", seed=7,
+                                            trials=120))}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
         assert digest == GOLDEN[name], name
+
+
+def test_golden_gauge_tables(tmp_path):
+    for args, want in GOLDEN_GAUGE_CSV.items():
+        out = tmp_path / "gauge.csv"
+        assert cli.main(["gauge", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, args
+
+
+def test_typical_sampler_failures_become_failed_cases(tmp_path):
+    # the bump scale of the l1 simplex leaves no admissible sample around
+    # the vertex (1, 0): that map case fails, the run goes on
+    cfg = dict(dim=2, norm_p=1.0, body="simplex", trials=4, lam=0.99)
+    rep = run_typical(_cfg(**cfg))
+    failed = {c.case_id: c for c in rep.cases if "error" in c.measured}
+    assert sorted(failed) == ["typical/map-00", "typical/map-02"]
+    assert len(rep.cases) == 7 and len(rep.failures) == 2
+    case = failed["typical/map-00"]
+    assert case.measured["error"] == ("no admissible sample at scale "
+                                      "0.001736111111111111 around the "
+                                      "centre [1.0, 0.0]")
+    assert case.params["bump_scale"] == 0.001736111111111111
+    rc = cli.main(["typical", "--dim", "2", "--norm-p", "1", "--body",
+                   "simplex", "--trials", "4", "--lam", "0.99",
+                   "--out", str(tmp_path / "typical.json")])
+    assert rc == 1
 
 
 def test_zero_tolerance_turns_exact_checks_into_failures():

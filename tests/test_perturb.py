@@ -58,6 +58,18 @@ def test_direction_field_branches_and_units():
         assert field.segment_inside(BOX2, z)
 
 
+def test_segment_check_flags_an_anchor_outside_the_body():
+    # a forged field aiming at v = (1.5, 0.5), outside the unit square:
+    # from z near the right edge the segment [z, z + (s/3) e_z] leaves it
+    zs = BOX2.sample_many(np.random.default_rng(1), 30)
+    genuine = direction_field(BOX2, NORM2, 0.3)
+    assert genuine.segment_inside(BOX2, zs)
+    forged = DirectionField(np.array([1.5, 0.5]), np.array([0.0, 0.0]), 0.3,
+                            NORM2)
+    assert forged.segment_inside(BOX2, [[0.2, 0.5]])
+    assert not forged.segment_inside(BOX2, np.vstack([zs, [[0.95, 0.5]]]))
+
+
 def test_direction_field_validation():
     with pytest.raises(ParameterError):
         direction_field(BOX2, NORM2, 0.0)

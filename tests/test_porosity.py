@@ -105,7 +105,7 @@ def test_upper_porosity_of_the_singleton():
     assert verdict.porous and verdict.kind == "upper"
     assert verdict.constant == 0.5
     assert len(verdict.witnesses) == 17          # one hole per probe scale
-    assert verdict.verify_holes(ZERO)
+    assert verdict.verify_holes(ZERO, IDENT)
 
 
 def test_upper_porosity_not_detected_at_the_accumulation_point():
@@ -119,7 +119,7 @@ def test_lower_porosity_away_from_the_accumulation_point():
     verdict = lower_porous_at(REC, [0.5], IDENT, eps0=1.0 / 6.0)
     assert verdict.porous and verdict.kind == "lower"
     assert verdict.constant == 0.5
-    assert verdict.verify_holes(REC)
+    assert verdict.verify_holes(REC, IDENT)
 
 
 def test_lower_porosity_not_detected_at_the_accumulation_point():
@@ -144,19 +144,25 @@ def _claim(kind, q, eps, center, radius):
 
 def test_verify_holes_flags_a_bogus_witness():
     # a forged hole for each landmark set, next to a genuine one at the
-    # same q and eps: B(0, 0.1) meets {0}, B(0.5, 0.1) meets {1/n}
+    # same q and eps: B(0, 0.1) meets {0}, B(0.5, 0.1) meets {1/n}; the
+    # genuine radii reach the identity-gauge radius 0.5 d(q, q')
     for oracle, q, genuine, forged in ((ZERO, 0.05, (0.1, 0.1), (0.0, 0.1)),
-                                       (REC, 0.45, (0.41, 0.01), (0.5, 0.1)),
+                                       (REC, 0.45, (0.41, 0.05), (0.5, 0.1)),
                                        (CANTOR3, 0.5, (0.45, 0.1),
                                         (1.0 / 3.0, 0.01))):
-        assert _claim("upper", q, 0.2, *genuine).verify_holes(oracle)
-        assert not _claim("upper", q, 0.2, *forged).verify_holes(oracle)
+        assert _claim("upper", q, 0.2, *genuine).verify_holes(oracle, IDENT)
+        assert not _claim("upper", q, 0.2, *forged).verify_holes(oracle, IDENT)
     # empty balls that still break the certificate: too far from q, outside
-    # the ambient space, or (for the upper pattern) centred at q itself
-    assert not _claim("upper", 0.0, 0.1, 0.9, 0.1).verify_holes(ZERO)
-    assert not _claim("lower", 0.0, 2.0, 1.5, 0.1).verify_holes(ZERO)
-    assert not _claim("upper", 0.5, 0.1, 0.5, 0.1).verify_holes(CANTOR3)
-    assert _claim("lower", 0.5, 0.1, 0.5, 0.1).verify_holes(CANTOR3)
+    # the ambient space, (for the upper pattern) centred at q itself, or
+    # smaller than the radius the constant claims
+    assert not _claim("upper", 0.0, 0.1, 0.9, 0.1).verify_holes(ZERO, IDENT)
+    assert not _claim("lower", 0.0, 2.0, 1.5, 0.1).verify_holes(ZERO, IDENT)
+    assert not _claim("upper", 0.5, 0.1, 0.5, 0.1).verify_holes(CANTOR3, IDENT)
+    assert _claim("lower", 0.5, 0.1, 0.5, 0.1).verify_holes(CANTOR3, IDENT)
+    assert not _claim("upper", 0.05, 0.2, 0.1, 1e-300).verify_holes(ZERO, IDENT)
+    assert not _claim("lower", 0.5, 0.1, 0.5, 0.04).verify_holes(CANTOR3, IDENT)
+    # an argument outside the gauge's range, (0, 1) here, is rejected
+    assert not _claim("lower", 0.5, 2.0, 0.5, 0.1).verify_holes(CANTOR3, IDENT)
 
 
 def test_low_slope_alpha_hand_values():

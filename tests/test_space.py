@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from nelab.errors import DegenerateBodyError
 from nelab.space import (Ball, Box, Hull, Net, Norm, as_point, distances,
-                         greedy_net, grid_candidates, nearest, segment_point)
+                         greedy_net, grid_candidates, nearest)
 
 TRIANGLE_TOL = 1e-12
 
@@ -41,17 +42,6 @@ def test_norm_triangle_inequality(v, w, u, p):
     lhs = float(n.of(x - z))
     rhs = float(n.of(x - y)) + float(n.of(y - z))
     assert lhs <= rhs + TRIANGLE_TOL * max(1.0, rhs)
-
-
-def test_segment_point_values():
-    assert np.array_equal(segment_point((0.0, 0.0), (2.0, 2.0), 0.5), [1.0, 1.0])
-    assert np.array_equal(segment_point((0.3, 0.7), (0.9, 0.1), 0.0), [0.3, 0.7])
-    np.testing.assert_allclose(
-        segment_point((1.0, 0.0), (0.0, 1.0), 0.25), [0.75, 0.25], atol=1e-15)
-    with pytest.raises(ValueError):
-        segment_point((0.0,), (1.0,), 1.5)
-    with pytest.raises(ValueError):
-        segment_point((0.0,), (1.0, 2.0), 0.5)
 
 
 def test_box_diameter_matches_corner_norm():
@@ -201,5 +191,51 @@ def test_segment_stays_inside_hull():
     tri = Hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     rng = np.random.default_rng(4)
     x, y = tri.sample(rng), tri.sample(rng)
-    for t in rng.random(100):
-        assert tri.contains(segment_point(x, y, float(t)), tol=1e-9)
+    ts = rng.random((100, 1))
+    assert tri.contains_all((1.0 - ts) * x + ts * y, tol=1e-9).all()
+
+
+def test_contains_all_matches_the_row_reference():
+    # each body's one membership query against its definition, one row at
+    # a time: coordinate bounds for a box, one Norm.of call per row for a
+    # ball, one NNLS solve per row for a hull (here a simplex, so vertices
+    # and points on the edges lie on the boundary)
+    rng = np.random.default_rng(9)
+    for dim in (1, 2, 3):
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            lo = rng.uniform(-1.0, 0.0, dim)
+            verts = rng.uniform(-1.0, 1.0, (dim + 1, dim))
+            bodies = [Box(lo, lo + rng.uniform(0.5, 2.0, dim)),
+                      Ball(rng.uniform(-0.3, 0.3, dim), 1.25, norm),
+                      Hull(verts)]
+            a = np.vstack([verts.T, np.ones(dim + 1)])
+            for body in bodies:
+                on = body.extreme_points()
+                if isinstance(body, Hull):
+                    i, j = np.nonzero(~np.eye(dim + 1, dtype=bool))
+                    on = np.vstack([on, 0.25 * verts[i] + 0.75 * verts[j]])
+                out = on - body.center
+                out /= np.linalg.norm(out, axis=1, keepdims=True)
+                pts = np.vstack([on, on + 1e-13 * out, on + 1e-9 * out,
+                                 0.5 * (on + body.center)])
+                for tol in (0.0, 1e-12, 1e-9):
+                    if isinstance(body, Box):
+                        ref = [bool(np.all(x >= body.lo - tol)
+                                    and np.all(x <= body.hi + tol))
+                               for x in pts]
+                    elif isinstance(body, Ball):
+                        ref = [bool(norm.of(x - body.c) <= body.radius + tol)
+                               for x in pts]
+                    else:
+                        ref = [bool(nnls(a, np.append(x, 1.0))[1] <= tol * (
+                            1.0 + np.linalg.norm(np.append(x, 1.0))))
+                               for x in pts]
+                    assert body.contains_all(pts, tol).tolist() == ref, \
+                        (type(body).__name__, dim, p, tol)
+                    assert [body.contains(x, tol) for x in pts] == ref
+                    # 1e-9 beyond an extreme point is outside under tol
+                    # 1e-12, and halfway to the centre is inside
+                    if tol == 1e-12:
+                        k, m = len(on), len(body.extreme_points())
+                        assert not any(ref[2 * k:2 * k + m]) and all(ref[3 * k:])
