@@ -1,9 +1,13 @@
 """Experiment harness, report serialization, and the command line."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nelab
 from nelab import cli
 from nelab.errors import GaugeError
 from nelab.harness import (ExperimentConfig, closing_bound, run_dual,
@@ -240,6 +244,18 @@ def test_cli_failure_exit_code(tmp_path):
                    "--out", str(out)])
     assert rc == 1
     assert json.loads(out.read_text())["failed"] > 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the few calls that use it, so that starting the
+    # command line does not pay for it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(nelab.__file__)),
+                    env.get("PYTHONPATH")) if p)
+    code = ("import nelab.cli, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_cli_usage_errors():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from nelab import space
 from nelab.errors import DegenerateBodyError
 from nelab.space import (Ball, Box, Hull, Net, Norm, as_point, distances,
                          greedy_net, grid_candidates, nearest)
@@ -18,6 +19,18 @@ def test_norm_hand_values():
     assert Norm(2.0).of(as_point((3.0, 4.0))) == 5.0
     assert Norm(math.inf).of(as_point((3.0, -4.0))) == 4.0
     assert Norm(1.0).of(as_point((3.0, -4.0))) == 7.0
+
+
+def test_norm_of_one_vector_matches_its_batch_row():
+    # numpy's scalar power rounds differently from its array power, so a
+    # single vector must take the same final step as a batch row
+    rng = np.random.default_rng(11)
+    for p in (1.5, 3.0, 4.5):
+        norm = Norm(p)
+        for dim in (1, 2, 3):
+            v = rng.normal(size=(500, dim))
+            batch = norm.of(v, axis=1)
+            assert [norm.of(row) for row in v] == batch.tolist()
 
 
 def test_norm_rejects_bad_input():
@@ -161,30 +174,76 @@ def test_net_separation_helpers():
 
 
 def test_distances_and_nearest_match_the_row_loop():
-    # the reference is one Norm.of call per row, as in the loops these
-    # kernels replaced; a call on a single vector is no reference at
-    # p = 3, where numpy's scalar power can round one ulp off its array power
+    # the reference is one Norm.of call per pair, as in the loops these
+    # kernels replaced
     rng = np.random.default_rng(5)
     for dim in (1, 2, 3):
         a = rng.normal(size=(40, dim))
         b = rng.normal(size=(7, dim))
         for p in (1.0, 2.0, 3.0, math.inf):
             norm = Norm(p)
-            loop = [norm.of(x - b, axis=1).tolist() for x in a]
+            loop = [[norm.of(x - y) for y in b] for x in a]
             assert distances(a, b, norm).tolist() == loop
             idx, d = nearest(b, a, norm)
             assert idx.tolist() == [row.index(min(row)) for row in loop]
             assert d.tolist() == [min(row) for row in loop]
-    # more rows than one block of nearest holds: same as one dense query
+    # more rows than one block of the dense scan holds, and the same query
+    # through the k-d tree: both equal one dense query
     c, x = rng.normal(size=(300, 3)), rng.normal(size=(1000, 3))
     dense = distances(x, c, Norm(3.0))
-    idx, d = nearest(c, x, Norm(3.0))
-    assert idx.tolist() == dense.argmin(axis=1).tolist()
-    assert d.tolist() == dense.min(axis=1).tolist()
+    for idx, d in (space._nearest_dense(c, x, Norm(3.0)), nearest(c, x, Norm(3.0))):
+        assert idx.tolist() == dense.argmin(axis=1).tolist()
+        assert d.tolist() == dense.min(axis=1).tolist()
     # equidistant centres: the first one wins
     idx, d = nearest(np.array([[-1.0], [1.0], [1.0]]),
                      np.array([[0.0], [1.0], [2.0]]), Norm(2.0))
     assert idx.tolist() == [0, 1, 1] and d.tolist() == [1.0, 0.0, 1.0]
+
+
+def test_tree_nearest_breaks_ties_like_the_dense_scan(monkeypatch):
+    # a lattice net queried on a lattice twice as fine: many rows are
+    # equidistant from two or more centres, where the tree may pick any of
+    # them; those rows must reach the dense scan, which keeps the first
+    dense, dense_rows = space._nearest_dense, []
+
+    def spy(centers, pts, norm):
+        dense_rows.append(pts.shape[0])
+        return dense(centers, pts, norm)
+
+    monkeypatch.setattr(space, "_nearest_dense", spy)
+    for dim, per_net, per_query, s in ((1, 41, 321, 0.1), (2, 11, 21, 0.4),
+                                       (3, 5, 9, 0.5)):
+        box = Box(-np.ones(dim), np.ones(dim))
+        queries = grid_candidates(box, per_query)
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            net = greedy_net(box, norm, s, grid_candidates(box, per_net)).points
+            assert len(queries) * len(net) >= space.NEAREST_TREE_MIN
+            ref = distances(queries, net, norm)
+            dense_rows.clear()
+            idx, d = nearest(net, queries, norm)
+            assert idx.tolist() == ref.argmin(axis=1).tolist()
+            assert d.tolist() == ref.min(axis=1).tolist()
+            if dim == 1:                  # 1-D always takes the dense scan
+                assert dense_rows == [len(queries)]
+            else:                         # the tree, with some rows falling through
+                assert len(dense_rows) == 1 and 0 < dense_rows[0] < len(queries)
+    # rows bisected onto the l3 bisector of two centres: the tree's own
+    # distances round differently from Norm.of's and can order the two
+    # centres the other way round, so near-ties must fall through as well
+    rng, norm = np.random.default_rng(3), Norm(3.0)
+    c = rng.normal(size=(2, 3))
+    shift = rng.normal(size=(1500, 3))
+    a, b = c[0] + shift, c[1] + shift
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        left = (norm.of(mid - c[0], axis=1) <= norm.of(mid - c[1], axis=1))[:, None]
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+    queries = np.vstack([a, b])
+    ref = distances(queries, c, norm)
+    idx, d = nearest(c, queries, norm)
+    assert idx.tolist() == ref.argmin(axis=1).tolist()
+    assert d.tolist() == ref.min(axis=1).tolist()
 
 
 def test_segment_stays_inside_hull():
