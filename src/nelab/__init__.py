@@ -18,8 +18,9 @@ from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
                       run_verify, SUITES)
 from .maps import (AffineContraction, Compose, Constant, ConvexCombo,
                    FlatCollapse, Identity, LipEstimate, MapExpr, Tent,
-                   lip_global_est, lip_local_profile, pair_quotients,
-                   random_nonexpansive, steep_density, sup_dist_est)
+                   lip_global_est, lip_local_profile, lip_local_profiles,
+                   pair_quotients, random_nonexpansive, steep_density,
+                   sup_dist_est)
 from .perturb import (BumpSpec, BumpWitnesses, DirectionField, FlatSpec,
                       bump_perturb, bump_witnesses, direction_field,
                       flat_collapse)

@@ -39,7 +39,7 @@ from .gauges import (Gauge, GaugePair, PiecewiseGauge, PowerGauge, RatioGauge,
                      SqrtRatioGauge, build_pair, gauge_from_desc, gauge_K,
                      ladder, select_j)
 from .maps import (Constant, ConvexCombo, Identity, MapExpr, lip_global_est,
-                   lip_local_profile, pair_quotients, random_nonexpansive,
+                   lip_local_profiles, pair_quotients, random_nonexpansive,
                    steep_density, sup_dist_est)
 from .perturb import BumpSpec, FlatSpec, bump_perturb, bump_witnesses, \
     direction_field, flat_collapse
@@ -799,10 +799,10 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         random_nonexpansive(body, seed=_sub_seed(rng))]
     checked = consistent = 0
     for f in probe_maps:
-        for x in grid:
-            pt_seed = _sub_seed(rng)
-            ests = lip_local_profile(f, x, scales, body, norm, samples=64,
-                                     seed=pt_seed, shells=8)
+        seeds = [_sub_seed(rng) for _ in grid]
+        profiles = lip_local_profiles(f, grid, scales, body, norm, 64, seeds,
+                                      shells=8)
+        for x, pt_seed, ests in zip(grid, seeds, profiles):
             top = max(e.lower_bound for e in ests)
             if abs(top - lam) < 0.02:
                 continue      # too close to the threshold for a fair replay
@@ -902,9 +902,9 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
                                      net.points, samples=48,
                                      seed=_sub_seed(rng))
             coarse_hits = np.zeros(len(s_jk))
-            for x in net.points:
-                ests = lip_local_profile(g, x, [bump_scale] + s_jk, body,
-                                         norm, samples=64, seed=_sub_seed(rng))
+            seeds = [_sub_seed(rng) for _ in net.points]
+            for ests in lip_local_profiles(g, net.points, [bump_scale] + s_jk,
+                                           body, norm, 64, seeds):
                 for k, e in enumerate(ests[1:]):
                     coarse_hits[k] += e.lower_bound > lam
             coarse_dens = (coarse_hits / len(net)).tolist()

@@ -296,69 +296,107 @@ def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
     return LipEstimate(lb, wit, n)
 
 
-def _local_candidates(x: np.ndarray, scales, body: ConvexBody, norm: Norm,
-                      samples: int, rng: np.random.Generator,
-                      shells: int = 4) -> np.ndarray:
-    """Probe points around x: norm-sphere shells at each scale (and dyadic
-    subdivisions) plus uniform draws from the box around x clipped to the body."""
-    dim = x.size
-    cands = []
-    per_shell = max(4, samples // max(1, len(scales) * shells))
-    for r in scales:
-        for k in range(shells):
-            rad = r * 0.5 ** k
-            raw = rng.normal(size=(per_shell, dim))
-            lens = norm.of(raw, axis=1)
-            ok = lens > 0
-            dirs = raw[ok] / lens[ok, None]
-            pts = x + rad * dirs
-            keep = body.contains_all(pts, tol=1e-12)
-            if np.any(keep):
-                cands.append(pts[keep])
-    rmax = max(scales)
-    box = x + (2.0 * rng.random(size=(samples, dim)) - 1.0) * rmax
-    keep = body.contains_all(box, tol=1e-12) & (norm.of(box - x, axis=1) <= rmax)
-    if np.any(keep):
-        cands.append(box[keep])
-    if not cands:
-        return np.empty((0, dim))
-    return np.vstack(cands)
+def _local_candidates(xs: np.ndarray, scales, body: ConvexBody, norm: Norm,
+                      samples: int, rngs,
+                      shells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Admissible probe points around the rows of xs, with the index of
+    each point's centre.
 
-
-def lip_local_profile(m: MapExpr, x, scales, body: ConvexBody, norm: Norm,
-                      samples: int = 64, seed: int = 0,
-                      shells: int = 4) -> list[LipEstimate]:
-    """Local Lipschitz estimates at several scales from one nested sample pool.
-
-    Returns one estimate per requested scale, in the given order.  Because a
-    single candidate pool is filtered by ||y - x|| <= r, the estimates are
-    monotone in r by construction.
+    Centre i draws from rngs[i] one normal block for the norm-sphere shells
+    at each scale and its dyadic subdivisions, then `samples` uniform draws
+    from the box of half-width max(scales) around it; the box draws are kept
+    within max(scales) of the centre.  One membership query covers all the
+    points, which come out grouped by centre in draw order.
     """
-    x = as_point(x)
-    if not body.contains(x, tol=1e-9):
+    k, dim = xs.shape
+    per_shell = max(4, samples // max(1, len(scales) * shells))
+    rads = np.repeat([r * 0.5 ** j for r in scales for j in range(shells)],
+                     per_shell)
+    raws, units = [], []
+    for rng in rngs:
+        raws.append(rng.normal(size=(rads.size, dim)))
+        units.append(rng.random(size=(samples, dim)))
+    raw = np.concatenate(raws)
+    lens = norm.of(raw, axis=1)
+    ok = lens > 0
+    owner = np.repeat(np.arange(k), rads.size)[ok]
+    shell = xs[owner] + np.tile(rads, k)[ok, None] * (raw[ok] / lens[ok, None])
+    rmax = max(scales)
+    box = (xs[:, None, :] + (2.0 * np.array(units) - 1.0) * rmax).reshape(-1, dim)
+    box_owner = np.repeat(np.arange(k), samples)
+    near = norm.of(box - xs[box_owner], axis=1) <= rmax
+    pts = np.vstack([shell, box[near]])
+    owners = np.concatenate([owner, box_owner[near]])
+    order = np.argsort(owners, kind="stable")
+    pts, owners = pts[order], owners[order]
+    keep = body.contains_all(pts, tol=1e-12)
+    return pts[keep], owners[keep]
+
+
+def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
+                       samples: int, seeds,
+                       shells: int = 4) -> list[list[LipEstimate]]:
+    """Local Lipschitz estimates at several scales around each row of xs.
+
+    Centre i draws its probe pool from `np.random.default_rng(seeds[i])`.
+    The pools of all centres share one membership query, and one map
+    evaluation together with the centres, so a batch equals its one-centre
+    calls bit for bit.  Returns, per centre, one estimate per requested
+    scale in the given order; each centre's pool is filtered by
+    ||y - x|| <= r, so its estimates are monotone in r by construction.  An
+    error is that of the first failing centre.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    k = xs.shape[0]
+    if k == 0:
+        raise ValueError("no profile centres")
+    if len(seeds) != k:
+        raise ValueError(f"need one seed per centre, got {len(seeds)} for {k}")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("point has a non-finite coordinate")
+    inside = body.contains_all(xs, tol=1e-9)
+    if not inside[0]:
         raise DomainError("profile centre lies outside the body")
     scales = [float(r) for r in scales]
     if not scales or any(r <= 0 for r in scales):
         raise ValueError("scales must be positive")
-    rng = np.random.default_rng(seed)
-    pool = _local_candidates(x, sorted(set(scales), reverse=True), body, norm,
-                             samples, rng, shells)
-    if pool.shape[0] == 0:
-        raise EstimationError(f"no admissible local sample around the centre "
-                              f"{x.tolist()} up to scale {max(scales)}")
-    d = norm.of(pool - x, axis=1)
-    fx = m(x)
-    fpool = m._apply(pool)
-    q = np.where(d > 0, norm.of(fpool - fx, axis=1) / np.where(d > 0, d, 1.0), -np.inf)
+    pool, owner = _local_candidates(
+        xs, sorted(set(scales), reverse=True), body, norm, samples,
+        [np.random.default_rng(seed) for seed in seeds], shells)
+    fs = m._apply(np.vstack([xs, pool]))
+    d = norm.of(pool - xs[owner], axis=1)
+    q = np.where(d > 0, norm.of(fs[k:] - fs[owner], axis=1)
+                 / np.where(d > 0, d, 1.0), -np.inf)
+    ends = np.searchsorted(owner, np.arange(k + 1))
+    rs = np.asarray(scales)[:, None]
     out = []
-    for r in scales:
-        sel = (d > 0) & (d <= r)
-        if not np.any(sel):
-            raise EstimationError(f"no admissible sample at scale {r} around "
+    for i, x in enumerate(xs):
+        if not inside[i]:
+            raise DomainError("profile centre lies outside the body")
+        lo, hi = ends[i], ends[i + 1]
+        if lo == hi:
+            raise EstimationError(f"no admissible local sample around the centre "
+                                  f"{x.tolist()} up to scale {max(scales)}")
+        di, qi = d[lo:hi], q[lo:hi]
+        sel = (di > 0) & (di <= rs)          # one row per scale
+        counts = sel.sum(axis=1)
+        if not counts.all():
+            raise EstimationError(f"no admissible sample at scale "
+                                  f"{scales[int(np.argmin(counts))]} around "
                                   f"the centre {x.tolist()}")
-        i = int(np.argmax(np.where(sel, q, -np.inf)))
-        out.append(LipEstimate(float(q[i]), (x.copy(), pool[i].copy()), int(sel.sum())))
+        best = np.argmax(np.where(sel, qi, -np.inf), axis=1)
+        out.append([LipEstimate(float(qi[j]), (x.copy(), pool[lo + j].copy()),
+                                int(c)) for j, c in zip(best, counts)])
     return out
+
+
+def lip_local_profile(m: MapExpr, x, scales, body: ConvexBody, norm: Norm,
+                      samples: int = 64, seed=0,
+                      shells: int = 4) -> list[LipEstimate]:
+    """`lip_local_profiles` at the one centre x.  `seed` is anything
+    `np.random.default_rng` accepts."""
+    return lip_local_profiles(m, as_point(x)[None, :], scales, body, norm,
+                              samples, [seed], shells)[0]
 
 
 def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
@@ -373,16 +411,12 @@ def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
 
 def steep_density(m: MapExpr, body: ConvexBody, norm: Norm, lam: float,
                   scale: float, grid, samples: int = 64, seed: int = 0) -> float:
-    """Fraction of grid points whose local slope estimate at `scale` exceeds lam."""
+    """Fraction of grid points whose local slope estimate at `scale` exceeds
+    lam; grid point i draws its probes from the seed [seed, i]."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[0] == 0:
-        raise ValueError("empty density grid")
-    hits = 0
-    for i, x in enumerate(grid):
-        est = lip_local_profile(m, x, [scale], body, norm, samples,
-                                seed=[seed, i])[0]
-        if est.lower_bound > lam:
-            hits += 1
+    profiles = lip_local_profiles(m, grid, [scale], body, norm, samples,
+                                  [[seed, i] for i in range(grid.shape[0])])
+    hits = sum(ests[0].lower_bound > lam for ests in profiles)
     return hits / grid.shape[0]
 
 

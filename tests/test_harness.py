@@ -88,6 +88,7 @@ GOLDEN = {
     "porosity-reciprocal": "970cfabe56eebaaa78f91b56e7117431bb0c0730387ae248a5608d49322cb97a",
     "porosity-cantor": "d32224b90ad610c9c9f2a4a92185c0b5eb88900d18de430e477c204316e22fe5",
     "field-120": "05ab3770ea3fca4842cce6d184c44a5356f05e30ce79a45c5b84353b917e2483",
+    "typical-3d-failures": "635643e8226ecae1b2fa0b24102ef2c061024aabc367161a60db89869609d1ff",
 }
 # sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
 GOLDEN_GAUGE_CSV = {
@@ -120,7 +121,11 @@ def test_golden_report_digests():
                # batched direction-field checks over 63 Ball, 47 Box and
                # 10 Hull cases
                "field-120": run_verify(_cfg(suite="field", seed=7,
-                                            trials=120))}
+                                            trials=120)),
+               # four estimator failures in 3-D, whose messages name the
+               # first failing centre of each batch
+               "typical-3d-failures": run_typical(_cfg(
+                   dim=3, norm_p=2.0, body="box", trials=4, lam=0.99))}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
         assert digest == GOLDEN[name], name
