@@ -296,96 +296,55 @@ def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
     return LipEstimate(lb, wit, n)
 
 
-def _local_candidates(xs: np.ndarray, scales, body: ConvexBody, norm: Norm,
-                      samples: int, rngs,
-                      shells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Admissible probe points around the rows of xs, with the index of
-    each point's centre.
-
-    Centre i draws from rngs[i] one normal block for the norm-sphere shells
-    at each scale and its dyadic subdivisions, then `samples` uniform draws
-    from the box of half-width max(scales) around it; the box draws are kept
-    within max(scales) of the centre.  One membership query covers all the
-    points, which come out grouped by centre in draw order.
-    """
-    k, dim = xs.shape
-    per_shell = max(4, samples // max(1, len(scales) * shells))
-    rads = np.repeat([r * 0.5 ** j for r in scales for j in range(shells)],
-                     per_shell)
-    raws, units = [], []
-    for rng in rngs:
-        raws.append(rng.normal(size=(rads.size, dim)))
-        units.append(rng.random(size=(samples, dim)))
-    raw = np.concatenate(raws)
-    lens = norm.of(raw, axis=1)
-    ok = lens > 0
-    owner = np.repeat(np.arange(k), rads.size)[ok]
-    shell = xs[owner] + np.tile(rads, k)[ok, None] * (raw[ok] / lens[ok, None])
-    rmax = max(scales)
-    box = (xs[:, None, :] + (2.0 * np.array(units) - 1.0) * rmax).reshape(-1, dim)
-    box_owner = np.repeat(np.arange(k), samples)
-    near = norm.of(box - xs[box_owner], axis=1) <= rmax
-    pts = np.vstack([shell, box[near]])
-    owners = np.concatenate([owner, box_owner[near]])
-    order = np.argsort(owners, kind="stable")
-    pts, owners = pts[order], owners[order]
-    keep = body.contains_all(pts, tol=1e-12)
-    return pts[keep], owners[keep]
-
-
 def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
-                       samples: int, seeds,
+                       samples: int, seed,
                        shells: int = 4) -> list[list[LipEstimate]]:
     """Local Lipschitz estimates at several scales around each row of xs.
 
-    Centre i draws its probe pool from `np.random.default_rng(seeds[i])`.
-    The pools of all centres share one membership query, and one map
-    evaluation together with the centres, so a batch equals its one-centre
-    calls bit for bit.  Returns, per centre, one estimate per requested
-    scale in the given order; each centre's pool is filtered by
-    ||y - x|| <= r, so its estimates are monotone in r by construction.  An
-    error is that of the first failing centre.
+    One `body.probes` call, drawn from `np.random.default_rng(seed)` (a
+    Generator is used as is), gives every centre the same radii: for each
+    distinct scale r, blocks at r and its dyadic subdivisions down to
+    r 2^-(shells-1), then `samples` probes at max(scales) k / samples,
+    k = 1 .. samples.  Probes lie in the body, so the one membership query
+    is on the centres, and one map evaluation covers centres and probes.
+    Returns, per centre, one estimate per requested scale in the given
+    order: the best quotient over the probes within r of the centre, so
+    the estimates are monotone in r.  An error is that of the first
+    failing centre.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     k = xs.shape[0]
     if k == 0:
         raise ValueError("no profile centres")
-    if len(seeds) != k:
-        raise ValueError(f"need one seed per centre, got {len(seeds)} for {k}")
     if not np.all(np.isfinite(xs)):
         raise ValueError("point has a non-finite coordinate")
-    inside = body.contains_all(xs, tol=1e-9)
-    if not inside[0]:
-        raise DomainError("profile centre lies outside the body")
     scales = [float(r) for r in scales]
     if not scales or any(r <= 0 for r in scales):
         raise ValueError("scales must be positive")
-    pool, owner = _local_candidates(
-        xs, sorted(set(scales), reverse=True), body, norm, samples,
-        [np.random.default_rng(seed) for seed in seeds], shells)
-    fs = m._apply(np.vstack([xs, pool]))
-    d = norm.of(pool - xs[owner], axis=1)
-    q = np.where(d > 0, norm.of(fs[k:] - fs[owner], axis=1)
-                 / np.where(d > 0, d, 1.0), -np.inf)
-    ends = np.searchsorted(owner, np.arange(k + 1))
+    inside = body.contains_all(xs, tol=1e-9)
+    levels = sorted(set(scales), reverse=True)
+    per_shell = max(4, samples // max(1, len(levels) * shells))
+    shell_radii = [r * 0.5 ** j for r in levels for j in range(shells)]
+    radii = np.concatenate([np.repeat(shell_radii, per_shell),
+                            levels[0] * np.arange(1, samples + 1) / samples])
+    pool = body.probes(xs, radii, norm, np.random.default_rng(seed))
+    fs = m._apply(np.vstack([xs, pool.reshape(-1, xs.shape[1])]))
+    d = norm.of(pool - xs[:, None, :], axis=2)
+    df = norm.of(fs[k:].reshape(pool.shape) - fs[:k, None, :], axis=2)
+    q = np.where(d > 0, df / np.where(d > 0, d, 1.0), -np.inf)
     rs = np.asarray(scales)[:, None]
     out = []
     for i, x in enumerate(xs):
         if not inside[i]:
             raise DomainError("profile centre lies outside the body")
-        lo, hi = ends[i], ends[i + 1]
-        if lo == hi:
-            raise EstimationError(f"no admissible local sample around the centre "
-                                  f"{x.tolist()} up to scale {max(scales)}")
-        di, qi = d[lo:hi], q[lo:hi]
-        sel = (di > 0) & (di <= rs)          # one row per scale
+        sel = (d[i] > 0) & (d[i] <= rs)          # one row per scale
         counts = sel.sum(axis=1)
         if not counts.all():
             raise EstimationError(f"no admissible sample at scale "
                                   f"{scales[int(np.argmin(counts))]} around "
                                   f"the centre {x.tolist()}")
-        best = np.argmax(np.where(sel, qi, -np.inf), axis=1)
-        out.append([LipEstimate(float(qi[j]), (x.copy(), pool[lo + j].copy()),
+        best = np.argmax(np.where(sel, q[i], -np.inf), axis=1)
+        out.append([LipEstimate(float(q[i, j]), (x.copy(), pool[i, j].copy()),
                                 int(c)) for j, c in zip(best, counts)])
     return out
 
@@ -393,10 +352,9 @@ def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
 def lip_local_profile(m: MapExpr, x, scales, body: ConvexBody, norm: Norm,
                       samples: int = 64, seed=0,
                       shells: int = 4) -> list[LipEstimate]:
-    """`lip_local_profiles` at the one centre x.  `seed` is anything
-    `np.random.default_rng` accepts."""
+    """`lip_local_profiles` at the one centre x."""
     return lip_local_profiles(m, as_point(x)[None, :], scales, body, norm,
-                              samples, [seed], shells)[0]
+                              samples, seed, shells)[0]
 
 
 def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
@@ -410,12 +368,11 @@ def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
 
 
 def steep_density(m: MapExpr, body: ConvexBody, norm: Norm, lam: float,
-                  scale: float, grid, samples: int = 64, seed: int = 0) -> float:
+                  scale: float, grid, samples: int = 64, seed=0) -> float:
     """Fraction of grid points whose local slope estimate at `scale` exceeds
-    lam; grid point i draws its probes from the seed [seed, i]."""
+    lam; `seed` seeds one `lip_local_profiles` call over the whole grid."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    profiles = lip_local_profiles(m, grid, [scale], body, norm, samples,
-                                  [[seed, i] for i in range(grid.shape[0])])
+    profiles = lip_local_profiles(m, grid, [scale], body, norm, samples, seed)
     hits = sum(ests[0].lower_bound > lam for ests in profiles)
     return hits / grid.shape[0]
 

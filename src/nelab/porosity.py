@@ -451,14 +451,15 @@ class LowSlopeResult:
 
 def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
                      j_max: int = 12, body: ConvexBody = None, norm: Norm = None,
-                     samples: int = 64, seed: int = 0,
+                     samples: int = 64, seed=0,
                      shells: int = 8) -> LowSlopeResult:
     """Is the sampled local slope of f at x at most lam at every ladder scale
     phi^{-1}(s_j), j = l .. j_max?  The truncation level is reported.
 
     The probe pool subdivides each scale through `shells` dyadic levels so
     that steep behaviour concentrated two orders of magnitude below a scale
-    (the bump witnesses live there) is still seen by the estimate.
+    (the bump witnesses live there) is still seen by the estimate.  `seed`
+    is anything `np.random.default_rng` accepts.
     """
     if body is None or norm is None:
         raise ParameterError("body and norm are required")
@@ -489,7 +490,6 @@ class LadderWitnessRecord:
     x: np.ndarray
     z: np.ndarray
     min_quotient: float
-    probes: int
 
 
 @dataclass(frozen=True)
@@ -552,21 +552,15 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
         tau = h_radius * rng.uniform(0.25, 1.0) / diam
         h_family.append(ConvexCombo(tau, g, Constant(body.sample(rng))))
     pts = net.points
-    n_pts, dim = pts.shape
     zs = pts + z_off * direction_field(body, norm, s_j)(pts)
-    # the probes of each x: x itself, then the draws in B(x, probe_r) ∩ body
-    unit = 2.0 * rng.random((n_pts, LADDER_PROBES - 1, dim)) - 1.0
-    cands = pts[:, None, :] + unit * probe_r
-    inside = (norm.of(cands - pts[:, None, :], axis=2) <= probe_r) & \
-        body.contains_all(cands.reshape(-1, dim), tol=1e-12).reshape(
-            n_pts, LADDER_PROBES - 1)
-    keep = np.hstack([np.ones((n_pts, 1), dtype=bool), inside])
-    ys = np.concatenate([pts[:, None, :], cands], axis=1)[keep]
-    counts = keep.sum(axis=1)
-    zs_rep = np.repeat(zs, counts, axis=0)
+    # the probes of each x: x itself, then chords into B(x, probe_r) ∩ body
+    radii = probe_r * np.arange(1, LADDER_PROBES) / (LADDER_PROBES - 1)
+    ys = np.concatenate([pts[:, None, :], body.probes(pts, radii, norm, rng)],
+                        axis=1).reshape(-1, pts.shape[1])
+    zs_rep = np.repeat(zs, LADDER_PROBES, axis=0)
     q = np.min([pair_quotients(h, norm, ys, zs_rep) for h in h_family], axis=0)
-    best = np.minimum.reduceat(q, np.concatenate([[0], np.cumsum(counts)[:-1]]))
-    records = tuple(LadderWitnessRecord(x.copy(), z, float(b), int(c))
-                    for x, z, b, c in zip(pts, zs, best, counts))
+    best = q.reshape(-1, LADDER_PROBES).min(axis=1)
+    records = tuple(LadderWitnessRecord(x.copy(), z, float(b))
+                    for x, z, b in zip(pts, zs, best))
     return LadderWitnessReport(j, g, beta, h_radius, probe_r, bound, margin,
                                records, bool(np.all(best > lam)))

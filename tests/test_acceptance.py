@@ -148,8 +148,8 @@ def test_criterion_7_typical_density():
 
 
 # sha256 of the seed-20260823 `verify --suite all` report bytes
-GOLDEN_JSON = "529491846dbeb77e1eb146d26ef285b109081c5b92f99203559e84cbfed7f73c"
-GOLDEN_CSV = "f133660e98dcd490acf0871f49b8a125f03c7ab5c58c1f19afd17a5677dace81"
+GOLDEN_JSON = "c8d816cde7a946a8642b67db0e20a5176a589d222789ba08ad7fe61d6f04b759"
+GOLDEN_CSV = "c7fa552fb5b39a0117eb348a3a8855c8b658b80cc07bacbf211beafb720f5ad6"
 
 
 def test_criterion_8_byte_identical_reports():

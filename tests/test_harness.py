@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import nelab
-from nelab import cli
-from nelab.errors import GaugeError
+from nelab import cli, harness
+from nelab.errors import EstimationError, GaugeError
 from nelab.harness import (ExperimentConfig, closing_bound, run_dual,
                            run_porosity, run_typical, run_verify)
 from nelab.reports import Report, dumps_csv, dumps_json
@@ -82,13 +82,13 @@ def test_bump_certificate_rounding_one_ulp_above_one_passes():
 # what the runs compute and must be explained
 GOLDEN = {
     "typical": "95af3b18933d05444427f84430ad119e8868205e3f75963a5549c3b61949aa6f",
-    "dual": "44f22eb9c756f9b2f52e9b8682ce5ae164ceaffb4a747397dd4272fed3aa58e0",
+    "dual": "e5f49d9bfde092bf6dcf169892ecca7d2ee0fbba1a40955394224cc7fb42d903",
     "typical-inf-ball": "6c8dafbade2c9633d1f16a9ef9bbaa2ea2b43ea00d82c818b20734328116022a",
-    "dual-l1-simplex": "2ec744cc6270e85f777de6aa8d69f45ce2e12493bca64ffba288a775fa8cc0be",
+    "dual-l1-simplex": "9d632f37d6bc4235644b10ae4d85ab9e6b3c400e1a481fc5759bfef9df22b0c8",
     "porosity-reciprocal": "970cfabe56eebaaa78f91b56e7117431bb0c0730387ae248a5608d49322cb97a",
     "porosity-cantor": "d32224b90ad610c9c9f2a4a92185c0b5eb88900d18de430e477c204316e22fe5",
     "field-120": "05ab3770ea3fca4842cce6d184c44a5356f05e30ce79a45c5b84353b917e2483",
-    "typical-3d-failures": "635643e8226ecae1b2fa0b24102ef2c061024aabc367161a60db89869609d1ff",
+    "typical-3d-box": "db3538a668e8d6f2f7b2f8b789e4dd5a8a417ff79cfb0e70b9d76a38fdcf89d3",
 }
 # sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
 GOLDEN_GAUGE_CSV = {
@@ -122,9 +122,8 @@ def test_golden_report_digests():
                # 10 Hull cases
                "field-120": run_verify(_cfg(suite="field", seed=7,
                                             trials=120)),
-               # four estimator failures in 3-D, whose messages name the
-               # first failing centre of each batch
-               "typical-3d-failures": run_typical(_cfg(
+               # probes at the corner net points of the 3-D box
+               "typical-3d-box": run_typical(_cfg(
                    dim=3, norm_p=2.0, body="box", trials=4, lam=0.99))}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
@@ -138,19 +137,20 @@ def test_golden_gauge_tables(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, args
 
 
-def test_typical_sampler_failures_become_failed_cases(tmp_path):
-    # the bump scale of the l1 simplex leaves no admissible sample around
-    # the vertex (1, 0): that map case fails, the run goes on
+def test_typical_sampler_failures_become_failed_cases(tmp_path, monkeypatch):
+    # an estimator failure fails its map case, and the run goes on
+    def fail(*args, **kwargs):
+        raise EstimationError("estimator failed")
+
+    monkeypatch.setattr(harness, "lip_local_profiles", fail)
     cfg = dict(dim=2, norm_p=1.0, body="simplex", trials=4, lam=0.99)
     rep = run_typical(_cfg(**cfg))
     failed = {c.case_id: c for c in rep.cases if "error" in c.measured}
-    assert sorted(failed) == ["typical/map-00", "typical/map-02"]
-    assert len(rep.cases) == 7 and len(rep.failures) == 2
+    assert sorted(failed) == [f"typical/map-{i:02d}" for i in range(4)]
+    assert len(rep.cases) == 7 and len(rep.failures) == 4
     case = failed["typical/map-00"]
-    assert case.measured["error"] == ("no admissible sample at scale "
-                                      "0.001736111111111111 around the "
-                                      "centre [1.0, 0.0]")
-    assert case.params["bump_scale"] == 0.001736111111111111
+    assert case.measured["error"] == "estimator failed"
+    assert "bump_scale" in case.params
     rc = cli.main(["typical", "--dim", "2", "--norm-p", "1", "--body",
                    "simplex", "--trials", "4", "--lam", "0.99",
                    "--out", str(tmp_path / "typical.json")])

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from nelab.errors import DomainError, EstimationError
 from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
-                        FlatCollapse, Identity, Tent, _local_candidates,
-                        lip_global_est, lip_local_profile, lip_local_profiles,
-                        pair_quotients, random_nonexpansive, steep_density,
-                        sup_dist_est)
+                        FlatCollapse, Identity, Tent, lip_global_est,
+                        lip_local_profile, lip_local_profiles, pair_quotients,
+                        random_nonexpansive, steep_density, sup_dist_est)
 from nelab.perturb import FlatSpec, flat_collapse
-from nelab.space import (Ball, Box, Norm, body_from_desc, greedy_net,
-                         grid_candidates)
+from nelab.space import Ball, Box, Norm, body_from_desc, greedy_net
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 BOX01 = Box(np.array([0.0]), np.array([1.0]))
@@ -112,6 +110,15 @@ def test_lip_local_ramp_is_steep_only_past_the_knee():
     assert flat.lower_bound == 0.0
 
 
+def test_lip_local_sees_steepness_that_only_outward_probes_reach():
+    # flat inward of 0.9 and slope 10 on [0.9, 1]: at x = 0.9 only probes
+    # toward the nearer face of [-1, 1] see the slope
+    m = FlatCollapse(np.array([[0.0]]), 0.9, 1.0)
+    for seed in range(20):
+        est = lip_local_profile(m, [0.9], [0.1], BOX1, NORM2, seed=seed)[0]
+        assert est.lower_bound > 1.0, seed
+
+
 def test_lip_local_profile_monotone_in_scale():
     for seed in range(5):
         m = random_nonexpansive(BOX1, seed=seed)
@@ -128,115 +135,28 @@ def test_lip_local_domain_and_exhaustion_errors():
         lip_local_profile(Identity(), [0.0], [], BOX1, NORM2)
 
 
-def _reference_candidates(x, scales, body, norm, samples, rng, shells):
-    """The probe pool as the per-shell loop drew it: one normal block and
-    one membership query per (scale, shell), then the box draws."""
-    dim = x.size
-    cands = []
-    per_shell = max(4, samples // max(1, len(scales) * shells))
-    for r in scales:
-        for k in range(shells):
-            rad = r * 0.5 ** k
-            raw = rng.normal(size=(per_shell, dim))
-            lens = norm.of(raw, axis=1)
-            ok = lens > 0
-            pts = x + rad * (raw[ok] / lens[ok, None])
-            cands.append(pts[body.contains_all(pts, tol=1e-12)])
-    rmax = max(scales)
-    box = x + (2.0 * rng.random(size=(samples, dim)) - 1.0) * rmax
-    keep = body.contains_all(box, tol=1e-12) & (norm.of(box - x, axis=1) <= rmax)
-    cands.append(box[keep])
-    return np.vstack(cands)
-
-
-def _reference_profile(m, x, scales, body, norm, samples, seed, shells):
-    """One centre's profile from the per-shell pool, with m(x) evaluated on
-    its own."""
-    if not body.contains(x, tol=1e-9):
-        raise DomainError("profile centre lies outside the body")
-    pool = _reference_candidates(x, sorted(set(scales), reverse=True), body,
-                                 norm, samples, np.random.default_rng(seed),
-                                 shells)
-    if pool.shape[0] == 0:
-        raise EstimationError(f"no admissible local sample around the centre "
-                              f"{x.tolist()} up to scale {max(scales)}")
-    d = norm.of(pool - x, axis=1)
-    fx, fpool = m(x), m._apply(pool)
-    q = np.where(d > 0, norm.of(fpool - fx, axis=1) / np.where(d > 0, d, 1.0),
-                 -np.inf)
-    out = []
-    for r in scales:
-        sel = (d > 0) & (d <= r)
-        if not np.any(sel):
-            raise EstimationError(f"no admissible sample at scale {r} around "
-                                  f"the centre {x.tolist()}")
-        i = int(np.argmax(np.where(sel, q, -np.inf)))
-        out.append((float(q[i]).hex(), x.tobytes(), pool[i].tobytes(),
-                    int(sel.sum())))
-    return out
-
-
-def _bits(ests):
-    return [(e.lower_bound.hex(), e.witness[0].tobytes(),
-             e.witness[1].tobytes(), e.samples) for e in ests]
-
-
-def _outcome(call):
-    try:
-        return call()
-    except (DomainError, EstimationError) as exc:
-        return (type(exc), str(exc))
-
-
-def test_batched_profiles_equal_the_per_shell_reference():
-    # unsorted and repeated scales; vertex centres sit where most probes
-    # leave the body; the collapse makes the batch's nearest-centre query
-    # take the k-d tree where the one-centre calls scan densely
-    scales, samples, shells = [0.2, 0.05, 0.2, 0.01], 32, 4
+def test_profiles_see_every_scale_at_vertex_centres():
+    # every centre, vertices included, gets a probe with d > 0 at every
+    # scale; the estimates are the best quotients of those probes
+    scales = [0.2, 0.05, 0.2, 0.01]
     for dim in (1, 2, 3):
         for p in (1.0, 2.0, 3.0, math.inf):
             norm = Norm(p)
             for desc in ("box", "ball", "simplex"):
                 body = body_from_desc(desc, dim, norm)
                 rng = np.random.default_rng([dim, int(min(p, 9)), len(desc)])
-                xs = np.vstack([body.sample_many(rng, 5), body.extreme_points()])
-                seeds = [[7, i] for i in range(len(xs))]
-                s = 0.3 * body.diameter(norm)
-                net = greedy_net(body, norm, s, grid_candidates(body, 9))
-                m = Compose(random_nonexpansive(body, seed=dim),
-                            FlatCollapse(net.points, 0.2 * s, 0.45 * s, norm))
-                levels = sorted(set(scales), reverse=True)
-                pool, owner = _local_candidates(
-                    xs, levels, body, norm, samples,
-                    [np.random.default_rng(seed) for seed in seeds], shells)
-                assert np.all(np.diff(owner) >= 0)
-                for i, (x, seed) in enumerate(zip(xs, seeds)):
-                    want = _reference_candidates(
-                        x, levels, body, norm, samples,
-                        np.random.default_rng(seed), shells)
-                    got = pool[owner == i]
-                    assert got.tobytes() == want.tobytes(), (dim, p, desc, i)
-                refs = [_outcome(lambda x=x, seed=seed: _reference_profile(
-                    m, x, scales, body, norm, samples, seed, shells))
-                    for x, seed in zip(xs, seeds)]
-                ok = [i for i, ref in enumerate(refs) if isinstance(ref, list)]
-                assert len(ok) >= 5, (dim, p, desc)
-                batch = lip_local_profiles(m, xs[ok], scales, body, norm,
-                                           samples, [seeds[i] for i in ok],
-                                           shells)
-                for i, ests in zip(ok, batch):
-                    assert _bits(ests) == refs[i], (dim, p, desc, i)
-                    one = lip_local_profile(m, xs[i], scales, body, norm,
-                                            samples, seeds[i], shells)
-                    assert _bits(one) == refs[i], (dim, p, desc, i)
-                whole = _outcome(lambda: lip_local_profiles(
-                    m, xs, scales, body, norm, samples, seeds, shells))
-                first_error = next((ref for ref in refs
-                                    if not isinstance(ref, list)), None)
-                if first_error is None:
-                    assert [_bits(e) for e in whole] == refs
-                else:
-                    assert whole == first_error, (dim, p, desc)
+                xs = np.vstack([body.sample_many(rng, 3), body.extreme_points()])
+                m = random_nonexpansive(body, seed=dim)
+                for x, ests in zip(xs, lip_local_profiles(
+                        m, xs, scales, body, norm, 32, rng)):
+                    assert len(ests) == len(scales)
+                    for r, e in zip(scales, ests):
+                        y = e.witness[1]
+                        assert e.samples >= 1 and np.array_equal(e.witness[0], x)
+                        assert 0.0 < norm.of(y - x) <= r
+                        assert e.lower_bound == pair_quotients(
+                            m, norm, x[None, :], y[None, :])[0]
+                        assert e.lower_bound <= 1.0 + 1e-9
 
 
 def test_profile_batch_raises_the_first_centres_error():
@@ -248,41 +168,28 @@ def test_profile_batch_raises_the_first_centres_error():
                        match=r"^no admissible sample at scale 1e-300 around "
                              r"the centre \[0\.5\]$"):
         lip_local_profiles(Identity(), xs, [0.1, 1e-300, 1e-301], BOX01,
-                           norm1, 16, [0, 1, 2])
+                           norm1, 16, 0)
     assert len(lip_local_profiles(Identity(), xs[:1], [1e-300], BOX01, norm1,
-                                  16, [0])[0]) == 1
+                                  16, 0)[0]) == 1
     with pytest.raises(DomainError):
-        lip_local_profiles(Identity(), xs[::-1], [1e-300], BOX01, norm1, 16,
-                           [0, 1, 2])
+        lip_local_profiles(Identity(), xs[::-1], [1e-300], BOX01, norm1, 16, 0)
     with pytest.raises(DomainError):
         lip_local_profiles(Identity(), np.array([[0.2], [2.0]]), [0.1], BOX01,
-                           NORM2, 16, [0, 1])
+                           NORM2, 16, 0)
+    # no radii at all: no probe, so no scale is seen
     with pytest.raises(EstimationError,
-                       match=r"^no admissible local sample around the centre "
-                             r"\[0\.2\] up to scale 0\.1$"):
+                       match=r"^no admissible sample at scale 0\.1 around the "
+                             r"centre \[0\.2\]$"):
         lip_local_profiles(Identity(), np.array([[0.2]]), [0.1], BOX01, NORM2,
-                           0, [0], shells=0)
+                           0, 0, shells=0)
     with pytest.raises(ValueError):
         lip_local_profiles(Identity(), np.empty((0, 1)), [0.1], BOX01, NORM2,
-                           16, [])
-
-
-class _CountingRng:
-    def __init__(self, seed):
-        self.rng, self.calls = np.random.default_rng(seed), []
-
-    def normal(self, size):
-        self.calls.append("normal")
-        return self.rng.normal(size=size)
-
-    def random(self, size):
-        self.calls.append("random")
-        return self.rng.random(size=size)
+                           16, 0)
 
 
 def test_profile_call_shape(monkeypatch):
-    # one membership query for the centres, one for every pool, and one
-    # evaluation of the root map on centres and pools together
+    # one membership query, on the centres (the probes need none), one
+    # probe draw, and one evaluation of the root map on centres and probes
     root = ConvexCombo(0.5, Identity(), _ramp())
     member, applied = [], []
     contains_all, apply = Box.contains_all, ConvexCombo._apply
@@ -300,17 +207,19 @@ def test_profile_call_shape(monkeypatch):
     monkeypatch.setattr(ConvexCombo, "_apply", spy_apply)
     grid = np.linspace(0.0, 1.0, 9)[:, None]
     steep_density(root, BOX01, NORM2, 0.5, 0.1, grid, samples=32, seed=4)
-    assert len(member) == 2 and member[0] == 9
+    assert member == [9]
     assert len(applied) == 1 and applied[0] > 9
     member.clear()
     applied.clear()
     lip_local_profile(root, [0.3], [0.2, 0.1, 0.05], BOX01, NORM2, seed=1,
                       shells=8)
-    assert len(member) == 2 and len(applied) == 1
-    rngs = [_CountingRng(5), _CountingRng(6)]
-    _local_candidates(np.array([[0.3], [0.6]]), [0.2, 0.1, 0.05], BOX01,
-                      NORM2, 64, rngs, 8)
-    assert [rng.calls for rng in rngs] == [["normal", "random"]] * 2
+    assert member == [1] and len(applied) == 1
+    drawn = []
+    probes = Box.probes
+    monkeypatch.setattr(Box, "probes", lambda self, xs, *a: drawn.append(
+        len(xs)) or probes(self, xs, *a))
+    lip_local_profiles(root, grid, [0.2, 0.1], BOX01, NORM2, 64, 5, 8)
+    assert drawn == [9]
 
 
 def test_sup_dist_hand_values():

@@ -1,0 +1,38 @@
+"""Checks that can fail: a deliberately broken construction, patched in
+memory, must turn the check that guards it into failed cases."""
+import nelab.harness as harness
+import nelab.maps as maps
+from nelab.harness import ExperimentConfig, run_verify
+from nelab.maps import LipEstimate
+from nelab.perturb import DirectionField
+
+
+def test_zero_slope_estimates_break_the_cover_consistency(monkeypatch):
+    # with every local slope read as 0, Identity and the steep contraction
+    # look low-slope: half of the 4 maps x 12 grid points disagree with
+    # their exact slope
+    profiles = maps.lip_local_profiles
+
+    def flat(*args, **kwargs):
+        return [[LipEstimate(0.0, e.witness, e.samples) for e in ests]
+                for ests in profiles(*args, **kwargs)]
+
+    monkeypatch.setattr(maps, "lip_local_profiles", flat)
+    monkeypatch.setattr(harness, "lip_local_profiles", flat)
+    rep = run_verify(ExperimentConfig(suite="holes"))
+    case = {c.case_id: c for c in rep.cases}["holes/cover-consistency"]
+    assert not case.passed
+    assert case.measured == {"checked": 48, "consistent": 24}
+
+
+def test_swapped_anchors_break_the_branch_rule(monkeypatch):
+    # a field that aims at w from far away and at v near it no longer
+    # brings z s/3 closer to the anchor the rule picks
+    call = DirectionField.__call__
+
+    def swapped(self, z):
+        return call(DirectionField(self.w, self.v, self.s, self.norm), z)
+
+    monkeypatch.setattr(DirectionField, "__call__", swapped)
+    rep = run_verify(ExperimentConfig(suite="field", trials=30))
+    assert all(not c.measured["branch_exact"] for c in rep.cases)

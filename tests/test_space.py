@@ -9,8 +9,8 @@ from scipy.optimize import nnls
 
 from nelab import space
 from nelab.errors import DegenerateBodyError
-from nelab.space import (Ball, Box, Hull, Net, Norm, as_point, distances,
-                         greedy_net, grid_candidates, nearest)
+from nelab.space import (Ball, Box, Hull, Net, Norm, as_point, body_from_desc,
+                         distances, greedy_net, grid_candidates, nearest)
 
 TRIANGLE_TOL = 1e-12
 
@@ -114,6 +114,46 @@ def test_extreme_points_are_members():
     ]
     for body in bodies:
         assert body.contains_all(body.extreme_points(), tol=1e-9).all()
+
+
+def test_probes_lie_in_the_body_within_their_radius():
+    # vertex centres are where a draw around x mostly leaves the body; the
+    # radius 10 exceeds every diameter, so those probes are the targets.
+    # A target can round to x itself when x is a vertex or the centre, so
+    # one probe may sit at x, but each radius gets probes away from it
+    radii = np.repeat([10.0, 0.2, 0.05, 0.01, 1e-3], 8)
+    for dim in (1, 2, 3):
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            for desc in ("box", "ball", "simplex"):
+                body = body_from_desc(desc, dim, norm)
+                rng = np.random.default_rng([dim, int(min(p, 9)), len(desc)])
+                xs = np.vstack([body.sample_many(rng, 5), body.extreme_points(),
+                                body.center])
+                ys = body.probes(xs, radii, norm, rng)
+                assert ys.shape == (len(xs), len(radii), dim)
+                assert body.contains_all(ys.reshape(-1, dim), tol=1e-12).all()
+                d = norm.of(ys - xs[:, None, :], axis=2)
+                assert np.all(d <= radii * (1.0 + 1e-12)), (dim, p, desc)
+                assert (d.reshape(len(xs), -1, 8) > 0.0).any(axis=2).all(), \
+                    (dim, p, desc)
+
+
+def test_probes_point_every_way_from_an_interior_centre():
+    # r is below the face distance, so B(x, r) lies in C and a fair sampler
+    # sends probes to both sides of x along every axis; targets bunched
+    # near the centroid would all point one way
+    for dim in (1, 2, 3):
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            for desc in ("box", "ball", "simplex"):
+                body = body_from_desc(desc, dim, norm)
+                x = body.center + 0.3 * (body.extreme_points()[0] - body.center)
+                steps = body.probes(x, np.full(512, 1e-3), norm,
+                                    np.random.default_rng(dim))[0] - x
+                share = np.minimum((steps > 0).mean(axis=0),
+                                   (steps < 0).mean(axis=0))
+                assert share.min() >= 0.1, (dim, p, desc, share)
 
 
 def test_grid_candidates_filtering():
