@@ -8,10 +8,10 @@ with the convention that no admissible hole at all reports `None`.  Every
 set oracle answers one query, the exact distance d(c, P) for a batch of
 centres: the ball B(c, s) misses P exactly when d(c, P) >= s, so the
 largest hole at a centre c of the window is min(r - ||c - q||, d(c, P)).
-The one-dimensional example sets also carry analytic gap structure, so
-gamma can be computed exactly; the generic estimator searches hole
-centres on a shrinking lattice plus a random stream, one distance query
-per batch of centres.
+The one-dimensional example sets also list their obstructions, closed
+intervals covering P inside a window, so gamma is half the longest gap
+between them; the generic estimator searches hole centres on a shrinking
+lattice plus a random stream, one distance query per batch of centres.
 
 Pointwise verdicts follow two dual patterns for a gauge phi:
 
@@ -21,7 +21,9 @@ Pointwise verdicts follow two dual patterns for a gauge phi:
 * lower: some beta admits, for every eps below a threshold, a point q'
   with d(q, q') <= eps and B(q', phi^{-1}(beta eps)) disjoint from P.
 
-Alpha and beta are searched over the dyadic grid 2^-1 .. 2^-16.
+Both are one search over the dyadic grid 2^-1 .. 2^-16 of constants,
+differing only in the hole radius asked for and in whether q' = q
+may carry the hole.
 
 The low-slope set of a map f collects the points whose sampled local
 Lipschitz constant stays <= lam at every ladder scale phi^{-1}(s_j),
@@ -64,16 +66,27 @@ class SetOracle:
         is empty."""
         raise NotImplementedError
 
-    def exact_gamma(self, q, r: float) -> float | None:
-        """Analytic hole size, when the set carries gap structure; else None."""
+    def obstructions(self, a: float, b: float) -> np.ndarray | None:
+        """Sorted closed intervals, a (k, 2) array of rows (lo, hi), whose
+        union covers P ∩ (a, b) on the line and whose gaps miss P, points
+        as [p, p]; None when the set has no 1-D description."""
         return None
 
-
-def _gamma_from_sorted_points(pts: np.ndarray, a: float, b: float) -> float:
-    """Largest hole radius in (a, b) avoiding finitely many point obstructions."""
-    inside = pts[(pts > a) & (pts < b)]
-    cuts = np.concatenate([[a], np.sort(inside), [b]])
-    return float(np.max(np.diff(cuts)) / 2.0)
+    def exact_gamma(self, q, r: float) -> float | None:
+        """Analytic hole size from the obstructions: r when none meets the
+        window, else half the longest gap between them and the window's
+        ends; None when that gap is empty or the set has no 1-D
+        description."""
+        q0 = float(as_point(q)[0])
+        a, b = q0 - r, q0 + r
+        obs = self.obstructions(a, b)
+        if obs is None:
+            return None
+        if not len(obs):
+            return r
+        cuts = np.concatenate([[a], obs.ravel(), [b]])
+        best = float(np.max(np.diff(cuts)[::2])) / 2.0
+        return best if best > 0.0 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,50 +110,40 @@ class FinitePointSet(SetOracle):
             return np.full(centers.shape[0], np.inf)
         return distances(centers, self.points, self.norm).min(axis=1)
 
-    def exact_gamma(self, q, r: float) -> float | None:
+    def obstructions(self, a: float, b: float) -> np.ndarray | None:
         if self.ambient.dim != 1:
             return None
-        q0 = float(as_point(q)[0])
-        return _gamma_from_sorted_points(self.points.ravel(), q0 - r, q0 + r)
+        pts = np.sort(self.points[:, 0])
+        pts = pts[(pts > a) & (pts < b)]
+        return np.column_stack([pts, pts])
 
 
-def _reciprocal_points_in(a: float, b: float):
-    """The reciprocals 1/n (n >= 1) inside the open interval (a, b), described
-    as (n_min, n_max) with n_max = None when the points accumulate at a <= 0."""
+def _reciprocal_side(a: float, b: float) -> np.ndarray:
+    """Obstructions of the reciprocals 1/n (n >= 1) inside (a, b): the
+    point 1/n_min nearest b, then one interval over the rest, down to 0
+    when they accumulate at a <= 0.  Every gap inside that interval is
+    shorter than 1/n_min - 1/(n_min + 1), the gap just below 1/n_min."""
+    none = np.empty((0, 2))
     if b <= 0.0:
-        return None
+        return none
     n_min = max(1, int(math.floor(1.0 / b)) + 1) if b <= 1.0 else 1
     while 1.0 / n_min >= b:
         n_min += 1
+    top = 1.0 / n_min
     if a <= 0.0:
-        return n_min, None
+        return np.array([[0.0, 1.0 / (n_min + 1)], [top, top]])
     if a >= 1.0:
-        return None
+        return none
     n_max = int(math.ceil(1.0 / a)) - 1
     while n_max >= 1 and 1.0 / n_max <= a:
         n_max -= 1
     while 1.0 / (n_max + 1) > a:
         n_max += 1
     if n_min > n_max:
-        return None
-    return n_min, n_max
-
-
-def _reciprocal_side_gaps(a: float, b: float) -> list[float] | None:
-    """Gap lengths contributed by positive reciprocals to the window (a, b);
-    None when this side has no obstruction points at all."""
-    rng = _reciprocal_points_in(a, b)
-    if rng is None:
-        return None
-    n_min, n_max = rng
-    gaps = [b - 1.0 / n_min]
-    if n_max is None:
-        gaps.append(1.0 / n_min - 1.0 / (n_min + 1))   # first (largest) internal gap
-    else:
-        if n_max > n_min:
-            gaps.append(1.0 / n_min - 1.0 / (n_min + 1))
-        gaps.append(1.0 / n_max - a)
-    return gaps
+        return none
+    if n_min == n_max:
+        return np.array([[top, top]])
+    return np.array([[1.0 / n_max, 1.0 / (n_min + 1)], [top, top]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,17 +170,11 @@ class ReciprocalSet(SetOracle):
         d = np.minimum(np.abs(c - 1.0 / m), np.abs(c - 1.0 / (m + 1.0)))
         return np.where(finite, d, 0.0)
 
-    def exact_gamma(self, q, r: float) -> float | None:
-        q0 = float(as_point(q)[0])
-        a, b = q0 - r, q0 + r
-        pos = _reciprocal_side_gaps(a, b)
-        neg = _reciprocal_side_gaps(-b, -a)
-        if pos is None and neg is None:
-            return r
-        # a window straddling 0 always obstructs on both sides (the points
-        # accumulate there), so a one-sided window is handled entirely by
-        # its own side's gap list, edges included.
-        return max((pos or []) + (neg or [])) / 2.0
+    def obstructions(self, a: float, b: float) -> np.ndarray:
+        # the negative side mirrors the positive one: row (lo, hi) of
+        # (-b, -a) becomes (-hi, -lo), in reverse order
+        return np.vstack([-_reciprocal_side(-b, -a)[::-1, ::-1],
+                          _reciprocal_side(a, b)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,18 +210,9 @@ class IntervalUnionSet(SetOracle):
         lo, hi = self.intervals[:, 0], self.intervals[:, 1]
         return np.maximum(np.maximum(lo - c, c - hi), 0.0).min(axis=1)
 
-    def exact_gamma(self, q, r: float) -> float | None:
-        q0 = float(as_point(q)[0])
-        a, b = q0 - r, q0 + r
-        hit = (self.intervals[:, 1] > a) & (self.intervals[:, 0] < b)
-        if not np.any(hit):
-            return r
-        iv = self.intervals[hit]
-        gaps = [max(0.0, iv[0, 0] - a)]
-        gaps.extend(iv[1:, 0] - iv[:-1, 1])
-        gaps.append(max(0.0, b - iv[-1, 1]))
-        best = max(gaps) / 2.0
-        return best if best > 0.0 else None
+    def obstructions(self, a: float, b: float) -> np.ndarray:
+        iv = self.intervals
+        return iv[(iv[:, 1] > a) & (iv[:, 0] < b)]
 
 
 def _hole_radii(oracle: SetOracle, q: np.ndarray, r: float,
@@ -348,16 +336,51 @@ class PorosityVerdict:
                            & (radius >= need) & (oracle.distance(cs) >= radius)))
 
 
-def _dyadic(bits: int) -> list[float]:
-    return [2.0 ** -i for i in range(1, bits + 1)]
-
-
 def _witness_candidates(q: np.ndarray, eps: float, rng: np.random.Generator,
                         trials: int) -> np.ndarray:
     per_axis = 33 if q.size == 1 else (9 if q.size == 2 else 5)
     lattice = _lattice_centers(q, eps, per_axis)
     extra = q + (2.0 * rng.random((trials, q.size)) - 1.0) * eps
     return np.vstack([lattice, extra])
+
+
+def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
+               eps_grid, bits: int, trials: int, seed: int) -> PorosityVerdict:
+    """The one dyadic verdict search behind both patterns.
+
+    For each constant c = 2^-1 .. 2^-bits in turn, every probe scale eps
+    of eps_grid must offer a candidate q' (q itself first, then
+    `_witness_candidates` drawn from the generator [seed, ci, ei]) in the
+    ambient space with d = d(q, q') <= eps whose ball of radius
+    phi^{-1}(t) misses P, where t = c d (upper, which also needs d > 0)
+    or t = c eps (lower).  A t outside phi's range leaves no candidate.
+    The first c that succeeds at every scale is the verdict's constant.
+    """
+    upper = kind == "upper"
+    for ci in range(bits):
+        c = 2.0 ** -(ci + 1)
+        witnesses = []
+        for ei, eps in enumerate(eps_grid):
+            rng = np.random.default_rng([seed, ci, ei])
+            cs = np.vstack([q[None, :], _witness_candidates(q, eps, rng, trials)])
+            d = oracle.norm.of(cs - q, axis=1)
+            t = c * (d if upper else np.full_like(d, eps))
+            keep = ((d <= eps) & ((d > 0.0) | (not upper))
+                    & oracle.ambient.contains_all(cs)
+                    & (phi.inf < t) & (t < phi.sup))
+            cs, t = cs[keep], t[keep]
+            found = None
+            for x, ti, dist in zip(cs, t, oracle.distance(cs)):
+                hole_r = phi.inverse(float(ti))
+                if dist >= hole_r:
+                    found = HoleWitness(eps, x, hole_r)
+                    break
+            if found is None:
+                break
+            witnesses.append(found)
+        else:
+            return PorosityVerdict("porous-at-point", kind, c, q, tuple(witnesses))
+    return PorosityVerdict("not-detected", kind, None, q, ())
 
 
 def upper_porous_at(oracle: SetOracle, q, phi: Gauge, trials: int = 64,
@@ -370,30 +393,8 @@ def upper_porous_at(oracle: SetOracle, q, phi: Gauge, trials: int = 64,
     a hole.  The verdict reports the largest dyadic alpha (down to
     2^-alpha_bits) that succeeds at every probe scale in UPPER_EPS.
     """
-    q = as_point(q)
-    for ai, alpha in enumerate(_dyadic(alpha_bits)):
-        witnesses = []
-        for ei, eps in enumerate(UPPER_EPS):
-            rng = np.random.default_rng([seed, ai, ei])
-            cs = _witness_candidates(q, eps, rng, trials)
-            d = oracle.norm.of(cs - q, axis=1)
-            t = alpha * d
-            keep = ((0.0 < d) & (d <= eps) & oracle.ambient.contains_all(cs)
-                    & (phi.inf < t) & (t < phi.sup))
-            cs, t = cs[keep], t[keep]
-            found = None
-            for c, ti, dist in zip(cs, t, oracle.distance(cs)):
-                hole_r = phi.inverse(float(ti))
-                if dist >= hole_r:
-                    found = HoleWitness(eps, c, hole_r)
-                    break
-            if found is None:
-                witnesses = None
-                break
-            witnesses.append(found)
-        if witnesses is not None:
-            return PorosityVerdict("porous-at-point", "upper", alpha, q, tuple(witnesses))
-    return PorosityVerdict("not-detected", "upper", None, q, ())
+    return _porous_at("upper", oracle, as_point(q), phi, UPPER_EPS,
+                      alpha_bits, trials, seed)
 
 
 def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
@@ -404,29 +405,11 @@ def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
     point q' with d(q, q') <= eps carrying an empty ball of radius
     phi^{-1}(beta eps); q' = q itself is allowed.
     """
-    q = as_point(q)
     if not (eps0 > 0.0):
         raise ValueError("eps0 must be positive")
     eps_grid = [eps0 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
-    for bi, beta in enumerate(_dyadic(DYADIC_BITS)):
-        witnesses = []
-        for ei, eps in enumerate(eps_grid):
-            if not (phi.inf < beta * eps < phi.sup):
-                witnesses = None
-                break
-            hole_r = phi.inverse(beta * eps)
-            rng = np.random.default_rng([seed, bi, ei])
-            cs = np.vstack([q[None, :], _witness_candidates(q, eps, rng, trials)])
-            cs = cs[(oracle.norm.of(cs - q, axis=1) <= eps)
-                    & oracle.ambient.contains_all(cs)]
-            empty = np.flatnonzero(oracle.distance(cs) >= hole_r)
-            if not empty.size:
-                witnesses = None
-                break
-            witnesses.append(HoleWitness(eps, cs[empty[0]], hole_r))
-        if witnesses is not None:
-            return PorosityVerdict("porous-at-point", "lower", beta, q, tuple(witnesses))
-    return PorosityVerdict("not-detected", "lower", None, q, ())
+    return _porous_at("lower", oracle, as_point(q), phi, eps_grid,
+                      DYADIC_BITS, trials, seed)
 
 
 def low_slope_alpha(lam: float, diam: float) -> float:
@@ -450,7 +433,7 @@ class LowSlopeResult:
 
 
 def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
-                     j_max: int = 12, body: ConvexBody = None, norm: Norm = None,
+                     j_max: int = 12, *, body: ConvexBody, norm: Norm,
                      samples: int = 64, seed=0,
                      shells: int = 8) -> LowSlopeResult:
     """Is the sampled local slope of f at x at most lam at every ladder scale
@@ -461,8 +444,6 @@ def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
     (the bump witnesses live there) is still seen by the estimate.  `seed`
     is anything `np.random.default_rng` accepts.
     """
-    if body is None or norm is None:
-        raise ParameterError("body and norm are required")
     if not (1 <= l <= j_max):
         raise ParameterError(f"need 1 <= l <= j_max, got l={l}, j_max={j_max}")
     if j_max > len(lad):
@@ -508,8 +489,8 @@ class LadderWitnessReport:
 
 
 def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
-                   pair: GaugePair, body: ConvexBody = None,
-                   norm: Norm = None, seed: int = 0) -> LadderWitnessReport:
+                   pair: GaugePair, *, body: ConvexBody, norm: Norm,
+                   seed: int = 0) -> LadderWitnessReport:
     """Perturb f at the rung selected by eps and verify steep quotients.
 
     The rung j satisfies inv_ratio(j+1) < eps <= inv_ratio(j); the net of
@@ -522,8 +503,6 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     for every test map h within xi^{-1}(beta eps) of g in the sup metric,
     where beta = (1-lam)^2 (1+lam) / (97 (3-lam) K (1+diam)).
     """
-    if body is None or norm is None:
-        raise ParameterError("body and norm are required")
     if not (0.0 < lam < 1.0):
         raise ParameterError(f"lam must lie in (0, 1), got {lam}")
     sel = select_j(lad, eps)

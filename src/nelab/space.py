@@ -4,10 +4,10 @@ Everything downstream works over an lp norm on R^n (n small, p in
 [1, inf]) and a bounded convex body: axis-aligned boxes, lp balls and
 convex hulls of finite vertex sets.  Each body answers one membership
 query, `contains_all`, for a batch of points; `contains` is its view of a
-single point.  Bodies also expose exact diameters, seeded rejection
-samplers, a handful of extreme points, and `probes`, the one sampler of
-the sets B(x, r) ∩ C, which draws along chords and needs no membership
-query.  Nets are finite s-separated families of points built
+single point.  Bodies also expose exact diameters, one seeded batched
+rejection sampler of C, a handful of extreme points, and `probes`, the one
+sampler of the sets B(x, r) ∩ C, which draws along chords and needs no
+membership query.  Nets are finite s-separated families of points built
 greedily from a candidate stream.
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateBodyError, SamplerExhausted
 
 MEMBERSHIP_TOL = 1e-12
-SAMPLE_TRIES = 20000        # ConvexBody.sample: rejection draws before giving up
+SAMPLE_TRIES = 20000        # ConvexBody.sample_many: rejection rounds before giving up
 
 
 def as_point(coords) -> np.ndarray:
@@ -162,18 +162,32 @@ class ConvexBody:
         frac = np.minimum(1.0, radii / np.where(gap > 0, gap, np.inf))
         return xs[:, None, :] + frac[..., None] * step
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        lo, hi = self.bounds()
-        for _ in range(SAMPLE_TRIES):
-            cand = lo + rng.random(self.dim) * (hi - lo)
-            if self.contains(cand):
-                return cand
-        raise SamplerExhausted(
-            f"no accepted sample in {SAMPLE_TRIES} tries for {type(self).__name__}"
-        )
-
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.array([self.sample(rng) for _ in range(count)])
+        """count uniform points of C by rejection from the bounding box.
+
+        Each round draws one candidate per point still missing and makes
+        one membership query, so the candidates drawn, and the state the
+        generator is left in, are those of `count` successive one-point
+        rejection loops.
+        """
+        lo, hi = self.bounds()
+        out = np.empty((count, self.dim))
+        have = 0
+        for _ in range(SAMPLE_TRIES):
+            if have == count:
+                break
+            cand = lo + rng.random((count - have, self.dim)) * (hi - lo)
+            keep = cand[self.contains_all(cand)]
+            out[have:have + keep.shape[0]] = keep
+            have += keep.shape[0]
+        if have < count:
+            raise SamplerExhausted(
+                f"no accepted sample in {SAMPLE_TRIES} rounds for {type(self).__name__}"
+            )
+        return out
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_many(rng, 1)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +228,6 @@ class Box(ConvexBody):
     def extreme_points(self) -> np.ndarray:
         corners = itertools.product(*[(float(a), float(b)) for a, b in zip(self.lo, self.hi)])
         return np.array(list(corners))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.lo + rng.random(self.dim) * (self.hi - self.lo)
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.lo + rng.random((count, self.dim)) * (self.hi - self.lo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,16 +278,6 @@ class Ball(ConvexBody):
         pts.append(self.c + self.radius * diag)
         pts.append(self.c - self.radius * diag)
         return np.array(pts)
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        lo, hi = self.bounds()
-        chunks, have = [], 0
-        while have < count:
-            draw = lo + rng.random((2 * count + 32, self.dim)) * (hi - lo)
-            keep = draw[self.contains_all(draw)]
-            chunks.append(keep)
-            have += keep.shape[0]
-        return np.vstack(chunks)[:count]
 
 
 @dataclass(frozen=True, eq=False)

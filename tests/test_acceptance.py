@@ -148,8 +148,8 @@ def test_criterion_7_typical_density():
 
 
 # sha256 of the seed-20260823 `verify --suite all` report bytes
-GOLDEN_JSON = "c8d816cde7a946a8642b67db0e20a5176a589d222789ba08ad7fe61d6f04b759"
-GOLDEN_CSV = "c7fa552fb5b39a0117eb348a3a8855c8b658b80cc07bacbf211beafb720f5ad6"
+GOLDEN_JSON = "ad3d1022ae3a20979e63a95706f483b59b254e06a15e0e7b53fc34e37d3b6e89"
+GOLDEN_CSV = "b8eafb1d7c95da63d22890b2889989ee2355a72e7dc61a4cb6fa86a32eec6f50"
 
 
 def test_criterion_8_byte_identical_reports():

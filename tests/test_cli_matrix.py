@@ -1,6 +1,6 @@
 """Every configuration the command line accepts gives a verdict: `typical`
-and `dual` over dim 1-3 x lp norms x bodies, and `porosity` per norm, all
-exit 0, each within RUN_BUDGET_S."""
+and `dual` over dim 1-3 x lp norms x bodies, and `porosity` per norm and
+per target set x gauge, all exit 0, each within RUN_BUDGET_S."""
 import time
 
 import pytest
@@ -11,6 +11,9 @@ NORMS = ("1", "2", "3", "inf")
 MATRIX = [(cmd, dim, p, body) for cmd in ("typical", "dual")
           for dim in (1, 2, 3) for p in NORMS
           for body in ("box", "ball", "simplex")]
+POROSITY = [(target, gauge)
+            for target in ("reciprocal", "zero", "cantor", "full", "empty")
+            for gauge in ("sqrt", "identity", "power:2/3")]
 # wall seconds per run: the slowest run (`typical` at dim 3) takes about
 # 0.65 s on a 2-core x86-64 machine, so this leaves room for a machine
 # twice as slow and still catches a kernel that gets several times slower
@@ -37,4 +40,10 @@ def test_run_passes(cmd, dim, p, body, tmp_path):
 @pytest.mark.parametrize("p", NORMS)
 def test_porosity_passes(p, tmp_path):
     assert _run(["porosity", "--norm-p", p,
+                 "--out", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("target,gauge", POROSITY)
+def test_porosity_target_passes(target, gauge, tmp_path):
+    assert _run(["porosity", "--target", target, "--gauge", gauge,
                  "--out", str(tmp_path / "report.json")]) == 0

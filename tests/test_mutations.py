@@ -2,9 +2,11 @@
 memory, must turn the check that guards it into failed cases."""
 import nelab.harness as harness
 import nelab.maps as maps
-from nelab.harness import ExperimentConfig, run_verify
+import nelab.porosity as porosity
+from nelab.harness import ExperimentConfig, run_porosity, run_verify
 from nelab.maps import LipEstimate
 from nelab.perturb import DirectionField
+from nelab.porosity import HoleWitness
 
 
 def test_zero_slope_estimates_break_the_cover_consistency(monkeypatch):
@@ -36,3 +38,31 @@ def test_swapped_anchors_break_the_branch_rule(monkeypatch):
     monkeypatch.setattr(DirectionField, "__call__", swapped)
     rep = run_verify(ExperimentConfig(suite="field", trials=30))
     assert all(not c.measured["branch_exact"] for c in rep.cases)
+
+
+def _failed(rep) -> set:
+    return {c.case_id for c in rep.failures}
+
+
+def test_a_lost_obstruction_breaks_the_exact_hole_sizes(monkeypatch):
+    # each set forgets the obstruction nearest the window's right end: the
+    # zero set reports the whole window as a hole and the reciprocals a
+    # hole that reaches past 1/101
+    for cls in (porosity.FinitePointSet, porosity.ReciprocalSet,
+                porosity.IntervalUnionSet):
+        def dropped(self, a, b, obstructions=cls.obstructions):
+            return obstructions(self, a, b)[:-1]
+        monkeypatch.setattr(cls, "obstructions", dropped)
+    rep = run_verify(ExperimentConfig(suite="porosity"))
+    assert {"porosity/reciprocal-gamma", "porosity/zero-gamma"} <= _failed(rep)
+
+
+def test_half_radius_witnesses_fail_the_hole_recheck(monkeypatch):
+    # a witness whose ball is half the radius the constant asks for is
+    # empty but does not certify the constant
+    monkeypatch.setattr(porosity, "HoleWitness",
+                        lambda eps, c, r: HoleWitness(eps, c, r / 2.0))
+    rep = run_porosity(ExperimentConfig(target="zero"))
+    assert {"porosity/upper", "porosity/lower"} <= _failed(rep)
+    rep = run_verify(ExperimentConfig(suite="porosity"))
+    assert "porosity/witness-holes-empty" in _failed(rep)

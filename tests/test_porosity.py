@@ -6,6 +6,7 @@ import pytest
 
 from nelab.errors import ParameterError
 from nelab.gauges import PowerGauge, build_pair, ladder
+from nelab.harness import _oracle_from_desc
 from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive
 from nelab.perturb import FlatSpec, flat_collapse
 from nelab.porosity import (FinitePointSet, HoleWitness, IntervalUnionSet,
@@ -70,6 +71,72 @@ def test_exact_gamma_hand_values():
     assert CANTOR3.exact_gamma([0.5], 0.05) == 0.05      # inside the middle gap
     full = IntervalUnionSet(np.array([[-1.0, 1.0]]), BOX1, NORM2)
     assert full.exact_gamma([0.3], 0.2) is None
+
+
+GRID_CENTRES = 200_001
+GRID_CELL = 100             # fine steps per coarse cell of `_grid_max`
+
+
+def _grid_max(oracle, q, r):
+    """Maximum over GRID_CENTRES evenly spaced centres c of [q - r, q + r]
+    of the largest hole at c, min(r - |c - q|, d(c, P)).
+
+    The hole is 1-Lipschitz in c, so no centre between two coarse centres
+    GRID_CELL steps apart, with holes u and v, beats (u + v) / 2 plus half
+    the cell; only the cells that could beat the coarse maximum are
+    evaluated in full.
+    """
+    cs = np.linspace(q - r, q + r, GRID_CENTRES)
+
+    def hole(c):
+        return np.minimum(r - np.abs(c - q), oracle.distance(c[:, None]))
+
+    coarse = hole(cs[::GRID_CELL])
+    reach = GRID_CELL * (cs[1] - cs[0]) + 1e-12 * (abs(q) + r)
+    cells = np.flatnonzero((coarse[:-1] + coarse[1:] + reach) / 2.0
+                           >= coarse.max())
+    fine = (cells[:, None] * GRID_CELL + np.arange(1, GRID_CELL)).ravel()
+    return float(max(coarse.max(), hole(cs[fine]).max(initial=-np.inf)))
+
+
+def _gamma_windows(oracle, rng, count):
+    """Windows (q, r) in three kinds, in turn: anywhere on the line, around
+    0 (the reciprocals' accumulation point) and sized to q's distance to
+    P, which gives windows that meet no obstruction and, at a q inside an
+    interval of P, windows that hold no hole."""
+    for i in range(count):
+        if i % 3 == 0:
+            q, r = rng.uniform(-1.2, 1.7), 10.0 ** rng.uniform(-4.0, 0.3)
+        elif i % 3 == 1:
+            r = 10.0 ** rng.uniform(-4.0, 0.0)
+            q = r * rng.uniform(-0.9, 0.9)
+        else:
+            q = rng.uniform(-1.2, 1.7)
+            d = float(oracle.distance(np.array([[q]]))[0])
+            r = (min(d * rng.uniform(0.2, 3.0), 2.0) if d > 0.0
+                 else 10.0 ** rng.uniform(-4.0, -1.0))
+        yield q, r
+
+
+def test_exact_gamma_matches_the_distance_grid():
+    # the largest hole at a centre c is min(r - |c - q|, d(c, P)); its
+    # maximum over a fine grid of the window may fall short of the exact
+    # gamma by at most one grid step and may not exceed it
+    sets = [_oracle_from_desc(t, NORM2)
+            for t in ("reciprocal", "zero", "cantor", "full", "empty")]
+    sets += [IntervalUnionSet.cantor(2),
+             FinitePointSet(np.array([[-0.6], [0.1], [0.15], [0.8]]), BOX1, NORM2)]
+    rng = np.random.default_rng(9)
+    for oracle in sets:
+        for q, r in _gamma_windows(oracle, rng, 300):
+            grid = _grid_max(oracle, q, r)
+            step = 2.0 * r / (GRID_CENTRES - 1)
+            exact = oracle.exact_gamma([q], r)
+            if exact is None:
+                assert grid <= step, (oracle, q, r, grid)
+            else:
+                assert grid <= exact * (1.0 + 1e-12) + 1e-15, (oracle, q, r)
+                assert grid >= exact - step, (oracle, q, r, grid, exact)
 
 
 def test_gamma_est_tracks_the_exact_values():
@@ -191,8 +258,8 @@ def test_low_slope_membership_examples():
     with pytest.raises(ParameterError):
         low_slope_member(Identity(), [0.5], 0.5, lad, l=5, j_max=3,
                          body=BOX01, norm=NORM2)
-    with pytest.raises(ParameterError):
-        low_slope_member(Identity(), [0.5], 0.5, lad, j_max=8)
+    with pytest.raises(TypeError):
+        low_slope_member(Identity(), [0.5], 0.5, lad, j_max=8)   # body missing
 
 
 def _rung_nets(lad, body, norm, upto):
@@ -227,7 +294,7 @@ def test_ladder_witness_validation():
     pair = build_pair(SQRT)
     lad = ladder(SQRT, BOX1, NORM2, rungs=12)
     nets = _rung_nets(lad, BOX1, NORM2, 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(TypeError):
         ladder_witness(Identity(), 0.1, 0.5, lad, nets, pair)   # body missing
     with pytest.raises(ParameterError):
         ladder_witness(Identity(), 0.1, 1.5, lad, nets, pair,

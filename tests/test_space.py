@@ -105,6 +105,22 @@ def test_sampling_is_seeded_and_lands_inside():
     assert ball.contains_all(pts).all()
 
 
+def test_sample_many_is_successive_single_samples():
+    # one batched rejection loop: n points at once are the n points that n
+    # single draws give, and the generator ends in the same state
+    bodies = [Box(np.array([-1.0, 0.0]), np.array([2.0, 1.0])),
+              Hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))]
+    bodies += [Ball(np.array([0.5, -0.5, 0.0]), 0.7, Norm(p))
+               for p in (1.0, 2.0, math.inf)]
+    for body in bodies:
+        for n in (1, 7, 40):
+            batch_rng, single_rng = np.random.default_rng(5), np.random.default_rng(5)
+            batch = body.sample_many(batch_rng, n)
+            singles = np.array([body.sample(single_rng) for _ in range(n)])
+            assert np.array_equal(batch, singles), (body, n)
+            assert batch_rng.random() == single_rng.random(), (body, n)
+
+
 def test_extreme_points_are_members():
     bodies = [
         Box(np.array([-1.0, 0.0]), np.array([2.0, 1.0])),
