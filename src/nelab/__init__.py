@@ -21,14 +21,13 @@ from .maps import (AffineContraction, Compose, Constant, ConvexCombo,
                    lip_global_est, lip_local_profile, lip_local_profiles,
                    pair_quotients, random_nonexpansive, steep_density,
                    sup_dist_est)
-from .perturb import (BumpSpec, BumpWitnesses, DirectionField, FlatSpec,
-                      bump_perturb, bump_witnesses, direction_field,
-                      flat_collapse)
+from .perturb import (BumpWitnesses, DirectionField, bump_perturb,
+                      bump_witnesses, direction_field, flat_collapse)
 from .porosity import (FinitePointSet, HoleWitness, IntervalUnionSet,
                        LadderWitnessReport, LowSlopeResult, PorosityVerdict,
                        ReciprocalSet, SetOracle, closing_bound, gamma_est,
                        ladder_witness, low_slope_alpha, low_slope_member,
-                       lower_porous_at, upper_porous_at)
+                       lower_porous_at, oracle_from_desc, upper_porous_at)
 from .reports import CaseRecord, Report, dumps, emit_report
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, as_point,
                     body_from_desc, distances, greedy_net, grid_candidates,

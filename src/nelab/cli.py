@@ -17,35 +17,40 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import NelabError
 from .gauges import build_pair, gauge_from_desc, ladder
 from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
                       run_verify)
+from .porosity import TARGETS
 from .reports import csv_value, emit_report
 from .space import Norm, body_from_desc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=1, help="ambient dimension (1..3)")
-    p.add_argument("--norm-p", type=float, default=2.0, dest="norm_p",
-                   help="p of the ambient p-norm (>= 1, inf allowed)")
-    p.add_argument("--body", default="box",
+    p.add_argument("--dim", type=int, default=ExperimentConfig.dim,
+                   help="ambient dimension (1..3)")
+    p.add_argument("--norm-p", type=float, default=ExperimentConfig.norm_p,
+                   dest="norm_p", help="p of the ambient p-norm (>= 1, inf allowed)")
+    p.add_argument("--body", default=ExperimentConfig.body,
                    help="convex body: box | box:lo,hi | ball | ball:r | simplex")
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=int, default=ExperimentConfig.trials,
                    help="case count override (suite defaults apply when omitted)")
-    p.add_argument("--seed", type=int, default=0, help="root seed (explicit)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                   help="root seed (explicit)")
+    p.add_argument("--tol", type=float, default=ExperimentConfig.tol,
                    help="scales every pinned check tolerance (default 1e-9)")
-    p.add_argument("--gauge", default="sqrt",
+    p.add_argument("--gauge", default=ExperimentConfig.gauge,
                    help="gauge: sqrt | power:p | power:a/b | sqrt-ratio | "
                         "ratio | offset:p | identity")
     p.add_argument("--lam", type=float, default=None,
                    help="slope threshold in (0, 1); default 0.5 (typical: 0.99)")
-    p.add_argument("--out", default=None,
+    p.add_argument("--out", default=ExperimentConfig.out,
                    help="output path ('-' or omitted: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   dest="fmt", help="report serialization")
+    p.add_argument("--format", choices=("json", "csv"),
+                   default=ExperimentConfig.fmt, dest="fmt",
+                   help="report serialization")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification suites, density experiments, porosity probes.")
     sub = ap.add_subparsers(dest="command", required=True)
     pv = sub.add_parser("verify", help="run verification suites")
-    pv.add_argument("--suite", default="all",
+    pv.add_argument("--suite", default=ExperimentConfig.suite,
                     help="flat | field | bump | witness | pairs | invratio | "
                          "ladder | porosity | holes | all")
     _add_common(pv)
@@ -64,12 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("dual", help="gauge-scaled pipeline")
     _add_common(pd)
     pp = sub.add_parser("porosity", help="probe one built-in example set")
-    pp.add_argument("--target", default="reciprocal",
-                    help="reciprocal | zero | cantor | full | empty")
-    pp.add_argument("--point", type=float, default=0.0, help="probed point q")
-    pp.add_argument("--window", type=float, default=0.01,
+    pp.add_argument("--target", default=ExperimentConfig.target,
+                    help=" | ".join(TARGETS))
+    pp.add_argument("--point", type=float, default=ExperimentConfig.point,
+                    help="probed point q")
+    pp.add_argument("--window", type=float, default=ExperimentConfig.window,
                     help="hole-size window radius r")
-    pp.add_argument("--eps0", type=float, default=0.25,
+    pp.add_argument("--eps0", type=float, default=ExperimentConfig.eps0,
                     help="start scale of the lower-pattern search")
     _add_common(pp)
     pg = sub.add_parser("gauge", help="emit pair-curve and ladder CSV")
@@ -80,19 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    lam = args.lam
-    if lam is None:
-        lam = 0.99 if args.command == "typical" else 0.5
-    cfg = ExperimentConfig(
-        suite=getattr(args, "suite", "all"),
-        dim=args.dim, norm_p=args.norm_p, body=args.body,
-        trials=args.trials, seed=args.seed, tol=args.tol,
-        gauge=args.gauge, lam=lam,
-        target=getattr(args, "target", "reciprocal"),
-        point=getattr(args, "point", 0.0),
-        window=getattr(args, "window", 0.01),
-        eps0=getattr(args, "eps0", 0.25),
-        out=args.out, fmt=args.fmt)
+    names = {f.name for f in fields(ExperimentConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    if given["lam"] is None:
+        given["lam"] = 0.99 if args.command == "typical" else ExperimentConfig.lam
+    cfg = ExperimentConfig(**given)
     cfg.validate()
     return cfg
 

@@ -41,12 +41,11 @@ from .gauges import (Gauge, GaugePair, PiecewiseGauge, PowerGauge, RatioGauge,
 from .maps import (AffineContraction, Constant, ConvexCombo, Identity, MapExpr,
                    lip_global_est, lip_local_profiles, pair_quotients,
                    random_nonexpansive, steep_density, sup_dist_est)
-from .perturb import BumpSpec, FlatSpec, bump_perturb, bump_witnesses, \
-    direction_field, flat_collapse
-from .porosity import (FinitePointSet, IntervalUnionSet, ReciprocalSet,
-                       closing_bound, gamma_est, ladder_witness,
-                       low_slope_alpha, low_slope_member, lower_porous_at,
-                       upper_porous_at)
+from .perturb import bump_perturb, bump_witnesses, direction_field, \
+    flat_collapse
+from .porosity import (IntervalUnionSet, closing_bound, gamma_est,
+                       ladder_witness, low_slope_alpha, low_slope_member,
+                       lower_porous_at, oracle_from_desc, upper_porous_at)
 from .reports import CaseRecord, Report
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, body_from_desc,
                     greedy_net, grid_candidates, nearest)
@@ -189,7 +188,7 @@ def suite_flat(cfg: ExperimentConfig) -> list[CaseRecord]:
         center = body.sample(rng)
         r = float(rng.uniform(0.15, 0.45)) * diam
         delta = float(rng.uniform(0.05, 0.85)) * r
-        m = flat_collapse(FlatSpec(center, delta, r), body, norm)
+        m = flat_collapse(center, delta, r, body, norm)
         cert = m.certificate
         mq = lip_global_est(m, body, norm, pairs=1000, seed=rng).lower_bound
         sd = sup_dist_est(m, Identity(), body, norm, samples=400,
@@ -280,12 +279,11 @@ def suite_bump(cfg: ExperimentConfig) -> list[CaseRecord]:
         net = _net_for(body, norm, s, per_axis={1: 41, 2: 9, 3: 5}[dim])
         f = random_nonexpansive(body, seed=_sub_seed(rng))
         eps = float(rng.uniform(0.1, 0.8))
-        spec = BumpSpec.create(f, net, net.s, eps, body, norm)
-        g = bump_perturb(spec, body, norm)
+        g = bump_perturb(f, net, eps, body, norm)
         sd = sup_dist_est(g, f, body, norm, samples=600, seed=_sub_seed(rng))
         lb = lip_global_est(g, body, norm, pairs=10000,
                             seed=_sub_seed(rng)).lower_bound
-        iso = _isometry_residual(g, net, spec.rho, body, norm, rng, probes=100)
+        iso = _isometry_residual(g, net, g.rho, body, norm, rng, probes=100)
         # g's certificate is max(1, (1 - delta/r) cert(f) (1 + delta/(r - delta)));
         # the product is at most 1 exactly but can round one ulp above it
         q_bound = 1.0 + cfg.scaled(1e-9)
@@ -294,7 +292,7 @@ def suite_bump(cfg: ExperimentConfig) -> list[CaseRecord]:
         cases.append(CaseRecord(
             f"bump/{i:03d}",
             {"dim": dim, "p": norm.p, "body": type(body).__name__, "s": net.s,
-             "eps": eps, "net_size": len(net), "rho": spec.rho},
+             "eps": eps, "net_size": len(net), "rho": g.rho},
             {"sup_dist": sd, "pair_quotient": lb, "isometry_residual": iso,
              "certificate": g.certificate},
             {"eps": eps, "quotient_bound": q_bound,
@@ -322,9 +320,8 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
         lam = float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9]))
         eps = float(rng.uniform(0.1, 0.8))
         f = random_nonexpansive(body, seed=_sub_seed(rng))
-        g = bump_perturb(BumpSpec.create(f, net, net.s, eps, body, norm),
-                         body, norm)
-        w = bump_witnesses(g, net, net.s, eps, lam, body, norm)
+        g = bump_perturb(f, net, eps, body, norm)
+        w = bump_witnesses(g, lam, body, norm)
         h_per = min(10, total - 10 * gi)
         for hi in range(h_per):
             if hi == 0:
@@ -362,9 +359,8 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
         eps = float(rng.uniform(0.2, 0.7))
         f: MapExpr = Identity() if pi % 2 == 0 else \
             random_nonexpansive(body, seed=_sub_seed(rng))
-        g = bump_perturb(BumpSpec.create(f, net, s, eps, body, norm),
-                         body, norm)
-        w = bump_witnesses(g, net, s, eps, lam, body, norm)
+        g = bump_perturb(f, net, eps, body, norm)
+        w = bump_witnesses(g, lam, body, norm)
         tau = w.beta * eps / diam
         minq = float(min(
             pair_quotients(g, norm, w.xs, w.ys).min(),
@@ -573,7 +569,7 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
 
 def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
     norm = Norm(2.0)
-    rec = _oracle_from_desc("reciprocal", norm)
+    rec = oracle_from_desc("reciprocal", norm)
     idg = PowerGauge(p=1.0)
     cases = []
     rng = _case_rng(cfg, "porosity", 0)
@@ -587,7 +583,7 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
         {"exact": ex, "estimate": est},
         {"ratio_bound": 0.01, "recovery": 0.85}, ok))
 
-    zero = _oracle_from_desc("zero", norm)
+    zero = oracle_from_desc("zero", norm)
     exz = zero.exact_gamma(np.zeros(1), 0.3)
     estz = gamma_est(np.zeros(1), 0.3, zero, trials=64, seed=_sub_seed(rng))
     okz = (exz == 0.15 and estz is not None
@@ -596,13 +592,13 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
         "porosity/zero-gamma", {"q": 0.0, "r": 0.3},
         {"exact": exz, "estimate": estz}, {"ratio": 0.5, "rel_tol": 0.05}, okz))
 
-    empty = _oracle_from_desc("empty", norm)
+    empty = oracle_from_desc("empty", norm)
     este = gamma_est(np.zeros(1), 0.25, empty, trials=16, seed=_sub_seed(rng))
     cases.append(CaseRecord(
         "porosity/empty-gamma", {"q": 0.0, "r": 0.25},
         {"estimate": este}, {"expected": 0.25}, este == 0.25))
 
-    full = _oracle_from_desc("full", norm)
+    full = oracle_from_desc("full", norm)
     estf = gamma_est(np.array([0.3]), 0.2, full, trials=16, seed=_sub_seed(rng))
     vf = upper_porous_at(full, np.array([0.3]), idg, trials=16,
                          seed=_sub_seed(rng), alpha_bits=6)
@@ -677,7 +673,7 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
                             body=body01, norm=norm, seed=_sub_seed(rng))
     ramp = ConvexCombo(
         0.5, Constant(np.array([0.0])),
-        flat_collapse(FlatSpec(np.array([0.0]), 0.5, 1.0), body01, norm))
+        flat_collapse(np.array([0.0]), 0.5, 1.0, body01, norm))
     m_ramp = low_slope_member(ramp, np.array([0.2]), 0.5, lad01,
                               body=body01, norm=norm, seed=_sub_seed(rng))
     okm = m_const.member and not m_id.member and m_ramp.member
@@ -704,9 +700,8 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         rng = _case_rng(cfg, tag, 0)
         net = _net_for(body, norm, 0.25 * min(1.0, diam))
         f = Constant(body.sample(rng))
-        spec = BumpSpec.create(f, net, net.s, 0.25, body, norm)
-        g = bump_perturb(spec, body, norm)
-        dens = steep_density(g, body, norm, 0.99, 0.5 * spec.rho, net.points,
+        g = bump_perturb(f, net, 0.25, body, norm)
+        dens = steep_density(g, body, norm, 0.99, 0.5 * g.rho, net.points,
                              samples=32, seed=rng)
         cases.append(CaseRecord(
             f"{tag}/reduced-to-plain-density",
@@ -837,7 +832,17 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     lam = cfg.lam
     n_maps = cfg.trials or 10
     cases = []
-    net_cache: dict[int, Net] = {}
+    grid = grid_candidates(body, 21)
+    # rung j -> its net and the grid points farther than s/2 from it
+    net_cache: dict[int, tuple[Net, np.ndarray]] = {}
+
+    def net_at(j: int) -> tuple[Net, np.ndarray]:
+        if j not in net_cache:
+            net = _net_for(body, norm, 2.0 ** -j * diam)
+            far = nearest(net.points, grid, norm)[1] > net.s / 2.0
+            net_cache[j] = net, grid[far]
+        return net_cache[j]
+
     j0 = 2
     while 2.0 ** -j0 * diam >= 1.0:     # net scale must stay below 1
         j0 += 1
@@ -845,18 +850,14 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
         rng = _case_rng(cfg, "typical", i)
         j = j0 + i % 2
         eps = 2.0 ** -j
-        sep = 2.0 ** -j * diam
-        if j not in net_cache:
-            net_cache[j] = _net_for(body, norm, sep)
-        net = net_cache[j]
+        net, off = net_at(j)
         params = {"j": j, "eps": eps, "sep": net.s, "net_size": len(net),
                   "lam": lam}
         # an estimator or sampler failure fails this case, not the run
         try:
             f = random_nonexpansive(body, seed=_sub_seed(rng))
-            spec = BumpSpec.create(f, net, net.s, eps, body, norm)
-            g = bump_perturb(spec, body, norm)
-            bump_scale = 0.5 * spec.rho
+            g = bump_perturb(f, net, eps, body, norm)
+            bump_scale = 0.5 * g.rho
             s_jk = [2.0 ** -(j + k) * min(1.0, diam) for k in (1, 2, 3)]
             params.update(bump_scale=bump_scale, coarse_scales=s_jk)
             # one profile per net point: the bump scale, then the coarse ones
@@ -865,8 +866,6 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
             steep = np.array([[e.lower_bound > lam for e in ests]
                               for ests in profiles])
             dens_net, *coarse_dens = steep.mean(axis=0).tolist()
-            grid = grid_candidates(body, 21)
-            off = grid[nearest(net.points, grid, norm)[1] > net.s / 2.0]
             dens_off = steep_density(g, body, norm, lam, bump_scale, off[:6],
                                      samples=32, seed=rng) if len(off) else 0.0
             measured = {"net_density": dens_net, "coarse_densities": coarse_dens,
@@ -880,9 +879,7 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
         rng = _case_rng(cfg, "typical", 1000 + ci)
         j = j0
         sep = 2.0 ** -j * diam
-        if j not in net_cache:
-            net_cache[j] = _net_for(body, norm, sep)
-        net = net_cache[j]
+        net, _ = net_at(j)
         try:
             g0 = Constant(body.sample(rng))
             scale = 0.5 * (2.0 ** -j * sep / (12.0 * (1.0 + diam)))
@@ -902,22 +899,6 @@ def run_dual(cfg: ExperimentConfig) -> Report:
     return _run("dual", cfg, lambda c: _dual_cases(c, "dual"))
 
 
-def _oracle_from_desc(desc: str, norm: Norm):
-    amb = Box(np.array([-1.0]), np.array([1.0]))
-    if desc == "reciprocal":
-        return ReciprocalSet(amb, norm)
-    if desc == "zero":
-        return FinitePointSet(np.array([[0.0]]), amb, norm)
-    if desc == "cantor":
-        return IntervalUnionSet.cantor(4)
-    if desc == "full":
-        return IntervalUnionSet(np.array([[-1.0, 1.0]]), amb, norm)
-    if desc == "empty":
-        return FinitePointSet(np.empty((0, 1)), amb, norm)
-    raise ValueError(f"unknown set descriptor {desc!r} "
-                     "(choose from reciprocal, zero, cantor, full, empty)")
-
-
 def run_porosity(cfg: ExperimentConfig) -> Report:
     """Hole sizes and pointwise porosity verdicts for one example set.
 
@@ -931,7 +912,7 @@ def run_porosity(cfg: ExperimentConfig) -> Report:
 
 def _porosity_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     norm = Norm(cfg.norm_p)
-    oracle = _oracle_from_desc(cfg.target, norm)
+    oracle = oracle_from_desc(cfg.target, norm)
     phi = gauge_from_desc(cfg.gauge)
     q = np.array([cfg.point])
     if not oracle.ambient.contains(q):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, ParameterError
 from .space import ConvexBody, Net, Norm, as_point, nearest
 
 
@@ -102,7 +102,8 @@ class FlatCollapse(MapExpr):
         x -> x                                     if t >= r,
 
     applied around the nearest centre.  Centres must be pairwise >= 2r
-    apart so the modified balls are disjoint; then the global Lipschitz
+    apart so the modified balls are disjoint (closer centres, or radii
+    outside 0 < delta < r, raise ParameterError); then the global Lipschitz
     constant is at most 1 + delta/(r - delta).  The two outer branches are
     evaluated exactly (no arithmetic on the identity branch).
     """
@@ -116,9 +117,10 @@ class FlatCollapse(MapExpr):
         ctrs = np.atleast_2d(np.asarray(self.centers, dtype=float))
         object.__setattr__(self, "centers", ctrs)
         if not (0.0 < self.delta < self.r):
-            raise ValueError(f"need 0 < delta < r, got delta={self.delta}, r={self.r}")
+            raise ParameterError(
+                f"need 0 < delta < r, got delta={self.delta}, r={self.r}")
         if not Net(ctrs, 2.0 * self.r).check_separated(self.norm):
-            raise ValueError("collapse centres closer than 2r: balls would overlap")
+            raise ParameterError("collapse centres closer than 2r: balls would overlap")
 
     def _apply(self, pts):
         return self._profile(pts, *nearest(self.centers, pts, self.norm))
@@ -150,8 +152,8 @@ class Tent(MapExpr):
     at the collapse's centres and use its norm.  With t = ||z - c|| for the
     nearest centre c, its apex a = base(c) and unit direction u:
 
-        z -> a + t u              if t < delta/2,
-        z -> a + (delta - t) u    if delta/2 <= t < delta,
+        z -> a + t u              if t < rho = delta/2,
+        z -> a + (delta - t) u    if rho <= t < delta,
         z -> base(z)              otherwise.
 
     The collapse makes the base constant (= a) on each B(c, delta) and its
@@ -193,11 +195,17 @@ class Tent(MapExpr):
             out = stage._apply(out)
         apex = self.apexes[idx]
         u = self.directions[idx]
-        inner = d < 0.5 * self.delta
-        ring = (d >= 0.5 * self.delta) & (d < self.delta)
+        inner = d < self.rho
+        ring = (d >= self.rho) & (d < self.delta)
         out[inner] = apex[inner] + d[inner, None] * u[inner]
         out[ring] = apex[ring] + (self.delta - d[ring])[:, None] * u[ring]
         return out
+
+    @property
+    def rho(self) -> float:
+        """Radius delta/2 of the balls B(c, rho) on which the tent is an
+        isometry towards c."""
+        return 0.5 * self.delta
 
     @property
     def certificate(self) -> float:

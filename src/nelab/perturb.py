@@ -1,32 +1,37 @@
 """Constructive perturbations of non-expansive self-maps of a convex body.
 
-Three building blocks:
+Three building blocks, each built straight from its parameters:
 
-* ``flat_collapse`` — pinch a ball B(x0, delta) to its centre while
-  leaving everything outside B(x0, r) alone; costs at most delta in the
-  sup metric and 1 + delta/(r - delta) in the Lipschitz constant.
+* ``flat_collapse(center, delta, r, body, norm)`` — pinch a ball
+  B(x0, delta) to its centre while leaving everything outside B(x0, r)
+  alone; costs at most delta in the sup metric and 1 + delta/(r - delta)
+  in the Lipschitz constant.
 
 * ``direction_field`` — a unit direction e_z for every z in the body such
   that the whole segment [z, z + (s/3) e_z] stays inside the body.  Built
   from a fixed far pair (v, w) with ||w - v|| > 2s/3: aim at v when z is
   at least s/3 away from it, otherwise aim at w.
 
-* ``bump_perturb`` — given a non-expansive base map f, an s-separated net
-  and a budget eps, produce a non-expansive g with sup-distance at most
-  eps from f that is an exact isometry towards each net point x on the
-  ball B(x, rho):  ||g(y) - g(x)|| = ||y - x||  for ||y - x|| <= rho.
+* ``bump_perturb(f, net, eps, body, norm)`` — given a non-expansive base
+  map f, an s-separated net (s = net.s) and a budget eps, produce a
+  non-expansive Tent g with sup-distance at most eps from f that is an
+  exact isometry towards each net point x on the ball B(x, g.rho):
+  ||g(y) - g(x)|| = ||y - x||  for ||y - x|| <= g.rho.
 
   The composite first collapses B(x, r) to x for every net point
   (r = s/2, collapse radius delta = eps r / (3 (1 + diam C))), then
   contracts towards the body centre by 1 - delta/r so that slack opens up
   around every value, and finally plants a radial tent of height delta at
   each net point along a direction the field guarantees to be admissible.
-  The bump radius is rho = delta/2 = eps s / (12 (1 + diam C)).
+  ``bump_perturb`` is the one place that derives r and delta; the Tent
+  carries them (``g.collapse.r``, ``g.delta``) and its bump radius is
+  ``g.rho`` = delta/2 = eps s / (12 (1 + diam C)).
 
-``bump_witnesses`` turns the isometry into a stable certificate: probe
-points y_x at distance eps s / (24 (1 + diam C)) from each net point
-witness a difference quotient above 1 - 48 beta (1 + diam C)/s >= (1+lam)/2
-for every map within beta = (1-lam) s / (96 (1 + diam C)) * eps of g.
+``bump_witnesses(g, lam, body, norm)`` turns the isometry of a Tent into
+a stable certificate: probe points y_x at distance g.delta/4 =
+eps s / (24 (1 + diam C)) from each net point witness a difference
+quotient above 1 - 48 beta (1 + diam C)/s >= (1+lam)/2 for every map
+within beta = (1-lam) s / (96 (1 + diam C)) * eps of g.
 """
 from __future__ import annotations
 
@@ -41,27 +46,14 @@ from .space import ConvexBody, Net, Norm, as_point, distances
 SEGMENT_CHECKS = 20     # segment_inside: points checked per segment, ends included
 
 
-@dataclass(frozen=True, eq=False)
-class FlatSpec:
-    """Collapse parameters: centre, inner radius delta, outer radius r."""
-
-    center: np.ndarray
-    delta: float
-    r: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
-        if not (0.0 < self.delta < self.r):
-            raise ParameterError(
-                f"flat collapse needs 0 < delta < r, got delta={self.delta}, r={self.r}"
-            )
-
-
-def flat_collapse(spec: FlatSpec, body: ConvexBody, norm: Norm) -> FlatCollapse:
-    """Single-centre collapse map as an expression node."""
-    if not body.contains(spec.center, tol=1e-9):
+def flat_collapse(center, delta: float, r: float, body: ConvexBody,
+                  norm: Norm) -> FlatCollapse:
+    """Single-centre collapse map as an expression node; FlatCollapse
+    itself rejects radii outside 0 < delta < r."""
+    center = as_point(center)
+    if not body.contains(center, tol=1e-9):
         raise DomainError("collapse centre lies outside the body")
-    return FlatCollapse(spec.center[None, :], spec.delta, spec.r, norm)
+    return FlatCollapse(center[None, :], delta, r, norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,64 +112,42 @@ def direction_field(body: ConvexBody, norm: Norm, s: float) -> DirectionField:
     return DirectionField(ext[i], ext[j], s, norm)
 
 
-@dataclass(frozen=True, eq=False)
-class BumpSpec:
-    """Everything needed to plant isometric bumps at the points of a net."""
+def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody,
+                 norm: Norm) -> Tent:
+    """Non-expansive perturbation of f with isometric bumps on the net.
 
-    base: MapExpr
-    net: Net
-    s: float
-    eps: float
-    anchor: np.ndarray
-    diam: float
-    r: float
-    delta: float
-    rho: float
-
-    @classmethod
-    def create(cls, base: MapExpr, net: Net, s: float, eps: float,
-               body: ConvexBody, norm: Norm) -> "BumpSpec":
-        if not (0.0 < s < 1.0):
-            raise ParameterError(f"net scale must satisfy 0 < s < 1, got {s}")
-        if not (0.0 < eps < 1.0):
-            raise ParameterError(f"budget must satisfy 0 < eps < 1, got {eps}")
-        if len(net) < 2:
-            raise ParameterError("bump net needs at least two points")
-        if abs(net.s - s) > 1e-12 or not net.check_separated(norm, tol=1e-12):
-            raise ParameterError("net is not s-separated for the requested s")
-        if base.certificate > 1.0 + 1e-12:
-            raise ParameterError(
-                f"base map certificate {base.certificate} exceeds 1: not non-expansive"
-            )
-        diam = body.diameter(norm)
-        anchor = body.center
-        if not body.contains(anchor, tol=1e-9):
-            raise DomainError("body centre escaped the body")
-        r = 0.5 * s
-        delta = eps * r / (3.0 * (1.0 + diam))
-        rho = 0.5 * delta     # equals eps*s/(12(1+diam)) since r = s/2
-        return cls(base, net, s, eps, anchor, diam, r, delta, rho)
-
-
-def bump_perturb(spec: BumpSpec, body: ConvexBody, norm: Norm) -> MapExpr:
-    """Non-expansive perturbation of the base map with isometric bumps.
-
-    Stage 1 collapses B(x, r) to x at every net point x and feeds the result
-    to the base map; stage 2 contracts by 1 - delta/r towards the body
-    centre; stage 3 plants a tent of height delta at each net point along
-    the direction field evaluated at the stage-2 value of x.
+    Stage 1 collapses B(x, r) to x at every net point x (r = net.s/2; the
+    collapse rejects a net closer than 2r) and feeds the result to f;
+    stage 2 contracts by 1 - delta/r towards the body centre; stage 3
+    plants a tent of height delta at each net point along the direction
+    field evaluated at the stage-2 value of x.
     """
-    pts = spec.net.points
-    collapse = FlatCollapse(pts, spec.delta, spec.r, norm)
-    g0 = Compose(spec.base, collapse)
-    g1 = Compose(AffineContraction(1.0 - spec.delta / spec.r, spec.anchor), g0)
+    s = net.s
+    if not (0.0 < s < 1.0):
+        raise ParameterError(f"net scale must satisfy 0 < s < 1, got {s}")
+    if not (0.0 < eps < 1.0):
+        raise ParameterError(f"budget must satisfy 0 < eps < 1, got {eps}")
+    if len(net) < 2:
+        raise ParameterError("bump net needs at least two points")
+    if f.certificate > 1.0 + 1e-12:
+        raise ParameterError(
+            f"base map certificate {f.certificate} exceeds 1: not non-expansive"
+        )
+    anchor = body.center
+    if not body.contains(anchor, tol=1e-9):
+        raise DomainError("body centre escaped the body")
+    r = 0.5 * s
+    delta = eps * r / (3.0 * (1.0 + body.diameter(norm)))
+    pts = net.points
+    g0 = Compose(f, FlatCollapse(pts, delta, r, norm))
+    g1 = Compose(AffineContraction(1.0 - delta / r, anchor), g0)
     apexes = g1._apply(pts)
-    dirs = direction_field(body, norm, spec.s)(apexes)
+    dirs = direction_field(body, norm, s)(apexes)
     # the tent needs room of height delta above each apex; the field
     # guarantees a segment of length s/3 > delta
-    if not np.all(body.contains_all(apexes + spec.delta * dirs, tol=1e-9)):
+    if not np.all(body.contains_all(apexes + delta * dirs, tol=1e-9)):
         raise GeometryError("tent tip escaped the body")
-    return Tent(dirs, spec.delta, g1)
+    return Tent(dirs, delta, g1)
 
 
 @dataclass(frozen=True)
@@ -192,13 +162,15 @@ class BumpWitnesses:
     bound: float
 
 
-def bump_witnesses(g: MapExpr, net: Net, s: float, eps: float, lam: float,
-                   body: ConvexBody, norm: Norm) -> BumpWitnesses:
+def bump_witnesses(g: Tent, lam: float, body: ConvexBody,
+                   norm: Norm) -> BumpWitnesses:
     """Probe points certifying steep quotients for every map beta*eps-close to g.
 
-    For each net point x the probe is y_x = x + (eps*s/(24(1+diam))) e_x,
-    which lies inside the bump ball of g; the isometry there forces, for any
-    h with sup-distance at most beta*eps from g,
+    g is a bump perturbation as `bump_perturb` builds it: its centres are
+    the net points and s = 2 g.collapse.r.  For each net point x the probe
+    is y_x = x + (g.delta/4) e_x = x + (eps*s/(24(1+diam))) e_x, which lies
+    inside the bump ball B(x, g.rho); the isometry there forces, for any h
+    with sup-distance at most beta*eps from g,
 
         ||h(y_x) - h(x)|| / ||y_x - x||  >=  1 - 48 beta (1+diam)/s,
 
@@ -209,15 +181,11 @@ def bump_witnesses(g: MapExpr, net: Net, s: float, eps: float, lam: float,
     if not isinstance(g, Tent):
         raise ParameterError("g is not a bump perturbation (tent stage missing)")
     diam = body.diameter(norm)
-    expected_delta = eps * (0.5 * s) / (3.0 * (1.0 + diam))
-    if abs(g.delta - expected_delta) > 1e-12 * max(1.0, expected_delta):
-        raise ParameterError("g's tent height does not match (net, s, eps)")
-    if g.centers.shape != net.points.shape or np.max(np.abs(g.centers - net.points)) > 1e-12:
-        raise ParameterError("g's tent centres do not match the net")
-    offset = eps * s / (24.0 * (1.0 + diam))
+    s = 2.0 * g.collapse.r
     beta = (1.0 - lam) * s / (96.0 * (1.0 + diam))
     bound = 1.0 - 48.0 * beta * (1.0 + diam) / s
-    ys = net.points + offset * direction_field(body, norm, s)(net.points)
+    xs = g.centers
+    ys = xs + (g.delta / 4.0) * direction_field(body, norm, s)(xs)
     if not np.all(body.contains_all(ys, tol=1e-9)):
         raise GeometryError("witness probe escaped the body")
-    return BumpWitnesses(net.points.copy(), ys, beta, bound)
+    return BumpWitnesses(xs.copy(), ys, beta, bound)

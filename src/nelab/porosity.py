@@ -42,7 +42,7 @@ from .errors import LadderExhausted, ParameterError
 from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
-from .perturb import BumpSpec, bump_perturb, direction_field
+from .perturb import bump_perturb, direction_field
 from .space import Box, ConvexBody, Net, Norm, as_point, distances
 
 DYADIC_BITS = 16
@@ -213,6 +213,27 @@ class IntervalUnionSet(SetOracle):
     def obstructions(self, a: float, b: float) -> np.ndarray:
         iv = self.intervals
         return iv[(iv[:, 1] > a) & (iv[:, 0] < b)]
+
+
+TARGETS = ("reciprocal", "zero", "cantor", "full", "empty")
+
+
+def oracle_from_desc(desc: str, norm: Norm) -> SetOracle:
+    """Example set from a descriptor, one of TARGETS: the reciprocals 1/n,
+    the point 0, the level-4 Cantor iterate, all of [-1, 1], or nothing."""
+    amb = Box(np.array([-1.0]), np.array([1.0]))
+    if desc == "reciprocal":
+        return ReciprocalSet(amb, norm)
+    if desc == "zero":
+        return FinitePointSet(np.array([[0.0]]), amb, norm)
+    if desc == "cantor":
+        return IntervalUnionSet.cantor(4)
+    if desc == "full":
+        return IntervalUnionSet(np.array([[-1.0, 1.0]]), amb, norm)
+    if desc == "empty":
+        return FinitePointSet(np.empty((0, 1)), amb, norm)
+    raise ValueError(f"unknown set descriptor {desc!r} "
+                     f"(choose from {', '.join(TARGETS)})")
 
 
 def _hole_radii(oracle: SetOracle, q: np.ndarray, r: float,
@@ -519,11 +540,10 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     if beta * pair.K >= 1.0:
         raise ParameterError("inconsistent constants: beta*K >= 1")
     h_radius = pair.xi.inverse(beta * eps)
-    spec = BumpSpec.create(f, net, s_j, eps, body, norm)
-    g = bump_perturb(spec, body, norm)
+    g = bump_perturb(f, net, eps, body, norm)
     z_off = sel.phi_inv_s_j / (24.0 * d1)
     probe_r = (1.0 - lam) * sel.phi_inv_s_j / (48.0 * d1)
-    if not z_off <= spec.rho + 1e-15:
+    if not z_off <= g.rho + 1e-15:
         raise ParameterError("witness offset escaped the bump ball")
     rng = np.random.default_rng(seed)
     h_family = [g]

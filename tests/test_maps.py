@@ -11,7 +11,7 @@ from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
                         FlatCollapse, Identity, Tent, lip_global_est,
                         lip_local_profile, lip_local_profiles, pair_quotients,
                         random_nonexpansive, steep_density, sup_dist_est)
-from nelab.perturb import FlatSpec, flat_collapse
+from nelab.perturb import flat_collapse
 from nelab.space import Ball, Box, Norm, body_from_desc, greedy_net
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
@@ -25,7 +25,7 @@ def _ramp():
     # max(x - 0.5, 0) on [0, 1]: half of the collapse that pins [0, 0.5]
     # to 0 and ramps back to the identity at 1
     return ConvexCombo(0.5, Constant([0.0]),
-                       flat_collapse(FlatSpec([0.0], 0.5, 1.0), BOX01, NORM2))
+                       flat_collapse([0.0], 0.5, 1.0, BOX01, NORM2))
 
 
 def test_leaf_certificates_and_values():

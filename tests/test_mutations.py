@@ -5,7 +5,7 @@ import nelab.maps as maps
 import nelab.porosity as porosity
 from nelab.harness import ExperimentConfig, run_porosity, run_verify
 from nelab.maps import LipEstimate
-from nelab.perturb import DirectionField
+from nelab.perturb import BumpWitnesses, DirectionField
 from nelab.porosity import HoleWitness
 
 
@@ -66,3 +66,19 @@ def test_half_radius_witnesses_fail_the_hole_recheck(monkeypatch):
     assert {"porosity/upper", "porosity/lower"} <= _failed(rep)
     rep = run_verify(ExperimentConfig(suite="porosity"))
     assert "porosity/witness-holes-empty" in _failed(rep)
+
+
+def test_edge_probes_fail_the_bump_witnesses(monkeypatch):
+    # each probe pushed from distance delta/4 to delta, the tent's edge,
+    # leaves the isometry ball B(x, delta/2): there g(y) is g(x) up to
+    # rounding, so every quotient falls far below the bound
+    witnesses = harness.bump_witnesses
+
+    def at_edge(*args, **kwargs):
+        w = witnesses(*args, **kwargs)
+        return BumpWitnesses(w.xs, w.xs + 4.0 * (w.ys - w.xs), w.beta, w.bound)
+
+    monkeypatch.setattr(harness, "bump_witnesses", at_edge)
+    rep = run_verify(ExperimentConfig(suite="witness", trials=10))
+    assert len(rep.cases) == 30 and not rep.passed
+    assert len(rep.failures) == len(rep.cases)

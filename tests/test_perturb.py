@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from nelab.errors import DomainError, GeometryError, ParameterError
 from nelab.maps import (Constant, ConvexCombo, Identity, Tent, lip_global_est,
                         sup_dist_est)
-from nelab.perturb import (BumpSpec, DirectionField, FlatSpec, bump_perturb,
-                           bump_witnesses, direction_field, flat_collapse)
+from nelab.perturb import (DirectionField, bump_perturb, bump_witnesses,
+                           direction_field, flat_collapse)
 from nelab.space import Box, Net, Norm
 
 NORM2 = Norm(2.0)
@@ -25,17 +25,17 @@ DELTA3 = 0.020833333333333332
 RHO3 = 0.010416666666666666
 
 
-def test_flat_spec_validation():
+def test_flat_collapse_validation():
     with pytest.raises(ParameterError):
-        FlatSpec([0.0], 0.5, 0.5)
+        flat_collapse([0.0], 0.5, 0.5, BOX01, NORM2)
     with pytest.raises(ParameterError):
-        FlatSpec([0.0], -0.1, 0.5)
+        flat_collapse([0.0], -0.1, 0.5, BOX01, NORM2)
     with pytest.raises(DomainError):
-        flat_collapse(FlatSpec([2.0], 0.1, 0.2), BOX01, NORM2)
+        flat_collapse([2.0], 0.1, 0.2, BOX01, NORM2)
 
 
 def test_flat_collapse_sup_distance_is_delta():
-    m = flat_collapse(FlatSpec([0.5], 0.1, 0.3), BOX01, NORM2)
+    m = flat_collapse([0.5], 0.1, 0.3, BOX01, NORM2)
     assert m.certificate == pytest.approx(1.5, abs=1e-15)
     assert sup_dist_est(m, Identity(), BOX01, NORM2, samples=2000) \
         <= 0.1 + 1e-12
@@ -79,35 +79,35 @@ def test_direction_field_validation():
         direction_field(BOX01, NORM2, 3.0)    # 2s/3 = 2 == diam: no far pair
 
 
-def test_bump_spec_frozen_geometry():
-    spec = BumpSpec.create(Identity(), NET3, 0.5, 0.5, BOX01, NORM2)
-    assert spec.r == 0.25
-    assert spec.delta == DELTA3
-    assert spec.rho == RHO3
-    assert spec.rho == pytest.approx(0.5 * 0.5 / 12.0 / 2.0, abs=1e-18)
+def test_bump_perturb_frozen_geometry():
+    g = bump_perturb(Identity(), NET3, 0.5, BOX01, NORM2)
+    assert g.collapse.r == 0.25
+    assert g.collapse.delta == DELTA3
+    assert g.delta == DELTA3
+    assert g.rho == RHO3
+    assert g.rho == pytest.approx(0.5 * 0.5 / 12.0 / 2.0, abs=1e-18)
 
 
-def test_bump_spec_validation():
+def test_bump_perturb_validation():
+    wide = Net(NET3.points, 1.5)
     with pytest.raises(ParameterError):
-        BumpSpec.create(Identity(), NET3, 1.5, 0.5, BOX01, NORM2)
+        bump_perturb(Identity(), wide, 0.5, BOX01, NORM2)
     with pytest.raises(ParameterError):
-        BumpSpec.create(Identity(), NET3, 0.5, 0.0, BOX01, NORM2)
+        bump_perturb(Identity(), NET3, 0.0, BOX01, NORM2)
     one = Net(np.array([[0.5]]), 0.5)
     with pytest.raises(ParameterError):
-        BumpSpec.create(Identity(), one, 0.5, 0.5, BOX01, NORM2)
-    with pytest.raises(ParameterError):
-        BumpSpec.create(Identity(), NET3, 0.4, 0.5, BOX01, NORM2)  # s mismatch
+        bump_perturb(Identity(), one, 0.5, BOX01, NORM2)
+    # the collapse's 2r = s separation check rejects a net that is too close
     too_close = Net(np.array([[0.0], [0.2]]), 0.5)
     with pytest.raises(ParameterError):
-        BumpSpec.create(Identity(), too_close, 0.5, 0.5, BOX01, NORM2)
-    expansive = flat_collapse(FlatSpec([0.5], 0.1, 0.2), BOX01, NORM2)
+        bump_perturb(Identity(), too_close, 0.5, BOX01, NORM2)
+    expansive = flat_collapse([0.5], 0.1, 0.2, BOX01, NORM2)
     with pytest.raises(ParameterError):
-        BumpSpec.create(expansive, NET3, 0.5, 0.5, BOX01, NORM2)
+        bump_perturb(expansive, NET3, 0.5, BOX01, NORM2)
 
 
 def test_bump_perturb_is_nonexpansive_and_close():
-    spec = BumpSpec.create(Identity(), NET3, 0.5, 0.5, BOX01, NORM2)
-    g = bump_perturb(spec, BOX01, NORM2)
+    g = bump_perturb(Identity(), NET3, 0.5, BOX01, NORM2)
     assert isinstance(g, Tent)
     assert g.certificate == 1.0
     assert sup_dist_est(g, Identity(), BOX01, NORM2, samples=4000) <= 0.5
@@ -116,23 +116,21 @@ def test_bump_perturb_is_nonexpansive_and_close():
 
 
 def test_bump_perturb_isometry_on_inner_balls():
-    spec = BumpSpec.create(Identity(), NET3, 0.5, 0.5, BOX01, NORM2)
-    g = bump_perturb(spec, BOX01, NORM2)
+    g = bump_perturb(Identity(), NET3, 0.5, BOX01, NORM2)
     for x in NET3.points:
         gx = g(x)
         for u in np.linspace(-0.95, 0.95, 13):
-            y = x + u * spec.rho
+            y = x + u * g.rho
             if not BOX01.contains(y):
                 continue
-            want = abs(float(u * spec.rho))
+            want = abs(float(u * g.rho))
             got = float(NORM2.of(g(y) - gx))
             assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_bump_witness_constants_frozen():
-    spec = BumpSpec.create(Identity(), NET3, 0.5, 0.5, BOX01, NORM2)
-    g = bump_perturb(spec, BOX01, NORM2)
-    w = bump_witnesses(g, NET3, 0.5, 0.5, 0.5, BOX01, NORM2)
+    g = bump_perturb(Identity(), NET3, 0.5, BOX01, NORM2)
+    w = bump_witnesses(g, 0.5, BOX01, NORM2)
     # beta = (1-lam) s / (96 (1+diam)) and bound = (1+lam)/2, by hand
     assert w.beta == pytest.approx(0.25 / 192.0, abs=1e-18)
     assert w.bound == pytest.approx(0.75, abs=1e-15)
@@ -148,24 +146,17 @@ def test_bump_witness_constants_frozen():
 
 
 def test_bump_witnesses_validation():
-    spec = BumpSpec.create(Identity(), NET3, 0.5, 0.5, BOX01, NORM2)
-    g = bump_perturb(spec, BOX01, NORM2)
+    g = bump_perturb(Identity(), NET3, 0.5, BOX01, NORM2)
     with pytest.raises(ParameterError):
-        bump_witnesses(Identity(), NET3, 0.5, 0.5, 0.5, BOX01, NORM2)
+        bump_witnesses(Identity(), 0.5, BOX01, NORM2)
     with pytest.raises(ParameterError):
-        bump_witnesses(g, NET3, 0.5, 0.5, 1.0, BOX01, NORM2)
-    with pytest.raises(ParameterError):
-        bump_witnesses(g, NET3, 0.5, 0.25, 0.5, BOX01, NORM2)  # wrong budget
-    other = Net(np.array([[0.0], [0.6]]), 0.5)
-    with pytest.raises(ParameterError):
-        bump_witnesses(g, other, 0.5, 0.5, 0.5, BOX01, NORM2)
+        bump_witnesses(g, 1.0, BOX01, NORM2)
 
 
 def test_witness_quotients_survive_nearby_maps():
-    spec = BumpSpec.create(Identity(), NET3, 0.5, 0.5, BOX01, NORM2)
-    g = bump_perturb(spec, BOX01, NORM2)
+    g = bump_perturb(Identity(), NET3, 0.5, BOX01, NORM2)
     lam = 0.5
-    w = bump_witnesses(g, NET3, 0.5, 0.5, lam, BOX01, NORM2)
+    w = bump_witnesses(g, lam, BOX01, NORM2)
     # drag g towards a constant by exactly the allowed sup-distance beta*eps
     tau = w.beta * 0.5 / 1.0        # sup distance tau * diam = beta * eps
     h = ConvexCombo(tau, g, Constant([0.3]))
@@ -183,9 +174,8 @@ def test_witness_quotients_survive_nearby_maps():
 )
 def test_witness_bound_property_two_point_net(lam, eps, u):
     net = Net(np.array([[0.1, 0.1], [0.8, 0.9]]), 0.5)
-    spec = BumpSpec.create(Identity(), net, 0.5, eps, BOX2, NORM2)
-    g = bump_perturb(spec, BOX2, NORM2)
-    w = bump_witnesses(g, net, 0.5, eps, lam, BOX2, NORM2)
+    g = bump_perturb(Identity(), net, eps, BOX2, NORM2)
+    w = bump_witnesses(g, lam, BOX2, NORM2)
     tau = u * w.beta * eps / BOX2.diameter(NORM2)
     h = ConvexCombo(tau, g, Constant([0.4, 0.6]))
     for x, y in zip(w.xs, w.ys):

@@ -6,13 +6,13 @@ import pytest
 
 from nelab.errors import ParameterError
 from nelab.gauges import PowerGauge, build_pair, ladder
-from nelab.harness import _oracle_from_desc
 from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive
-from nelab.perturb import FlatSpec, flat_collapse
-from nelab.porosity import (FinitePointSet, HoleWitness, IntervalUnionSet,
-                            PorosityVerdict, ReciprocalSet,
+from nelab.perturb import flat_collapse
+from nelab.porosity import (TARGETS, FinitePointSet, HoleWitness,
+                            IntervalUnionSet, PorosityVerdict, ReciprocalSet,
                             gamma_est, ladder_witness, low_slope_alpha,
-                            low_slope_member, lower_porous_at, upper_porous_at)
+                            low_slope_member, lower_porous_at,
+                            oracle_from_desc, upper_porous_at)
 from nelab.space import Box, Norm, greedy_net, grid_candidates
 
 NORM2 = Norm(2.0)
@@ -122,8 +122,7 @@ def test_exact_gamma_matches_the_distance_grid():
     # the largest hole at a centre c is min(r - |c - q|, d(c, P)); its
     # maximum over a fine grid of the window may fall short of the exact
     # gamma by at most one grid step and may not exceed it
-    sets = [_oracle_from_desc(t, NORM2)
-            for t in ("reciprocal", "zero", "cantor", "full", "empty")]
+    sets = [oracle_from_desc(t, NORM2) for t in TARGETS]
     sets += [IntervalUnionSet.cantor(2),
              FinitePointSet(np.array([[-0.6], [0.1], [0.15], [0.8]]), BOX1, NORM2)]
     rng = np.random.default_rng(9)
@@ -251,7 +250,7 @@ def test_low_slope_membership_examples():
                              body=BOX01, norm=NORM2)
     assert not ident.member
     ramp = ConvexCombo(0.5, Constant([0.0]),
-                       flat_collapse(FlatSpec([0.0], 0.5, 1.0), BOX01, NORM2))
+                       flat_collapse([0.0], 0.5, 1.0, BOX01, NORM2))
     flat_side = low_slope_member(ramp, [0.2], 0.5, lad, j_max=8,
                                  body=BOX01, norm=NORM2)
     assert flat_side.member
