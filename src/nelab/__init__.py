@@ -11,9 +11,8 @@ from .errors import (DegenerateBodyError, DomainError, EstimationError,
                      GaugeError, GeometryError, LadderExhausted, NelabError,
                      ParameterError, RangeError, SamplerExhausted)
 from .gauges import (Gauge, GaugePair, Ladder, PiecewiseGauge, PowerGauge,
-                     RatioGauge, RungSelection, SqrtRatioGauge, build_pair,
-                     gauge_from_desc, gauge_K, ladder, least_concave_majorant,
-                     select_j)
+                     RatioGauge, SqrtRatioGauge, build_pair, gauge_from_desc,
+                     gauge_K, ladder, least_concave_majorant, select_j)
 from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
                       run_verify, SUITES)
 from .maps import (AffineContraction, Compose, Constant, ConvexCombo,
@@ -23,11 +22,11 @@ from .maps import (AffineContraction, Compose, Constant, ConvexCombo,
                    sup_dist_est)
 from .perturb import (BumpWitnesses, DirectionField, bump_perturb,
                       bump_witnesses, direction_field, flat_collapse)
-from .porosity import (FinitePointSet, HoleWitness, IntervalUnionSet,
-                       LadderWitnessReport, LowSlopeResult, PorosityVerdict,
-                       ReciprocalSet, SetOracle, closing_bound, gamma_est,
-                       ladder_witness, low_slope_alpha, low_slope_member,
-                       lower_porous_at, oracle_from_desc, upper_porous_at)
+from .porosity import (FinitePointSet, IntervalUnionSet, LadderWitnessReport,
+                       LowSlopeResult, PorosityVerdict, ReciprocalSet,
+                       SetOracle, closing_bound, gamma_est, ladder_witness,
+                       low_slope_alpha, low_slope_member, lower_porous_at,
+                       oracle_from_desc, upper_porous_at)
 from .reports import CaseRecord, Report, dumps, emit_report
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, as_point,
                     body_from_desc, distances, greedy_net, grid_candidates,

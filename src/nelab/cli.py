@@ -24,30 +24,36 @@ from .gauges import build_pair, gauge_from_desc, ladder
 from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
                       run_verify)
 from .porosity import TARGETS
-from .reports import csv_value, emit_report
+from .reports import csv_value, emit_report, write_text
 from .space import Norm, body_from_desc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_space(p: argparse.ArgumentParser) -> None:
+    """The flags every subcommand reads: the space, the gauge, the sink."""
     p.add_argument("--dim", type=int, default=ExperimentConfig.dim,
                    help="ambient dimension (1..3)")
     p.add_argument("--norm-p", type=float, default=ExperimentConfig.norm_p,
                    dest="norm_p", help="p of the ambient p-norm (>= 1, inf allowed)")
     p.add_argument("--body", default=ExperimentConfig.body,
                    help="convex body: box | box:lo,hi | ball | ball:r | simplex")
+    p.add_argument("--gauge", default=ExperimentConfig.gauge,
+                   help="gauge: sqrt | power:p | power:a/b | sqrt-ratio | "
+                        "ratio | offset:p | identity")
+    p.add_argument("--out", default=ExperimentConfig.out,
+                   help="output path ('-' or omitted: stdout)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """`_add_space` plus the flags of the commands that write a report."""
+    _add_space(p)
     p.add_argument("--trials", type=int, default=ExperimentConfig.trials,
                    help="case count override (suite defaults apply when omitted)")
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
                    help="root seed (explicit)")
     p.add_argument("--tol", type=float, default=ExperimentConfig.tol,
                    help="scales every pinned check tolerance (default 1e-9)")
-    p.add_argument("--gauge", default=ExperimentConfig.gauge,
-                   help="gauge: sqrt | power:p | power:a/b | sqrt-ratio | "
-                        "ratio | offset:p | identity")
-    p.add_argument("--lam", type=float, default=None,
+    p.add_argument("--lam", type=float, default=ExperimentConfig.lam,
                    help="slope threshold in (0, 1); default 0.5 (typical: 0.99)")
-    p.add_argument("--out", default=ExperimentConfig.out,
-                   help="output path ('-' or omitted: stdout)")
     p.add_argument("--format", choices=("json", "csv"),
                    default=ExperimentConfig.fmt, dest="fmt",
                    help="report serialization")
@@ -66,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pv)
     pt = sub.add_parser("typical", help="unit-slope density experiment")
     _add_common(pt)
+    pt.set_defaults(lam=0.99)
     pd = sub.add_parser("dual", help="gauge-scaled pipeline")
     _add_common(pd)
     pp = sub.add_parser("porosity", help="probe one built-in example set")
@@ -81,16 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("gauge", help="emit pair-curve and ladder CSV")
     pg.add_argument("--rungs", type=int, default=12, help="ladder length")
     pg.add_argument("--points", type=int, default=64, help="curve resolution")
-    _add_common(pg)
+    _add_space(pg)
     return ap
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     names = {f.name for f in fields(ExperimentConfig)}
-    given = {k: v for k, v in vars(args).items() if k in names}
-    if given["lam"] is None:
-        given["lam"] = 0.99 if args.command == "typical" else ExperimentConfig.lam
-    cfg = ExperimentConfig(**given)
+    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
     cfg.validate()
     return cfg
 
@@ -121,12 +125,7 @@ def main(argv=None) -> int:
         if args.command == "gauge":
             if args.rungs < 1 or args.points < 2:
                 raise ValueError("gauge table needs rungs >= 1, points >= 2")
-            text = _gauge_csv(cfg, args.rungs, args.points)
-            if cfg.out is None or cfg.out == "-":
-                print(text, end="")
-            else:
-                with open(cfg.out, "w") as fh:
-                    fh.write(text)
+            write_text(_gauge_csv(cfg, args.rungs, args.points), cfg.out)
             return 0
         runner = {"verify": run_verify, "typical": run_typical,
                   "dual": run_dual, "porosity": run_porosity}[args.command]

@@ -210,14 +210,17 @@ class PiecewiseGauge(Gauge):
 
 def gauge_from_desc(desc: str) -> Gauge:
     """Gauge from a descriptor: sqrt | power:p | power:a/b | sqrt-ratio |
-    ratio | offset:p | identity."""
+    ratio | offset:p | identity.  A zero denominator or a non-finite
+    exponent raises GaugeError."""
     name, _, arg = desc.partition(":")
     if name == "sqrt":
         return PowerGauge(p=0.5)
     if name == "power":
         num, _, den = arg.partition("/")
-        p = float(num) / float(den) if den else float(num)
-        return PowerGauge(p=p)
+        a, b = float(num), float(den) if den else 1.0
+        if b == 0.0 or not np.isfinite(a / b):
+            raise GaugeError(f"power gauge needs a finite exponent, got {arg!r}")
+        return PowerGauge(p=a / b)
     if name == "sqrt-ratio":
         return SqrtRatioGauge()
     if name == "ratio":
@@ -442,30 +445,20 @@ def ladder(phi: Gauge, body: ConvexBody, norm: Norm, rungs: int = 20) -> Ladder:
     return Ladder(phi, tuple(s))
 
 
-@dataclass(frozen=True)
-class RungSelection:
-    """Chosen rung j with phi^{-1}(s_j)."""
+def select_j(lad: Ladder, eps: float) -> int:
+    """The unique rung j with inv_ratio(j+1) < eps <= inv_ratio(j).
 
-    j: int
-    phi_inv_s_j: float
-
-
-def select_j(lad: Ladder, eps: float, k: int = 1) -> RungSelection:
-    """Unique rung j >= k with inv_ratio(j+1) < eps <= inv_ratio(j).
-
-    Raises RangeError when eps is not in (0, min(inv_ratio(k), 1)] and
+    Raises RangeError when eps is not in (0, min(inv_ratio(1), 1)] and
     LadderExhausted when the ladder is too short to bracket eps.
     """
-    if not (1 <= k <= len(lad)):
-        raise RangeError(f"start rung {k} outside the ladder")
-    if not (0.0 < eps < 1.0) or eps > lad.inv_ratio(k):
+    if not (0.0 < eps < 1.0) or eps > lad.inv_ratio(1):
         raise RangeError(
-            f"eps must lie in (0, min(inv_ratio(k), 1)] = "
-            f"(0, {min(lad.inv_ratio(k), 1.0)}], got {eps}"
+            f"eps must lie in (0, min(inv_ratio(1), 1)] = "
+            f"(0, {min(lad.inv_ratio(1), 1.0)}], got {eps}"
         )
-    for j in range(k, len(lad)):
+    for j in range(1, len(lad)):
         if lad.inv_ratio(j + 1) < eps:
-            return RungSelection(j, lad.gauge.inverse(lad.rung(j)))
+            return j
     raise LadderExhausted(
         f"ladder with {len(lad)} rungs cannot bracket eps={eps}; extend it"
     )

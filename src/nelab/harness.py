@@ -91,12 +91,12 @@ class ExperimentConfig:
             raise ValueError("norm-p must be >= 1")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol < 0.0:
-            raise ValueError("tol must be >= 0")
+        if not (0.0 <= self.tol < math.inf):
+            raise ValueError("tol must be finite and >= 0")
         if not (0.0 < self.lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
-        if self.window <= 0.0 or self.eps0 <= 0.0:
-            raise ValueError("window and eps0 must be positive")
+        if not (0.0 < self.window < math.inf and 0.0 < self.eps0 < math.inf):
+            raise ValueError("window and eps0 must be positive and finite")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
@@ -525,14 +525,14 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
         {"max_residual": residsr}, {"tol": cfg.scaled(1e-10)},
         residsr <= cfg.scaled(1e-10)))
     sel_cases = ((0.2, 1), (0.1, 2), (0.25, 1), (0.05, 3))
-    sel_ok = all(select_j(lad, eps, 1).j == want for eps, want in sel_cases)
+    sel_ok = all(select_j(lad, eps) == want for eps, want in sel_cases)
     try:
-        select_j(lad, 0.5, 1)
+        select_j(lad, 0.5)
         range_ok = False
     except RangeError:
         range_ok = True
     try:
-        select_j(lad, 1e-9, 1)
+        select_j(lad, 1e-9)
         exhaust_ok = False
     except LadderExhausted:
         exhaust_ok = True
@@ -551,11 +551,11 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
         f = random_nonexpansive(body, seed=_sub_seed(rng))
         rep = ladder_witness(f, eps, cfg.lam, ladg, nets, pair,
                              body=body, norm=norm, seed=_sub_seed(rng))
-        minq = min(r.min_quotient for r in rep.records)
+        minq = float(rep.min_quotients.min())
         cases.append(CaseRecord(
             f"ladder/witness-{gname}",
             {"gauge": gname, "eps": eps, "lam": cfg.lam, "j": rep.j,
-             "net_size": len(rep.records)},
+             "net_size": len(rep.zs)},
             {"min_quotient": minq, "beta": rep.beta, "bound": rep.bound,
              "margin": rep.margin, "h_radius": rep.h_radius},
             {"lam": cfg.lam},
@@ -640,7 +640,7 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
     holes_ok = all(v.verify_holes(orc, idg) for v, orc in checked)
     cases.append(CaseRecord(
         "porosity/witness-holes-empty",
-        {"witnesses": sum(len(v.witnesses) for v, _ in checked)},
+        {"witnesses": sum(len(v.radii) for v, _ in checked)},
         {"all_empty": holes_ok}, {"expected": True}, holes_ok))
 
     cantor = IntervalUnionSet.cantor(3)
@@ -720,7 +720,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         f = random_nonexpansive(body, seed=_sub_seed(rng))
         rep = ladder_witness(f, eps, lam, lad, nets, pair, body=body,
                              norm=norm, seed=_sub_seed(rng))
-        minq = min(r.min_quotient for r in rep.records)
+        minq = float(rep.min_quotients.min())
         cases.append(CaseRecord(
             f"{tag}/witness-{ei}",
             {"eps": eps, "lam": lam, "j": rep.j, "gauge": cfg.gauge},
@@ -734,7 +734,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
             q = body.sample(rng)
             [xi_idx], [dq] = nearest(net_pts, q[None, :], norm)
             x = net_pts[xi_idx]
-            z = rep.records[xi_idx].z
+            z = rep.zs[xi_idx]
             d = min(float(dq), s_j)
             if d <= 0.0:
                 continue
@@ -861,10 +861,9 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
             s_jk = [2.0 ** -(j + k) * min(1.0, diam) for k in (1, 2, 3)]
             params.update(bump_scale=bump_scale, coarse_scales=s_jk)
             # one profile per net point: the bump scale, then the coarse ones
-            profiles = lip_local_profiles(g, net.points, [bump_scale] + s_jk,
-                                          body, norm, 64, rng)
-            steep = np.array([[e.lower_bound > lam for e in ests]
-                              for ests in profiles])
+            est = lip_local_profiles(g, net.points, [bump_scale] + s_jk,
+                                     body, norm, 64, rng)
+            steep = est.lower_bound > lam       # (net points, scales)
             dens_net, *coarse_dens = steep.mean(axis=0).tolist()
             dens_off = steep_density(g, body, norm, lam, bump_scale, off[:6],
                                      samples=32, seed=rng) if len(off) else 0.0
@@ -938,7 +937,7 @@ def _porosity_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
         "porosity/upper",
         {"target": cfg.target, "q": cfg.point, "gauge": cfg.gauge},
         {"status": up.status, "alpha": up.constant,
-         "witnesses": len(up.witnesses)},
+         "witnesses": len(up.radii)},
         {"holes_reverified": True}, up_ok))
     lo = lower_porous_at(oracle, q, phi, eps0=cfg.eps0,
                          trials=cfg.trials or 64, seed=_sub_seed(rng))
@@ -948,6 +947,6 @@ def _porosity_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
         {"target": cfg.target, "q": cfg.point, "gauge": cfg.gauge,
          "eps0": cfg.eps0},
         {"status": lo.status, "beta": lo.constant,
-         "witnesses": len(lo.witnesses)},
+         "witnesses": len(lo.radii)},
         {"holes_reverified": True}, lo_ok))
     return cases

@@ -250,11 +250,17 @@ class Compose(MapExpr):
 
 @dataclass(frozen=True)
 class LipEstimate:
-    """Sampled lower bound for a Lipschitz constant with its witness pair."""
+    """Sampled lower bounds for a Lipschitz constant with their witness pairs.
 
-    lower_bound: float
+    `lip_global_est` gives one bound, one pair (x, y) and its pair count;
+    `lip_local_profiles` gives (k, S) arrays over centres x scales: the
+    bounds, `witness` = (xs, ys) with ys of shape (k, S, n), and the probe
+    counts behind each bound.
+    """
+
+    lower_bound: float | np.ndarray
     witness: tuple
-    samples: int
+    samples: int | np.ndarray
 
 
 def pair_quotients(m: MapExpr, norm: Norm, xs: np.ndarray,
@@ -305,8 +311,7 @@ def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
 
 
 def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
-                       samples: int, seed,
-                       shells: int = 4) -> list[list[LipEstimate]]:
+                       samples: int, seed, shells: int = 4) -> LipEstimate:
     """Local Lipschitz estimates at several scales around each row of xs.
 
     One `body.probes` call, drawn from `np.random.default_rng(seed)` (a
@@ -315,10 +320,10 @@ def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
     r 2^-(shells-1), then `samples` probes at max(scales) k / samples,
     k = 1 .. samples.  Probes lie in the body, so the one membership query
     is on the centres, and one map evaluation covers centres and probes.
-    Returns, per centre, one estimate per requested scale in the given
-    order: the best quotient over the probes within r of the centre, so
-    the estimates are monotone in r.  An error is that of the first
-    failing centre.
+    Returns one estimate over centres x scales, in the given order: each
+    bound is the best quotient over the probes within r of its centre, so
+    the bounds are monotone in r.  An error is that of the first failing
+    centre.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     k = xs.shape[0]
@@ -340,29 +345,31 @@ def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
     d = norm.of(pool - xs[:, None, :], axis=2)
     df = norm.of(fs[k:].reshape(pool.shape) - fs[:k, None, :], axis=2)
     q = np.where(d > 0, df / np.where(d > 0, d, 1.0), -np.inf)
-    rs = np.asarray(scales)[:, None]
-    out = []
-    for i, x in enumerate(xs):
+    # sel[i, s, p]: probe p of centre i is admissible at scale s
+    sel = (d[:, None, :] > 0) & (d[:, None, :] <= np.asarray(scales)[:, None])
+    counts = sel.sum(axis=2)
+    failing = ~inside | ~counts.all(axis=1)
+    if failing.any():
+        i = int(np.argmax(failing))
         if not inside[i]:
             raise DomainError("profile centre lies outside the body")
-        sel = (d[i] > 0) & (d[i] <= rs)          # one row per scale
-        counts = sel.sum(axis=1)
-        if not counts.all():
-            raise EstimationError(f"no admissible sample at scale "
-                                  f"{scales[int(np.argmin(counts))]} around "
-                                  f"the centre {x.tolist()}")
-        best = np.argmax(np.where(sel, q[i], -np.inf), axis=1)
-        out.append([LipEstimate(float(q[i, j]), (x.copy(), pool[i, j].copy()),
-                                int(c)) for j, c in zip(best, counts)])
-    return out
+        raise EstimationError(f"no admissible sample at scale "
+                              f"{scales[int(np.argmin(counts[i]))]} around "
+                              f"the centre {xs[i].tolist()}")
+    best = np.argmax(np.where(sel, q[:, None, :], -np.inf), axis=2)
+    return LipEstimate(np.take_along_axis(q, best, axis=1),
+                       (xs.copy(), pool[np.arange(k)[:, None], best]), counts)
 
 
 def lip_local_profile(m: MapExpr, x, scales, body: ConvexBody, norm: Norm,
                       samples: int = 64, seed=0,
-                      shells: int = 4) -> list[LipEstimate]:
-    """`lip_local_profiles` at the one centre x."""
-    return lip_local_profiles(m, as_point(x)[None, :], scales, body, norm,
-                              samples, seed, shells)[0]
+                      shells: int = 4) -> LipEstimate:
+    """`lip_local_profiles` at the one centre x: its row 0, with bounds of
+    shape (S,) and witness (x, ys) with ys of shape (S, n)."""
+    est = lip_local_profiles(m, as_point(x)[None, :], scales, body, norm,
+                             samples, seed, shells)
+    return LipEstimate(est.lower_bound[0],
+                       (est.witness[0][0], est.witness[1][0]), est.samples[0])
 
 
 def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
@@ -379,10 +386,8 @@ def steep_density(m: MapExpr, body: ConvexBody, norm: Norm, lam: float,
                   scale: float, grid, samples: int = 64, seed=0) -> float:
     """Fraction of grid points whose local slope estimate at `scale` exceeds
     lam; `seed` seeds one `lip_local_profiles` call over the whole grid."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    profiles = lip_local_profiles(m, grid, [scale], body, norm, samples, seed)
-    hits = sum(ests[0].lower_bound > lam for ests in profiles)
-    return hits / grid.shape[0]
+    est = lip_local_profiles(m, grid, [scale], body, norm, samples, seed)
+    return float(np.mean(est.lower_bound[:, 0] > lam))
 
 
 # the shape of random_nonexpansive's trees: depth, leaf odds (identity,

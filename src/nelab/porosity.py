@@ -316,23 +316,18 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
 
 
 @dataclass(frozen=True)
-class HoleWitness:
-    """A verified-empty ball found at probe scale eps."""
-
-    eps: float
-    center: np.ndarray
-    radius: float
-
-
-@dataclass(frozen=True)
 class PorosityVerdict:
-    """Outcome of a pointwise porosity search."""
+    """Outcome of a pointwise porosity search, with one hole witness per
+    probe scale (none when not detected): the empty ball B(centers[i],
+    radii[i]) found at the probe scale eps[i]."""
 
     status: str                       # "porous-at-point" | "not-detected"
     kind: str                         # "upper" | "lower"
     constant: float | None            # the alpha (upper) or beta (lower) found
     q: np.ndarray
-    witnesses: tuple
+    centers: np.ndarray               # (k, n)
+    eps: np.ndarray                   # (k,)
+    radii: np.ndarray                 # (k,)
 
     @property
     def porous(self) -> bool:
@@ -343,18 +338,17 @@ class PorosityVerdict:
         within its eps of q (and apart from q for the upper pattern), its
         radius reaches the one the constant claims, phi^{-1}(alpha d(q, q'))
         (upper) or phi^{-1}(beta eps) (lower), and its ball misses P."""
-        cs = np.array([w.center for w in self.witnesses]).reshape(-1, self.q.size)
-        eps = np.array([w.eps for w in self.witnesses])
-        radius = np.array([w.radius for w in self.witnesses])
+        cs = self.centers
         d = oracle.norm.of(cs - self.q, axis=1)
-        near = (d <= eps) & ((d > 0.0) | (self.kind != "upper"))
+        near = (d <= self.eps) & ((d > 0.0) | (self.kind != "upper"))
         args = [self.constant * float(t)
-                for t in (d if self.kind == "upper" else eps)]
+                for t in (d if self.kind == "upper" else self.eps)]
         # an argument outside phi's range has no inverse: reject the witness
         need = np.array([phi.inverse(t) if phi.inf < t < phi.sup else np.inf
                          for t in args])
         return bool(np.all(near & oracle.ambient.contains_all(cs)
-                           & (radius >= need) & (oracle.distance(cs) >= radius)))
+                           & (self.radii >= need)
+                           & (oracle.distance(cs) >= self.radii)))
 
 
 def _witness_candidates(q: np.ndarray, eps: float, rng: np.random.Generator,
@@ -380,7 +374,7 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
     upper = kind == "upper"
     for ci in range(bits):
         c = 2.0 ** -(ci + 1)
-        witnesses = []
+        holes = []                      # (centre, eps, radius) per scale
         for ei, eps in enumerate(eps_grid):
             rng = np.random.default_rng([seed, ci, ei])
             cs = np.vstack([q[None, :], _witness_candidates(q, eps, rng, trials)])
@@ -390,18 +384,19 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
                     & oracle.ambient.contains_all(cs)
                     & (phi.inf < t) & (t < phi.sup))
             cs, t = cs[keep], t[keep]
-            found = None
             for x, ti, dist in zip(cs, t, oracle.distance(cs)):
                 hole_r = phi.inverse(float(ti))
                 if dist >= hole_r:
-                    found = HoleWitness(eps, x, hole_r)
+                    holes.append((x, eps, hole_r))
                     break
-            if found is None:
-                break
-            witnesses.append(found)
+            else:
+                break                   # no hole at this scale: next c
         else:
-            return PorosityVerdict("porous-at-point", kind, c, q, tuple(witnesses))
-    return PorosityVerdict("not-detected", kind, None, q, ())
+            centers, eps, radii = (np.array(v) for v in zip(*holes))
+            return PorosityVerdict("porous-at-point", kind, c, q, centers,
+                                   eps, radii)
+    return PorosityVerdict("not-detected", kind, None, q,
+                           np.empty((0, q.size)), np.empty(0), np.empty(0))
 
 
 def upper_porous_at(oracle: SetOracle, q, phi: Gauge, trials: int = 64,
@@ -447,10 +442,7 @@ class LowSlopeResult:
     """Truncated low-slope membership test with its per-rung estimates."""
 
     member: bool
-    lam: float
-    l: int
-    j_max: int
-    estimates: tuple        # sampled local slope lower bound per rung l..j_max
+    estimates: np.ndarray   # sampled local slope lower bound per rung l..j_max
 
 
 def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
@@ -472,9 +464,8 @@ def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
             f"j_max={j_max} beyond the ladder ({len(lad)} rungs); extend it"
         )
     scales = [lad.gauge.inverse(lad.rung(j)) for j in range(l, j_max + 1)]
-    ests = lip_local_profile(f, x, scales, body, norm, samples, seed, shells)
-    vals = tuple(e.lower_bound for e in ests)
-    return LowSlopeResult(all(v <= lam for v in vals), lam, l, j_max, vals)
+    est = lip_local_profile(f, x, scales, body, norm, samples, seed, shells)
+    return LowSlopeResult(bool(np.all(est.lower_bound <= lam)), est.lower_bound)
 
 
 def closing_bound(lam: float, K: float, diam: float) -> tuple[float, float, float]:
@@ -483,15 +474,6 @@ def closing_bound(lam: float, K: float, diam: float) -> tuple[float, float, floa
     bound = ((1.0 + lam) ** 2 - 96.0 * (3.0 - lam) * beta * K * (1.0 + diam)) / (
         (1.0 + lam) * (3.0 - lam))
     return beta, bound, bound - lam
-
-
-@dataclass(frozen=True)
-class LadderWitnessRecord:
-    """One net point with its steep-quotient verification."""
-
-    x: np.ndarray
-    z: np.ndarray
-    min_quotient: float
 
 
 @dataclass(frozen=True)
@@ -505,7 +487,8 @@ class LadderWitnessReport:
     probe_r: float           # probe ball radius (1-lam) phi^{-1}(s_j)/(48(1+diam))
     bound: float             # certified closing bound, > lam by construction
     margin: float            # bound - lam = (1-lam)^2 / (97 (3-lam))
-    records: tuple
+    zs: np.ndarray           # (k, n): the witness z of each net point x
+    min_quotients: np.ndarray  # (k,): least quotient over h and x's probes
     passed: bool
 
 
@@ -526,12 +509,12 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     """
     if not (0.0 < lam < 1.0):
         raise ParameterError(f"lam must lie in (0, 1), got {lam}")
-    sel = select_j(lad, eps)
-    j = sel.j
+    j = select_j(lad, eps)
+    s_j = lad.rung(j)
+    phi_inv_s_j = lad.gauge.inverse(s_j)
     if j > len(nets):
         raise ParameterError(f"no net supplied for rung {j}")
     net: Net = nets[j - 1]
-    s_j = lad.rung(j)
     if abs(net.s - s_j) > 1e-9 * max(1.0, s_j):
         raise ParameterError("net separation does not match the selected rung")
     diam = body.diameter(norm)
@@ -541,8 +524,8 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
         raise ParameterError("inconsistent constants: beta*K >= 1")
     h_radius = pair.xi.inverse(beta * eps)
     g = bump_perturb(f, net, eps, body, norm)
-    z_off = sel.phi_inv_s_j / (24.0 * d1)
-    probe_r = (1.0 - lam) * sel.phi_inv_s_j / (48.0 * d1)
+    z_off = phi_inv_s_j / (24.0 * d1)
+    probe_r = (1.0 - lam) * phi_inv_s_j / (48.0 * d1)
     if not z_off <= g.rho + 1e-15:
         raise ParameterError("witness offset escaped the bump ball")
     rng = np.random.default_rng(seed)
@@ -559,7 +542,5 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     zs_rep = np.repeat(zs, LADDER_PROBES, axis=0)
     q = np.min([pair_quotients(h, norm, ys, zs_rep) for h in h_family], axis=0)
     best = q.reshape(-1, LADDER_PROBES).min(axis=1)
-    records = tuple(LadderWitnessRecord(x.copy(), z, float(b))
-                    for x, z, b in zip(pts, zs, best))
     return LadderWitnessReport(j, g, beta, h_radius, probe_r, bound, margin,
-                               records, bool(np.all(best > lam)))
+                               zs, best, bool(np.all(best > lam)))

@@ -164,15 +164,20 @@ def dumps(report: Report, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def emit_report(report: Report, out: str | None, fmt: str = "json") -> str:
-    """Serialize and write the report; out=None or '-' means stdout.
-
-    Returns the serialized text (also when written to a file).
-    """
-    text = dumps(report, fmt)
+def write_text(text: str, out: str | None) -> None:
+    """Write text to the path `out`; out=None or '-' means stdout."""
     if out is None or out == "-":
         print(text, end="")
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def emit_report(report: Report, out: str | None, fmt: str = "json") -> str:
+    """Serialize the report and `write_text` it.
+
+    Returns the serialized text (also when written to a file).
+    """
+    text = dumps(report, fmt)
+    write_text(text, out)
     return text

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from nelab.errors import GaugeError, LadderExhausted, RangeError
 from nelab.gauges import (Gauge, GaugePair, Ladder, PiecewiseGauge, PowerGauge,
-                          RatioGauge, SqrtRatioGauge, build_pair, gauge_K,
-                          ladder, least_concave_majorant, select_j)
+                          RatioGauge, SqrtRatioGauge, build_pair,
+                          gauge_from_desc, gauge_K, ladder,
+                          least_concave_majorant, select_j)
 from nelab.space import Box, Norm
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
@@ -21,6 +22,17 @@ SQRT_RATIO = SqrtRatioGauge()
 OFFSET = PowerGauge(p=0.7, coeff=1.0, offset=1.0)
 
 ROUNDTRIP_TOL = 1e-10
+
+
+def test_gauge_from_desc_exponents():
+    assert gauge_from_desc("power:2/3").p == 2.0 / 3.0
+    assert gauge_from_desc("power:0.25").p == 0.25
+    # a zero denominator or a non-finite exponent is a gauge error, not a
+    # crash of the division
+    for bad in ("power:1/0", "power:0/0", "power:-1/0", "power:inf",
+                "power:nan", "power:inf/inf", "power:1/nan", "offset:inf"):
+        with pytest.raises(GaugeError):
+            gauge_from_desc(bad)
 
 
 def test_inverse_hand_values():
@@ -175,20 +187,19 @@ def test_ladder_rung_bounds_and_extension():
 
 def test_select_j_hand_traces():
     lad = ladder(SQRT, BOX1, NORM2, rungs=20)
-    assert select_j(lad, 0.2).j == 1
-    assert select_j(lad, 0.25).j == 1
-    assert select_j(lad, 0.1).j == 2
-    assert select_j(lad, 0.05).j == 3
-    assert select_j(lad, 0.1, k=2).j == 2
-    assert select_j(lad, 0.1).phi_inv_s_j == 0.125 ** 2
+    assert select_j(lad, 0.2) == 1
+    assert select_j(lad, 0.25) == 1
+    assert select_j(lad, 0.1) == 2
+    assert select_j(lad, 0.05) == 3
+    assert lad.gauge.inverse(lad.rung(select_j(lad, 0.1))) == 0.125 ** 2
 
 
 def test_select_j_bracket_is_exclusive_below():
     lad = ladder(SQRT, BOX1, NORM2, rungs=20)
     # eps exactly at inv_ratio(j) belongs to rung j, just below to rung j
-    assert select_j(lad, lad.inv_ratio(2)).j == 2
-    assert select_j(lad, lad.inv_ratio(2) * (1 - 1e-12)).j == 2
-    assert select_j(lad, lad.inv_ratio(2) * (1 + 1e-12)).j == 1
+    assert select_j(lad, lad.inv_ratio(2)) == 2
+    assert select_j(lad, lad.inv_ratio(2) * (1 - 1e-12)) == 2
+    assert select_j(lad, lad.inv_ratio(2) * (1 + 1e-12)) == 1
 
 
 def test_select_j_errors():
@@ -197,9 +208,5 @@ def test_select_j_errors():
         select_j(lad, 0.5)
     with pytest.raises(RangeError):
         select_j(lad, 0.0)
-    with pytest.raises(RangeError):
-        select_j(lad, 0.2, k=2)
-    with pytest.raises(RangeError):
-        select_j(lad, 0.1, k=0)
     with pytest.raises(LadderExhausted):
         select_j(lad, 1e-9)

@@ -21,9 +21,13 @@ def _cfg(**kw):
 
 def test_config_validation():
     _cfg().validate()
+    _cfg(norm_p=float("inf")).validate()
+    nan, inf = float("nan"), float("inf")
     for bad in (dict(suite="frobnicate"), dict(dim=4), dict(norm_p=0.5),
                 dict(trials=0), dict(tol=-1.0), dict(lam=1.0),
-                dict(window=0.0), dict(eps0=-2.0), dict(fmt="xml")):
+                dict(window=0.0), dict(eps0=-2.0), dict(fmt="xml"),
+                dict(tol=nan), dict(tol=inf), dict(window=inf),
+                dict(window=nan), dict(eps0=inf), dict(eps0=nan)):
         with pytest.raises(ValueError):
             _cfg(**bad).validate()
 
@@ -89,6 +93,7 @@ GOLDEN = {
     "porosity-cantor": "d32224b90ad610c9c9f2a4a92185c0b5eb88900d18de430e477c204316e22fe5",
     "field-120": "05ab3770ea3fca4842cce6d184c44a5356f05e30ce79a45c5b84353b917e2483",
     "typical-3d-box": "db3538a668e8d6f2f7b2f8b789e4dd5a8a417ff79cfb0e70b9d76a38fdcf89d3",
+    "porosity-zero-power-2/3": "80b5c8e24ff91658adc9b8136ec1e6564f8bad3abc15e85c6f62ec09ca38799c",
 }
 # sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
 GOLDEN_GAUGE_CSV = {
@@ -124,7 +129,11 @@ def test_golden_report_digests():
                                             trials=120)),
                # probes at the corner net points of the 3-D box
                "typical-3d-box": run_typical(_cfg(
-                   dim=3, norm_p=2.0, body="box", trials=4, lam=0.99))}
+                   dim=3, norm_p=2.0, body="box", trials=4, lam=0.99)),
+               # the verdict arrays under a non-default gauge, with hole
+               # witnesses from both patterns
+               "porosity-zero-power-2/3": run_porosity(_cfg(
+                   target="zero", gauge="power:2/3"))}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
         assert digest == GOLDEN[name], name
@@ -269,6 +278,33 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauge", "--gauge", "power:1/0"],
+    ["dual", "--gauge", "power:1/0"],
+    ["gauge", "--gauge", "power:2/0"],
+    ["porosity", "--window", "inf"],
+    ["porosity", "--eps0", "inf"],
+    ["verify", "--suite", "pairs", "--tol", "nan"],
+    ["gauge", "--format", "json"],
+    ["gauge", "--trials", "3"],
+    ["gauge", "--seed", "1"],
+    ["gauge", "--tol", "1e-9"],
+    ["gauge", "--lam", "0.5"],
+])
+def test_cli_malformed_argv_exits_two(argv, tmp_path, capsys):
+    # a usage error: exit 2 and one `error:` line, never a traceback or a
+    # report
+    out = tmp_path / "out.txt"
+    try:
+        rc = cli.main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len([l for l in err.splitlines() if "error:" in l]) == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_cli_io_error_exit_code(tmp_path):

@@ -103,11 +103,11 @@ def test_lip_global_linear_maps_are_exact():
 def test_lip_local_ramp_is_steep_only_past_the_knee():
     m = _ramp()
     steep = lip_local_profile(m, [0.9], [0.1], BOX01, NORM2, samples=128,
-                              seed=0)[0]
-    assert steep.lower_bound == pytest.approx(1.0, rel=1e-12)
+                              seed=0)
+    assert steep.lower_bound.tolist() == [pytest.approx(1.0, rel=1e-12)]
     flat = lip_local_profile(m, [0.2], [0.1], BOX01, NORM2, samples=128,
-                             seed=0)[0]
-    assert flat.lower_bound == 0.0
+                             seed=0)
+    assert flat.lower_bound.tolist() == [0.0]
 
 
 def test_lip_local_sees_steepness_that_only_outward_probes_reach():
@@ -115,16 +115,15 @@ def test_lip_local_sees_steepness_that_only_outward_probes_reach():
     # toward the nearer face of [-1, 1] see the slope
     m = FlatCollapse(np.array([[0.0]]), 0.9, 1.0)
     for seed in range(20):
-        est = lip_local_profile(m, [0.9], [0.1], BOX1, NORM2, seed=seed)[0]
-        assert est.lower_bound > 1.0, seed
+        est = lip_local_profile(m, [0.9], [0.1], BOX1, NORM2, seed=seed)
+        assert est.lower_bound[0] > 1.0, seed
 
 
 def test_lip_local_profile_monotone_in_scale():
     for seed in range(5):
         m = random_nonexpansive(BOX1, seed=seed)
-        ests = lip_local_profile(m, [0.1], [0.01, 0.05, 0.2], BOX1, NORM2,
-                                 samples=96, seed=seed)
-        lows = [e.lower_bound for e in ests]
+        lows = lip_local_profile(m, [0.1], [0.01, 0.05, 0.2], BOX1, NORM2,
+                                 samples=96, seed=seed).lower_bound.tolist()
         assert lows == sorted(lows)
 
 
@@ -147,16 +146,19 @@ def test_profiles_see_every_scale_at_vertex_centres():
                 rng = np.random.default_rng([dim, int(min(p, 9)), len(desc)])
                 xs = np.vstack([body.sample_many(rng, 3), body.extreme_points()])
                 m = random_nonexpansive(body, seed=dim)
-                for x, ests in zip(xs, lip_local_profiles(
-                        m, xs, scales, body, norm, 32, rng)):
-                    assert len(ests) == len(scales)
-                    for r, e in zip(scales, ests):
-                        y = e.witness[1]
-                        assert e.samples >= 1 and np.array_equal(e.witness[0], x)
-                        assert 0.0 < norm.of(y - x) <= r
-                        assert e.lower_bound == pair_quotients(
-                            m, norm, x[None, :], y[None, :])[0]
-                        assert e.lower_bound <= 1.0 + 1e-9
+                est = lip_local_profiles(m, xs, scales, body, norm, 32, rng)
+                (wx, ys), k = est.witness, len(xs)
+                shape = (k, len(scales))
+                assert est.lower_bound.shape == est.samples.shape == shape
+                assert ys.shape == (*shape, dim) and np.array_equal(wx, xs)
+                assert np.all(est.samples >= 1)
+                d = norm.of(ys - xs[:, None, :], axis=2)
+                assert np.all((0.0 < d) & (d <= np.array(scales)))
+                # each bound is the quotient of its own witness pair
+                assert np.array_equal(est.lower_bound, pair_quotients(
+                    m, norm, np.repeat(xs, len(scales), axis=0),
+                    ys.reshape(-1, dim)).reshape(shape))
+                assert np.all(est.lower_bound <= 1.0 + 1e-9)
 
 
 def test_profile_batch_raises_the_first_centres_error():
@@ -169,8 +171,8 @@ def test_profile_batch_raises_the_first_centres_error():
                              r"the centre \[0\.5\]$"):
         lip_local_profiles(Identity(), xs, [0.1, 1e-300, 1e-301], BOX01,
                            norm1, 16, 0)
-    assert len(lip_local_profiles(Identity(), xs[:1], [1e-300], BOX01, norm1,
-                                  16, 0)[0]) == 1
+    assert lip_local_profiles(Identity(), xs[:1], [1e-300], BOX01, norm1,
+                              16, 0).lower_bound.shape == (1, 1)
     with pytest.raises(DomainError):
         lip_local_profiles(Identity(), xs[::-1], [1e-300], BOX01, norm1, 16, 0)
     with pytest.raises(DomainError):

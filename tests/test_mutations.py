@@ -6,7 +6,6 @@ import nelab.porosity as porosity
 from nelab.harness import ExperimentConfig, run_porosity, run_verify
 from nelab.maps import LipEstimate
 from nelab.perturb import BumpWitnesses, DirectionField
-from nelab.porosity import HoleWitness
 
 
 def test_zero_slope_estimates_break_the_cover_consistency(monkeypatch):
@@ -16,8 +15,8 @@ def test_zero_slope_estimates_break_the_cover_consistency(monkeypatch):
     profiles = maps.lip_local_profiles
 
     def flat(*args, **kwargs):
-        return [[LipEstimate(0.0, e.witness, e.samples) for e in ests]
-                for ests in profiles(*args, **kwargs)]
+        est = profiles(*args, **kwargs)
+        return LipEstimate(0.0 * est.lower_bound, est.witness, est.samples)
 
     monkeypatch.setattr(maps, "lip_local_profiles", flat)
     monkeypatch.setattr(harness, "lip_local_profiles", flat)
@@ -60,8 +59,12 @@ def test_a_lost_obstruction_breaks_the_exact_hole_sizes(monkeypatch):
 def test_half_radius_witnesses_fail_the_hole_recheck(monkeypatch):
     # a witness whose ball is half the radius the constant asks for is
     # empty but does not certify the constant
-    monkeypatch.setattr(porosity, "HoleWitness",
-                        lambda eps, c, r: HoleWitness(eps, c, r / 2.0))
+    verdict = porosity.PorosityVerdict
+
+    def halved(status, kind, constant, q, centers, eps, radii):
+        return verdict(status, kind, constant, q, centers, eps, radii / 2.0)
+
+    monkeypatch.setattr(porosity, "PorosityVerdict", halved)
     rep = run_porosity(ExperimentConfig(target="zero"))
     assert {"porosity/upper", "porosity/lower"} <= _failed(rep)
     rep = run_verify(ExperimentConfig(suite="porosity"))

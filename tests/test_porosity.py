@@ -8,11 +8,10 @@ from nelab.errors import ParameterError
 from nelab.gauges import PowerGauge, build_pair, ladder
 from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive
 from nelab.perturb import flat_collapse
-from nelab.porosity import (TARGETS, FinitePointSet, HoleWitness,
-                            IntervalUnionSet, PorosityVerdict, ReciprocalSet,
-                            gamma_est, ladder_witness, low_slope_alpha,
-                            low_slope_member, lower_porous_at,
-                            oracle_from_desc, upper_porous_at)
+from nelab.porosity import (TARGETS, FinitePointSet, IntervalUnionSet,
+                            PorosityVerdict, ReciprocalSet, gamma_est,
+                            ladder_witness, low_slope_alpha, low_slope_member,
+                            lower_porous_at, oracle_from_desc, upper_porous_at)
 from nelab.space import Box, Norm, greedy_net, grid_candidates
 
 NORM2 = Norm(2.0)
@@ -170,7 +169,9 @@ def test_upper_porosity_of_the_singleton():
     verdict = upper_porous_at(ZERO, [0.0], IDENT)
     assert verdict.porous and verdict.kind == "upper"
     assert verdict.constant == 0.5
-    assert len(verdict.witnesses) == 17          # one hole per probe scale
+    assert verdict.centers.shape == (17, 1)      # one hole per probe scale
+    assert verdict.eps.tolist() == [2.0 ** -k for k in range(2, 19)]
+    assert verdict.radii.shape == (17,)
     assert verdict.verify_holes(ZERO, IDENT)
 
 
@@ -178,7 +179,10 @@ def test_upper_porosity_not_detected_at_the_accumulation_point():
     verdict = upper_porous_at(REC, [0.0], IDENT)
     assert not verdict.porous
     assert verdict.status == "not-detected"
-    assert verdict.constant is None and verdict.witnesses == ()
+    assert verdict.constant is None
+    assert verdict.centers.shape == (0, 1)
+    assert verdict.eps.size == verdict.radii.size == 0
+    assert verdict.verify_holes(REC, IDENT)      # nothing claimed
 
 
 def test_lower_porosity_away_from_the_accumulation_point():
@@ -205,7 +209,8 @@ def test_lower_porous_implies_upper_porous():
 
 def _claim(kind, q, eps, center, radius):
     return PorosityVerdict("porous-at-point", kind, 0.5, np.array([q]),
-                           (HoleWitness(eps, np.array([center]), radius),))
+                           np.array([[center]]), np.array([eps]),
+                           np.array([radius]))
 
 
 def test_verify_holes_flags_a_bogus_witness():
@@ -229,6 +234,15 @@ def test_verify_holes_flags_a_bogus_witness():
     assert not _claim("lower", 0.5, 0.1, 0.5, 0.04).verify_holes(CANTOR3, IDENT)
     # an argument outside the gauge's range, (0, 1) here, is rejected
     assert not _claim("lower", 0.5, 2.0, 0.5, 0.1).verify_holes(CANTOR3, IDENT)
+    # every row is checked: one forged hole among genuine ones breaks it
+    rows = (np.array([[0.1], [0.075], [0.0]]), np.array([0.2, 0.1, 0.2]),
+            np.array([0.1, 0.05, 0.1]))
+    assert PorosityVerdict("porous-at-point", "upper", 0.5, np.array([0.05]),
+                           rows[0][:2], rows[1][:2],
+                           rows[2][:2]).verify_holes(ZERO, IDENT)
+    assert not PorosityVerdict("porous-at-point", "upper", 0.5,
+                               np.array([0.05]),
+                               *rows).verify_holes(ZERO, IDENT)
 
 
 def test_low_slope_alpha_hand_values():
@@ -284,9 +298,10 @@ def test_ladder_witness_constants_and_quotients():
     z_off = 0.125 ** 2 / (24.0 * 3.0)
     assert rep.probe_r == pytest.approx(0.5 * 0.125 ** 2 / (48.0 * 3.0),
                                         rel=1e-12)
-    for rec in rep.records:
-        assert rec.min_quotient > lam
-        assert float(NORM2.of(rec.z - rec.x)) == pytest.approx(z_off, rel=1e-12)
+    xs = nets[rep.j - 1].points
+    assert rep.zs.shape == xs.shape and rep.min_quotients.shape == (len(xs),)
+    assert np.all(rep.min_quotients > lam)
+    assert NORM2.of(rep.zs - xs, axis=1) == pytest.approx(z_off, rel=1e-12)
 
 
 def test_ladder_witness_validation():
