@@ -489,7 +489,6 @@ class LadderWitnessReport:
     margin: float            # bound - lam = (1-lam)^2 / (97 (3-lam))
     zs: np.ndarray           # (k, n): the witness z of each net point x
     min_quotients: np.ndarray  # (k,): least quotient over h and x's probes
-    passed: bool
 
 
 def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
@@ -543,4 +542,4 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     q = np.min([pair_quotients(h, norm, ys, zs_rep) for h in h_family], axis=0)
     best = q.reshape(-1, LADDER_PROBES).min(axis=1)
     return LadderWitnessReport(j, g, beta, h_radius, probe_r, bound, margin,
-                               zs, best, bool(np.all(best > lam)))
+                               zs, best)

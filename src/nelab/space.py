@@ -328,20 +328,23 @@ class Hull(ConvexBody):
 
 
 def body_from_desc(desc: str, dim: int, norm: Norm) -> ConvexBody:
-    """Body from a descriptor: box | box:lo,hi | ball | ball:r | simplex."""
-    name, _, arg = desc.partition(":")
+    """Body from a descriptor: box | box:lo,hi | ball | ball:r | simplex.
+    An argument the descriptor does not take raises ValueError."""
+    name, sep, arg = desc.partition(":")
     if name == "box":
-        lo, hi = (-1.0, 1.0)
-        if arg:
-            lo, hi = (float(v) for v in arg.split(","))
+        bounds = arg.split(",") if arg else ("-1", "1")
+        if len(bounds) != 2:
+            raise ValueError(f"box descriptor is box:lo,hi, got {desc!r}")
+        lo, hi = (float(v) for v in bounds)
         return Box(np.full(dim, lo), np.full(dim, hi))
     if name == "ball":
         radius = float(arg) if arg else 1.0
         return Ball(np.zeros(dim), radius, norm)
-    if name == "simplex":
+    if name == "simplex" and not sep:
         verts = np.vstack([np.zeros(dim), np.eye(dim)])
         return Hull(verts)
-    raise ValueError(f"unknown body descriptor {desc!r}")
+    raise ValueError(f"unknown body descriptor {desc!r} "
+                     f"(box | box:lo,hi | ball | ball:r | simplex)")
 
 
 def grid_candidates(body: ConvexBody, per_axis: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Every configuration the command line accepts gives a verdict: `typical`
-and `dual` over dim 1-3 x lp norms x bodies, and `porosity` per norm and
-per target set x gauge, all exit 0, each within RUN_BUDGET_S."""
+and `dual` over dim 1-3 x lp norms x bodies, `dual` under a steep power
+gauge, and `porosity` per norm and per target set x gauge, all exit 0,
+each within RUN_BUDGET_S."""
 import time
 
 import pytest
@@ -35,6 +36,12 @@ def test_run_passes(cmd, dim, p, body, tmp_path):
     if cmd == "typical":
         argv += ["--trials", "4", "--lam", "0.99"]
     assert _run(argv) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dual_steep_power_passes(dim, tmp_path):
+    assert _run(["dual", "--gauge", "power:3/4", "--dim", str(dim),
+                 "--out", str(tmp_path / "report.json")]) == 0
 
 
 @pytest.mark.parametrize("p", NORMS)

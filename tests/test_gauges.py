@@ -133,6 +133,30 @@ def test_build_pair_sqrt_constant():
     assert build_pair(SQRT).K == 4.0
 
 
+@pytest.mark.parametrize("a", [0.75, 0.8, 0.9, 0.95, 0.99])
+def test_build_pair_steep_powers_take_the_derived_constant(a):
+    # the K the construction gives (next power of two above 1/t0 = 2)
+    # already carries the sandwich for steep powers
+    pair = build_pair(PowerGauge(p=a))
+    assert pair.K == 4.0
+    ts, phi, xi = pair.grid(1000)
+    assert np.all(phi * xi >= ts / pair.K - 1e-13 * ts)
+    assert np.all(phi * xi <= pair.K * ts + 1e-13 * ts)
+    assert float(pair.xi.value(0.0)) == 0.0
+
+
+def test_pair_check_rejects_a_companion_that_misses_zero():
+    # lifted by 1e-6, xi still keeps the sandwich on the whole check grid,
+    # but it no longer vanishes at zero
+    pair = build_pair(SQRT)
+    lifted = PiecewiseGauge(pair.xi.knots_t, pair.xi.knots_y + 1e-6)
+    forged = GaugePair(SQRT, lifted, pair.K)
+    ts, phi, xi = forged.grid(1000)
+    assert np.all(phi * xi >= ts / pair.K) and np.all(phi * xi <= pair.K * ts)
+    with pytest.raises(GaugeError, match="does not vanish at zero"):
+        forged.check()
+
+
 def test_build_pair_offset_gauge_reduces_to_linear_companion():
     pair = build_pair(OFFSET)
     assert pair.K == 4.0

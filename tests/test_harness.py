@@ -94,6 +94,7 @@ GOLDEN = {
     "field-120": "05ab3770ea3fca4842cce6d184c44a5356f05e30ce79a45c5b84353b917e2483",
     "typical-3d-box": "db3538a668e8d6f2f7b2f8b789e4dd5a8a417ff79cfb0e70b9d76a38fdcf89d3",
     "porosity-zero-power-2/3": "80b5c8e24ff91658adc9b8136ec1e6564f8bad3abc15e85c6f62ec09ca38799c",
+    "dual-power-3/4": "b4c7bdbade1f6c38da647c8245219e2ed9221b1cc6673d53a46a490b271629c3",
 }
 # sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
 GOLDEN_GAUGE_CSV = {
@@ -133,10 +134,35 @@ def test_golden_report_digests():
                # the verdict arrays under a non-default gauge, with hole
                # witnesses from both patterns
                "porosity-zero-power-2/3": run_porosity(_cfg(
-                   target="zero", gauge="power:2/3"))}
+                   target="zero", gauge="power:2/3")),
+               # a steep power gauge, whose pair takes the derived K = 4
+               "dual-power-3/4": run_dual(_cfg(gauge="power:3/4"))}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
         assert digest == GOLDEN[name], name
+
+
+def test_cli_gauge_table_for_a_steep_power(tmp_path):
+    out = tmp_path / "power.csv"
+    assert cli.main(["gauge", "--gauge", "power:0.9", "--out", str(out)]) == 0
+    curve = [l.split(",") for l in out.read_text().splitlines()
+             if l.startswith("curve")]
+    assert curve and all(0.25 <= float(row[4]) <= 4.0 for row in curve)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dual_estimator_failures_become_failed_cases(dim, tmp_path):
+    # at p = 0.8 the deep rungs fall below float spacing: the hole and
+    # cover-consistency cases fail with the estimator's message, and the
+    # run still writes its report
+    out = tmp_path / "dual.json"
+    rc = cli.main(["dual", "--gauge", "power:0.8", "--dim", str(dim),
+                   "--out", str(out)])
+    assert rc == 1
+    cases = json.loads(out.read_text())["cases"]
+    failed = [c for c in cases if not c["passed"]]
+    assert failed and all("error" in c["measured"] for c in failed)
+    assert all("error" not in c["measured"] for c in cases if c["passed"])
 
 
 def test_golden_gauge_tables(tmp_path):
@@ -292,6 +318,13 @@ def test_cli_usage_errors():
     ["gauge", "--seed", "1"],
     ["gauge", "--tol", "1e-9"],
     ["gauge", "--lam", "0.5"],
+    # descriptors that take no argument, and a box with one bound
+    ["dual", "--body", "simplex:3"],
+    ["typical", "--body", "box:1"],
+    ["dual", "--gauge", "sqrt:5"],
+    ["dual", "--gauge", "identity:2"],
+    ["gauge", "--gauge", "ratio:1"],
+    ["gauge", "--gauge", "sqrt-ratio:1"],
 ])
 def test_cli_malformed_argv_exits_two(argv, tmp_path, capsys):
     # a usage error: exit 2 and one `error:` line, never a traceback or a
@@ -305,6 +338,11 @@ def test_cli_malformed_argv_exits_two(argv, tmp_path, capsys):
     assert rc == 2
     assert len([l for l in err.splitlines() if "error:" in l]) == 1
     assert "Traceback" not in err and not out.exists()
+
+
+def test_cli_box_with_one_bound_names_the_form(capsys):
+    assert cli.main(["dual", "--body", "box:1"]) == 2
+    assert "box:lo,hi" in capsys.readouterr().err
 
 
 def test_cli_io_error_exit_code(tmp_path):
