@@ -8,7 +8,10 @@ as t -> 0, a companion gauge xi and a constant K >= 1 with
 
 and xi(t) -> 0 at 0.  When inf phi > 0 the companion is simply xi(t) = t.
 Otherwise phi is extended affinely past a differentiability point t0 and
-xi is the least concave majorant of t / phi_hat(t).
+xi is the least concave majorant of t / phi_hat(t) on knots from 1e-300
+eta up.  Below its first knot xi is linear and phi*xi/t -> 0, so the
+sandwich holds from about there; a ladder witness checks it at the radius
+it certifies.
 
 A ladder attached to phi is the decreasing scale sequence defined by
 s_1 = min{1, sup phi, diam C}/4 and the halving rule
@@ -211,16 +214,16 @@ class PiecewiseGauge(Gauge):
 def gauge_from_desc(desc: str) -> Gauge:
     """Gauge from a descriptor: sqrt | power:p | power:a/b | sqrt-ratio |
     ratio | offset:p | identity.  A zero denominator or a non-finite
-    exponent raises GaugeError, an argument the descriptor does not take
-    ValueError."""
+    exponent raises GaugeError; an argument the descriptor does not take,
+    or an empty one after ':', raises ValueError."""
     name, sep, arg = desc.partition(":")
-    if name == "power":
+    if name == "power" and arg:
         num, _, den = arg.partition("/")
         a, b = float(num), float(den) if den else 1.0
         if b == 0.0 or not np.isfinite(a / b):
             raise GaugeError(f"power gauge needs a finite exponent, got {arg!r}")
         return PowerGauge(p=a / b)
-    if name == "offset":
+    if desc == "offset" or name == "offset" and arg:
         return PowerGauge(p=float(arg) if arg else 0.5, offset=1.0)
     fixed = {"sqrt": PowerGauge(p=0.5), "sqrt-ratio": SqrtRatioGauge(),
              "ratio": RatioGauge(), "identity": PowerGauge(p=1.0)}
@@ -278,7 +281,8 @@ def least_concave_majorant(ts, ys) -> PiecewiseGauge:
 
 @dataclass(frozen=True, eq=False)
 class GaugePair:
-    """Companion pair (phi, xi, K) with t/K <= phi*xi <= K*t on (0, 1/K)."""
+    """Companion pair (phi, xi, K) with t/K <= phi*xi <= K*t on (0, 1/K),
+    down to the first knot of a piecewise xi."""
 
     phi: Gauge
     xi: Gauge
@@ -291,12 +295,19 @@ class GaugePair:
         return (ts, np.asarray(self.phi.value(ts), dtype=float),
                 np.asarray(self.xi.value(ts), dtype=float))
 
+    def holds(self, ts) -> bool:
+        """Does t/K <= phi(t) xi(t) <= K t hold, up to 1e-13 t, at every
+        t in ts, all of them positive?"""
+        ts = np.asarray(ts, dtype=float)
+        prod = np.asarray(self.phi.value(ts)) * np.asarray(self.xi.value(ts))
+        slack = 1e-13 * ts
+        return bool(np.all(ts > 0.0) and np.all(prod >= ts / self.K - slack)
+                    and np.all(prod <= self.K * ts + slack))
+
     def check(self) -> None:
-        """Raise GaugeError unless the pair inequality holds on a log grid of
-        1000 points, up to 1e-13 t, and xi(0) = 0."""
-        ts, phi, xi = self.grid(1000)
-        prod, slack = phi * xi, 1e-13 * ts
-        if np.any(prod < ts / self.K - slack) or np.any(prod > self.K * ts + slack):
+        """Raise GaugeError unless the pair inequality holds on the 1000-point
+        check grid and xi(0) = 0."""
+        if not self.holds(self.grid(1000)[0]):
             raise GaugeError("pair inequality t/K <= phi*xi <= K*t fails on the grid")
         if float(self.xi.value(0.0)) != 0.0:
             raise GaugeError("companion gauge does not vanish at zero")
@@ -328,7 +339,12 @@ def build_pair(phi: Gauge) -> GaugePair:
             raise GaugeError("gauge grows linearly near 0: no companion exists")
         t0, slope = _stable_slope_point(phi)
         eta = phi.eta
-        ts = np.concatenate([[0.0], np.geomspace(eta * 1e-12, eta, 2000)])
+        # 2000 knots over [1e-12 eta, eta] and one per half decade below,
+        # down to 1e-300 eta, near the least normal double: the radii
+        # xi^{-1}(beta eps) of steep powers lie far below 1e-12 eta
+        ts = np.concatenate([[0.0], np.geomspace(eta * 1e-300, eta * 1e-12, 576,
+                                                 endpoint=False),
+                             np.geomspace(eta * 1e-12, eta, 2000)])
         phi_hat = np.where(ts <= t0, np.asarray(phi.value(np.maximum(ts, eta * 1e-300))),
                            float(phi.value(t0)) + slope * (ts - t0))
         psi = np.zeros_like(ts)

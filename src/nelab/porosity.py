@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LadderExhausted, ParameterError
+from .errors import GaugeError, LadderExhausted, ParameterError
 from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
@@ -504,7 +504,8 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
         ||h(z) - h(y)|| / ||z - y||  >  lam
 
     for every test map h within xi^{-1}(beta eps) of g in the sup metric,
-    where beta = (1-lam)^2 (1+lam) / (97 (3-lam) K (1+diam)).
+    where beta = (1-lam)^2 (1+lam) / (97 (3-lam) K (1+diam)).  The pair
+    inequality must hold at that radius, else GaugeError.
     """
     if not (0.0 < lam < 1.0):
         raise ParameterError(f"lam must lie in (0, 1), got {lam}")
@@ -522,6 +523,9 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     if beta * pair.K >= 1.0:
         raise ParameterError("inconsistent constants: beta*K >= 1")
     h_radius = pair.xi.inverse(beta * eps)
+    if not pair.holds(h_radius):
+        raise GaugeError(f"pair inequality fails at the certified radius "
+                         f"{h_radius:.3g}")
     g = bump_perturb(f, net, eps, body, norm)
     z_off = phi_inv_s_j / (24.0 * d1)
     probe_r = (1.0 - lam) * phi_inv_s_j / (48.0 * d1)

@@ -329,15 +329,16 @@ class Hull(ConvexBody):
 
 def body_from_desc(desc: str, dim: int, norm: Norm) -> ConvexBody:
     """Body from a descriptor: box | box:lo,hi | ball | ball:r | simplex.
-    An argument the descriptor does not take raises ValueError."""
+    An argument the descriptor does not take, or an empty one after ':',
+    raises ValueError."""
     name, sep, arg = desc.partition(":")
-    if name == "box":
+    if desc == "box" or name == "box" and arg:
         bounds = arg.split(",") if arg else ("-1", "1")
         if len(bounds) != 2:
             raise ValueError(f"box descriptor is box:lo,hi, got {desc!r}")
         lo, hi = (float(v) for v in bounds)
         return Box(np.full(dim, lo), np.full(dim, hi))
-    if name == "ball":
+    if desc == "ball" or name == "ball" and arg:
         radius = float(arg) if arg else 1.0
         return Ball(np.zeros(dim), radius, norm)
     if name == "simplex" and not sep:

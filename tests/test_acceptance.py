@@ -148,8 +148,8 @@ def test_criterion_7_typical_density():
 
 
 # sha256 of the seed-20260823 `verify --suite all` report bytes
-GOLDEN_JSON = "ad3d1022ae3a20979e63a95706f483b59b254e06a15e0e7b53fc34e37d3b6e89"
-GOLDEN_CSV = "b8eafb1d7c95da63d22890b2889989ee2355a72e7dc61a4cb6fa86a32eec6f50"
+GOLDEN_JSON = "9cbfc50680f0e27f174cba6c810c70480dec671bbd4c46da1e524e7b4c39a38d"
+GOLDEN_CSV = "2eb4bd1672536357a33f6f214e46f6090c62446703dfd13943e18a9899e79c0a"
 
 
 def test_criterion_8_byte_identical_reports():

@@ -94,7 +94,7 @@ GOLDEN = {
     "field-120": "05ab3770ea3fca4842cce6d184c44a5356f05e30ce79a45c5b84353b917e2483",
     "typical-3d-box": "db3538a668e8d6f2f7b2f8b789e4dd5a8a417ff79cfb0e70b9d76a38fdcf89d3",
     "porosity-zero-power-2/3": "80b5c8e24ff91658adc9b8136ec1e6564f8bad3abc15e85c6f62ec09ca38799c",
-    "dual-power-3/4": "b4c7bdbade1f6c38da647c8245219e2ed9221b1cc6673d53a46a490b271629c3",
+    "dual-power-3/4": "9387d1d64bb4660cab65a44dac8c7c9b79a5451eda2c9440227c336d0bf45e8e",
 }
 # sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
 GOLDEN_GAUGE_CSV = {
@@ -325,6 +325,11 @@ def test_cli_usage_errors():
     ["dual", "--gauge", "identity:2"],
     ["gauge", "--gauge", "ratio:1"],
     ["gauge", "--gauge", "sqrt-ratio:1"],
+    # an empty argument after ':'
+    ["dual", "--body", "box:"],
+    ["typical", "--body", "ball:"],
+    ["dual", "--gauge", "offset:"],
+    ["gauge", "--gauge", "power:"],
 ])
 def test_cli_malformed_argv_exits_two(argv, tmp_path, capsys):
     # a usage error: exit 2 and one `error:` line, never a traceback or a

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from nelab.errors import ParameterError
-from nelab.gauges import PowerGauge, build_pair, ladder
+from nelab.errors import GaugeError, ParameterError
+from nelab.gauges import GaugePair, PiecewiseGauge, PowerGauge, build_pair, ladder
 from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive
 from nelab.perturb import flat_collapse
 from nelab.porosity import (TARGETS, FinitePointSet, IntervalUnionSet,
-                            PorosityVerdict, ReciprocalSet, gamma_est,
-                            ladder_witness, low_slope_alpha, low_slope_member,
+                            PorosityVerdict, ReciprocalSet, closing_bound,
+                            gamma_est, ladder_witness, low_slope_alpha, low_slope_member,
                             lower_porous_at, oracle_from_desc, upper_porous_at)
 from nelab.space import Box, Norm, greedy_net, grid_candidates
 
@@ -302,6 +302,41 @@ def test_ladder_witness_constants_and_quotients():
     assert rep.zs.shape == xs.shape and rep.min_quotients.shape == (len(xs),)
     assert np.all(rep.min_quotients > lam)
     assert NORM2.of(rep.zs - xs, axis=1) == pytest.approx(z_off, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [2.0 / 3.0, 0.75, 0.9])
+def test_pair_holds_at_the_radius_dual_certifies(a):
+    # dual's witnesses (dim 1, lam 0.5) certify the sup-ball of radius
+    # xi^{-1}(beta eps), far below the check grid (about 1e-17 at p = 3/4,
+    # 1e-40 at p = 0.9): the sandwich must hold there
+    phi = PowerGauge(p=a)
+    pair = build_pair(phi)
+    lad = ladder(phi, BOX1, NORM2, rungs=12)
+    beta = closing_bound(0.5, pair.K, BOX1.diameter(NORM2))[0]
+    for frac in (0.9, 0.45):
+        h = pair.xi.inverse(beta * frac * lad.inv_ratio(1))
+        ratio = float(phi.value(h)) * float(pair.xi.value(h)) / h
+        assert 1.0 / pair.K <= ratio <= pair.K and pair.holds(h)
+        assert h < pair.grid(2)[0][0]
+
+
+def test_ladder_witness_rejects_a_pair_that_fails_at_its_radius():
+    # the companion cut back to knots from 1e-12 up is linear below them,
+    # where phi*xi/t -> 0: at p = 3/4 it passes the check grid, but not at
+    # the radius the witness would certify
+    phi = PowerGauge(p=0.75)
+    pair = build_pair(phi)
+    kt, ky = pair.xi.knots_t, pair.xi.knots_y
+    keep = (kt == 0.0) | (kt >= 1e-12)
+    cut = GaugePair(phi, PiecewiseGauge(kt[keep], ky[keep]), pair.K)
+    cut.check()
+    lad = ladder(phi, BOX1, NORM2, rungs=12)
+    nets = _rung_nets(lad, BOX1, NORM2, 1)
+    f = random_nonexpansive(BOX1, seed=5)
+    eps = 0.9 * lad.inv_ratio(1)
+    ladder_witness(f, eps, 0.5, lad, nets, pair, body=BOX1, norm=NORM2)
+    with pytest.raises(GaugeError, match="certified radius"):
+        ladder_witness(f, eps, 0.5, lad, nets, cut, body=BOX1, norm=NORM2)
 
 
 def test_ladder_witness_validation():
