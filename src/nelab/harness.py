@@ -28,6 +28,7 @@ Suites (and the `all` aggregate) — one per claim family:
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -159,11 +160,11 @@ def _raises(exc: type[Exception], fn, *args) -> bool:
 
 
 def _attempt(measure, *args) -> tuple[dict, bool]:
-    """(measured, passed) from measure(*args); an estimator or sampler
-    failure fails its case with the message, not the run."""
+    """(measured, passed) from measure(*args); an estimator, sampler or
+    gauge failure fails its case with the message, not the run."""
     try:
         return measure(*args)
-    except (EstimationError, SamplerExhausted) as exc:
+    except (EstimationError, GaugeError, RangeError, SamplerExhausted) as exc:
         return {"error": str(exc)}, False
 
 
@@ -700,15 +701,25 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         rng = _case_rng(cfg, tag, ei)
         eps = frac * lad.inv_ratio(1)
         f = random_nonexpansive(body, seed=_sub_seed(rng))
-        rep = ladder_witness(f, eps, lam, lad, nets, pair, body=body,
-                             norm=norm, seed=_sub_seed(rng))
-        minq = float(rep.min_quotients.min())
+        rep = None
+
+        def witness() -> tuple[dict, bool]:
+            nonlocal rep
+            rep = ladder_witness(f, eps, lam, lad, nets, pair, body=body,
+                                 norm=norm, seed=_sub_seed(rng))
+            minq = float(rep.min_quotients.min())
+            return ({"min_quotient": minq, "beta": rep.beta,
+                     "bound": rep.bound, "margin": rep.margin},
+                    minq > lam and rep.margin > 0.0)
+
+        measured, passed = _attempt(witness)
         cases.append(CaseRecord(
             f"{tag}/witness-{ei}",
-            {"eps": eps, "lam": lam, "j": rep.j, "gauge": cfg.gauge},
-            {"min_quotient": minq, "beta": rep.beta, "bound": rep.bound,
-             "margin": rep.margin},
-            {"lam": lam}, minq > lam and rep.margin > 0.0))
+            {"eps": eps, "lam": lam, "j": None if rep is None else rep.j,
+             "gauge": cfg.gauge},
+            measured, {"lam": lam}, passed))
+        if rep is None:
+            continue        # no witnesses to probe for holes
         s_j = lad.rung(rep.j)
         net_pts = nets[rep.j - 1].points
 
@@ -770,10 +781,12 @@ def suite_holes(cfg: ExperimentConfig) -> list[CaseRecord]:
     return _dual_cases(cfg, "holes")
 
 
+# the costliest suite first: `verify --suite all` hands suites to its
+# workers in this order
 SUITES = {
+    "bump": suite_bump,
     "flat": suite_flat,
     "field": suite_field,
-    "bump": suite_bump,
     "witness": suite_witness,
     "pairs": suite_pairs,
     "invratio": suite_invratio,
@@ -797,9 +810,35 @@ def run_verify(cfg: ExperimentConfig) -> Report:
     return _run(f"verify:{cfg.suite}", cfg, _verify_cases)
 
 
+def _suite(name: str, cfg: ExperimentConfig) -> list[CaseRecord]:
+    """The cases of suite `name`; a worker receives only the name and cfg."""
+    return SUITES[name](cfg)
+
+
 def _verify_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
+    """The cases of the named suites; several suites run in forked
+    workers, one per CPU the process may use, when there are two or more.
+    Each suite draws only from its own generators, so the cases do not
+    depend on where they ran."""
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
-    return [case for name in names for case in SUITES[name](cfg)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else 1
+    if len(names) < 2 or cpus < 2:
+        return [case for name in names for case in _suite(name, cfg)]
+    # imported here, so that `import nelab.cli` stays as light as it is.
+    # Forked workers inherit every loaded module (nelab starts no thread
+    # they could deadlock on), so scipy is imported before the fork rather
+    # than again in the workers of every run
+    import concurrent.futures
+    import multiprocessing
+
+    import scipy.optimize  # noqa: F401
+    import scipy.spatial  # noqa: F401
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(len(names), cpus),
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        return [case for cases in pool.map(_suite, names, [cfg] * len(names))
+                for case in cases]
 
 
 def run_typical(cfg: ExperimentConfig) -> Report:

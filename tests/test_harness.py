@@ -1,7 +1,10 @@
 """Experiment harness, report serialization, and the command line."""
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +12,7 @@ import pytest
 
 import nelab
 from nelab import cli, harness
-from nelab.errors import EstimationError, GaugeError
+from nelab.errors import EstimationError, GaugeError, ParameterError
 from nelab.harness import (ExperimentConfig, closing_bound, run_dual,
                            run_porosity, run_typical, run_verify)
 from nelab.reports import Report, dumps_csv, dumps_json
@@ -153,16 +156,24 @@ def test_cli_gauge_table_for_a_steep_power(tmp_path):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_dual_estimator_failures_become_failed_cases(dim, tmp_path):
     # at p = 0.8 the deep rungs fall below float spacing: the hole and
-    # cover-consistency cases fail with the estimator's message, and the
-    # run still writes its report
-    out = tmp_path / "dual.json"
-    rc = cli.main(["dual", "--gauge", "power:0.8", "--dim", str(dim),
-                   "--out", str(out)])
-    assert rc == 1
-    cases = json.loads(out.read_text())["cases"]
-    failed = [c for c in cases if not c["passed"]]
-    assert failed and all("error" in c["measured"] for c in failed)
-    assert all("error" not in c["measured"] for c in cases if c["passed"])
+    # cover-consistency cases fail with the estimator's message; at
+    # p = 0.99 the ladder witness has no certificate radius, so its
+    # witness cases fail and have no holes to probe.  The run still
+    # writes its report
+    for gauge in ("power:0.8", "power:0.99"):
+        out = tmp_path / "dual.json"
+        rc = cli.main(["dual", "--gauge", gauge, "--dim", str(dim),
+                       "--out", str(out)])
+        assert rc == 1, gauge
+        cases = json.loads(out.read_text())["cases"]
+        failed = [c for c in cases if not c["passed"]]
+        assert failed and all("error" in c["measured"] for c in failed)
+        assert all("error" not in c["measured"] for c in cases if c["passed"])
+        ids = [c["case_id"] for c in cases]
+        for c in failed:
+            if c["case_id"].startswith("dual/witness-"):
+                ei = c["case_id"].rpartition("-")[2]
+                assert not any(i.startswith(f"dual/hole-{ei}-") for i in ids)
 
 
 def test_golden_gauge_tables(tmp_path):
@@ -293,8 +304,10 @@ def test_cli_import_loads_no_scipy():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.dirname(nelab.__file__)),
                     env.get("PYTHONPATH")) if p)
+    # nor the process pool of `verify --suite all`
     code = ("import nelab.cli, sys; "
-            "assert not any(m.startswith('scipy') for m in sys.modules)")
+            "assert not any(m.startswith(('scipy', 'multiprocessing', "
+            "'concurrent')) for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
@@ -378,3 +391,60 @@ def test_cli_gauge_table(tmp_path):
     assert len(rungs) == 6
     for row in rungs:
         assert row[6] == row[7]     # sqrt ladder: s_j equals inv_ratio(j)
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Let the process see n CPUs: 1 keeps `verify` in-process, 2 or
+    more gives `verify --suite all` its pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _cli(argv, capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr without the wall time) of one run."""
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    return rc, out, re.sub(r" wall=\S+", "", err)
+
+
+@pytest.mark.parametrize("seed", ["0", "1000000"])
+def test_verify_all_pool_and_in_process_runs_give_the_same_bytes(
+        seed, monkeypatch, capsys):
+    for fmt in ("json", "csv"):
+        argv = ["verify", "--suite", "all", "--seed", seed, "--format", fmt]
+        _cpus(monkeypatch, 2)
+        pooled = _cli(argv, capsys)
+        _cpus(monkeypatch, 1)
+        assert _cli(argv, capsys) == pooled
+        assert pooled[0] == 0 and pooled[1]
+
+
+def test_a_suite_failing_in_a_worker_reaches_the_caller(monkeypatch, capsys):
+    def boom(cfg):
+        raise ParameterError("boom")
+
+    monkeypatch.setitem(harness.SUITES, "ladder", boom)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ParameterError, match="^boom$"):
+        run_verify(_cfg(trials=1))
+    assert multiprocessing.active_children() == []
+    argv = ["verify", "--suite", "all", "--trials", "1"]
+    pooled = _cli(argv, capsys)
+    _cpus(monkeypatch, 1)
+    assert _cli(argv, capsys) == pooled == (2, "", "error: boom\n")
+
+
+def test_single_suites_and_other_commands_build_no_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="pool was built"):
+        run_verify(_cfg(trials=1))
+    for argv in (["verify", "--suite", "porosity"],
+                 ["porosity", "--target", "zero"],
+                 ["typical", "--trials", "2"],
+                 ["dual", "--dim", "1"]):
+        assert _cli(argv, capsys)[0] == 0, argv
