@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import cache
 
 from .errors import NelabError
 from .gauges import build_pair, gauge_from_desc, ladder
@@ -59,7 +60,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="report serialization")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by the first `main` call: each
+    `parse_args` fills a fresh namespace, so calls share no state."""
     ap = argparse.ArgumentParser(
         prog="nelab",
         description="Numerical laboratory for non-expansive mappings: "

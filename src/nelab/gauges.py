@@ -27,6 +27,7 @@ which the sandwich is checked, reported and tabulated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,9 @@ class Gauge:
     def value(self, t):
         raise NotImplementedError
 
-    @property
+    @cached_property
     def sup(self) -> float:
+        # every range check of `inverse` reads it; gauges are frozen
         return float(self.value(self.eta))
 
     @property
@@ -426,14 +428,20 @@ def _next_rung(phi: Gauge, sj: float) -> float:
 
 
 def ladder(phi: Gauge, body: ConvexBody, norm: Norm, rungs: int = 20) -> Ladder:
-    """Scale ladder for the gauge over the body; s_1 = min{1, sup phi, diam}/4."""
+    """Scale ladder for the gauge over the body; s_1 = min{1, sup phi, diam}/4.
+
+    At most `rungs` rungs: a steep power's ladder ends at its last rung
+    above 0.0, where the closed form underflows."""
     if rungs < 1:
         raise ValueError("need at least one rung")
     diam = body.diameter(norm)
     s1 = 0.25 * min(1.0, phi.sup, diam)
     s = [s1]
     for _ in range(rungs - 1):
-        s.append(_next_rung(phi, s[-1]))
+        nxt = _next_rung(phi, s[-1])
+        if nxt <= 0.0:          # underflowed: 0.0 has no inverse
+            break
+        s.append(nxt)
     return Ladder(phi, tuple(s))
 
 

@@ -10,8 +10,10 @@ centres: the ball B(c, s) misses P exactly when d(c, P) >= s, so the
 largest hole at a centre c of the window is min(r - ||c - q||, d(c, P)).
 The one-dimensional example sets also list their obstructions, closed
 intervals covering P inside a window, so gamma is half the longest gap
-between them; the generic estimator searches hole centres on a shrinking
-lattice plus a random stream, one distance query per batch of centres.
+between them; the generic estimator refines chains of hole centres, one
+from a lattice over the window, one from an edge march and one from each
+record of a random stream, in lockstep rounds on shrinking lattices: one
+distance query per round for all chains.
 
 Pointwise verdicts follow two dual patterns for a gauge phi:
 
@@ -23,7 +25,8 @@ Pointwise verdicts follow two dual patterns for a gauge phi:
 
 Both are one search over the dyadic grid 2^-1 .. 2^-16 of constants,
 differing only in the hole radius asked for and in whether q' = q
-may carry the hole.
+may carry the hole; the candidate lattice of each probe scale is built
+once and shared by every constant.
 
 The low-slope set of a map f collects the points whose sampled local
 Lipschitz constant stays <= lam at every ladder scale phi^{-1}(s_j),
@@ -245,74 +248,78 @@ def _hole_radii(oracle: SetOracle, q: np.ndarray, r: float,
     return np.where(usable, np.minimum(cap, oracle.distance(cs)), 0.0)
 
 
-def _lattice_centers(q: np.ndarray, span: float, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(-span, span, per_axis)] * q.size
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    return q + mesh
-
-
-def _refine(oracle: SetOracle, q: np.ndarray, r: float, center: np.ndarray,
-            span: float, per_axis: int, best_r: float = 0.0) -> float:
-    """Lattice search around `center`, halving the span around the best hole."""
-    best_c = center if best_r > 0.0 else None
-    for _ in range(GAMMA_ROUNDS):
-        cs = _lattice_centers(center, span, per_axis)
-        s = _hole_radii(oracle, q, r, cs)
-        i = int(np.argmax(s))           # the first best, as a running max keeps
-        if s[i] > best_r:
-            best_r, best_c = float(s[i]), cs[i]
-        if best_c is None:
-            break
-        center = best_c
-        span *= 0.5
-    return best_r
+def _lattice(spans, per_axis: int, dim: int) -> np.ndarray:
+    """Offsets of the per_axis^dim lattice over [-span, span]^dim, in "ij"
+    order, for each entry of `spans`: shape spans.shape + (per_axis^dim,
+    dim).  Each span's axis has the bits of its own scalar linspace, as
+    long as no span is so small that its step underflows to 0."""
+    axis = np.linspace(-spans, spans, per_axis, axis=-1)
+    return axis[..., np.indices((per_axis,) * dim).reshape(dim, -1).T]
 
 
 def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
               seed: int = 0) -> float | None:
     """Sampled lower estimate of the hole size gamma(q, r, P); None if no hole.
 
-    Three candidate streams feed a running maximum:
+    Three candidate streams start refinement chains:
 
-    * a lattice over the whole window, refined by `_refine`;
+    * a lattice over the whole window, with no record yet;
     * probes marching geometrically toward the window boundary (for a set
       accumulating at q the largest hole tends to hug the edge, where the
-      plain lattice stalls on an interior local maximum), the best probe
-      refined the same way;
-    * `trials` random centres, refining every draw that beats the previous
-      raw record.
+      plain lattice stalls on an interior local maximum), whose best probe
+      starts a chain;
+    * `trials` random centres, each draw that beats the previous raw
+      record starting a chain.
+
+    The chains run in lockstep, one distance query per round for all of
+    them: each round lays a lattice around every chain's centre, moves
+    the centre to the first best hole when it strictly beats the chain's
+    record, and halves the span.  The whole-window chain stops when its
+    first round finds no hole.  The estimate is the largest record.
 
     With a fixed seed the estimate is monotone in `trials`: the first two
-    streams do not depend on it, and extra draws only add candidates to
-    the maximum.
+    streams do not depend on it, and extra draws only add chains.
     """
     q = as_point(q)
     if not (r > 0.0):
         raise ValueError("window radius must be positive")
     per_axis = GAMMA_PER_AXIS if q.size == 1 else (9 if q.size == 2 else 5)
-    best_r = _refine(oracle, q, r, q, r, per_axis)
 
-    # the edge march: axis by axis, sign by sign, r (1 - 2^-i) out from q
+    # the edge march (axis by axis, sign by sign, r (1 - 2^-i) out from q)
+    # and the random stream, in one query
     steps = np.array([sign * e for e in np.eye(q.size) for sign in (-1.0, 1.0)])
     reach = r * (1.0 - 2.0 ** -np.arange(2, 15))
-    cs = (q + steps[:, None, :] * reach[:, None]).reshape(-1, q.size)
-    s = _hole_radii(oracle, q, r, cs)
-    i = int(np.argmax(s))
-    if s[i] > 0.0:
-        cap = r - float(oracle.norm.of(cs[i] - q))
-        best_r = max(best_r, _refine(oracle, q, r, cs[i], 2.0 * cap,
-                                     per_axis, best_r=float(s[i])))
-
-    # the random stream: each draw that beats every earlier one is refined
+    edge = (q + steps[:, None, :] * reach[:, None]).reshape(-1, q.size)
     rng = np.random.default_rng(seed)
-    cs = q + (2.0 * rng.random((trials, q.size)) - 1.0) * r
-    s = _hole_radii(oracle, q, r, cs)
-    before = np.maximum.accumulate(np.concatenate([[0.0], s]))[:-1]
-    for i in np.flatnonzero(s > before):
-        span = max(4.0 * float(s[i]), r / 64.0)
-        best_r = max(best_r, _refine(oracle, q, r, cs[i], span, per_axis,
-                                     best_r=float(s[i])))
-    return best_r if best_r > 0.0 else None
+    draws = q + (2.0 * rng.random((trials, q.size)) - 1.0) * r
+    s = _hole_radii(oracle, q, r, np.vstack([edge, draws]))
+    s_edge, s_draw = s[:len(edge)], s[len(edge):]
+
+    # the chains' starts (centre, span, record): the whole window, the best
+    # edge probe if it has a hole, and every draw beating all earlier ones
+    i = int(np.argmax(s_edge))
+    hit = [i] if s_edge[i] > 0.0 else []
+    cap = r - oracle.norm.of(edge[hit] - q, axis=1)
+    before = np.maximum.accumulate(np.concatenate([[0.0], s_draw]))[:-1]
+    rec = np.flatnonzero(s_draw > before)
+    centers = np.vstack([q[None, :], edge[hit], draws[rec]])
+    spans = np.concatenate([[r], 2.0 * cap, np.maximum(4.0 * s_draw[rec], r / 64.0)])
+    best = np.concatenate([[0.0], s_edge[hit], s_draw[rec]])
+
+    for _ in range(GAMMA_ROUNDS):
+        cs = centers[:, None, :] + _lattice(spans, per_axis, q.size)
+        s = _hole_radii(oracle, q, r, cs.reshape(-1, q.size)).reshape(len(best), -1)
+        rows = np.arange(len(best))
+        i = np.argmax(s, axis=1)        # the first best, as a running max keeps
+        top = s[rows, i]
+        up = top > best
+        best = np.where(up, top, best)
+        centers = np.where(up[:, None], cs[rows, i], centers)
+        live = best > 0.0               # a chain without a hole stops
+        centers, spans, best = centers[live], 0.5 * spans[live], best[live]
+        if not len(best):
+            return None
+    return float(best.max())
 
 
 @dataclass(frozen=True)
@@ -351,33 +358,29 @@ class PorosityVerdict:
                            & (oracle.distance(cs) >= self.radii)))
 
 
-def _witness_candidates(q: np.ndarray, eps: float, rng: np.random.Generator,
-                        trials: int) -> np.ndarray:
-    per_axis = 33 if q.size == 1 else (9 if q.size == 2 else 5)
-    lattice = _lattice_centers(q, eps, per_axis)
-    extra = q + (2.0 * rng.random((trials, q.size)) - 1.0) * eps
-    return np.vstack([lattice, extra])
-
-
 def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
                eps_grid, bits: int, trials: int, seed: int) -> PorosityVerdict:
     """The one dyadic verdict search behind both patterns.
 
     For each constant c = 2^-1 .. 2^-bits in turn, every probe scale eps
-    of eps_grid must offer a candidate q' (q itself first, then
-    `_witness_candidates` drawn from the generator [seed, ci, ei]) in the
-    ambient space with d = d(q, q') <= eps whose ball of radius
+    of eps_grid must offer a candidate q' (q itself first, then a lattice
+    over [-eps, eps]^n around q, built once per scale for every constant,
+    then `trials` random points drawn from the generator [seed, ci, ei]) in
+    the ambient space with d = d(q, q') <= eps whose ball of radius
     phi^{-1}(t) misses P, where t = c d (upper, which also needs d > 0)
     or t = c eps (lower).  A t outside phi's range leaves no candidate.
     The first c that succeeds at every scale is the verdict's constant.
     """
     upper = kind == "upper"
+    per_axis = 33 if q.size == 1 else (9 if q.size == 2 else 5)
+    lattices = q + _lattice(np.asarray(eps_grid), per_axis, q.size)
     for ci in range(bits):
         c = 2.0 ** -(ci + 1)
         holes = []                      # (centre, eps, radius) per scale
         for ei, eps in enumerate(eps_grid):
             rng = np.random.default_rng([seed, ci, ei])
-            cs = np.vstack([q[None, :], _witness_candidates(q, eps, rng, trials)])
+            extra = q + (2.0 * rng.random((trials, q.size)) - 1.0) * eps
+            cs = np.vstack([q[None, :], lattices[ei], extra])
             d = oracle.norm.of(cs - q, axis=1)
             t = c * (d if upper else np.full_like(d, eps))
             keep = ((d <= eps) & ((d > 0.0) | (not upper))

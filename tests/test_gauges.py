@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nelab import cli
 from nelab.errors import GaugeError, LadderExhausted, RangeError
 from nelab.gauges import (Gauge, GaugePair, Ladder, PiecewiseGauge, PowerGauge,
                           RatioGauge, SqrtRatioGauge, build_pair,
@@ -207,6 +208,19 @@ def test_ladder_rung_bounds_and_extension():
     assert longer.s[:5] == lad.s and longer.rung(8) == 0.25 * 2.0 ** -7
     with pytest.raises(ValueError):
         ladder(SQRT, BOX1, NORM2, rungs=0)
+
+
+def test_ladder_of_a_steep_power_ends_at_its_last_positive_rung(tmp_path):
+    # the rungs of t^0.99 shrink by 2^-99 each, so the twelfth underflows
+    # to 0.0, which has no inverse; the ladder and its table stop before it
+    lad = ladder(PowerGauge(p=0.99), BOX1, NORM2, rungs=12)
+    assert len(lad) == 11
+    assert all(s > 0.0 for s in lad.s)
+    assert all(lad.inv_ratio(j) > 0.0 for j in range(1, len(lad) + 1))
+    out = tmp_path / "gauge.csv"
+    assert cli.main(["gauge", "--gauge", "power:0.99", "--out", str(out)]) == 0
+    rungs = [l for l in out.read_text().splitlines() if l.startswith("rung")]
+    assert len(rungs) == 11
 
 
 def test_select_j_hand_traces():

@@ -98,6 +98,19 @@ GOLDEN = {
     "typical-3d-box": "db3538a668e8d6f2f7b2f8b789e4dd5a8a417ff79cfb0e70b9d76a38fdcf89d3",
     "porosity-zero-power-2/3": "80b5c8e24ff91658adc9b8136ec1e6564f8bad3abc15e85c6f62ec09ca38799c",
     "dual-power-3/4": "9387d1d64bb4660cab65a44dac8c7c9b79a5451eda2c9440227c336d0bf45e8e",
+    # the `porosity` operations of perfbench's porosity-sweep at seed 0
+    "sweep-reciprocal-0-0.01": "970cfabe56eebaaa78f91b56e7117431bb0c0730387ae248a5608d49322cb97a",
+    "sweep-reciprocal-0-0.1": "896e23a618a7168237be4b5dc6aeb140705bc4a7c36293a317cf41f998b40381",
+    "sweep-reciprocal-0.5-0.1": "6a3e3a2466f52eef9fc7e3f47bdef178565457b4dbed14165b90ba9c79c2ee09",
+    "sweep-zero-0-0.01": "8b55e6bc0a0ae87e62089688e9d1e2c67b11b7447c80ed63a8dd0b7a3b89acfe",
+    "sweep-zero-0-0.1": "8b5a0d733a640f1f6f085c08e25e18648341b1ae53590491aa388ec2fb498cd4",
+    "sweep-zero-0.5-0.1": "73b48a021346fc11c1c8dfe9609e6b9023596b36681a6223bcbe968bdf94a1a6",
+    "sweep-cantor-0-0.01": "862b44e08d39e9174890d3821a11dfe416a57fcc926c10c1f3ef86d1aeb89439",
+    "sweep-cantor-0-0.1": "f0a61f3b5c50915c0a93228ea09baca07bd323236a1b21214e2e20470dddb187",
+    "sweep-cantor-0.5-0.1": "72bbaa9ecb218d8910008727d4087d127fc6de9d6bf6117085dd4ca0301493e2",
+    "sweep-empty-0-0.01": "0ded6e3642aa95110233340943e203c56591817b0386a0cb323a47d55c58deb1",
+    "sweep-empty-0-0.1": "0930c3898eb099b53dc63e4c4e5f2a7079f4b9705c0a5c777e120ed8bc7bb77d",
+    "sweep-empty-0.5-0.1": "3e1cf1090a0ba4af6344331bfe34abc4160e2f232919569087a283fb00ee33da",
 }
 # sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
 GOLDEN_GAUGE_CSV = {
@@ -139,7 +152,12 @@ def test_golden_report_digests():
                "porosity-zero-power-2/3": run_porosity(_cfg(
                    target="zero", gauge="power:2/3")),
                # a steep power gauge, whose pair takes the derived K = 4
-               "dual-power-3/4": run_dual(_cfg(gauge="power:3/4"))}
+               "dual-power-3/4": run_dual(_cfg(gauge="power:3/4")),
+               **{f"sweep-{target}-{point}-{window}": run_porosity(_cfg(
+                   target=target, point=float(point), window=float(window)))
+                  for target in ("reciprocal", "zero", "cantor", "empty")
+                  for point, window in (("0", "0.01"), ("0", "0.1"),
+                                        ("0.5", "0.1"))}}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
         assert digest == GOLDEN[name], name
@@ -304,11 +322,25 @@ def test_cli_import_loads_no_scipy():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.dirname(nelab.__file__)),
                     env.get("PYTHONPATH")) if p)
-    # nor the process pool of `verify --suite all`
+    # nor the process pool of `verify --suite all`, and builds no parser
     code = ("import nelab.cli, sys; "
             "assert not any(m.startswith(('scipy', 'multiprocessing', "
-            "'concurrent')) for m in sys.modules)")
+            "'concurrent')) for m in sys.modules); "
+            "assert nelab.cli.build_parser.cache_info().misses == 0")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_cli_builds_one_parser_per_process(tmp_path):
+    # the first `main` call builds the parser and later calls reuse it
+    cli.build_parser.cache_clear()
+    out = tmp_path / "report.json"
+    # typical's own lam default (0.99) does not carry over to verify (0.5)
+    assert cli.main(["typical", "--trials", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["lam"] == 0.99
+    assert cli.main(["verify", "--suite", "pairs", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["lam"] == 0.5
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_cli_usage_errors():

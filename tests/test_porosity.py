@@ -8,8 +8,9 @@ from nelab.errors import GaugeError, ParameterError
 from nelab.gauges import GaugePair, PiecewiseGauge, PowerGauge, build_pair, ladder
 from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive
 from nelab.perturb import flat_collapse
-from nelab.porosity import (TARGETS, FinitePointSet, IntervalUnionSet,
-                            PorosityVerdict, ReciprocalSet, closing_bound,
+from nelab.porosity import (GAMMA_PER_AXIS, GAMMA_ROUNDS, TARGETS,
+                            FinitePointSet, IntervalUnionSet,
+                            PorosityVerdict, ReciprocalSet, _hole_radii, closing_bound,
                             gamma_est, ladder_witness, low_slope_alpha, low_slope_member,
                             lower_porous_at, oracle_from_desc, upper_porous_at)
 from nelab.space import Box, Norm, greedy_net, grid_candidates
@@ -163,6 +164,80 @@ def test_gamma_est_monotone_in_trials():
         est = gamma_est([0.0], 0.01, REC, trials=trials, seed=0)
         assert est >= prev
         prev = est
+
+
+def _refine_reference(oracle, q, r, center, span, per_axis, best_r=0.0):
+    # one refinement chain on its own: a meshgrid lattice per round, the
+    # first best hole taken on a strict improvement, the span halved, and a
+    # stop when the first round of a chain without a record finds no hole
+    best_c = center if best_r > 0.0 else None
+    for _ in range(GAMMA_ROUNDS):
+        axes = [np.linspace(-span, span, per_axis)] * q.size
+        cs = center + np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                               axis=-1)
+        s = _hole_radii(oracle, q, r, cs)
+        i = int(np.argmax(s))
+        if s[i] > best_r:
+            best_r, best_c = float(s[i]), cs[i]
+        if best_c is None:
+            break
+        center = best_c
+        span *= 0.5
+    return best_r
+
+
+def _gamma_reference(q, r, oracle, trials, seed):
+    # gamma_est's three streams, each chain refined in turn
+    q = np.asarray(q, dtype=float)
+    per_axis = GAMMA_PER_AXIS if q.size == 1 else (9 if q.size == 2 else 5)
+    best_r = _refine_reference(oracle, q, r, q, r, per_axis)
+    steps = np.array([sign * e for e in np.eye(q.size) for sign in (-1.0, 1.0)])
+    reach = r * (1.0 - 2.0 ** -np.arange(2, 15))
+    cs = (q + steps[:, None, :] * reach[:, None]).reshape(-1, q.size)
+    s = _hole_radii(oracle, q, r, cs)
+    i = int(np.argmax(s))
+    if s[i] > 0.0:
+        cap = r - float(oracle.norm.of(cs[i] - q))
+        best_r = max(best_r, _refine_reference(oracle, q, r, cs[i], 2.0 * cap,
+                                               per_axis, float(s[i])))
+    rng = np.random.default_rng(seed)
+    cs = q + (2.0 * rng.random((trials, q.size)) - 1.0) * r
+    s = _hole_radii(oracle, q, r, cs)
+    before = np.maximum.accumulate(np.concatenate([[0.0], s]))[:-1]
+    for i in np.flatnonzero(s > before):
+        span = max(4.0 * float(s[i]), r / 64.0)
+        best_r = max(best_r, _refine_reference(oracle, q, r, cs[i], span,
+                                               per_axis, float(s[i])))
+    return best_r if best_r > 0.0 else None
+
+
+def test_gamma_est_matches_the_chain_by_chain_reference():
+    # the lockstep rounds give every chain's record bit for bit; `full`
+    # has no hole, so its whole-window chain stops after one round
+    rng = np.random.default_rng(21)
+    cases = []
+    for target in TARGETS:
+        oracle = oracle_from_desc(target, NORM2)
+        for q in (0.0, 0.5, float(rng.uniform(-1.0, 1.0))):
+            for r in (1e-3, 1e-2, 0.1, 1.0):
+                cases += [([q], r, oracle, trials) for trials in (16, 64, 128)]
+    box2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    for p in (2.0, math.inf):
+        cloud = FinitePointSet(rng.uniform(-1.0, 1.0, (12, 2)), box2, Norm(p))
+        for r in (1e-2, 0.1, 1.0):
+            q = rng.uniform(-1.0, 1.0, 2)
+            cases += [(q, r, cloud, trials) for trials in (16, 64)]
+    cases = [(*case, seed) for seed, case in enumerate(cases)]
+    # a record whose lattice holds a hole of exactly its radius, on the
+    # far side of the nearest reciprocal: a chain does not move on a tie
+    cases.append(([0.0], 0.1, REC, 128, 3))
+    found = []
+    for q, r, oracle, trials, seed in cases:
+        want = _gamma_reference(q, r, oracle, trials, seed)
+        assert gamma_est(q, r, oracle, trials=trials, seed=seed) == want, \
+            (q, r, oracle, trials, seed)
+        found.append(want)
+    assert None in found            # `full` reached the stop
 
 
 def test_upper_porosity_of_the_singleton():
