@@ -23,10 +23,10 @@ Pointwise verdicts follow two dual patterns for a gauge phi:
 * lower: some beta admits, for every eps below a threshold, a point q'
   with d(q, q') <= eps and B(q', phi^{-1}(beta eps)) disjoint from P.
 
-Both are one search over the dyadic grid 2^-1 .. 2^-16 of constants,
-differing only in the hole radius asked for and in whether q' = q
-may carry the hole; the candidate lattice of each probe scale is built
-once and shared by every constant.
+Both are one search, differing only in the hole radius asked for and in
+whether q' = q may carry the hole: it derives from each candidate's
+distance to P the best constant the candidate admits, and reads off the
+largest dyadic constant 2^-k (k <= 16) that every probe scale admits.
 
 The low-slope set of a map f collects the points whose sampled local
 Lipschitz constant stays <= lam at every ladder scale phi^{-1}(s_j),
@@ -359,66 +359,68 @@ class PorosityVerdict:
 
 
 def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
-               eps_grid, bits: int, trials: int, seed: int) -> PorosityVerdict:
-    """The one dyadic verdict search behind both patterns.
+               eps_grid, trials: int, seed: int) -> PorosityVerdict:
+    """The one verdict search behind both patterns.
 
-    For each constant c = 2^-1 .. 2^-bits in turn, every probe scale eps
-    of eps_grid must offer a candidate q' (q itself first, then a lattice
-    over [-eps, eps]^n around q, built once per scale for every constant,
-    then `trials` random points drawn from the generator [seed, ci, ei]) in
-    the ambient space with d = d(q, q') <= eps whose ball of radius
-    phi^{-1}(t) misses P, where t = c d (upper, which also needs d > 0)
-    or t = c eps (lower).  A t outside phi's range leaves no candidate.
-    The first c that succeeds at every scale is the verdict's constant.
+    Scale eps offers q' = q, a lattice over [-eps, eps]^n around q and
+    `trials` draws; a q' in the space with d = d(q, q') <= eps (and d > 0
+    for upper) admits each c with c x in phi's range up to
+    c* = phi(min(D, eta)) / x, D = d(q', P), x = d (upper) or eps (lower).
+    The constant is the largest c in 2^-1 .. 2^-DYADIC_BITS every scale
+    admits; a scale's witness is its first candidate admitting c whose
+    hole, of radius phi^{-1}(c x), the scalar inverse confirms.
     """
     upper = kind == "upper"
-    per_axis = 33 if q.size == 1 else (9 if q.size == 2 else 5)
-    lattices = q + _lattice(np.asarray(eps_grid), per_axis, q.size)
-    for ci in range(bits):
-        c = 2.0 ** -(ci + 1)
-        holes = []                      # (centre, eps, radius) per scale
-        for ei, eps in enumerate(eps_grid):
-            rng = np.random.default_rng([seed, ci, ei])
-            extra = q + (2.0 * rng.random((trials, q.size)) - 1.0) * eps
-            cs = np.vstack([q[None, :], lattices[ei], extra])
-            d = oracle.norm.of(cs - q, axis=1)
-            t = c * (d if upper else np.full_like(d, eps))
-            keep = ((d <= eps) & ((d > 0.0) | (not upper))
-                    & oracle.ambient.contains_all(cs)
-                    & (phi.inf < t) & (t < phi.sup))
-            cs, t = cs[keep], t[keep]
-            for x, ti, dist in zip(cs, t, oracle.distance(cs)):
-                hole_r = phi.inverse(float(ti))
-                if dist >= hole_r:
-                    holes.append((x, eps, hole_r))
-                    break
-            else:
-                break                   # no hole at this scale: next c
-        else:
-            centers, eps, radii = (np.array(v) for v in zip(*holes))
-            return PorosityVerdict("porous-at-point", kind, c, q, centers,
-                                   eps, radii)
+    eps = np.asarray(eps_grid, dtype=float)
+    k, n = eps.size, q.size
+    per_axis = 33 if n == 1 else (9 if n == 2 else 5)
+    # keyed [seed, 0, ei]: the draws that trying each constant in turn
+    # makes at the first one, c = 1/2
+    u = np.array([np.random.default_rng([seed, 0, ei]).random((trials, n))
+                  for ei in range(k)])
+    cs = np.concatenate([np.broadcast_to(q, (k, 1, n)),
+                         q + _lattice(eps, per_axis, n),
+                         q + (2.0 * u - 1.0) * eps[:, None, None]], axis=1)
+    d = oracle.norm.of(cs - q, axis=-1)
+    dist = oracle.distance(cs.reshape(-1, n)).reshape(d.shape)
+    x = d if upper else np.broadcast_to(eps[:, None], d.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_star = phi.value(np.minimum(dist, phi.eta)) / x
+    c = 2.0 ** -np.arange(1.0, DYADIC_BITS + 1.0)[:, None, None]
+    t = c * x
+    # 1e-9 of slack: rounding must not hide a hole the inverse confirms
+    admits = ((d <= eps[:, None]) & ((d > 0.0) | (not upper))
+              & oracle.ambient.contains_all(cs.reshape(-1, n)).reshape(d.shape)
+              & (phi.inf < t) & (t < phi.sup) & (c <= c_star * (1.0 + 1e-9)))
+    for ci in np.flatnonzero(admits.any(axis=2).all(axis=1)):
+        js = [next((j for j in np.flatnonzero(admits[ci, ei])
+                    if dist[ei, j] >= phi.inverse(float(t[ci, ei, j]))), None)
+              for ei in range(k)]
+        if None not in js:              # else rounding left a scale bare
+            radii = np.array([phi.inverse(float(t[ci, ei, j]))
+                              for ei, j in enumerate(js)])
+            return PorosityVerdict("porous-at-point", kind, float(c[ci, 0, 0]),
+                                   q, cs[np.arange(k), js], eps, radii)
     return PorosityVerdict("not-detected", kind, None, q,
                            np.empty((0, q.size)), np.empty(0), np.empty(0))
 
 
 def upper_porous_at(oracle: SetOracle, q, phi: Gauge, trials: int = 64,
-                    seed: int = 0,
-                    alpha_bits: int = DYADIC_BITS) -> PorosityVerdict:
-    """Dyadic search for an upper-porosity constant alpha at the point q.
+                    seed: int = 0) -> PorosityVerdict:
+    """Dyadic upper-porosity constant alpha at the point q.
 
     The hole radius demanded at distance d is phi^{-1}(alpha d); a probe
-    scale eps succeeds when some q' with 0 < d(q, q') <= eps carries such
-    a hole.  The verdict reports the largest dyadic alpha (down to
-    2^-alpha_bits) that succeeds at every probe scale in UPPER_EPS.
+    scale eps admits alpha when some q' with 0 < d(q, q') <= eps carries
+    such a hole.  The verdict reports the largest dyadic alpha (down to
+    2^-DYADIC_BITS) that every probe scale in UPPER_EPS admits.
     """
     return _porous_at("upper", oracle, as_point(q), phi, UPPER_EPS,
-                      alpha_bits, trials, seed)
+                      trials, seed)
 
 
 def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
                     trials: int = 64, seed: int = 0) -> PorosityVerdict:
-    """Dyadic search for a lower-porosity constant beta at the point q.
+    """Dyadic lower-porosity constant beta at the point q.
 
     Every probe scale eps in a geometric grid of (0, eps0) must admit a
     point q' with d(q, q') <= eps carrying an empty ball of radius
@@ -428,7 +430,7 @@ def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
         raise ValueError("eps0 must be positive")
     eps_grid = [eps0 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
     return _porous_at("lower", oracle, as_point(q), phi, eps_grid,
-                      DYADIC_BITS, trials, seed)
+                      trials, seed)
 
 
 def low_slope_alpha(lam: float, diam: float) -> float:

@@ -148,8 +148,8 @@ def test_criterion_7_typical_density():
 
 
 # sha256 of the seed-20260823 `verify --suite all` report bytes
-GOLDEN_JSON = "9cbfc50680f0e27f174cba6c810c70480dec671bbd4c46da1e524e7b4c39a38d"
-GOLDEN_CSV = "2eb4bd1672536357a33f6f214e46f6090c62446703dfd13943e18a9899e79c0a"
+GOLDEN_JSON = "e50a0e494ac6bcf5c7131bcc0f82c59a21f8309cd85eba901299f946524bcb8b"
+GOLDEN_CSV = "ffdedb527e0405fabfbd270b7d05b1333bf29bcd5ff7d26f84ff1aabc94d86e2"
 
 
 def test_criterion_8_byte_identical_reports():

@@ -14,7 +14,8 @@ MATRIX = [(cmd, dim, p, body) for cmd in ("typical", "dual")
           for body in ("box", "ball", "simplex")]
 POROSITY = [(target, gauge)
             for target in ("reciprocal", "zero", "cantor", "full", "empty")
-            for gauge in ("sqrt", "identity", "power:2/3")]
+            for gauge in ("sqrt", "identity", "power:2/3", "power:3/4",
+                          "sqrt-ratio", "ratio", "offset:0.5")]
 # wall seconds per run: the slowest run (`typical` at dim 3) takes about
 # 0.65 s on a 2-core x86-64 machine, so this leaves room for a machine
 # twice as slow and still catches a kernel that gets several times slower

@@ -13,6 +13,7 @@ import pytest
 import nelab
 from nelab import cli, harness
 from nelab.errors import EstimationError, GaugeError, ParameterError
+from nelab.gauges import PowerGauge
 from nelab.harness import (ExperimentConfig, closing_bound, run_dual,
                            run_porosity, run_typical, run_verify)
 from nelab.reports import Report, dumps_csv, dumps_json
@@ -98,6 +99,7 @@ GOLDEN = {
     "typical-3d-box": "db3538a668e8d6f2f7b2f8b789e4dd5a8a417ff79cfb0e70b9d76a38fdcf89d3",
     "porosity-zero-power-2/3": "80b5c8e24ff91658adc9b8136ec1e6564f8bad3abc15e85c6f62ec09ca38799c",
     "dual-power-3/4": "9387d1d64bb4660cab65a44dac8c7c9b79a5451eda2c9440227c336d0bf45e8e",
+    "porosity-reciprocal-power-3/4": "1ec2d3be3b9c346ab878d9f12904ebbfb653dd909a9100dd836cd699fb045c4c",
     # the `porosity` operations of perfbench's porosity-sweep at seed 0
     "sweep-reciprocal-0-0.01": "970cfabe56eebaaa78f91b56e7117431bb0c0730387ae248a5608d49322cb97a",
     "sweep-reciprocal-0-0.1": "896e23a618a7168237be4b5dc6aeb140705bc4a7c36293a317cf41f998b40381",
@@ -153,6 +155,10 @@ def test_golden_report_digests():
                    target="zero", gauge="power:2/3")),
                # a steep power gauge, whose pair takes the derived K = 4
                "dual-power-3/4": run_dual(_cfg(gauge="power:3/4")),
+               # a lower verdict whose constant, 2^-10, lies below the
+               # first one, 1/2, found on the draws keyed [seed, 0, ei]
+               "porosity-reciprocal-power-3/4": run_porosity(_cfg(
+                   target="reciprocal", gauge="power:3/4")),
                **{f"sweep-{target}-{point}-{window}": run_porosity(_cfg(
                    target=target, point=float(point), window=float(window)))
                   for target in ("reciprocal", "zero", "cantor", "empty")
@@ -235,6 +241,17 @@ def test_json_floats_roundtrip_exactly():
         for key, val in case.measured.items():
             if isinstance(val, float):
                 assert loaded["measured"][key] == val
+
+
+def test_pairs_case_passes_a_steep_power(monkeypatch):
+    # t^0.99 gets K = 4 and grid ratios in [1/K, K]; build_pair itself
+    # checks xi(0) = 0, although xi(1e-6) is about 0.87
+    monkeypatch.setattr(harness, "_PAIR_GAUGES",
+                        (("power-0.99", PowerGauge(p=0.99)),))
+    cases = {c.case_id: c for c in harness.suite_pairs(_cfg(suite="pairs"))}
+    case = cases["pairs/power-0.99"]
+    assert case.params["K"] == 4.0
+    assert case.passed
 
 
 def test_csv_has_header_plus_one_row_per_case():

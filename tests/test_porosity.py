@@ -1,14 +1,17 @@
 """Hole sizes, porosity verdicts, low-slope sets and scale-ladder witnesses."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from nelab.errors import GaugeError, ParameterError
-from nelab.gauges import GaugePair, PiecewiseGauge, PowerGauge, build_pair, ladder
+from nelab.gauges import (GaugePair, PiecewiseGauge, PowerGauge, build_pair,
+                          gauge_from_desc, ladder)
 from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive
 from nelab.perturb import flat_collapse
-from nelab.porosity import (GAMMA_PER_AXIS, GAMMA_ROUNDS, TARGETS,
+from nelab.porosity import (DYADIC_BITS, GAMMA_PER_AXIS, GAMMA_ROUNDS,
+                            LOWER_LEVELS, TARGETS, UPPER_EPS,
                             FinitePointSet, IntervalUnionSet,
                             PorosityVerdict, ReciprocalSet, _hole_radii, closing_bound,
                             gamma_est, ladder_witness, low_slope_alpha, low_slope_member,
@@ -280,6 +283,107 @@ def test_lower_porous_implies_upper_porous():
         assert up.porous
         with pytest.raises(ValueError):
             lower_porous_at(oracle, [q], IDENT, eps0=0.0)
+
+
+def _porous_reference(kind, oracle, q, phi, eps_grid, trials, seed):
+    # each constant 2^-1 .. 2^-DYADIC_BITS in turn: every scale's first
+    # candidate (q, the lattice, the draws keyed [seed, 0, ei]) in range
+    # whose ball of radius phi^{-1}(t) misses P, by the scalar inverse
+    q = np.asarray(q, dtype=float)
+    upper = kind == "upper"
+    per_axis = 33 if q.size == 1 else (9 if q.size == 2 else 5)
+    scales = []
+    for ei, eps in enumerate(eps_grid):
+        axis = np.linspace(-eps, eps, per_axis)
+        grid = np.stack(np.meshgrid(*[axis] * q.size, indexing="ij"), -1)
+        rng = np.random.default_rng([seed, 0, ei])
+        cs = np.vstack([q, q + grid.reshape(-1, q.size),
+                        q + (2.0 * rng.random((trials, q.size)) - 1.0) * eps])
+        d = oracle.norm.of(cs - q, axis=1)
+        keep = ((d <= eps) & ((d > 0.0) | (not upper))
+                & oracle.ambient.contains_all(cs))
+        scales.append((eps, cs[keep], d[keep].tolist(),
+                       oracle.distance(cs[keep]).tolist()))
+    lo, hi = phi.inf, phi.sup
+    for ci in range(1, DYADIC_BITS + 1):
+        c = 2.0 ** -ci
+        holes = []
+        for eps, cs, d, dist in scales:
+            for j, (dq, dp) in enumerate(zip(d, dist)):
+                t = c * (dq if upper else eps)
+                if lo < t < hi and dp >= phi.inverse(t):
+                    holes.append((cs[j], eps, phi.inverse(t)))
+                    break
+            else:
+                break
+        else:
+            return "porous-at-point", c, [np.array(v) for v in zip(*holes)]
+    return "not-detected", None, [np.empty((0, q.size)), np.empty(0),
+                                  np.empty(0)]
+
+
+def _assert_matches_reference(verdict, oracle, phi, eps_grid, seed, case=()):
+    status, c, arrays = _porous_reference(verdict.kind, oracle, verdict.q,
+                                          phi, eps_grid, 64, seed)
+    assert (verdict.status, verdict.constant) == (status, c), case
+    for got, want in zip((verdict.centers, verdict.eps, verdict.radii), arrays):
+        assert np.array_equal(got, want), case
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_derived_verdicts_match_the_search_over_constants(target):
+    # the same status, constant and witness arrays, bit for bit, as trying
+    # every dyadic constant in turn on the same candidates
+    eps_lower = [0.25 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
+    for desc, p, q, seed in itertools.product(
+            ("sqrt", "power:2/3", "power:3/4", "sqrt-ratio", "ratio",
+             "offset:0.5", "identity"), (1.0, 2.0, math.inf),
+            (0.0, 0.5, 0.3, -0.7, 1.0), range(3)):
+        phi, oracle = gauge_from_desc(desc), oracle_from_desc(target, Norm(p))
+        up = upper_porous_at(oracle, [q], phi, seed=seed)
+        lo = lower_porous_at(oracle, [q], phi, eps0=0.25, seed=seed)
+        for verdict, grid in ((up, UPPER_EPS), (lo, eps_lower)):
+            _assert_matches_reference(verdict, oracle, phi, grid, seed,
+                                      (verdict.kind, desc, p, q, seed))
+
+
+def test_derived_lower_verdict_at_the_offset_range_edge():
+    # eps0 = 4 asks for beta eps around inf phi = 1 of the offset gauge
+    phi = gauge_from_desc("offset:0.5")
+    eps_grid = [4.0 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
+    for q in (0.0, 0.5, 0.3):
+        verdict = lower_porous_at(REC, [q], phi, eps0=4.0)
+        _assert_matches_reference(verdict, REC, phi, eps_grid, 0)
+
+
+def test_a_hole_of_exactly_the_demanded_radius_counts():
+    # phi(phi^{-1}(t)) rounds below t for this t, so a bound c* computed
+    # from the distance alone would miss the hole at q' = q whose radius is
+    # exactly the one demanded at c = 1/2 and the first scale
+    phi = gauge_from_desc("sqrt-ratio")
+    eps0 = 0.254375
+    r = phi.inverse(0.5 * eps0 / 2.0)
+    assert phi.value(r) < 0.5 * eps0 / 2.0
+    oracle = FinitePointSet(np.array([[r]]), BOX1, NORM2)
+    verdict = lower_porous_at(oracle, [0.0], phi, eps0=eps0)
+    assert verdict.constant == 0.5 and verdict.centers[0, 0] == 0.0
+    eps_grid = [eps0 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
+    _assert_matches_reference(verdict, oracle, phi, eps_grid, 0)
+
+
+def test_a_verdict_makes_one_distance_query(monkeypatch):
+    calls = []
+    distance = ReciprocalSet.distance
+
+    def counted(self, centers):
+        calls.append(len(centers))
+        return distance(self, centers)
+
+    monkeypatch.setattr(ReciprocalSet, "distance", counted)
+    assert upper_porous_at(REC, [0.5], SQRT).porous
+    assert len(calls) == 1
+    assert lower_porous_at(REC, [0.5], SQRT, eps0=0.25).porous
+    assert len(calls) == 2
 
 
 def _claim(kind, q, eps, center, radius):
