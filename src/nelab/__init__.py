@@ -27,7 +27,7 @@ from .porosity import (FinitePointSet, IntervalUnionSet, LadderWitnessReport,
                        SetOracle, closing_bound, gamma_est, ladder_witness,
                        low_slope_alpha, low_slope_member, lower_porous_at,
                        oracle_from_desc, upper_porous_at)
-from .reports import CaseRecord, Report, dumps, emit_report
+from .reports import CaseRecord, Report, dumps
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, as_point,
                     body_from_desc, distances, greedy_net, grid_candidates,
                     nearest)

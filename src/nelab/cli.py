@@ -25,7 +25,7 @@ from .gauges import build_pair, gauge_from_desc, ladder
 from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
                       run_verify)
 from .porosity import TARGETS
-from .reports import csv_value, emit_report, write_text
+from .reports import csv_value, dumps, write_text
 from .space import Norm, body_from_desc
 
 
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     try:
-        emit_report(report, cfg.out, cfg.fmt)
+        write_text(dumps(report, cfg.fmt), cfg.out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

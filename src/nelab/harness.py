@@ -825,12 +825,12 @@ def _verify_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
         return [case for name in names for case in _suite(name, cfg)]
     # imported here, so that `import nelab.cli` stays as light as it is.
     # Forked workers inherit every loaded module (nelab starts no thread
-    # they could deadlock on), so scipy is imported before the fork rather
-    # than again in the workers of every run
+    # they could deadlock on), so scipy.spatial, which holds the k-d tree
+    # of `nearest` and the Qhull of `Hull`, is imported before the fork
+    # rather than again in the workers of every run
     import concurrent.futures
     import multiprocessing
 
-    import scipy.optimize  # noqa: F401
     import scipy.spatial  # noqa: F401
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(len(names), cpus),

@@ -46,7 +46,7 @@ from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
 from .perturb import bump_perturb, direction_field
-from .space import Box, ConvexBody, Net, Norm, as_point, distances
+from .space import Box, ConvexBody, Net, Norm, as_point, nearest
 
 DYADIC_BITS = 16
 GAMMA_ROUNDS = 9            # gamma_est: lattice halvings
@@ -111,7 +111,7 @@ class FinitePointSet(SetOracle):
         centers = np.asarray(centers, dtype=float)
         if self.points.shape[0] == 0:
             return np.full(centers.shape[0], np.inf)
-        return distances(centers, self.points, self.norm).min(axis=1)
+        return nearest(self.points, centers, self.norm)[1]
 
     def obstructions(self, a: float, b: float) -> np.ndarray | None:
         if self.ambient.dim != 1:

@@ -171,13 +171,3 @@ def write_text(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def emit_report(report: Report, out: str | None, fmt: str = "json") -> str:
-    """Serialize the report and `write_text` it.
-
-    Returns the serialized text (also when written to a file).
-    """
-    text = dumps(report, fmt)
-    write_text(text, out)
-    return text

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -282,9 +282,17 @@ class Ball(ConvexBody):
 
 @dataclass(frozen=True, eq=False)
 class Hull(ConvexBody):
-    """Convex hull of a finite vertex list; membership via non-negative least squares."""
+    """Convex hull of a finite vertex list, known by its facets.
+
+    `facets` holds one row (a, b) per facet, a a unit outward normal, so
+    that the hull is {x : a·x + b <= 0 for every row}: in 1-D the rows
+    [1, -max] and [-1, min], beyond it the facet equations of Qhull.  A
+    hull whose vertices coincide or span less than its dimension raises
+    DegenerateBodyError.
+    """
 
     vertices: np.ndarray
+    facets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         verts = np.atleast_2d(np.asarray(self.vertices, dtype=float))
@@ -292,26 +300,33 @@ class Hull(ConvexBody):
             raise DegenerateBodyError("hull needs at least two vertices")
         if not np.all(np.isfinite(verts)):
             raise ValueError("hull vertex has a non-finite coordinate")
-        if np.max(np.linalg.norm(verts - verts[0], axis=1)) == 0.0:
-            raise DegenerateBodyError("hull vertices coincide")
+        if verts.shape[1] == 1:
+            if verts.max() == verts.min():
+                raise DegenerateBodyError("hull vertices coincide")
+            facets = np.array([[1.0, -verts.max()], [-1.0, verts.min()]])
+        else:
+            # scipy is imported here, as in `nearest`: importing it at the
+            # top took longer than the rest of `import nelab.cli` together
+            from scipy.spatial import ConvexHull, QhullError
+            try:
+                facets = ConvexHull(verts).equations
+            except QhullError as exc:
+                raise DegenerateBodyError(
+                    f"hull vertices span less than {verts.shape[1]}-D") from exc
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "facets", facets)
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
     def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        # x is in the hull iff some lam >= 0 with sum(lam)=1 reproduces it;
-        # solved as NNLS on the stacked (coords; 1) system, membership iff the
-        # residual vanishes up to tol.  scipy is imported here, as in
-        # `nearest`: importing it at the top took longer than the rest of
-        # `import nelab.cli` together
-        from scipy.optimize import nnls
+        # x is inside iff no facet's slack a·x + b is positive, up to tol
+        # relative to the length of (x, 1)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        a = np.vstack([self.vertices.T, np.ones(self.vertices.shape[0])])
-        bs = np.hstack([pts, np.ones((pts.shape[0], 1))])
-        return np.array([nnls(a, b)[1] <= tol * (1.0 + np.linalg.norm(b))
-                         for b in bs], dtype=bool)
+        xs = np.hstack([pts, np.ones((pts.shape[0], 1))])
+        return (xs @ self.facets.T).max(axis=1) <= tol * (
+            1.0 + np.linalg.norm(xs, axis=1))
 
     def diameter(self, norm: Norm) -> float:
         return float(distances(self.vertices, self.vertices, norm).max())

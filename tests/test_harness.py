@@ -332,19 +332,40 @@ def test_cli_failure_exit_code(tmp_path):
     assert json.loads(out.read_text())["failed"] > 0
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported by the few calls that use it, so that starting the
-    # command line does not pay for it
+def _run_python(code: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.dirname(nelab.__file__)),
                     env.get("PYTHONPATH")) if p)
-    # nor the process pool of `verify --suite all`, and builds no parser
-    code = ("import nelab.cli, sys; "
-            "assert not any(m.startswith(('scipy', 'multiprocessing', "
-            "'concurrent')) for m in sys.modules); "
-            "assert nelab.cli.build_parser.cache_info().misses == 0")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the few calls that use it, so that starting the
+    # command line does not pay for it, nor for the process pool of
+    # `verify --suite all`, and builds no parser
+    _run_python("import nelab.cli, sys; "
+                "assert not any(m.startswith(('scipy', 'multiprocessing', "
+                "'concurrent')) for m in sys.modules); "
+                "assert nelab.cli.build_parser.cache_info().misses == 0")
+
+
+def test_commands_load_only_the_scipy_they_use(tmp_path):
+    # a 1-D hull is two facet rows and 1-D nearest-centre queries scan
+    # densely, so a 1-D dual run loads no scipy at all; no command loads
+    # scipy.optimize, the pool parent of `verify --suite all` included
+    out = str(tmp_path / "report.json")
+    _run_python(
+        "import nelab.cli, sys; "
+        f"nelab.cli.main(['dual', '--dim', '1', '--body', 'simplex', '--out', {out!r}]); "
+        "assert not any(m.startswith('scipy') for m in sys.modules); "
+        f"nelab.cli.main(['verify', '--suite', 'all', '--out', {out!r}]); "
+        "assert 'scipy.optimize' not in sys.modules")
+    src = os.path.dirname(nelab.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                assert "scipy.optimize" not in fh.read(), name
 
 
 def test_cli_builds_one_parser_per_process(tmp_path):

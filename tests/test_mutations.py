@@ -1,11 +1,15 @@
 """Checks that can fail: a deliberately broken construction, patched in
 memory, must turn the check that guards it into failed cases."""
+import numpy as np
+
 import nelab.harness as harness
 import nelab.maps as maps
 import nelab.porosity as porosity
 from nelab.harness import ExperimentConfig, run_porosity, run_verify
 from nelab.maps import LipEstimate
 from nelab.perturb import BumpWitnesses, DirectionField
+from nelab.space import Norm, body_from_desc
+from test_space import nnls_contains, simplex_rows
 
 
 def test_zero_slope_estimates_break_the_cover_consistency(monkeypatch):
@@ -85,3 +89,20 @@ def test_edge_probes_fail_the_bump_witnesses(monkeypatch):
     rep = run_verify(ExperimentConfig(suite="witness", trials=10))
     assert len(rep.cases) == 30 and not rep.passed
     assert len(rep.failures) == len(rep.cases)
+
+
+def test_a_lost_facet_breaks_the_row_reference():
+    # a simplex that forgets one facet takes that facet's centre, pushed
+    # 1e-9 outward, for a member, while the NNLS reference does not
+    for dim in (2, 3):
+        hull = body_from_desc("simplex", dim, Norm(2.0))
+        pts = np.vstack(simplex_rows(hull.vertices))
+        assert len(hull.facets) == dim + 1
+        for tol in (1e-15, 1e-12):
+            ref = nnls_contains(hull.vertices, pts, tol)
+            assert hull.contains_all(pts, tol).tolist() == ref
+            for i in range(dim + 1):
+                lost = body_from_desc("simplex", dim, Norm(2.0))
+                object.__setattr__(lost, "facets",
+                                   np.delete(hull.facets, i, axis=0))
+                assert lost.contains_all(pts, tol).tolist() != ref, (dim, i)

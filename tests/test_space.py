@@ -89,6 +89,16 @@ def test_degenerate_bodies_rejected():
         Ball(np.zeros(2), 0.0)
     with pytest.raises(DegenerateBodyError):
         Hull(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    with pytest.raises(DegenerateBodyError):
+        Hull(np.array([[0.3], [0.3], [0.3]]))
+    # vertices that span less than their dimension: collinear in 2-D,
+    # coplanar in 3-D, and two vertices in 2-D
+    for verts in ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                  [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                   [1.0, 1.0, 0.0]],
+                  [[0.0, 0.0], [1.0, 1.0]]):
+        with pytest.raises(DegenerateBodyError):
+            Hull(np.array(verts))
 
 
 def test_sampling_is_seeded_and_lands_inside():
@@ -310,11 +320,39 @@ def test_segment_stays_inside_hull():
     assert tri.contains_all((1.0 - ts) * x + ts * y, tol=1e-9).all()
 
 
+def simplex_rows(verts):
+    """Rows about the simplex `verts`: its vertices and the edge points
+    0.25 v_i + 0.75 v_j, all on the boundary, and the centre of each facet
+    pushed 1e-9 outward along the facet's normal.  A vertex, and in 3-D an
+    edge point, lies on several facets; a facet centre lies on one only."""
+    k = verts.shape[0]
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    on = np.vstack([verts, 0.25 * verts[i] + 0.75 * verts[j]])
+    # the barycentric coordinates of x are inv(M) (x, 1); facet m is where
+    # the m-th one vanishes, so minus its gradient is the outward normal
+    grad = np.linalg.inv(np.vstack([verts.T, np.ones(k)]))[:, :-1]
+    normal = -grad / np.linalg.norm(grad, axis=1, keepdims=True)
+    centres = (verts.sum(axis=0) - verts) / (k - 1)
+    return on, centres + 1e-9 * normal
+
+
+def nnls_contains(verts, pts, tol):
+    """Hull membership by its definition, one NNLS solve per row: some
+    lam >= 0 with sum(lam) = 1 reproduces x, up to tol relative to the
+    length of (x, 1)."""
+    a = np.vstack([verts.T, np.ones(verts.shape[0])])
+    return [bool(nnls(a, b)[1] <= tol * (1.0 + np.linalg.norm(b)))
+            for b in np.hstack([pts, np.ones((len(pts), 1))])]
+
+
 def test_contains_all_matches_the_row_reference():
     # each body's one membership query against its definition, one row at
     # a time: coordinate bounds for a box, one Norm.of call per row for a
     # ball, one NNLS solve per row for a hull (here a simplex, so vertices
-    # and points on the edges lie on the boundary)
+    # and points on the edges lie on the boundary).  At tol = 0 the NNLS
+    # residual and the facet slack of a boundary row are both rounding, so
+    # there the hull's boundary rows are left out; from tol = 1e-15 on
+    # every row is compared and every boundary row is inside
     rng = np.random.default_rng(9)
     for dim in (1, 2, 3):
         for p in (1.0, 2.0, 3.0, math.inf):
@@ -324,17 +362,18 @@ def test_contains_all_matches_the_row_reference():
             bodies = [Box(lo, lo + rng.uniform(0.5, 2.0, dim)),
                       Ball(rng.uniform(-0.3, 0.3, dim), 1.25, norm),
                       Hull(verts)]
-            a = np.vstack([verts.T, np.ones(dim + 1)])
             for body in bodies:
-                on = body.extreme_points()
+                on, pushed = body.extreme_points(), np.empty((0, dim))
+                tols = (0.0, 1e-12, 1e-9)
                 if isinstance(body, Hull):
-                    i, j = np.nonzero(~np.eye(dim + 1, dtype=bool))
-                    on = np.vstack([on, 0.25 * verts[i] + 0.75 * verts[j]])
+                    on, pushed = simplex_rows(verts)
+                    tols = (0.0, 1e-15, 1e-12, 1e-9)
                 out = on - body.center
                 out /= np.linalg.norm(out, axis=1, keepdims=True)
                 pts = np.vstack([on, on + 1e-13 * out, on + 1e-9 * out,
-                                 0.5 * (on + body.center)])
-                for tol in (0.0, 1e-12, 1e-9):
+                                 0.5 * (on + body.center), pushed])
+                k, m = len(on), len(body.extreme_points())
+                for tol in tols:
                     if isinstance(body, Box):
                         ref = [bool(np.all(x >= body.lo - tol)
                                     and np.all(x <= body.hi + tol))
@@ -343,14 +382,18 @@ def test_contains_all_matches_the_row_reference():
                         ref = [bool(norm.of(x - body.c) <= body.radius + tol)
                                for x in pts]
                     else:
-                        ref = [bool(nnls(a, np.append(x, 1.0))[1] <= tol * (
-                            1.0 + np.linalg.norm(np.append(x, 1.0))))
-                               for x in pts]
-                    assert body.contains_all(pts, tol).tolist() == ref, \
-                        (type(body).__name__, dim, p, tol)
-                    assert [body.contains(x, tol) for x in pts] == ref
+                        ref = nnls_contains(verts, pts, tol)
+                    got = body.contains_all(pts, tol).tolist()
+                    single = [body.contains(x, tol) for x in pts]
+                    if isinstance(body, Hull) and tol == 0.0:
+                        ref, got, single = ref[k:], got[k:], single[k:]
+                    elif isinstance(body, Hull) and tol == 1e-15:
+                        assert all(ref[:k])
+                    assert got == ref, (type(body).__name__, dim, p, tol)
+                    assert single == ref
                     # 1e-9 beyond an extreme point is outside under tol
-                    # 1e-12, and halfway to the centre is inside
+                    # 1e-12, and halfway to the centre is inside, as is no
+                    # facet centre pushed 1e-9 outward
                     if tol == 1e-12:
-                        k, m = len(on), len(body.extreme_points())
-                        assert not any(ref[2 * k:2 * k + m]) and all(ref[3 * k:])
+                        assert not any(ref[2 * k:2 * k + m])
+                        assert all(ref[3 * k:4 * k]) and not any(ref[4 * k:])
