@@ -279,8 +279,8 @@ def suite_bump(cfg: ExperimentConfig) -> list[CaseRecord]:
                                                    allow_hull=False)
         lo_s = 0.22 if dim < 3 else 0.3
         s = float(rng.uniform(lo_s, 0.45)) * min(1.0, diam)
-        # a coarse candidate grid keeps the nets small enough that the
-        # 10^4-pair quotient scan stays within the suite's time budget
+        # a coarse candidate grid: about half the net points of _net_for's
+        # default one, which the bump report bytes are still pinned to
         net = _net_for(body, norm, s, per_axis=(41, 9, 5))
         f = random_nonexpansive(body, seed=_sub_seed(rng))
         eps = float(rng.uniform(0.1, 0.8))
@@ -865,7 +865,7 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     def net_at(j: int) -> tuple[Net, np.ndarray]:
         if j not in net_cache:
             net = _net_for(body, norm, 2.0 ** -j * diam)
-            far = nearest(net.points, grid, norm)[1] > net.s / 2.0
+            far = nearest(net.points, grid, norm, net.s / 2.0)[1] > net.s / 2.0
             net_cache[j] = net, grid[far]
         return net_cache[j]
 

@@ -105,7 +105,10 @@ class FlatCollapse(MapExpr):
     apart so the modified balls are disjoint (closer centres, or radii
     outside 0 < delta < r, raise ParameterError); then the global Lipschitz
     constant is at most 1 + delta/(r - delta).  The two outer branches are
-    evaluated exactly (no arithmetic on the identity branch).
+    evaluated exactly (no arithmetic on the identity branch).  A point
+    farther than r from every centre takes the identity branch whichever
+    centre is nearest, so the one `nearest` query reaches only r, and the
+    two inner branches are built only for the rows it puts within r.
     """
 
     centers: np.ndarray
@@ -123,18 +126,20 @@ class FlatCollapse(MapExpr):
             raise ParameterError("collapse centres closer than 2r: balls would overlap")
 
     def _apply(self, pts):
-        return self._profile(pts, *nearest(self.centers, pts, self.norm))
+        return self._profile(pts, *nearest(self.centers, pts, self.norm, self.r))
 
     def _profile(self, pts, idx, d):
-        """The radial profile at pts, given their nearest centres and distances."""
-        ctr = self.centers[idx]
+        """The radial profile at pts, given their nearest centres and
+        distances; idx and d need to be exact only on the rows with d < r."""
         out = pts.copy()
-        inner = d <= self.delta
-        out[inner] = ctr[inner]
-        mid = (d > self.delta) & (d < self.r)
-        if np.any(mid):
-            coef = (self.r - self.r * self.delta / d[mid]) / (self.r - self.delta)
-            out[mid] = ctr[mid] + coef[:, None] * (pts[mid] - ctr[mid])
+        near = np.flatnonzero(d < self.r)
+        x, t, ctr = pts[near], d[near], self.centers[idx[near]]
+        inner = t <= self.delta
+        mid = ~inner
+        coef = (self.r - self.r * self.delta / t[mid]) / (self.r - self.delta)
+        x[mid] = ctr[mid] + coef[:, None] * (x[mid] - ctr[mid])
+        x[inner] = ctr[inner]
+        out[near] = x
         return out
 
     @property
@@ -160,7 +165,10 @@ class Tent(MapExpr):
     2r-separation makes the balls disjoint, so the inner branch is an
     isometry towards c and the whole map is no more expansive than
     max(base, 1).  `collapse`, `centers`, `apexes` and the outer `stages`
-    (in the order they apply) are derived from the base.
+    (in the order they apply) are derived from the base.  One `nearest`
+    query, reaching the collapse's outer radius r, drives both the
+    collapse and the tents; the tent branches are written only for the
+    rows within delta.
     """
 
     directions: np.ndarray
@@ -189,16 +197,14 @@ class Tent(MapExpr):
         object.__setattr__(self, "apexes", self.base._apply(node.centers))
 
     def _apply(self, pts):
-        idx, d = nearest(self.centers, pts, self.collapse.norm)
+        idx, d = nearest(self.centers, pts, self.collapse.norm, self.collapse.r)
         out = self.collapse._profile(pts, idx, d)
         for stage in self.stages:
             out = stage._apply(out)
-        apex = self.apexes[idx]
-        u = self.directions[idx]
-        inner = d < self.rho
-        ring = (d >= self.rho) & (d < self.delta)
-        out[inner] = apex[inner] + d[inner, None] * u[inner]
-        out[ring] = apex[ring] + (self.delta - d[ring])[:, None] * u[ring]
+        near = np.flatnonzero(d < self.delta)
+        t, apex, u = d[near], self.apexes[idx[near]], self.directions[idx[near]]
+        height = np.where(t < self.rho, t, self.delta - t)
+        out[near] = apex + height[:, None] * u
         return out
 
     @property

@@ -86,24 +86,32 @@ def _nearest_dense(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     return idx, d
 
 
-def nearest(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+def nearest(centers, pts, norm: Norm,
+            reach: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest centre for each row of pts (the first one on
-    ties) and the distance to it.
+    ties) and the distance to it, for the rows that have a centre within
+    `reach`.  Every other row reports some distance d > reach (inf when
+    no centre was looked at) and some valid index.
 
     Queries of at least NEAREST_TREE_MIN rows x centres beyond 1-D ask a
-    k-d tree for each row's two nearest centres and recompute the
-    distance to the first with `Norm.of`.  A row whose runner-up lies
-    within a relative 1e-12 of it (an exact tie, or the tree's own
-    rounding at p not in {1, 2, inf}) is decided by the dense scan, so
-    idx and d equal the dense scan's bit for bit on every row.
+    k-d tree for each row's two nearest centres no farther than just above
+    reach (a relative 1e-9, so that the tree's rounding keeps every row
+    that `Norm.of` puts within reach) and recompute the distance to the
+    first with `Norm.of`.  A row whose runner-up lies within a relative
+    1e-12 of it (an exact tie, or the tree's own rounding at p not in
+    {1, 2, inf}) is decided by the dense scan, so idx and d equal the
+    dense scan's bit for bit on every row within reach.
     """
     if centers.shape[1] == 1 or pts.shape[0] * centers.shape[0] < NEAREST_TREE_MIN:
         return _nearest_dense(centers, pts, norm)
     from scipy.spatial import cKDTree
-    near, hit = cKDTree(centers).query(pts, k=2, p=norm.p)
-    idx = hit[:, 0]
-    d = norm.of(pts - centers[idx], axis=1)
-    tie = near[:, 1] <= near[:, 0] * (1.0 + 1e-12)
+    near, hit = cKDTree(centers).query(pts, k=2, p=norm.p,
+                                       distance_upper_bound=reach * (1.0 + 1e-9))
+    found = np.isfinite(near[:, 0])
+    idx = np.where(found, hit[:, 0], 0)
+    d = np.full(pts.shape[0], math.inf)
+    d[found] = norm.of(pts[found] - centers[idx[found]], axis=1)
+    tie = found & (near[:, 1] <= near[:, 0] * (1.0 + 1e-12))
     if tie.any():
         idx[tie], d[tie] = _nearest_dense(centers, pts[tie], norm)
     return idx, d

@@ -1,4 +1,5 @@
 """Mapping expressions: certificates, evaluation and sampling estimators."""
+import itertools
 import math
 
 import numpy as np
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nelab import space
 from nelab.errors import DomainError, EstimationError
 from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
                         FlatCollapse, Identity, Tent, lip_global_est,
                         lip_local_profile, lip_local_profiles, pair_quotients,
                         random_nonexpansive, steep_density, sup_dist_est)
-from nelab.perturb import flat_collapse
-from nelab.space import Ball, Box, Norm, body_from_desc, greedy_net
+from nelab.perturb import bump_perturb, flat_collapse
+from nelab.space import (Ball, Box, Net, Norm, body_from_desc, distances,
+                         greedy_net, grid_candidates)
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 BOX01 = Box(np.array([0.0]), np.array([1.0]))
@@ -290,6 +293,66 @@ def test_tent_matches_the_stacked_evaluation():
         if t < 0.1:
             row[:] = g.apexes[i] + min(t, 0.1 - t) * g.directions[i]
     assert np.array_equal(g._apply(pts), want)
+
+
+def _full_row_tent(g, pts):
+    """Collapse and tent of a `Tent` with every branch built over every
+    row, from the unbounded dense nearest-centre scan: the kernels before
+    they were restricted to the rows within r and delta."""
+    c = g.collapse
+    idx, d = space._nearest_dense(c.centers, pts, c.norm)
+    ctr = c.centers[idx]
+    out = pts.copy()
+    inner = d <= c.delta
+    out[inner] = ctr[inner]
+    mid = (d > c.delta) & (d < c.r)
+    coef = (c.r - c.r * c.delta / d[mid]) / (c.r - c.delta)
+    out[mid] = ctr[mid] + coef[:, None] * (pts[mid] - ctr[mid])
+    collapsed = out.copy()
+    for stage in g.stages:
+        out = stage._apply(out)
+    apex, u = g.apexes[idx], g.directions[idx]
+    inner = d < g.rho
+    ring = (d >= g.rho) & (d < g.delta)
+    out[inner] = apex[inner] + d[inner, None] * u[inner]
+    out[ring] = apex[ring] + (g.delta - d[ring])[:, None] * u[ring]
+    return collapsed, out
+
+
+@pytest.mark.parametrize("tree", [True, False])
+def test_restricted_kernels_match_the_full_row_kernels(monkeypatch, tree):
+    # bump nets on the lattice s Z^n: a centre with c_k = 0 puts c + t e_k
+    # at distance exactly t for p in {1, 2, inf}, so rows sit exactly at
+    # delta, rho and r (at r, also exactly between two centres)
+    if not tree:
+        monkeypatch.setattr(space, "NEAREST_TREE_MIN", math.inf)
+    for dim in (2, 3):
+        box = Box(-np.ones(dim), np.ones(dim))
+        lattice = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=dim)))
+        f = random_nonexpansive(box, seed=dim)
+        for p in (1.0, 2.0, math.inf):
+            norm = Norm(p)
+            nets = (Net(lattice, 0.5),
+                    greedy_net(box, norm, 0.4, grid_candidates(box, 13)))
+            for net in nets:
+                g = bump_perturb(f, net, 0.5, box, norm)
+                c = g.collapse
+                rng = np.random.default_rng(dim)
+                steps = np.concatenate([np.eye(dim), -np.eye(dim)])
+                radii = (0.5 * g.rho, g.rho, 0.75 * c.delta, c.delta,
+                         0.5 * (c.delta + c.r), c.r)
+                axial = np.vstack([net.points + t * steps[:, None, :]
+                                   for t in radii]).reshape(-1, dim)
+                around = net.points + c.delta * rng.normal(size=(20,) + net.points.shape)
+                pts = np.vstack([axial, around.reshape(-1, dim),
+                                 box.sample_many(rng, 2000)])
+                dist = distances(pts, net.points, norm).min(axis=1)
+                if net is nets[0]:
+                    assert all((dist == t).any() for t in (c.delta, g.rho, c.r))
+                assert (dist < g.rho).any() and (dist > c.r).any()
+                collapsed, want = _full_row_tent(g, pts)
+                assert np.array_equal(c._apply(pts), collapsed)
+                assert np.array_equal(g._apply(pts), want)
 
 
 def test_range_closure_under_random_trees():

@@ -312,6 +312,47 @@ def test_tree_nearest_breaks_ties_like_the_dense_scan(monkeypatch):
     assert d.tolist() == ref.min(axis=1).tolist()
 
 
+def test_nearest_within_reach_matches_the_dense_scan():
+    # a row with a centre within reach gets the dense scan's (idx, d) bit
+    # for bit; any other row reports some d > reach.  Rows bisected onto
+    # the reach sphere would be lost by a tree bound even a relative 1e-9
+    # short of reach, and the lattice rows put exact ties inside reach
+    rng = np.random.default_rng(17)
+    for dim, per_net, per_query, s in ((1, 41, 321, 0.1), (2, 11, 21, 0.4),
+                                       (3, 5, 9, 0.5)):
+        box = Box(-np.ones(dim), np.ones(dim))
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            net = greedy_net(box, norm, s, grid_candidates(box, per_net)).points
+            reach = 0.6 * s
+
+            def gap(x):
+                return distances(x, net, norm).min(axis=1)
+
+            # lo within reach, hi beyond it, along rays out of random centres
+            lo = net[rng.integers(len(net), size=400)]
+            hi = lo + 2.0 * reach * rng.normal(size=lo.shape)
+            out = gap(hi) > reach
+            lo, hi = lo[out], hi[out]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                inside = (gap(mid) <= reach)[:, None]
+                lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+            assert (gap(lo) > reach * (1.0 - 1e-12)).all()
+            queries = np.vstack([lo, hi, grid_candidates(box, per_query),
+                                 rng.uniform(-1.0, 1.0, size=(300, dim))])
+            assert dim == 1 or len(queries) * len(net) >= space.NEAREST_TREE_MIN
+            ref = distances(queries, net, norm)
+            within = ref.min(axis=1) <= reach
+            ties = (ref == ref.min(axis=1)[:, None]).sum(axis=1) > 1
+            assert (within & ties).any() and not within.all()
+            idx, d = nearest(net, queries, norm, reach)
+            assert idx[within].tolist() == ref.argmin(axis=1)[within].tolist()
+            assert d[within].tolist() == ref.min(axis=1)[within].tolist()
+            assert (d[~within] > reach).all()
+            assert ((0 <= idx) & (idx < len(net))).all()
+
+
 def test_segment_stays_inside_hull():
     tri = Hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     rng = np.random.default_rng(4)
