@@ -271,39 +271,44 @@ def _isometry_residual(g: MapExpr, net: Net, rho: float, body: ConvexBody,
     return float(res.max())
 
 
+def _bump_case(cfg: ExperimentConfig, i: int) -> CaseRecord:
+    """Case i of `bump`, drawn only from its own generator."""
+    rng, dim, norm, body, diam = _random_space(cfg, "bump", i, 3,
+                                               allow_hull=False)
+    lo_s = 0.22 if dim < 3 else 0.3
+    s = float(rng.uniform(lo_s, 0.45)) * min(1.0, diam)
+    # a coarse candidate grid: about half the net points of _net_for's
+    # default one, which the bump report bytes are still pinned to
+    net = _net_for(body, norm, s, per_axis=(41, 9, 5))
+    f = random_nonexpansive(body, seed=_sub_seed(rng))
+    eps = float(rng.uniform(0.1, 0.8))
+    g = bump_perturb(f, net, eps, body, norm)
+    sd = sup_dist_est(g, f, body, norm, samples=600, seed=_sub_seed(rng))
+    lb = lip_global_est(g, body, norm, pairs=10000,
+                        seed=_sub_seed(rng)).lower_bound
+    iso = _isometry_residual(g, net, g.rho, body, norm, rng, probes=100)
+    # g's certificate is max(1, (1 - delta/r) cert(f) (1 + delta/(r - delta)));
+    # the product is at most 1 exactly but can round one ulp above it
+    q_bound = 1.0 + cfg.scaled(1e-9)
+    passed = (sd <= eps + cfg.scaled(1e-12) and lb <= q_bound
+              and iso <= cfg.scaled(1e-9) and g.certificate <= q_bound)
+    return CaseRecord(
+        f"bump/{i:03d}",
+        {"dim": dim, "p": norm.p, "body": type(body).__name__, "s": net.s,
+         "eps": eps, "net_size": len(net), "rho": g.rho},
+        {"sup_dist": sd, "pair_quotient": lb, "isometry_residual": iso,
+         "certificate": g.certificate},
+        {"eps": eps, "quotient_bound": q_bound,
+         "isometry_tol": cfg.scaled(1e-9)},
+        passed)
+
+
+def _bump_indices(cfg: ExperimentConfig) -> range:
+    return range(cfg.trials or 20)
+
+
 def suite_bump(cfg: ExperimentConfig) -> list[CaseRecord]:
-    n = cfg.trials or 20
-    cases = []
-    for i in range(n):
-        rng, dim, norm, body, diam = _random_space(cfg, "bump", i, 3,
-                                                   allow_hull=False)
-        lo_s = 0.22 if dim < 3 else 0.3
-        s = float(rng.uniform(lo_s, 0.45)) * min(1.0, diam)
-        # a coarse candidate grid: about half the net points of _net_for's
-        # default one, which the bump report bytes are still pinned to
-        net = _net_for(body, norm, s, per_axis=(41, 9, 5))
-        f = random_nonexpansive(body, seed=_sub_seed(rng))
-        eps = float(rng.uniform(0.1, 0.8))
-        g = bump_perturb(f, net, eps, body, norm)
-        sd = sup_dist_est(g, f, body, norm, samples=600, seed=_sub_seed(rng))
-        lb = lip_global_est(g, body, norm, pairs=10000,
-                            seed=_sub_seed(rng)).lower_bound
-        iso = _isometry_residual(g, net, g.rho, body, norm, rng, probes=100)
-        # g's certificate is max(1, (1 - delta/r) cert(f) (1 + delta/(r - delta)));
-        # the product is at most 1 exactly but can round one ulp above it
-        q_bound = 1.0 + cfg.scaled(1e-9)
-        passed = (sd <= eps + cfg.scaled(1e-12) and lb <= q_bound
-                  and iso <= cfg.scaled(1e-9) and g.certificate <= q_bound)
-        cases.append(CaseRecord(
-            f"bump/{i:03d}",
-            {"dim": dim, "p": norm.p, "body": type(body).__name__, "s": net.s,
-             "eps": eps, "net_size": len(net), "rho": g.rho},
-            {"sup_dist": sd, "pair_quotient": lb, "isometry_residual": iso,
-             "certificate": g.certificate},
-            {"eps": eps, "quotient_bound": q_bound,
-             "isometry_tol": cfg.scaled(1e-9)},
-            passed))
-    return cases
+    return [_bump_case(cfg, i) for i in _bump_indices(cfg)]
 
 
 # --------------------------------------------------------------------------
@@ -779,18 +784,19 @@ def suite_holes(cfg: ExperimentConfig) -> list[CaseRecord]:
     return _dual_cases(cfg, "holes")
 
 
-# the costliest suite first: `verify --suite all` hands suites to its
-# workers in this order
+# costliest first: `verify --suite all` hands its workers the blocks of
+# `bump`'s cases, then the other suites whole, in this order, so that the
+# last ones to start are short and the workers finish close together
 SUITES = {
     "bump": suite_bump,
     "flat": suite_flat,
-    "field": suite_field,
     "witness": suite_witness,
+    "holes": suite_holes,
     "pairs": suite_pairs,
-    "invratio": suite_invratio,
+    "field": suite_field,
     "ladder": suite_ladder,
     "porosity": suite_porosity,
-    "holes": suite_holes,
+    "invratio": suite_invratio,
 }
 
 
@@ -808,21 +814,33 @@ def run_verify(cfg: ExperimentConfig) -> Report:
     return _run(f"verify:{cfg.suite}", cfg, _verify_cases)
 
 
-def _suite(name: str, cfg: ExperimentConfig) -> list[CaseRecord]:
-    """The cases of suite `name`; a worker receives only the name and cfg."""
-    return SUITES[name](cfg)
+def _unit(unit: str | range, cfg: ExperimentConfig) -> list[CaseRecord]:
+    """The cases of one unit of work, a suite name or a block of `bump`
+    case indices; a worker receives only the unit and cfg."""
+    if isinstance(unit, range):
+        return [_bump_case(cfg, i) for i in unit]
+    return SUITES[unit](cfg)
 
 
 def _verify_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
-    """The cases of the named suites; several suites run in forked
-    workers, one per CPU the process may use, when there are two or more.
-    Each suite draws only from its own generators, so the cases do not
-    depend on where they ran."""
+    """The cases of the named suites.  Several suites run in forked
+    workers, one per CPU the process may use, when there are two or more:
+    `bump`, the costliest, is cut into one contiguous block of case
+    indices per worker, and the other suites follow whole.  Each case of
+    `bump`, and each other suite, draws only from its own generators, so
+    the cases do not depend on where they ran; and the first failure in
+    unit order is the one the in-process run raises."""
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else 1
     if len(names) < 2 or cpus < 2:
-        return [case for name in names for case in _suite(name, cfg)]
+        return [case for name in names for case in _unit(name, cfg)]
+    workers = min(len(names), cpus)
+    idx = _bump_indices(cfg)
+    units: list[str | range] = [
+        idx[k * len(idx) // workers:(k + 1) * len(idx) // workers]
+        for k in range(workers)]
+    units += [name for name in names if name != "bump"]
     # imported here, so that `import nelab.cli` stays as light as it is.
     # Forked workers inherit every loaded module (nelab starts no thread
     # they could deadlock on), so scipy.spatial, which holds the k-d tree
@@ -833,9 +851,9 @@ def _verify_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
 
     import scipy.spatial  # noqa: F401
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(len(names), cpus),
+            max_workers=workers,
             mp_context=multiprocessing.get_context("fork")) as pool:
-        return [case for cases in pool.map(_suite, names, [cfg] * len(names))
+        return [case for cases in pool.map(_unit, units, [cfg] * len(units))
                 for case in cases]
 
 

@@ -420,8 +420,11 @@ def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:
         raise ValueError(f"need 0 < s <= diam C = {diam}, got s={s}")
     if not body.contains_all(cands, tol=1e-9).all():
         raise ValueError("net candidate lies outside the body")
+    # each accepted candidate clears the later ones closer than s to it
+    free = np.ones(cands.shape[0], dtype=bool)
     accepted = []
-    for c in cands:
-        if not accepted or float(norm.of(np.asarray(accepted) - c, axis=1).min()) >= s:
-            accepted.append(c)
-    return Net(np.asarray(accepted), s)
+    for i in range(cands.shape[0]):
+        if free[i]:
+            accepted.append(i)
+            free[i + 1:] &= norm.of(cands[i + 1:] - cands[i], axis=1) >= s
+    return Net(cands[accepted], s)

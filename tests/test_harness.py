@@ -478,16 +478,40 @@ def _cli(argv, capsys) -> tuple[int, str, str]:
     return rc, out, re.sub(r" wall=\S+", "", err)
 
 
-@pytest.mark.parametrize("seed", ["0", "1000000"])
+# at --trials 1 two workers get bump's cases in blocks range(0, 0) and
+# range(0, 1), at --trials 3 in range(0, 1) and range(1, 3)
+@pytest.mark.parametrize("args", [["--seed", "0"], ["--seed", "1000000"],
+                                  ["--trials", "1"], ["--trials", "3"]],
+                         ids=["0", "1000000", "trials-1", "trials-3"])
 def test_verify_all_pool_and_in_process_runs_give_the_same_bytes(
-        seed, monkeypatch, capsys):
+        args, monkeypatch, capsys):
     for fmt in ("json", "csv"):
-        argv = ["verify", "--suite", "all", "--seed", seed, "--format", fmt]
+        argv = ["verify", "--suite", "all", *args, "--format", fmt]
         _cpus(monkeypatch, 2)
         pooled = _cli(argv, capsys)
         _cpus(monkeypatch, 1)
         assert _cli(argv, capsys) == pooled
         assert pooled[0] == 0 and pooled[1]
+
+
+def test_a_bump_case_failing_in_the_second_block_reaches_the_caller(
+        monkeypatch, capsys):
+    # at --trials 6 two workers get bump cases 0-2 and 3-5; cases 3 to 5
+    # fail, and the in-process run raises at case 3 first (blocks dealt
+    # round-robin, 0, 2, 4 and 1, 3, 5, would raise at case 4)
+    bump_case = harness._bump_case
+
+    def boom(cfg, i):
+        if i >= 3:
+            raise ParameterError(f"boom {i}")
+        return bump_case(cfg, i)
+
+    monkeypatch.setattr(harness, "_bump_case", boom)
+    argv = ["verify", "--suite", "all", "--trials", "6"]
+    _cpus(monkeypatch, 2)
+    pooled = _cli(argv, capsys)
+    _cpus(monkeypatch, 1)
+    assert _cli(argv, capsys) == pooled == (2, "", "error: boom 3\n")
 
 
 def test_a_suite_failing_in_a_worker_reaches_the_caller(monkeypatch, capsys):

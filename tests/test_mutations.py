@@ -6,9 +6,9 @@ import nelab.harness as harness
 import nelab.maps as maps
 import nelab.porosity as porosity
 from nelab.harness import ExperimentConfig, run_porosity, run_verify
-from nelab.maps import LipEstimate
+from nelab.maps import LipEstimate, Tent
 from nelab.perturb import BumpWitnesses, DirectionField
-from nelab.space import Norm, body_from_desc
+from nelab.space import Norm, body_from_desc, nearest
 from test_space import nnls_contains, simplex_rows
 
 
@@ -89,6 +89,33 @@ def test_edge_probes_fail_the_bump_witnesses(monkeypatch):
     rep = run_verify(ExperimentConfig(suite="witness", trials=10))
     assert len(rep.cases) == 30 and not rep.passed
     assert len(rep.failures) == len(rep.cases)
+
+
+def test_a_short_tent_breaks_the_bump_isometry(monkeypatch):
+    # an inner branch of height 0.999 t instead of t no longer moves the
+    # points of B(c, rho) isometrically towards c
+    apply = Tent._apply
+
+    def short(self, pts):
+        out = apply(self, pts)
+        idx, d = nearest(self.centers, pts, self.collapse.norm)
+        inner = d < self.rho
+        out[inner] -= 0.001 * d[inner, None] * self.directions[idx[inner]]
+        return out
+
+    monkeypatch.setattr(Tent, "_apply", short)
+    rep = run_verify(ExperimentConfig(suite="bump"))
+    assert len(rep.failures) == len(rep.cases) == 20
+
+
+def test_a_wide_tent_apex_breaks_the_bump_isometry(monkeypatch):
+    # a tent that climbs to 0.6 delta and then drops to height 0.4 delta
+    # is not an isometry on B(c, rho) = B(c, 0.6 delta)
+    monkeypatch.setattr(Tent, "rho", property(lambda self: 0.6 * self.delta))
+    rep = run_verify(ExperimentConfig(suite="bump"))
+    assert len(rep.failures) == 17
+    assert all(c.measured["isometry_residual"] > c.bounds["isometry_tol"]
+               for c in rep.failures)
 
 
 def test_a_lost_facet_breaks_the_row_reference():

@@ -219,6 +219,39 @@ def test_greedy_net_contract_on_random_candidates():
     assert len(net) >= 2
 
 
+def greedy_rows(cands, norm, s):
+    """The candidate-by-candidate first-fit loop greedy_net replaced."""
+    accepted = []
+    for c in cands:
+        if not accepted or float(norm.of(np.asarray(accepted) - c, axis=1).min()) >= s:
+            accepted.append(c)
+    return np.asarray(accepted)
+
+
+def test_greedy_net_matches_the_candidate_loop():
+    # a 0.25-lattice with s = 0.5 puts candidate pairs at exactly s along
+    # the axes; duplicates and shuffles must not change what first-fit keeps
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        box = Box(-np.ones(dim), np.ones(dim))
+        lattice = grid_candidates(box, 9)
+        rand = box.sample_many(rng, 150)
+        shuffled = np.vstack([lattice, lattice[::3]])
+        shuffled = shuffled[rng.permutation(len(shuffled))]
+        repeated = np.vstack([rand[:40], rand[:40], rand[5:15]])
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            for cands in (lattice, rand, shuffled, repeated):
+                for s in (0.3, 0.5, 0.7):
+                    net = greedy_net(box, norm, s, cands)
+                    ref = greedy_rows(cands, norm, s)
+                    assert net.points.tobytes() == ref.tobytes(), (dim, p, s)
+    # on the lattice the ties at exactly s are kept
+    box = Box(np.array([-1.0]), np.array([1.0]))
+    net = greedy_net(box, Norm(2.0), 0.5, grid_candidates(box, 9))
+    assert net.points.ravel().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
 def test_greedy_net_input_errors():
     box = Box(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
