@@ -36,6 +36,7 @@ to the perturbed map, which punches verifiable holes into that set.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,13 +249,23 @@ def _hole_radii(oracle: SetOracle, q: np.ndarray, r: float,
     return np.where(usable, np.minimum(cap, oracle.distance(cs)), 0.0)
 
 
+@functools.cache
+def _lattice_index(per_axis: int, dim: int) -> np.ndarray:
+    """The (per_axis^dim, dim) axis indices of the lattice, in "ij" order."""
+    return np.indices((per_axis,) * dim).reshape(dim, -1).T
+
+
 def _lattice(spans, per_axis: int, dim: int) -> np.ndarray:
     """Offsets of the per_axis^dim lattice over [-span, span]^dim, in "ij"
     order, for each entry of `spans`: shape spans.shape + (per_axis^dim,
-    dim).  Each span's axis has the bits of its own scalar linspace, as
-    long as no span is so small that its step underflows to 0."""
-    axis = np.linspace(-spans, spans, per_axis, axis=-1)
-    return axis[..., np.indices((per_axis,) * dim).reshape(dim, -1).T]
+    dim).  Each span's axis is linspace's own arithmetic, point i at
+    i ((span + span) / (per_axis - 1)) - span and the last at span, so it
+    has the bits of its own scalar linspace, as long as no span is so
+    small that its step underflows to 0."""
+    s = spans[..., None]
+    axis = np.arange(per_axis) * ((s + s) / (per_axis - 1)) - s
+    axis[..., -1] = s[..., 0]
+    return axis[..., _lattice_index(per_axis, dim)]
 
 
 def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
@@ -374,10 +385,8 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
     eps = np.asarray(eps_grid, dtype=float)
     k, n = eps.size, q.size
     per_axis = 33 if n == 1 else (9 if n == 2 else 5)
-    # keyed [seed, 0, ei]: the draws that trying each constant in turn
-    # makes at the first one, c = 1/2
-    u = np.array([np.random.default_rng([seed, 0, ei]).random((trials, n))
-                  for ei in range(k)])
+    # one generator for the verdict: row ei of the draws serves scale ei
+    u = np.random.default_rng(seed).random((k, trials, n))
     cs = np.concatenate([np.broadcast_to(q, (k, 1, n)),
                          q + _lattice(eps, per_axis, n),
                          q + (2.0 * u - 1.0) * eps[:, None, None]], axis=1)

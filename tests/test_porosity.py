@@ -13,9 +13,10 @@ from nelab.perturb import flat_collapse
 from nelab.porosity import (DYADIC_BITS, GAMMA_PER_AXIS, GAMMA_ROUNDS,
                             LOWER_LEVELS, TARGETS, UPPER_EPS,
                             FinitePointSet, IntervalUnionSet,
-                            PorosityVerdict, ReciprocalSet, _hole_radii, closing_bound,
-                            gamma_est, ladder_witness, low_slope_alpha, low_slope_member,
-                            lower_porous_at, oracle_from_desc, upper_porous_at)
+                            PorosityVerdict, ReciprocalSet, _hole_radii, _lattice,
+                            closing_bound, gamma_est, ladder_witness, low_slope_alpha,
+                            low_slope_member, lower_porous_at, oracle_from_desc,
+                            upper_porous_at)
 from nelab.space import Box, Norm, greedy_net, grid_candidates
 
 NORM2 = Norm(2.0)
@@ -169,6 +170,24 @@ def test_gamma_est_monotone_in_trials():
         prev = est
 
 
+def test_lattice_has_the_bits_of_linspace():
+    # every coordinate, the sign of each zero included, is the one that
+    # linspace over the spans gives, laid out in "ij" order; spans run
+    # from 1e-300, whose step 2e-300 / 32 still does not underflow, to 10.
+    # The lattices use m = 2^k + 1; at m = 7 the last point i step - span
+    # can round off the span, so linspace sets it
+    rng = np.random.default_rng(5)
+    for dim, m in itertools.product((1, 2, 3), (5, 7, 9, 17, 33)):
+        spans = 10.0 ** rng.uniform(-300.0, 1.0, (2, 5 if dim < 3 else 2))
+        spans[0, :2] = 1e-300, 10.0
+        got = _lattice(spans, m, dim)
+        ij = np.stack(np.meshgrid(*[np.arange(m)] * dim, indexing="ij"),
+                      -1).reshape(-1, dim)
+        want = np.linspace(-spans, spans, m, axis=-1)[..., ij]
+        assert np.array_equal(got, want), (dim, m)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (dim, m)
+
+
 def _refine_reference(oracle, q, r, center, span, per_axis, best_r=0.0):
     # one refinement chain on its own: a meshgrid lattice per round, the
     # first best hole taken on a strict improvement, the span halved, and a
@@ -287,18 +306,18 @@ def test_lower_porous_implies_upper_porous():
 
 def _porous_reference(kind, oracle, q, phi, eps_grid, trials, seed):
     # each constant 2^-1 .. 2^-DYADIC_BITS in turn: every scale's first
-    # candidate (q, the lattice, the draws keyed [seed, 0, ei]) in range
-    # whose ball of radius phi^{-1}(t) misses P, by the scalar inverse
+    # candidate (q, the lattice, row ei of the one generator's draws) in
+    # range whose ball of radius phi^{-1}(t) misses P, by the scalar inverse
     q = np.asarray(q, dtype=float)
     upper = kind == "upper"
     per_axis = 33 if q.size == 1 else (9 if q.size == 2 else 5)
+    u = np.random.default_rng(seed).random((len(eps_grid), trials, q.size))
     scales = []
     for ei, eps in enumerate(eps_grid):
         axis = np.linspace(-eps, eps, per_axis)
         grid = np.stack(np.meshgrid(*[axis] * q.size, indexing="ij"), -1)
-        rng = np.random.default_rng([seed, 0, ei])
         cs = np.vstack([q, q + grid.reshape(-1, q.size),
-                        q + (2.0 * rng.random((trials, q.size)) - 1.0) * eps])
+                        q + (2.0 * u[ei] - 1.0) * eps])
         d = oracle.norm.of(cs - q, axis=1)
         keep = ((d <= eps) & ((d > 0.0) | (not upper))
                 & oracle.ambient.contains_all(cs))
