@@ -255,7 +255,8 @@ def least_concave_majorant(ts, ys) -> PiecewiseGauge:
     if ts.ndim != 1 or ts.size < 2 or ts.shape != ys.shape:
         raise ValueError("need two aligned vectors with at least two points")
     order = np.argsort(ts, kind="stable")
-    ts, ys = ts[order], ys[order]
+    # the loops run on Python floats, which round as numpy's float64 does
+    ts, ys = ts[order].tolist(), ys[order].tolist()
     # collapse duplicate abscissae onto their max ordinate
     keep_t, keep_y = [ts[0]], [ys[0]]
     for t, y in zip(ts[1:], ys[1:]):

@@ -843,9 +843,9 @@ def _verify_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     units += [name for name in names if name != "bump"]
     # imported here, so that `import nelab.cli` stays as light as it is.
     # Forked workers inherit every loaded module (nelab starts no thread
-    # they could deadlock on), so scipy.spatial, which holds the k-d tree
-    # of `nearest` and the Qhull of `Hull`, is imported before the fork
-    # rather than again in the workers of every run
+    # they could deadlock on), so scipy.spatial, which holds the Qhull of
+    # `Hull`, is imported before the fork rather than again in the workers
+    # of every run
     import concurrent.futures
     import multiprocessing
 
@@ -883,7 +883,7 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     def net_at(j: int) -> tuple[Net, np.ndarray]:
         if j not in net_cache:
             net = _net_for(body, norm, 2.0 ** -j * diam)
-            far = nearest(net.points, grid, norm, net.s / 2.0)[1] > net.s / 2.0
+            far = net.nearest(grid, norm)[1] > net.s / 2.0
             net_cache[j] = net, grid[far]
         return net_cache[j]
 

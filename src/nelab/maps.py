@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError, ParameterError
-from .space import ConvexBody, Net, Norm, as_point, nearest
+from .space import ConvexBody, Net, Norm, as_point
 
 
 class MapExpr:
@@ -107,14 +107,18 @@ class FlatCollapse(MapExpr):
     constant is at most 1 + delta/(r - delta).  The two outer branches are
     evaluated exactly (no arithmetic on the identity branch).  A point
     farther than r from every centre takes the identity branch whichever
-    centre is nearest, so the one `nearest` query reaches only r, and the
-    two inner branches are built only for the rows it puts within r.
+    centre is nearest, so the centres' nearest-centre query is that of
+    `net`, the centres as a 2r-net, which is exact only within r.  A caller
+    that holds that net passes it, so that the collapses on one net share
+    its cached index; a net with other points or separation raises
+    ParameterError.
     """
 
     centers: np.ndarray
     delta: float
     r: float
     norm: Norm = Norm(2.0)
+    net: Net | None = None
 
     def __post_init__(self):
         ctrs = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -122,25 +126,27 @@ class FlatCollapse(MapExpr):
         if not (0.0 < self.delta < self.r):
             raise ParameterError(
                 f"need 0 < delta < r, got delta={self.delta}, r={self.r}")
-        if not Net(ctrs, 2.0 * self.r).check_separated(self.norm):
+        net = Net(ctrs, 2.0 * self.r) if self.net is None else self.net
+        if net.s != 2.0 * self.r or not np.array_equal(net.points, ctrs):
+            raise ParameterError("collapse net is not the centres at separation 2r")
+        if not net.check_separated(self.norm):
             raise ParameterError("collapse centres closer than 2r: balls would overlap")
+        object.__setattr__(self, "net", net)
 
     def _apply(self, pts):
-        return self._profile(pts, *nearest(self.centers, pts, self.norm, self.r))
+        return self._profile(pts, *self.net.nearest(pts, self.norm))
 
     def _profile(self, pts, idx, d):
         """The radial profile at pts, given their nearest centres and
-        distances; idx and d need to be exact only on the rows with d < r."""
-        out = pts.copy()
-        near = np.flatnonzero(d < self.r)
-        x, t, ctr = pts[near], d[near], self.centers[idx[near]]
-        inner = t <= self.delta
-        mid = ~inner
-        coef = (self.r - self.r * self.delta / t[mid]) / (self.r - self.delta)
-        x[mid] = ctr[mid] + coef[:, None] * (x[mid] - ctr[mid])
-        x[inner] = ctr[inner]
-        out[near] = x
-        return out
+        distances; idx and d need to be exact only on the rows with d < r.
+        Every branch is built on every row: the division's inf and nan, at
+        d = 0, land only on rows that another branch takes."""
+        ctr = self.centers[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = (self.r - self.r * self.delta / d) / (self.r - self.delta)
+            moved = ctr + coef[:, None] * (pts - ctr)
+        moved = np.where((d <= self.delta)[:, None], ctr, moved)
+        return np.where((d < self.r)[:, None], moved, pts)
 
     @property
     def certificate(self) -> float:
@@ -165,8 +171,8 @@ class Tent(MapExpr):
     2r-separation makes the balls disjoint, so the inner branch is an
     isometry towards c and the whole map is no more expansive than
     max(base, 1).  `collapse`, `centers`, `apexes` and the outer `stages`
-    (in the order they apply) are derived from the base.  One `nearest`
-    query, reaching the collapse's outer radius r, drives both the
+    (in the order they apply) are derived from the base.  One query of
+    the collapse's `net`, exact within its outer radius r, drives both the
     collapse and the tents; the tent branches are written only for the
     rows within delta.
     """
@@ -197,7 +203,7 @@ class Tent(MapExpr):
         object.__setattr__(self, "apexes", self.base._apply(node.centers))
 
     def _apply(self, pts):
-        idx, d = nearest(self.centers, pts, self.collapse.norm, self.collapse.r)
+        idx, d = self.collapse.net.nearest(pts, self.collapse.norm)
         out = self.collapse._profile(pts, idx, d)
         for stage in self.stages:
             out = stage._apply(out)

@@ -117,7 +117,8 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody,
     """Non-expansive perturbation of f with isometric bumps on the net.
 
     Stage 1 collapses B(x, r) to x at every net point x (r = net.s/2; the
-    collapse rejects a net closer than 2r) and feeds the result to f;
+    collapse rejects a net closer than 2r, and answers its nearest-centre
+    queries from the net's cached index) and feeds the result to f;
     stage 2 contracts by 1 - delta/r towards the body centre; stage 3
     plants a tent of height delta at each net point along the direction
     field evaluated at the stage-2 value of x.
@@ -139,7 +140,7 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody,
     r = 0.5 * s
     delta = eps * r / (3.0 * (1.0 + body.diameter(norm)))
     pts = net.points
-    g0 = Compose(f, FlatCollapse(pts, delta, r, norm))
+    g0 = Compose(f, FlatCollapse(pts, delta, r, norm, net))
     g1 = Compose(AffineContraction(1.0 - delta / r, anchor), g0)
     apexes = g1._apply(pts)
     dirs = direction_field(body, norm, s)(apexes)

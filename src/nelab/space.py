@@ -48,6 +48,8 @@ class Norm:
 
     def of(self, v, axis: int = -1):
         v = np.asarray(v, dtype=float)
+        if v.ndim > 1 and 0 < v.shape[axis] < 8:
+            return self._of_columns(v, axis % v.ndim)
         a = np.abs(v)
         if math.isinf(self.p):
             return a.max(axis=axis)
@@ -59,6 +61,31 @@ class Norm:
         # scalar power, which can round one ulp off the batched one
         return np.power((a ** self.p).sum(axis=axis), 1.0 / self.p)
 
+    def _of_columns(self, v, axis: int):
+        """`of` one column of v at a time, left to right along axis.  numpy
+        reduces fewer than 8 elements sequentially too, so the bits are
+        those of its reductions, at a tenth of their cost."""
+        lead = (slice(None),) * axis
+        cols = [v[lead + (j,)] for j in range(v.shape[axis])]
+        out = np.abs(cols[0])
+        if math.isinf(self.p):
+            for c in cols[1:]:
+                np.maximum(out, np.abs(c), out=out)
+            return out
+        if self.p == 1.0:
+            for c in cols[1:]:
+                out += np.abs(c)
+            return out
+        if self.p == 2.0:
+            out *= out
+            for c in cols[1:]:
+                out += c * c
+            return np.sqrt(out, out=out)
+        out **= self.p
+        for c in cols[1:]:
+            out += np.abs(c) ** self.p
+        return np.power(out, 1.0 / self.p, out=out)
+
 
 def distances(a, b, norm: Norm) -> np.ndarray:
     """(m, k) matrix of the distances ||a_i - b_j|| between the rows of two
@@ -66,16 +93,13 @@ def distances(a, b, norm: Norm) -> np.ndarray:
     return norm.of(a[:, None, :] - b[None, :, :], axis=2)
 
 
-NEAREST_BLOCK = 1 << 18     # coordinates per (rows, k, n) temporary of the dense scan
-# rows x centres from which `nearest` asks a k-d tree.  Timed with scipy 1.17
-# on greedy nets, the tree beat the dense scan on every 2-D and 3-D net from
-# 4096 up and lost on every one at 512; in 1-D it lost at every size up to 32768
-NEAREST_TREE_MIN = 1 << 12
+NEAREST_BLOCK = 1 << 18     # coordinates per (rows, k, n) temporary of `nearest`
 
 
-def _nearest_dense(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
-    """`nearest` by a scan over every centre.  Rows go in blocks, which
-    bounds the temporaries without changing any distance."""
+def nearest(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest centre for each row of pts (the first one on
+    ties) and the distance to it, by a scan over every centre.  Rows go in
+    blocks, which bounds the temporaries without changing any distance."""
     m = pts.shape[0]
     idx, d = np.empty(m, dtype=np.intp), np.empty(m)
     step = max(1, NEAREST_BLOCK // centers.size)
@@ -83,37 +107,6 @@ def _nearest_dense(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
         block = distances(pts[lo:lo + step], centers, norm)
         i = np.argmin(block, axis=1)
         idx[lo:lo + step], d[lo:lo + step] = i, block[np.arange(i.size), i]
-    return idx, d
-
-
-def nearest(centers, pts, norm: Norm,
-            reach: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the nearest centre for each row of pts (the first one on
-    ties) and the distance to it, for the rows that have a centre within
-    `reach`.  Every other row reports some distance d > reach (inf when
-    no centre was looked at) and some valid index.
-
-    Queries of at least NEAREST_TREE_MIN rows x centres beyond 1-D ask a
-    k-d tree for each row's two nearest centres no farther than just above
-    reach (a relative 1e-9, so that the tree's rounding keeps every row
-    that `Norm.of` puts within reach) and recompute the distance to the
-    first with `Norm.of`.  A row whose runner-up lies within a relative
-    1e-12 of it (an exact tie, or the tree's own rounding at p not in
-    {1, 2, inf}) is decided by the dense scan, so idx and d equal the
-    dense scan's bit for bit on every row within reach.
-    """
-    if centers.shape[1] == 1 or pts.shape[0] * centers.shape[0] < NEAREST_TREE_MIN:
-        return _nearest_dense(centers, pts, norm)
-    from scipy.spatial import cKDTree
-    near, hit = cKDTree(centers).query(pts, k=2, p=norm.p,
-                                       distance_upper_bound=reach * (1.0 + 1e-9))
-    found = np.isfinite(near[:, 0])
-    idx = np.where(found, hit[:, 0], 0)
-    d = np.full(pts.shape[0], math.inf)
-    d[found] = norm.of(pts[found] - centers[idx[found]], axis=1)
-    tie = found & (near[:, 1] <= near[:, 0] * (1.0 + 1e-12))
-    if tie.any():
-        idx[tie], d[tie] = _nearest_dense(centers, pts[tie], norm)
     return idx, d
 
 
@@ -221,7 +214,10 @@ class Box(ConvexBody):
 
     def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for x, lo, hi in zip(pts.T, self.lo - tol, self.hi + tol):
+            inside &= (x >= lo) & (x <= hi)
+        return inside
 
     def diameter(self, norm: Norm) -> float:
         return float(norm.of(self.hi - self.lo))
@@ -313,8 +309,8 @@ class Hull(ConvexBody):
                 raise DegenerateBodyError("hull vertices coincide")
             facets = np.array([[1.0, -verts.max()], [-1.0, verts.min()]])
         else:
-            # scipy is imported here, as in `nearest`: importing it at the
-            # top took longer than the rest of `import nelab.cli` together
+            # scipy is imported here: importing it at the top took longer
+            # than the rest of `import nelab.cli` together
             from scipy.spatial import ConvexHull, QhullError
             try:
                 facets = ConvexHull(verts).equations
@@ -382,12 +378,124 @@ def grid_candidates(body: ConvexBody, per_axis: int) -> np.ndarray:
     return mesh[keep]
 
 
+# the cell index of `Net.nearest`: at most GRID_CELLS cells inside its
+# border, and cells and radius widened by a relative GRID_MARGIN
+GRID_CELLS = 1 << 16
+GRID_MARGIN = 1e-9
+GRID_BLOCK = 1 << 16        # candidate cells per temporary of an index build
+# rows x centres x dim from which `Net.nearest` asks its index.  Timed on
+# greedy nets in dims 1-3, the dense scan won on every query below 2^11
+# and the index on every one above 2^13
+NEAREST_GRID_MIN = 1 << 12
+
+
+class _CellIndex:
+    """The query "nearest centre within radius" on a grid of cells.
+
+    The cells have side radius/2, or more where that would put more than
+    GRID_CELLS of them in the box the balls B(c, radius) span; one layer of
+    border cells, unbounded outward, holds the rest of space.  Each cell
+    lists the centres whose ball B(c, radius) meets it, both widened by a
+    relative GRID_MARGIN (the cell by GRID_MARGIN times its side plus the
+    largest coordinate of the grid box).  `owner` holds a cell's one
+    centre, or centre 0 when its list is empty; a list of two or more
+    centres is `cands[starts[j]:starts[j] + counts[j]]`, and its cell's
+    owner -1 - j.
+
+    The margin covers the rounding of the cell lookup, and `Norm.of` grows
+    with every coordinate of its argument, so a row within radius of a
+    centre lies in a cell whose list holds that centre, and every other
+    centre within radius.  A row is therefore measured against its cell's
+    list, in centre order: one `Norm.of` for most rows, and a row in a cell
+    that no ball meets is farther than radius from centre 0 as from any.
+    """
+
+    def __init__(self, centers: np.ndarray, radius: float, norm: Norm):
+        self.centers, self.norm = centers, norm
+        k, n = centers.shape
+        radius *= 1.0 + GRID_MARGIN
+        self.lo = centers.min(axis=0) - radius
+        span = centers.max(axis=0) + radius - self.lo
+        self.side = 0.5 * radius
+        while (cells := np.prod(np.ceil(span / self.side))) > GRID_CELLS:
+            self.side *= max(1.25, (cells / GRID_CELLS) ** (1.0 / n))
+        self.shape = np.ceil(span / self.side)
+        dims = (self.shape + 2.0).astype(np.intp)
+        self.strides = np.array([float(np.prod(dims[i + 1:])) for i in range(n)])
+        pad = GRID_MARGIN * (self.side + np.abs(self.lo)
+                             + np.abs(self.lo + self.shape * self.side))
+        # along each axis, the cells whose widened extent meets that of
+        # each centre's ball, and their gaps to the centre
+        lo, top = self.lo[:, None], self.shape[:, None]
+        first = np.maximum(-1.0, np.floor((centers - radius - pad - self.lo) / self.side))
+        last = np.minimum(self.shape, np.floor((centers + radius + pad - self.lo) / self.side))
+        width = int((last - first).max()) + 1
+        cell = first[:, :, None] + np.arange(width)                # (k, n, w)
+        below = np.where(cell >= 0.0, lo + cell * self.side - pad[:, None], -np.inf)
+        above = np.where(cell < top, lo + (cell + 1.0) * self.side + pad[:, None], np.inf)
+        c = centers[:, :, None]
+        gap = np.maximum(np.maximum(below - c, c - above), 0.0)
+        gap[cell > last[:, :, None]] = np.inf
+        # the cells each ball meets: the norm of the gaps over the cell
+        # product, a block of centres at a time
+        step = max(1, GRID_BLOCK // width ** n)
+        flats, owners = [], []
+        for c0 in range(0, k, step):
+            b = min(step, k - c0)
+            gaps = np.empty((n, b) + (width,) * n)
+            for a in range(n):
+                gaps[a] = gap[c0:c0 + b, a].reshape((b,) + (1,) * a + (width,)
+                                                   + (1,) * (n - a - 1))
+            hit = np.nonzero(norm.of(gaps, axis=0) <= radius)
+            flats.append(sum((cell[c0 + hit[0], a, hit[a + 1]] + 1.0) * self.strides[a]
+                             for a in range(n)))
+            owners.append(c0 + hit[0])
+        flat = np.concatenate(flats).astype(np.intp)
+        order = np.argsort(flat, kind="stable")      # centre order within a cell
+        flat, self.cands = flat[order], np.concatenate(owners)[order]
+        self.starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        self.counts = np.diff(np.r_[self.starts, flat.size])
+        cells = flat[self.starts]
+        self.owner = np.zeros(int(np.prod(dims)), dtype=np.intp)
+        self.owner[cells] = self.cands[self.starts]
+        several = self.counts > 1
+        self.owner[cells[several]] = -1 - np.arange(several.sum())
+        self.starts, self.counts = self.starts[several], self.counts[several]
+
+    def query(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        flat = np.zeros(pts.shape[0])
+        for x, lo, size, stride in zip(pts.T, self.lo, self.shape, self.strides):
+            q = np.floor((x - lo) / self.side)
+            np.maximum(q, -1.0, out=q)
+            np.minimum(q, size, out=q)
+            q += 1.0
+            q *= stride
+            flat += q
+        idx = self.owner[flat.astype(np.intp)]
+        several = np.flatnonzero(idx < 0)
+        slot = -1 - idx[several]
+        idx[several] = 0
+        d = self.norm.of(pts - self.centers[idx], axis=1)
+        if several.size:
+            # each list is padded with repeats of its last centre, which
+            # argmin, taking the first minimum, never picks over the original
+            count = self.counts[slot][:, None]
+            pick = np.minimum(np.arange(count.max()), count - 1)
+            cand = self.cands[self.starts[slot][:, None] + pick]
+            dist = self.norm.of(pts[several][:, None, :] - self.centers[cand], axis=2)
+            j = np.argmin(dist, axis=1)
+            rows = np.arange(several.size)
+            idx[several], d[several] = cand[rows, j], dist[rows, j]
+        return idx, d
+
+
 @dataclass(eq=False)
 class Net:
     """Finite s-separated point family inside a body."""
 
     points: np.ndarray
     s: float
+    _index: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -403,6 +511,18 @@ class Net:
         gaps = distances(self.points, self.points, norm)
         np.fill_diagonal(gaps, np.inf)
         return bool(gaps.min() >= self.s - tol)
+
+    def nearest(self, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+        """`nearest` on the rows of pts with a net point within s/2, bit for
+        bit, separated or not; every other row reports some distance
+        d > s/2 and some valid index.  A query of at least NEAREST_GRID_MIN
+        coordinates pairs is answered from a cell index, built for each
+        norm on first use and kept; a smaller one is `nearest` itself."""
+        if pts.shape[0] * self.points.size < NEAREST_GRID_MIN:
+            return nearest(self.points, pts, norm)
+        if norm not in self._index:
+            self._index[norm] = _CellIndex(self.points, 0.5 * self.s, norm)
+        return self._index[norm].query(pts)
 
 
 def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nelab import space
 from nelab.errors import DomainError, EstimationError
 from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
                         FlatCollapse, Identity, Tent, lip_global_est,
@@ -15,7 +14,7 @@ from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
                         random_nonexpansive, steep_density, sup_dist_est)
 from nelab.perturb import bump_perturb, flat_collapse
 from nelab.space import (Ball, Box, Net, Norm, body_from_desc, distances,
-                         greedy_net, grid_candidates)
+                         greedy_net, grid_candidates, nearest)
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 BOX01 = Box(np.array([0.0]), np.array([1.0]))
@@ -71,6 +70,12 @@ def test_flat_collapse_radial_profile():
         FlatCollapse(np.array([[0.0]]), 0.5, 0.5, NORM2)
     with pytest.raises(ValueError):
         FlatCollapse(np.array([[0.0], [0.7]]), 0.1, 0.4, NORM2)  # balls overlap
+    # a net passed in must be the centres at separation 2r
+    ctrs = np.array([[0.0], [1.0]])
+    assert FlatCollapse(ctrs, 0.25, 0.5, NORM2, Net(ctrs, 1.0)).net.s == 1.0
+    for net in (Net(ctrs, 1.2), Net(ctrs + 0.1, 1.0)):
+        with pytest.raises(ValueError):
+            FlatCollapse(ctrs, 0.25, 0.5, NORM2, net)
 
 
 def test_flat_collapse_quotient_bracket():
@@ -297,10 +302,10 @@ def test_tent_matches_the_stacked_evaluation():
 
 def _full_row_tent(g, pts):
     """Collapse and tent of a `Tent` with every branch built over every
-    row, from the unbounded dense nearest-centre scan: the kernels before
-    they were restricted to the rows within r and delta."""
+    row, from the unbounded dense nearest-centre scan: the reference for
+    kernels whose nearest-centre query is exact only within r."""
     c = g.collapse
-    idx, d = space._nearest_dense(c.centers, pts, c.norm)
+    idx, d = nearest(c.centers, pts, c.norm)
     ctr = c.centers[idx]
     out = pts.copy()
     inner = d <= c.delta
@@ -319,13 +324,10 @@ def _full_row_tent(g, pts):
     return collapsed, out
 
 
-@pytest.mark.parametrize("tree", [True, False])
-def test_restricted_kernels_match_the_full_row_kernels(monkeypatch, tree):
+def test_restricted_kernels_match_the_full_row_kernels():
     # bump nets on the lattice s Z^n: a centre with c_k = 0 puts c + t e_k
     # at distance exactly t for p in {1, 2, inf}, so rows sit exactly at
     # delta, rho and r (at r, also exactly between two centres)
-    if not tree:
-        monkeypatch.setattr(space, "NEAREST_TREE_MIN", math.inf)
     for dim in (2, 3):
         box = Box(-np.ones(dim), np.ones(dim))
         lattice = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=dim)))

@@ -1,15 +1,19 @@
 """Checks that can fail: a deliberately broken construction, patched in
 memory, must turn the check that guards it into failed cases."""
+import math
+
 import numpy as np
 
 import nelab.harness as harness
 import nelab.maps as maps
 import nelab.porosity as porosity
+import nelab.space as space
 from nelab.harness import ExperimentConfig, run_porosity, run_verify
 from nelab.maps import LipEstimate, Tent
 from nelab.perturb import BumpWitnesses, DirectionField
 from nelab.space import Norm, body_from_desc, nearest
-from test_space import nnls_contains, simplex_rows
+from test_space import (cell_boundary_cases, net_nearest_violations,
+                        nnls_contains, simplex_rows)
 
 
 def test_zero_slope_estimates_break_the_cover_consistency(monkeypatch):
@@ -133,3 +137,35 @@ def test_a_lost_facet_breaks_the_row_reference():
                 object.__setattr__(lost, "facets",
                                    np.delete(hull.facets, i, axis=0))
                 assert lost.contains_all(pts, tol).tolist() != ref, (dim, i)
+
+
+def test_a_cell_index_without_its_margin_misses_rows(monkeypatch):
+    # with cells and reach taken exactly, a row looked up across a cell
+    # boundary lands in a cell that the ball around it does not meet
+    monkeypatch.setattr(space, "GRID_MARGIN", 0.0)
+    missed = 0
+    for dim in (1, 2, 3):
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            missed += sum(net_nearest_violations(net, row[None, :], norm)
+                          for net, row in cell_boundary_cases(dim, norm))
+    assert missed > 0
+
+
+def test_a_cell_index_for_half_the_reach_misses_rows(monkeypatch):
+    # an index that records only the balls of radius s/4 reports rows
+    # between s/4 and s/2 as beyond reach
+    build = space._CellIndex.__init__
+
+    def short(self, centers, radius, norm):
+        build(self, centers, 0.5 * radius, norm)
+
+    monkeypatch.setattr(space._CellIndex, "__init__", short)
+    rng = np.random.default_rng(0)
+    for dim in (1, 2, 3):
+        box = space.Box(-np.ones(dim), np.ones(dim))
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            net = space.greedy_net(box, norm, 0.3, space.grid_candidates(box, 9))
+            queries = box.sample_many(rng, 500)
+            assert net_nearest_violations(net, queries, norm) > 0

@@ -81,6 +81,7 @@ def test_direction_field_validation():
 
 def test_bump_perturb_frozen_geometry():
     g = bump_perturb(Identity(), NET3, 0.5, BOX01, NORM2)
+    assert g.collapse.net is NET3            # the maps on one net share its index
     assert g.collapse.r == 0.25
     assert g.collapse.delta == DELTA3
     assert g.delta == DELTA3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import nnls
 
 from nelab import space
@@ -286,84 +287,88 @@ def test_distances_and_nearest_match_the_row_loop():
             idx, d = nearest(b, a, norm)
             assert idx.tolist() == [row.index(min(row)) for row in loop]
             assert d.tolist() == [min(row) for row in loop]
-    # more rows than one block of the dense scan holds, and the same query
-    # through the k-d tree: both equal one dense query
+    # more rows than one block of the scan holds: the same as one query
     c, x = rng.normal(size=(300, 3)), rng.normal(size=(1000, 3))
     dense = distances(x, c, Norm(3.0))
-    for idx, d in (space._nearest_dense(c, x, Norm(3.0)), nearest(c, x, Norm(3.0))):
-        assert idx.tolist() == dense.argmin(axis=1).tolist()
-        assert d.tolist() == dense.min(axis=1).tolist()
+    idx, d = nearest(c, x, Norm(3.0))
+    assert idx.tolist() == dense.argmin(axis=1).tolist()
+    assert d.tolist() == dense.min(axis=1).tolist()
     # equidistant centres: the first one wins
     idx, d = nearest(np.array([[-1.0], [1.0], [1.0]]),
                      np.array([[0.0], [1.0], [2.0]]), Norm(2.0))
     assert idx.tolist() == [0, 1, 1] and d.tolist() == [1.0, 0.0, 1.0]
 
 
-def test_tree_nearest_breaks_ties_like_the_dense_scan(monkeypatch):
-    # a lattice net queried on a lattice twice as fine: many rows are
-    # equidistant from two or more centres, where the tree may pick any of
-    # them; those rows must reach the dense scan, which keeps the first
-    dense, dense_rows = space._nearest_dense, []
+def net_nearest_violations(net, queries, norm) -> int:
+    """Rows on which `Net.nearest` breaks its contract: a row with a net
+    point within s/2 gets the dense scan's (idx, d) bit for bit, any other
+    row some d > s/2 and a valid index.  The rows are repeated until the
+    query is large enough for the net's cell index to answer it."""
+    short = space.NEAREST_GRID_MIN / (queries.shape[0] * net.points.size)
+    queries = np.repeat(queries, max(1, math.ceil(short)), axis=0)
+    idx, d = net.nearest(queries, norm)
+    assert norm in net._index
+    ref_idx, ref_d = nearest(net.points, queries, norm)
+    within = ref_d <= net.s / 2.0
+    bad = np.where(within, (idx != ref_idx) | (d != ref_d), ~(d > net.s / 2.0))
+    return int((bad | (idx < 0) | (idx >= len(net))).sum())
 
-    def spy(centers, pts, norm):
-        dense_rows.append(pts.shape[0])
-        return dense(centers, pts, norm)
 
-    monkeypatch.setattr(space, "_nearest_dense", spy)
-    for dim, per_net, per_query, s in ((1, 41, 321, 0.1), (2, 11, 21, 0.4),
-                                       (3, 5, 9, 0.5)):
-        box = Box(-np.ones(dim), np.ones(dim))
-        queries = grid_candidates(box, per_query)
+def cell_boundary_cases(dim, norm, reach=0.05):
+    """(net, row) pairs about rows whose cell lookup rounds across a cell
+    boundary b of axis 0: the row lies a few ulps on one side of b and is
+    looked up in the cell on the other.  The net's middle centre is placed
+    so that the row is within reach of it and the far side of b is not;
+    the centres at the ends of the diagonal of [-1, 1]^dim pin the grid."""
+    ends = np.array([-np.ones(dim), np.ones(dim)])
+    index = space._CellIndex(ends, reach, norm)
+    lo, side, origin = index.lo[0], index.side, np.zeros(dim)
+    for q in range(1, int(index.shape[0])):
+        b = lo + q * side
+        for x in b + np.spacing(b) * np.arange(-3, 4):
+            cell = math.floor((x - lo) / side)
+            if (cell == q) == (x >= b):
+                continue                            # looked up on its side
+            way = 1.0 if x > b else -1.0            # the centre lies beyond x
+            row, edge = origin.copy(), origin.copy()
+            row[0], edge[0] = x, b
+            for k in range(-4, 5):
+                c = origin.copy()
+                c[0] = x + way * reach + k * np.spacing(reach)
+                if norm.of(row - c) <= reach < norm.of(edge - c):
+                    yield Net(np.vstack([ends[0], c, ends[1]]), 2.0 * reach), row
+                    break
+
+
+def test_net_nearest_on_cell_boundaries():
+    for dim in (1, 2, 3):
         for p in (1.0, 2.0, 3.0, math.inf):
             norm = Norm(p)
-            net = greedy_net(box, norm, s, grid_candidates(box, per_net)).points
-            assert len(queries) * len(net) >= space.NEAREST_TREE_MIN
-            ref = distances(queries, net, norm)
-            dense_rows.clear()
-            idx, d = nearest(net, queries, norm)
-            assert idx.tolist() == ref.argmin(axis=1).tolist()
-            assert d.tolist() == ref.min(axis=1).tolist()
-            if dim == 1:                  # 1-D always takes the dense scan
-                assert dense_rows == [len(queries)]
-            else:                         # the tree, with some rows falling through
-                assert len(dense_rows) == 1 and 0 < dense_rows[0] < len(queries)
-    # rows bisected onto the l3 bisector of two centres: the tree's own
-    # distances round differently from Norm.of's and can order the two
-    # centres the other way round, so near-ties must fall through as well
-    rng, norm = np.random.default_rng(3), Norm(3.0)
-    c = rng.normal(size=(2, 3))
-    shift = rng.normal(size=(1500, 3))
-    a, b = c[0] + shift, c[1] + shift
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        left = (norm.of(mid - c[0], axis=1) <= norm.of(mid - c[1], axis=1))[:, None]
-        a, b = np.where(left, mid, a), np.where(left, b, mid)
-    queries = np.vstack([a, b])
-    ref = distances(queries, c, norm)
-    idx, d = nearest(c, queries, norm)
-    assert idx.tolist() == ref.argmin(axis=1).tolist()
-    assert d.tolist() == ref.min(axis=1).tolist()
+            cases = list(cell_boundary_cases(dim, norm))
+            assert len(cases) >= 10
+            for net, row in cases:
+                assert net_nearest_violations(net, row[None, :], norm) == 0
 
 
 def test_nearest_within_reach_matches_the_dense_scan():
-    # a row with a centre within reach gets the dense scan's (idx, d) bit
-    # for bit; any other row reports some d > reach.  Rows bisected onto
-    # the reach sphere would be lost by a tree bound even a relative 1e-9
-    # short of reach, and the lattice rows put exact ties inside reach
+    # rows bisected onto the reach sphere, lattice rows with exact ties
+    # inside reach (the net is Net(points, 1.2 s) over an s-separated
+    # greedy net, so reach is 0.6 s and balls overlap), and rows beyond
+    # the grid box around the reach balls
     rng = np.random.default_rng(17)
     for dim, per_net, per_query, s in ((1, 41, 321, 0.1), (2, 11, 21, 0.4),
                                        (3, 5, 9, 0.5)):
         box = Box(-np.ones(dim), np.ones(dim))
         for p in (1.0, 2.0, 3.0, math.inf):
             norm = Norm(p)
-            net = greedy_net(box, norm, s, grid_candidates(box, per_net)).points
-            reach = 0.6 * s
+            pts = greedy_net(box, norm, s, grid_candidates(box, per_net)).points
+            net, reach = Net(pts, 1.2 * s), 0.6 * s
 
             def gap(x):
-                return distances(x, net, norm).min(axis=1)
+                return distances(x, pts, norm).min(axis=1)
 
             # lo within reach, hi beyond it, along rays out of random centres
-            lo = net[rng.integers(len(net), size=400)]
+            lo = pts[rng.integers(len(pts), size=400)]
             hi = lo + 2.0 * reach * rng.normal(size=lo.shape)
             out = gap(hi) > reach
             lo, hi = lo[out], hi[out]
@@ -373,17 +378,79 @@ def test_nearest_within_reach_matches_the_dense_scan():
                 lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
             assert (gap(lo) > reach * (1.0 - 1e-12)).all()
             queries = np.vstack([lo, hi, grid_candidates(box, per_query),
-                                 rng.uniform(-1.0, 1.0, size=(300, dim))])
-            assert dim == 1 or len(queries) * len(net) >= space.NEAREST_TREE_MIN
-            ref = distances(queries, net, norm)
+                                 rng.uniform(-3.0, 3.0, size=(300, dim))])
+            ref = distances(queries, pts, norm)
             within = ref.min(axis=1) <= reach
             ties = (ref == ref.min(axis=1)[:, None]).sum(axis=1) > 1
             assert (within & ties).any() and not within.all()
-            idx, d = nearest(net, queries, norm, reach)
-            assert idx[within].tolist() == ref.argmin(axis=1)[within].tolist()
-            assert d[within].tolist() == ref.min(axis=1)[within].tolist()
-            assert (d[~within] > reach).all()
-            assert ((0 <= idx) & (idx < len(net))).all()
+            assert (np.abs(queries) > 1.0 + reach).any(axis=1).any()
+            assert net_nearest_violations(net, queries, norm) == 0
+
+
+def test_net_nearest_breaks_ties_like_the_dense_scan():
+    # a lattice queried on a lattice twice as fine, as a net of separation
+    # twice its spacing: many rows are equidistant from two or more points
+    # within reach, and their cells list several; the dense scan keeps
+    # the first
+    for dim, per_net, per_query in ((1, 41, 321), (2, 11, 21), (3, 5, 9)):
+        box = Box(-np.ones(dim), np.ones(dim))
+        pts, queries = grid_candidates(box, per_net), grid_candidates(box, per_query)
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm = Norm(p)
+            net = Net(pts, 4.0 / (per_net - 1))
+            ref = distances(queries, pts, norm)
+            assert ((ref == ref.min(axis=1)[:, None]).sum(axis=1) > 1).any()
+            assert net_nearest_violations(net, queries, norm) == 0
+    # rows bisected onto the l3 bisector of two centres, where rounding
+    # decides which one is nearer
+    rng, norm = np.random.default_rng(3), Norm(3.0)
+    c = rng.normal(size=(2, 3))
+    shift = rng.normal(size=(1500, 3))
+    a, b = c[0] + shift, c[1] + shift
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        left = (norm.of(mid - c[0], axis=1) <= norm.of(mid - c[1], axis=1))[:, None]
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+    assert net_nearest_violations(Net(c, 20.0), np.vstack([a, b]), norm) == 0
+
+
+def test_net_nearest_caps_its_cells():
+    # a reach far below the spread of the points would ask for 10^27 cells
+    # of side reach/2 in 3-D; the side grows until at most GRID_CELLS fit
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 3):
+        pts = rng.uniform(-1.0, 1.0, size=(60, dim))
+        for p in (1.0, 2.0, 3.0, math.inf):
+            norm, s = Norm(p), 1e-8
+            net = Net(pts, s)
+            queries = np.vstack([pts + 0.5 * s * rng.uniform(-1.0, 1.0, size=pts.shape),
+                                 rng.uniform(-1.0, 1.0, size=(200, dim))])
+            assert net_nearest_violations(net, queries, norm) == 0
+            index = net._index[norm]
+            assert np.prod(index.shape) <= space.GRID_CELLS
+            assert index.side > s
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=hnp.arrays(np.float64,
+                    st.tuples(st.integers(1, 4), st.integers(1, 7)) |
+                    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 7)),
+                    elements=st.floats(-1e6, 1e6, allow_subnormal=True)),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+def test_column_norms_equal_numpy_reductions(v, p):
+    # Norm.of reduces an axis of fewer than 8 entries column by column; the
+    # callers pass the last axis as axis=1, axis=2 or the default
+    a = np.abs(v)
+    if math.isinf(p):
+        want = a.max(axis=-1)
+    elif p == 1.0:
+        want = a.sum(axis=-1)
+    elif p == 2.0:
+        want = np.sqrt((a * a).sum(axis=-1))
+    else:
+        want = np.power((a ** p).sum(axis=-1), 1.0 / p)
+    for axis in (v.ndim - 1, -1):
+        assert Norm(p).of(v, axis=axis).tobytes() == want.tobytes()
 
 
 def test_segment_stays_inside_hull():
