@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nelab import space
 from nelab.errors import DomainError, EstimationError
 from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
                         FlatCollapse, Identity, Tent, lip_global_est,
@@ -324,10 +325,13 @@ def _full_row_tent(g, pts):
     return collapsed, out
 
 
-def test_restricted_kernels_match_the_full_row_kernels():
+@pytest.mark.parametrize("grid", [True, False])
+def test_restricted_kernels_match_the_full_row_kernels(monkeypatch, grid):
     # bump nets on the lattice s Z^n: a centre with c_k = 0 puts c + t e_k
     # at distance exactly t for p in {1, 2, inf}, so rows sit exactly at
-    # delta, rho and r (at r, also exactly between two centres)
+    # delta, rho and r (at r, also exactly between two centres).  Every
+    # nearest-centre query goes to the net's cell index, or none does
+    monkeypatch.setattr(space, "NEAREST_GRID_MIN", 0 if grid else math.inf)
     for dim in (2, 3):
         box = Box(-np.ones(dim), np.ones(dim))
         lattice = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=dim)))
