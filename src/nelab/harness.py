@@ -762,13 +762,15 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         (AffineContraction((1.0 + lam) / 2.0, body.center), (1.0 + lam) / 2.0)]
 
     def cover() -> tuple[dict, bool]:
+        # `low_slope_member` at each grid point in turn, one call per map:
+        # the probes of consecutive centres are consecutive draws of rng
+        scales = [lad.gauge.inverse(lad.rung(j)) for j in range(1, j_top + 1)]
         checked = consistent = 0
         for f, slope in exact:
-            for x in grid:
-                mem = low_slope_member(f, x, lam, lad, l=1, j_max=j_top,
-                                       body=body, norm=norm, seed=rng, shells=8)
-                checked += 1
-                consistent += mem.member == (slope <= lam)
+            est = lip_local_profiles(f, grid, scales, body, norm, 64, rng, 8)
+            member = np.all(est.lower_bound <= lam, axis=1)
+            checked += len(grid)
+            consistent += int(np.sum(member == (slope <= lam)))
         return {"checked": checked, "consistent": consistent}, \
             consistent == checked
 
@@ -843,13 +845,13 @@ def _verify_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
     units += [name for name in names if name != "bump"]
     # imported here, so that `import nelab.cli` stays as light as it is.
     # Forked workers inherit every loaded module (nelab starts no thread
-    # they could deadlock on), so scipy.spatial, which holds the Qhull of
-    # `Hull`, is imported before the fork rather than again in the workers
-    # of every run
+    # they could deadlock on), so numpy.random, which numpy loads on first
+    # use and every suite draws from, is imported before the fork rather
+    # than again in the workers of every run
     import concurrent.futures
     import multiprocessing
 
-    import scipy.spatial  # noqa: F401
+    import numpy.random  # noqa: F401
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork")) as pool:

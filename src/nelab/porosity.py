@@ -122,32 +122,43 @@ class FinitePointSet(SetOracle):
         return np.column_stack([pts, pts])
 
 
+def _inverse_midpoint(x: float, toward: float) -> tuple[int, int]:
+    """1/m as a ratio of integers (numerator, denominator), m the exact
+    midpoint of x > 0 and the next float toward `toward`."""
+    p, q = x.as_integer_ratio()
+    r, s = math.nextafter(x, toward).as_integer_ratio()
+    return 2 * q * s, p * s + r * q
+
+
 def _reciprocal_side(a: float, b: float) -> np.ndarray:
     """Obstructions of the reciprocals 1/n (n >= 1) inside (a, b): the
     point 1/n_min nearest b, then one interval over the rest, down to 0
     when they accumulate at a <= 0.  Every gap inside that interval is
-    shorter than 1/n_min - 1/(n_min + 1), the gap just below 1/n_min."""
+    shorter than 1/n_min - 1/(n_min + 1), the gap just below 1/n_min.
+
+    A reciprocal is inside when its float is: the float of 1/n lies below
+    b iff 1/n lies below the midpoint of b and the float under it (no 1/n
+    is such a midpoint), and above a iff 1/n lies above the midpoint of a
+    and the float over it.  Both ends are found in exact integer
+    arithmetic, so any window down to the least subnormal takes the same
+    few steps."""
     none = np.empty((0, 2))
     if b <= 0.0:
         return none
-    n_min = max(1, int(math.floor(1.0 / b)) + 1) if b <= 1.0 else 1
-    while 1.0 / n_min >= b:
-        n_min += 1
-    top = 1.0 / n_min
+    num, den = _inverse_midpoint(b, 0.0)
+    n_min = num // den + 1
+    top = 1 / n_min
     if a <= 0.0:
-        return np.array([[0.0, 1.0 / (n_min + 1)], [top, top]])
+        return np.array([[0.0, 1 / (n_min + 1)], [top, top]])
     if a >= 1.0:
         return none
-    n_max = int(math.ceil(1.0 / a)) - 1
-    while n_max >= 1 and 1.0 / n_max <= a:
-        n_max -= 1
-    while 1.0 / (n_max + 1) > a:
-        n_max += 1
+    num, den = _inverse_midpoint(a, math.inf)
+    n_max = -(-num // den) - 1
     if n_min > n_max:
         return none
     if n_min == n_max:
         return np.array([[top, top]])
-    return np.array([[1.0 / n_max, 1.0 / (n_min + 1)], [top, top]])
+    return np.array([[1 / n_max, 1 / (n_min + 1)], [top, top]])
 
 
 @dataclass(frozen=True, eq=False)

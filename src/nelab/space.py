@@ -289,10 +289,18 @@ class Hull(ConvexBody):
     """Convex hull of a finite vertex list, known by its facets.
 
     `facets` holds one row (a, b) per facet, a a unit outward normal, so
-    that the hull is {x : a·x + b <= 0 for every row}: in 1-D the rows
-    [1, -max] and [-1, min], beyond it the facet equations of Qhull.  A
-    hull whose vertices coincide or span less than its dimension raises
-    DegenerateBodyError.
+    that the hull is {x : a·x + b <= 0 for every row}.  A row is the plane
+    through n affinely independent vertices that leaves every vertex a
+    member by `contains_all`'s own rule at MEMBERSHIP_TOL, oriented that
+    way; equal rows are kept once, in the order found, so that in 1-D the
+    rows are [1, -max] and [-1, min].  Coplanar vertices, such as those of
+    a cube's face, give one plane several times over, which rounding may
+    leave as near-equal rows: harmless, since membership takes the largest
+    slack.  The planes come from all C(m, n) n-subsets of the m vertices;
+    the hulls the lab builds are small (a random space's n + 3 vertices
+    for n <= 2, the `simplex` body's n + 1 for n <= 3), so that is at most
+    C(5, 2) = 10 planes.  A hull whose vertices span less than its
+    dimension raises DegenerateBodyError.
     """
 
     vertices: np.ndarray
@@ -300,25 +308,33 @@ class Hull(ConvexBody):
 
     def __post_init__(self):
         verts = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if verts.shape[0] < 2:
+        m, n = verts.shape
+        if m < 2:
             raise DegenerateBodyError("hull needs at least two vertices")
         if not np.all(np.isfinite(verts)):
             raise ValueError("hull vertex has a non-finite coordinate")
-        if verts.shape[1] == 1:
-            if verts.max() == verts.min():
-                raise DegenerateBodyError("hull vertices coincide")
-            facets = np.array([[1.0, -verts.max()], [-1.0, verts.min()]])
-        else:
-            # scipy is imported here: importing it at the top took longer
-            # than the rest of `import nelab.cli` together
-            from scipy.spatial import ConvexHull, QhullError
-            try:
-                facets = ConvexHull(verts).equations
-            except QhullError as exc:
-                raise DegenerateBodyError(
-                    f"hull vertices span less than {verts.shape[1]}-D") from exc
+        if np.linalg.matrix_rank(verts[1:] - verts[0]) < n:
+            raise DegenerateBodyError(f"hull vertices span less than {n}-D")
+        # the plane through vertices p_0 .. p_{n-1}: its normal's i-th
+        # coordinate is (-1)^i times the minor of the edges p_k - p_0
+        # without column i (1 in 1-D, where there are no edges)
+        base = verts[np.array(list(itertools.combinations(range(m), n)))]
+        edges = base[:, 1:] - base[:, :1]
+        normal = np.stack([(-1) ** i * np.linalg.det(np.delete(edges, i, 2))
+                           for i in range(n)], axis=1)
+        length = np.linalg.norm(normal, axis=1)
+        keep = length > 0
+        normal = normal[keep] / length[keep, None]
+        rows = np.hstack([normal, -np.sum(normal * base[keep, 0], axis=1,
+                                          keepdims=True)])
+        xs = np.hstack([verts, np.ones((m, 1))])
+        slack = xs @ rows.T
+        lim = MEMBERSHIP_TOL * (1.0 + np.linalg.norm(xs, axis=1))[:, None]
+        rows = np.vstack([rows[(slack <= lim).all(axis=0)],
+                          -rows[(slack >= -lim).all(axis=0)]])
+        _, first = np.unique(rows, axis=0, return_index=True)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "facets", rows[np.sort(first)])
 
     @property
     def dim(self) -> int:

@@ -55,3 +55,12 @@ def test_porosity_passes(p, tmp_path):
 def test_porosity_target_passes(target, gauge, tmp_path):
     assert _run(["porosity", "--target", target, "--gauge", gauge,
                  "--out", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("window", ["1e-30", "1e-310"])
+def test_porosity_tiny_window_passes(window, tmp_path):
+    # the reciprocals inside the window are found in exact arithmetic, at
+    # any magnitude down to the subnormals
+    assert _run(["porosity", "--target", "reciprocal", "--point", "0",
+                 "--window", window,
+                 "--out", str(tmp_path / "report.json")]) == 0

@@ -350,22 +350,24 @@ def test_cli_import_loads_no_scipy():
                 "assert nelab.cli.build_parser.cache_info().misses == 0")
 
 
-def test_commands_load_only_the_scipy_they_use(tmp_path):
-    # a 1-D hull is two facet rows and 1-D nearest-centre queries scan
-    # densely, so a 1-D dual run loads no scipy at all; no command loads
-    # scipy.optimize, the pool parent of `verify --suite all` included
+def test_no_command_loads_scipy(tmp_path):
+    # a `Hull` finds its facets itself, so no command loads scipy: not the
+    # pool parent of `verify --suite all`, nor a 2-D or 3-D simplex run of
+    # `dual` or `typical`; and no nelab module names it
+    argvs = [["verify", "--suite", "all"]] + [
+        [cmd, "--dim", str(dim), "--body", "simplex", "--trials", "2"]
+        for cmd in ("dual", "typical") for dim in (2, 3)]
     out = str(tmp_path / "report.json")
     _run_python(
-        "import nelab.cli, sys; "
-        f"nelab.cli.main(['dual', '--dim', '1', '--body', 'simplex', '--out', {out!r}]); "
-        "assert not any(m.startswith('scipy') for m in sys.modules); "
-        f"nelab.cli.main(['verify', '--suite', 'all', '--out', {out!r}]); "
-        "assert 'scipy.optimize' not in sys.modules")
+        "import nelab.cli, sys\n"
+        f"for argv in {argvs!r}:\n"
+        f"    assert nelab.cli.main(argv + ['--out', {out!r}]) == 0, argv\n"
+        "    assert not any(m.startswith('scipy') for m in sys.modules), argv")
     src = os.path.dirname(nelab.__file__)
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
-                assert "scipy.optimize" not in fh.read(), name
+                assert "scipy" not in fh.read(), name
 
 
 def test_cli_builds_one_parser_per_process(tmp_path):

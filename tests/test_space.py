@@ -1,4 +1,5 @@
 """Norms, convex bodies, candidate grids and greedy separated nets."""
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import nnls
+from scipy.spatial import ConvexHull
 
 from nelab import space
 from nelab.errors import DegenerateBodyError
@@ -538,3 +540,58 @@ def test_contains_all_matches_the_row_reference():
                     if tol == 1e-12:
                         assert not any(ref[2 * k:2 * k + m])
                         assert all(ref[3 * k:4 * k]) and not any(ref[4 * k:])
+
+
+def _hull_cases():
+    """Vertex sets: random 2-D and 3-D clouds, most of whose points are
+    interior; two hulls with non-triangular faces, the unit cube and a
+    square pyramid; and a unit square with a fifth vertex 1e-7 beyond the
+    middle of its top side, which no row may take for a side."""
+    rng = np.random.default_rng(21)
+    cases = [rng.uniform(-1.5, 1.5, (k, dim))
+             for dim in (2, 3) for k in (dim + 3, 12) for _ in range(4)]
+    cube = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+    pyramid = np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0],
+                        [-1.0, 1.0, 0.0], [0.0, 0.0, 1.5]])
+    roof = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                     [0.5, 1.0 + 1e-7]])
+    return cases + [cube, pyramid, roof]
+
+
+@pytest.mark.parametrize("verts", _hull_cases())
+def test_hull_facets_match_qhull_and_nnls(verts):
+    # every facet row is a facet equation of Qhull and each of those is a
+    # row, up to rounding; and at every tol >= 1e-15 the rows give the
+    # membership verdicts of Qhull's equations and of NNLS on points
+    # around the hull, on its vertices, and 1e-13, 1e-10 and 1e-6 inside
+    # and outside the centre of each of its (triangulated) facets
+    hull, qhull = Hull(verts), ConvexHull(verts)
+    rows, eqs = hull.facets, qhull.equations
+    gap = np.abs(rows[:, None, :] - eqs[None, :, :]).max(axis=2)
+    assert gap.min(axis=1).max() < 1e-12 and gap.min(axis=0).max() < 1e-12
+    centres = verts[qhull.simplices].mean(axis=1)
+    normals = eqs[:, :-1]
+    lo, hi = verts.min(axis=0) - 0.5, verts.max(axis=0) + 0.5
+    pts = np.vstack(
+        [lo + (hi - lo) * np.random.default_rng(5).random((200, verts.shape[1])),
+         verts]
+        + [centres + push * normals for push in (-1e-6, -1e-10, -1e-13,
+                                                 1e-13, 1e-10, 1e-6)])
+    xs = np.hstack([pts, np.ones((len(pts), 1))])
+    for tol in (1e-15, 1e-12, 1e-9):
+        by_qhull = ((xs @ eqs.T).max(axis=1)
+                    <= tol * (1.0 + np.linalg.norm(xs, axis=1))).tolist()
+        got = hull.contains_all(pts, tol).tolist()
+        assert got == by_qhull == nnls_contains(verts, pts, tol), tol
+
+
+def test_hull_facets_in_1d_are_its_two_ends():
+    # the rows [1, -max] and [-1, min] bit for bit, whatever the order of
+    # the vertices, with interior and repeated ones
+    rng = np.random.default_rng(8)
+    for k in (2, 3, 7):
+        for _ in range(20):
+            verts = rng.uniform(-3.0, 3.0, (k, 1))
+            verts = np.vstack([verts, verts[rng.integers(k, size=2)]])
+            want = np.array([[1.0, -verts.max()], [-1.0, verts.min()]])
+            assert Hull(verts).facets.tobytes() == want.tobytes()
