@@ -16,15 +16,14 @@ from .gauges import (Gauge, GaugePair, Ladder, PiecewiseGauge, PowerGauge,
 from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
                       run_verify, SUITES)
 from .maps import (AffineContraction, Compose, Constant, ConvexCombo,
-                   FlatCollapse, Identity, LipEstimate, MapExpr, Tent,
-                   lip_global_est, lip_local_profile, lip_local_profiles,
-                   pair_quotients, random_nonexpansive, steep_density,
-                   sup_dist_est)
+                   FlatCollapse, Identity, MapExpr, Tent, lip_global_est,
+                   lip_local_profile, pair_quotients, random_nonexpansive,
+                   steep_density, sup_dist_est)
 from .perturb import (BumpWitnesses, DirectionField, bump_perturb,
                       bump_witnesses, direction_field, flat_collapse)
 from .porosity import (FinitePointSet, IntervalUnionSet, LadderWitnessReport,
-                       LowSlopeResult, PorosityVerdict, ReciprocalSet,
-                       SetOracle, closing_bound, gamma_est, ladder_witness,
+                       PorosityVerdict, ReciprocalSet, SetOracle,
+                       closing_bound, gamma_est, ladder_witness,
                        low_slope_alpha, low_slope_member, lower_porous_at,
                        oracle_from_desc, upper_porous_at)
 from .reports import CaseRecord, Report, dumps

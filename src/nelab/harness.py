@@ -40,7 +40,7 @@ from .gauges import (Gauge, PiecewiseGauge, PowerGauge, RatioGauge,
                      SqrtRatioGauge, build_pair, gauge_from_desc, gauge_K,
                      ladder, select_j)
 from .maps import (AffineContraction, Constant, ConvexCombo, Identity, MapExpr,
-                   lip_global_est, lip_local_profiles, pair_quotients,
+                   lip_global_est, lip_local_profile, pair_quotients,
                    random_nonexpansive, steep_density, sup_dist_est)
 from .perturb import (BumpWitnesses, bump_perturb, bump_witnesses,
                       direction_field, flat_collapse)
@@ -201,7 +201,7 @@ def suite_flat(cfg: ExperimentConfig) -> list[CaseRecord]:
         delta = float(rng.uniform(0.05, 0.85)) * r
         m = flat_collapse(center, delta, r, body, norm)
         cert = m.certificate
-        mq = lip_global_est(m, body, norm, pairs=1000, seed=rng).lower_bound
+        mq = lip_global_est(m, body, norm, pairs=1000, seed=rng)
         sd = sup_dist_est(m, Identity(), body, norm, samples=400,
                           seed=_sub_seed(rng))
         inner = _flat_inner_exact(m, center, delta, body, norm, rng)
@@ -284,8 +284,7 @@ def _bump_case(cfg: ExperimentConfig, i: int) -> CaseRecord:
     eps = float(rng.uniform(0.1, 0.8))
     g = bump_perturb(f, net, eps, body, norm)
     sd = sup_dist_est(g, f, body, norm, samples=600, seed=_sub_seed(rng))
-    lb = lip_global_est(g, body, norm, pairs=10000,
-                        seed=_sub_seed(rng)).lower_bound
+    lb = lip_global_est(g, body, norm, pairs=10000, seed=_sub_seed(rng))
     iso = _isometry_residual(g, net, g.rho, body, norm, rng, probes=100)
     # g's certificate is max(1, (1 - delta/r) cert(f) (1 + delta/(r - delta)));
     # the product is at most 1 exactly but can round one ulp above it
@@ -653,21 +652,21 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
 
     body01 = Box(np.array([0.0]), np.array([1.0]))
     lad01 = ladder(PowerGauge(p=0.5), body01, norm, rungs=12)
-    m_const = low_slope_member(Constant(np.array([0.4])), np.array([0.5]),
-                               0.1, lad01, body=body01, norm=norm,
-                               seed=_sub_seed(rng))
-    m_id = low_slope_member(Identity(), np.array([0.5]), 0.9, lad01,
-                            body=body01, norm=norm, seed=_sub_seed(rng))
+
+    def member(f: MapExpr, x: float, lam: float) -> bool:
+        return bool(low_slope_member(f, [[x]], lam, lad01, body=body01,
+                                     norm=norm, seed=_sub_seed(rng))[0])
+
+    m_const = member(Constant(np.array([0.4])), 0.5, 0.1)
+    m_id = member(Identity(), 0.5, 0.9)
     ramp = ConvexCombo(
         0.5, Constant(np.array([0.0])),
         flat_collapse(np.array([0.0]), 0.5, 1.0, body01, norm))
-    m_ramp = low_slope_member(ramp, np.array([0.2]), 0.5, lad01,
-                              body=body01, norm=norm, seed=_sub_seed(rng))
-    okm = m_const.member and not m_id.member and m_ramp.member
+    m_ramp = member(ramp, 0.2, 0.5)
+    okm = m_const and not m_id and m_ramp
     cases.append(CaseRecord(
         "porosity/low-slope-members", {"lam": "0.1/0.9/0.5"},
-        {"const": m_const.member, "identity": m_id.member,
-         "ramp": m_ramp.member},
+        {"const": m_const, "identity": m_id, "ramp": m_ramp},
         {"expected": "true/false/true"}, okm))
     return cases
 
@@ -732,10 +731,9 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
                              norm, rng)[0]
             quot_ok = bool(np.all(pair_quotients(
                 rep.g, norm, ys, np.broadcast_to(z, ys.shape)) > lam))
-            mem_ok = all(
-                not low_slope_member(rep.g, y, lam, lad, l=rep.j, j_max=j_top,
-                                     body=body, norm=norm, seed=rng).member
-                for y in ys[:5])
+            mem_ok = not low_slope_member(rep.g, ys[:5], lam, lad, l=rep.j,
+                                          j_max=j_top, body=body, norm=norm,
+                                          seed=rng).any()
             return ({"fits_probe_ball": fit, "quotients_steep": quot_ok,
                      "hole_outside_set": mem_ok, "probed": len(ys)},
                     fit and quot_ok and mem_ok)
@@ -762,13 +760,10 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         (AffineContraction((1.0 + lam) / 2.0, body.center), (1.0 + lam) / 2.0)]
 
     def cover() -> tuple[dict, bool]:
-        # `low_slope_member` at each grid point in turn, one call per map:
-        # the probes of consecutive centres are consecutive draws of rng
-        scales = [lad.gauge.inverse(lad.rung(j)) for j in range(1, j_top + 1)]
         checked = consistent = 0
         for f, slope in exact:
-            est = lip_local_profiles(f, grid, scales, body, norm, 64, rng, 8)
-            member = np.all(est.lower_bound <= lam, axis=1)
+            member = low_slope_member(f, grid, lam, lad, j_max=j_top,
+                                      body=body, norm=norm, seed=rng)
             checked += len(grid)
             consistent += int(np.sum(member == (slope <= lam)))
         return {"checked": checked, "consistent": consistent}, \
@@ -906,10 +901,9 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
             bump_scale = 0.5 * g.rho
             s_jk = [2.0 ** -(j + k) * min(1.0, diam) for k in (1, 2, 3)]
             params.update(bump_scale=bump_scale, coarse_scales=s_jk)
-            # one profile per net point: the bump scale, then the coarse ones
-            est = lip_local_profiles(g, net.points, [bump_scale] + s_jk,
-                                     body, norm, 64, rng)
-            steep = est.lower_bound > lam       # (net points, scales)
+            # (net points, scales): the bump scale, then the coarse ones
+            steep = lip_local_profile(g, net.points, [bump_scale] + s_jk,
+                                      body, norm, 64, rng) > lam
             dens_net, *coarse_dens = steep.mean(axis=0).tolist()
             dens_off = steep_density(g, body, norm, lam, bump_scale, off[:6],
                                      samples=32, seed=rng) if len(off) else 0.0

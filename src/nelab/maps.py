@@ -260,37 +260,11 @@ class Compose(MapExpr):
         return self.outer.certificate * self.inner.certificate
 
 
-@dataclass(frozen=True)
-class LipEstimate:
-    """Sampled lower bounds for a Lipschitz constant with their witness pairs.
-
-    `lip_global_est` gives one bound, one pair (x, y) and its pair count;
-    `lip_local_profiles` gives (k, S) arrays over centres x scales: the
-    bounds, `witness` = (xs, ys) with ys of shape (k, S, n), and the probe
-    counts behind each bound.
-    """
-
-    lower_bound: float | np.ndarray
-    witness: tuple
-    samples: int | np.ndarray
-
-
 def pair_quotients(m: MapExpr, norm: Norm, xs: np.ndarray,
                    ys: np.ndarray) -> np.ndarray:
     """Difference quotients ||m(y) - m(x)|| / ||y - x|| of aligned (k, n)
     batches, with one map evaluation per side."""
     return norm.of(m._apply(ys) - m._apply(xs), axis=1) / norm.of(ys - xs, axis=1)
-
-
-def _best_quotient(m: MapExpr, norm: Norm, xs: np.ndarray, ys: np.ndarray,
-                   min_sep: float) -> tuple[float, tuple, int]:
-    keep = norm.of(ys - xs, axis=1) >= min_sep
-    if not np.any(keep):
-        raise EstimationError("all sampled pairs effectively coincident")
-    xs, ys = xs[keep], ys[keep]
-    q = pair_quotients(m, norm, xs, ys)
-    i = int(np.argmax(q))
-    return float(q[i]), (xs[i].copy(), ys[i].copy()), int(keep.sum())
 
 
 # pairs closer than MIN_SEP_REL * diam are dropped: at tiny separations the
@@ -300,8 +274,9 @@ MIN_SEP_REL = 1e-4
 
 
 def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
-                   seed: int | np.random.Generator = 0) -> LipEstimate:
-    """Max sampled difference quotient over uniform pairs plus extreme-point pairs.
+                   seed: int | np.random.Generator = 0) -> float:
+    """Max sampled difference quotient over uniform pairs plus extreme-point
+    pairs: a lower bound for the global Lipschitz constant.
 
     `seed` is anything `np.random.default_rng` accepts; a Generator is used
     as is, so its draws continue the caller's stream.  Pairs closer than
@@ -317,13 +292,15 @@ def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
         ii, jj = np.triu_indices(ext.shape[0], k=1)
         xs = np.vstack([xs, ext[ii]])
         ys = np.vstack([ys, ext[jj]])
-    min_sep = MIN_SEP_REL * body.diameter(norm)
-    lb, wit, n = _best_quotient(m, norm, xs, ys, min_sep)
-    return LipEstimate(lb, wit, n)
+    keep = norm.of(ys - xs, axis=1) >= MIN_SEP_REL * body.diameter(norm)
+    if not np.any(keep):
+        raise EstimationError("all sampled pairs effectively coincident")
+    return float(pair_quotients(m, norm, xs[keep], ys[keep]).max())
 
 
-def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
-                       samples: int, seed, shells: int = 4) -> LipEstimate:
+def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
+                      samples: int = 64, seed=0,
+                      shells: int = 4) -> np.ndarray:
     """Local Lipschitz estimates at several scales around each row of xs.
 
     One `body.probes` call, drawn from `np.random.default_rng(seed)` (a
@@ -332,10 +309,11 @@ def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
     r 2^-(shells-1), then `samples` probes at max(scales) k / samples,
     k = 1 .. samples.  Probes lie in the body, so the one membership query
     is on the centres, and one map evaluation covers centres and probes.
-    Returns one estimate over centres x scales, in the given order: each
-    bound is the best quotient over the probes within r of its centre, so
-    the bounds are monotone in r.  An error is that of the first failing
-    centre.
+    Returns the (k, S) bounds over centres x scales, in the given order:
+    each is the best quotient over the probes within r of its centre, so
+    the bounds are monotone in r.  The draws depend only on the radii, so
+    consecutive calls on one Generator draw what one call over all their
+    centres draws.  An error is that of the first failing centre.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     k = xs.shape[0]
@@ -368,20 +346,7 @@ def lip_local_profiles(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
         raise EstimationError(f"no admissible sample at scale "
                               f"{scales[int(np.argmin(counts[i]))]} around "
                               f"the centre {xs[i].tolist()}")
-    best = np.argmax(np.where(sel, q[:, None, :], -np.inf), axis=2)
-    return LipEstimate(np.take_along_axis(q, best, axis=1),
-                       (xs.copy(), pool[np.arange(k)[:, None], best]), counts)
-
-
-def lip_local_profile(m: MapExpr, x, scales, body: ConvexBody, norm: Norm,
-                      samples: int = 64, seed=0,
-                      shells: int = 4) -> LipEstimate:
-    """`lip_local_profiles` at the one centre x: its row 0, with bounds of
-    shape (S,) and witness (x, ys) with ys of shape (S, n)."""
-    est = lip_local_profiles(m, as_point(x)[None, :], scales, body, norm,
-                             samples, seed, shells)
-    return LipEstimate(est.lower_bound[0],
-                       (est.witness[0][0], est.witness[1][0]), est.samples[0])
+    return np.where(sel, q[:, None, :], -np.inf).max(axis=2)
 
 
 def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
@@ -397,9 +362,9 @@ def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
 def steep_density(m: MapExpr, body: ConvexBody, norm: Norm, lam: float,
                   scale: float, grid, samples: int = 64, seed=0) -> float:
     """Fraction of grid points whose local slope estimate at `scale` exceeds
-    lam; `seed` seeds one `lip_local_profiles` call over the whole grid."""
-    est = lip_local_profiles(m, grid, [scale], body, norm, samples, seed)
-    return float(np.mean(est.lower_bound[:, 0] > lam))
+    lam; `seed` seeds one `lip_local_profile` call over the whole grid."""
+    est = lip_local_profile(m, grid, [scale], body, norm, samples, seed)
+    return float(np.mean(est[:, 0] > lam))
 
 
 # the shape of random_nonexpansive's trees: depth, leaf odds (identity,

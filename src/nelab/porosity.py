@@ -56,6 +56,8 @@ UPPER_EPS = tuple(2.0 ** -k for k in range(2, 19))   # upper_porous_at's scales
 LOWER_LEVELS = 16           # lower_porous_at: halvings of eps0 probed
 LADDER_PROBES = 8           # ladder_witness: probes per net point, itself included
 LADDER_H_COUNT = 4          # ladder_witness: test maps besides g
+LOW_SLOPE_SAMPLES = 64      # low_slope_member: the profile's `samples`
+LOW_SLOPE_SHELLS = 8        # low_slope_member: dyadic levels per scale
 
 
 class SetOracle:
@@ -167,10 +169,6 @@ class ReciprocalSet(SetOracle):
 
     ambient: ConvexBody
     norm: Norm
-
-    @classmethod
-    def default(cls) -> "ReciprocalSet":
-        return cls(Box(np.array([-1.0]), np.array([1.0])), Norm(2.0))
 
     def distance(self, centers) -> np.ndarray:
         # the reciprocals next to |c| are 1/m and 1/(m+1), m = max(1,
@@ -366,15 +364,20 @@ class PorosityVerdict:
         """Re-check every witness: its centre lies in the ambient space,
         within its eps of q (and apart from q for the upper pattern), its
         radius reaches the one the constant claims, phi^{-1}(alpha d(q, q'))
-        (upper) or phi^{-1}(beta eps) (lower), and its ball misses P."""
+        (upper) or phi^{-1}(beta eps) (lower), and its ball misses P.  A
+        claim t = alpha d(q, q') or beta eps in (0, inf phi] asks only for
+        a positive radius, as phi(s) > inf phi >= t for every s > 0."""
         cs = self.centers
         d = oracle.norm.of(cs - self.q, axis=1)
         near = (d <= self.eps) & ((d > 0.0) | (self.kind != "upper"))
         args = [self.constant * float(t)
                 for t in (d if self.kind == "upper" else self.eps)]
-        # an argument outside phi's range has no inverse: reject the witness
-        need = np.array([phi.inverse(t) if phi.inf < t < phi.sup else np.inf
-                         for t in args])
+        # an argument in (0, inf phi] needs a positive radius, at least the
+        # least positive float; one not below sup phi, or not positive, has
+        # none: reject the witness
+        need = np.array([phi.inverse(t) if phi.inf < t < phi.sup
+                         else math.ulp(0.0) if 0.0 < t <= phi.inf
+                         else np.inf for t in args])
         return bool(np.all(near & oracle.ambient.contains_all(cs)
                            & (self.radii >= need)
                            & (oracle.distance(cs) >= self.radii)))
@@ -386,11 +389,13 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
 
     Scale eps offers q' = q, a lattice over [-eps, eps]^n around q and
     `trials` draws; a q' in the space with d = d(q, q') <= eps (and d > 0
-    for upper) admits each c with c x in phi's range up to
-    c* = phi(min(D, eta)) / x, D = d(q', P), x = d (upper) or eps (lower).
+    for upper) and D = d(q', P) > 0 admits each c with t = c x below
+    sup phi up to c* = phi(min(D, eta)) / x, x = d (upper) or eps (lower).
     The constant is the largest c in 2^-1 .. 2^-DYADIC_BITS every scale
     admits; a scale's witness is its first candidate admitting c whose
-    hole, of radius phi^{-1}(c x), the scalar inverse confirms.
+    hole, of radius phi^{-1}(t), the scalar inverse confirms.  A t <= inf
+    phi (an offset gauge) is met by any positive radius: its witness
+    radius is min(D, eta).
     """
     upper = kind == "upper"
     eps = np.asarray(eps_grid, dtype=float)
@@ -408,16 +413,19 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
         c_star = phi.value(np.minimum(dist, phi.eta)) / x
     c = 2.0 ** -np.arange(1.0, DYADIC_BITS + 1.0)[:, None, None]
     t = c * x
+    low = t <= phi.inf                  # met by any positive radius
     # 1e-9 of slack: rounding must not hide a hole the inverse confirms
     admits = ((d <= eps[:, None]) & ((d > 0.0) | (not upper))
               & oracle.ambient.contains_all(cs.reshape(-1, n)).reshape(d.shape)
-              & (phi.inf < t) & (t < phi.sup) & (c <= c_star * (1.0 + 1e-9)))
+              & (dist > 0.0) & (t < phi.sup)
+              & (low | (c <= c_star * (1.0 + 1e-9))))
     for ci in np.flatnonzero(admits.any(axis=2).all(axis=1)):
-        js = [next((j for j in np.flatnonzero(admits[ci, ei])
-                    if dist[ei, j] >= phi.inverse(float(t[ci, ei, j]))), None)
+        js = [next((j for j in np.flatnonzero(admits[ci, ei]) if low[ci, ei, j]
+                    or dist[ei, j] >= phi.inverse(float(t[ci, ei, j]))), None)
               for ei in range(k)]
         if None not in js:              # else rounding left a scale bare
-            radii = np.array([phi.inverse(float(t[ci, ei, j]))
+            radii = np.array([min(dist[ei, j], phi.eta) if low[ci, ei, j]
+                              else phi.inverse(float(t[ci, ei, j]))
                               for ei, j in enumerate(js)])
             return PorosityVerdict("porous-at-point", kind, float(c[ci, 0, 0]),
                                    q, cs[np.arange(k), js], eps, radii)
@@ -462,25 +470,17 @@ def low_slope_alpha(lam: float, diam: float) -> float:
     return (1.0 - lam) / (48.0 * (1.0 + diam))
 
 
-@dataclass(frozen=True)
-class LowSlopeResult:
-    """Truncated low-slope membership test with its per-rung estimates."""
-
-    member: bool
-    estimates: np.ndarray   # sampled local slope lower bound per rung l..j_max
-
-
-def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
+def low_slope_member(f: MapExpr, xs, lam: float, lad: Ladder, l: int = 1,
                      j_max: int = 12, *, body: ConvexBody, norm: Norm,
-                     samples: int = 64, seed=0,
-                     shells: int = 8) -> LowSlopeResult:
-    """Is the sampled local slope of f at x at most lam at every ladder scale
-    phi^{-1}(s_j), j = l .. j_max?  The truncation level is reported.
+                     seed=0) -> np.ndarray:
+    """For each row x of xs: is the sampled local slope of f at x at most
+    lam at every ladder scale phi^{-1}(s_j), j = l .. j_max?  Returns a
+    (k,) bool array from one `lip_local_profile` call.
 
-    The probe pool subdivides each scale through `shells` dyadic levels so
-    that steep behaviour concentrated two orders of magnitude below a scale
-    (the bump witnesses live there) is still seen by the estimate.  `seed`
-    is anything `np.random.default_rng` accepts.
+    The probe pool subdivides each scale through LOW_SLOPE_SHELLS dyadic
+    levels so that steep behaviour concentrated two orders of magnitude
+    below a scale (the bump witnesses live there) is still seen by the
+    estimate.  `seed` is anything `np.random.default_rng` accepts.
     """
     if not (1 <= l <= j_max):
         raise ParameterError(f"need 1 <= l <= j_max, got l={l}, j_max={j_max}")
@@ -489,8 +489,9 @@ def low_slope_member(f: MapExpr, x, lam: float, lad: Ladder, l: int = 1,
             f"j_max={j_max} beyond the ladder ({len(lad)} rungs); extend it"
         )
     scales = [lad.gauge.inverse(lad.rung(j)) for j in range(l, j_max + 1)]
-    est = lip_local_profile(f, x, scales, body, norm, samples, seed, shells)
-    return LowSlopeResult(bool(np.all(est.lower_bound <= lam)), est.lower_bound)
+    est = lip_local_profile(f, xs, scales, body, norm, LOW_SLOPE_SAMPLES,
+                            seed, LOW_SLOPE_SHELLS)
+    return np.all(est <= lam, axis=1)
 
 
 def closing_bound(lam: float, K: float, diam: float) -> tuple[float, float, float]:

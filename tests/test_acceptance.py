@@ -11,8 +11,8 @@ import time
 from nelab.gauges import PowerGauge, ladder
 from nelab.harness import (ExperimentConfig, closing_bound, run_typical,
                            run_verify)
-from nelab.porosity import (FinitePointSet, ReciprocalSet, gamma_est,
-                            lower_porous_at, upper_porous_at)
+from nelab.porosity import (FinitePointSet, gamma_est, lower_porous_at,
+                            oracle_from_desc, upper_porous_at)
 from nelab.reports import dumps_csv, dumps_json
 from nelab.space import Box, Norm
 
@@ -83,7 +83,7 @@ def test_criterion_5_porosity_landmarks():
     t0 = time.perf_counter()
     problems = []
     ident = PowerGauge(p=1.0)
-    rec = ReciprocalSet.default()
+    rec = oracle_from_desc("reciprocal", Norm(2.0))
     exact = rec.exact_gamma([0.0], 0.01)
     if abs(exact / 0.01 - 0.005) > 5e-4:
         problems.append(f"analytic ratio {exact / 0.01} far from 0.005")

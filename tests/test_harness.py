@@ -212,7 +212,7 @@ def test_typical_sampler_failures_become_failed_cases(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise EstimationError("estimator failed")
 
-    monkeypatch.setattr(harness, "lip_local_profiles", fail)
+    monkeypatch.setattr(harness, "lip_local_profile", fail)
     cfg = dict(dim=2, norm_p=1.0, body="simplex", trials=4, lam=0.99)
     rep = run_typical(_cfg(**cfg))
     failed = {c.case_id: c for c in rep.cases if "error" in c.measured}

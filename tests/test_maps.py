@@ -11,7 +11,7 @@ from nelab import space
 from nelab.errors import DomainError, EstimationError
 from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
                         FlatCollapse, Identity, Tent, lip_global_est,
-                        lip_local_profile, lip_local_profiles, pair_quotients,
+                        lip_local_profile, pair_quotients,
                         random_nonexpansive, steep_density, sup_dist_est)
 from nelab.perturb import bump_perturb, flat_collapse
 from nelab.space import (Ball, Box, Net, Norm, body_from_desc, distances,
@@ -82,7 +82,7 @@ def test_flat_collapse_radial_profile():
 def test_flat_collapse_quotient_bracket():
     m = FlatCollapse(np.array([[0.0]]), 0.25, 0.5, NORM2)
     est = lip_global_est(m, BOX1, NORM2, pairs=10_000, seed=0)
-    assert 1.8 <= est.lower_bound <= m.certificate + CERT_SLACK
+    assert 1.8 <= est <= m.certificate + CERT_SLACK
 
 
 def test_pair_quotients_match_the_pairwise_loop():
@@ -100,10 +100,9 @@ def test_pair_quotients_match_the_pairwise_loop():
 
 
 def test_lip_global_linear_maps_are_exact():
-    assert lip_global_est(AffineContraction(0.5, [0.0]), BOX1, NORM2,
-                          200).lower_bound \
+    assert lip_global_est(AffineContraction(0.5, [0.0]), BOX1, NORM2, 200) \
         == pytest.approx(0.5, abs=1e-12)
-    assert lip_global_est(Identity(), BOX1, NORM2, 200).lower_bound \
+    assert lip_global_est(Identity(), BOX1, NORM2, 200) \
         == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         lip_global_est(Identity(), BOX1, NORM2, 0)
@@ -113,10 +112,10 @@ def test_lip_local_ramp_is_steep_only_past_the_knee():
     m = _ramp()
     steep = lip_local_profile(m, [0.9], [0.1], BOX01, NORM2, samples=128,
                               seed=0)
-    assert steep.lower_bound.tolist() == [pytest.approx(1.0, rel=1e-12)]
+    assert steep.tolist() == [[pytest.approx(1.0, rel=1e-12)]]
     flat = lip_local_profile(m, [0.2], [0.1], BOX01, NORM2, samples=128,
                              seed=0)
-    assert flat.lower_bound.tolist() == [0.0]
+    assert flat.tolist() == [[0.0]]
 
 
 def test_lip_local_sees_steepness_that_only_outward_probes_reach():
@@ -125,14 +124,14 @@ def test_lip_local_sees_steepness_that_only_outward_probes_reach():
     m = FlatCollapse(np.array([[0.0]]), 0.9, 1.0)
     for seed in range(20):
         est = lip_local_profile(m, [0.9], [0.1], BOX1, NORM2, seed=seed)
-        assert est.lower_bound[0] > 1.0, seed
+        assert est[0, 0] > 1.0, seed
 
 
 def test_lip_local_profile_monotone_in_scale():
     for seed in range(5):
         m = random_nonexpansive(BOX1, seed=seed)
-        lows = lip_local_profile(m, [0.1], [0.01, 0.05, 0.2], BOX1, NORM2,
-                                 samples=96, seed=seed).lower_bound.tolist()
+        [lows] = lip_local_profile(m, [0.1], [0.01, 0.05, 0.2], BOX1, NORM2,
+                                   samples=96, seed=seed).tolist()
         assert lows == sorted(lows)
 
 
@@ -143,9 +142,10 @@ def test_lip_local_domain_and_exhaustion_errors():
         lip_local_profile(Identity(), [0.0], [], BOX1, NORM2)
 
 
-def test_profiles_see_every_scale_at_vertex_centres():
+def test_profiles_see_every_scale_at_vertex_centres(monkeypatch):
     # every centre, vertices included, gets a probe with d > 0 at every
-    # scale; the estimates are the best quotients of those probes
+    # scale; the estimates are the best quotients of those probes, taken
+    # from the pool `probes` drew
     scales = [0.2, 0.05, 0.2, 0.01]
     for dim in (1, 2, 3):
         for p in (1.0, 2.0, 3.0, math.inf):
@@ -155,19 +155,26 @@ def test_profiles_see_every_scale_at_vertex_centres():
                 rng = np.random.default_rng([dim, int(min(p, 9)), len(desc)])
                 xs = np.vstack([body.sample_many(rng, 3), body.extreme_points()])
                 m = random_nonexpansive(body, seed=dim)
-                est = lip_local_profiles(m, xs, scales, body, norm, 32, rng)
-                (wx, ys), k = est.witness, len(xs)
-                shape = (k, len(scales))
-                assert est.lower_bound.shape == est.samples.shape == shape
-                assert ys.shape == (*shape, dim) and np.array_equal(wx, xs)
-                assert np.all(est.samples >= 1)
-                d = norm.of(ys - xs[:, None, :], axis=2)
-                assert np.all((0.0 < d) & (d <= np.array(scales)))
-                # each bound is the quotient of its own witness pair
-                assert np.array_equal(est.lower_bound, pair_quotients(
-                    m, norm, np.repeat(xs, len(scales), axis=0),
-                    ys.reshape(-1, dim)).reshape(shape))
-                assert np.all(est.lower_bound <= 1.0 + 1e-9)
+                pools, probes = [], type(body).probes
+
+                def spy(*args):
+                    pools.append(probes(*args))
+                    return pools[-1]
+
+                with monkeypatch.context() as mp:
+                    mp.setattr(type(body), "probes", spy)
+                    est = lip_local_profile(m, xs, scales, body, norm, 32, rng)
+                [pool] = pools
+                assert est.shape == (len(xs), len(scales))
+                for x, ys, row in zip(xs, pool, est):
+                    d = norm.of(ys - x, axis=1)
+                    with np.errstate(invalid="ignore"):     # 0/0 at d = 0
+                        q = pair_quotients(
+                            m, norm, np.broadcast_to(x, ys.shape), ys)
+                    for r, bound in zip(scales, row):
+                        near = (0.0 < d) & (d <= r)
+                        assert near.any() and bound == q[near].max()
+                assert np.all(est <= 1.0 + 1e-9)
 
 
 def test_profile_batch_raises_the_first_centres_error():
@@ -178,24 +185,24 @@ def test_profile_batch_raises_the_first_centres_error():
     with pytest.raises(EstimationError,
                        match=r"^no admissible sample at scale 1e-300 around "
                              r"the centre \[0\.5\]$"):
-        lip_local_profiles(Identity(), xs, [0.1, 1e-300, 1e-301], BOX01,
-                           norm1, 16, 0)
-    assert lip_local_profiles(Identity(), xs[:1], [1e-300], BOX01, norm1,
-                              16, 0).lower_bound.shape == (1, 1)
+        lip_local_profile(Identity(), xs, [0.1, 1e-300, 1e-301], BOX01,
+                          norm1, 16, 0)
+    assert lip_local_profile(Identity(), xs[:1], [1e-300], BOX01, norm1,
+                             16, 0).shape == (1, 1)
     with pytest.raises(DomainError):
-        lip_local_profiles(Identity(), xs[::-1], [1e-300], BOX01, norm1, 16, 0)
+        lip_local_profile(Identity(), xs[::-1], [1e-300], BOX01, norm1, 16, 0)
     with pytest.raises(DomainError):
-        lip_local_profiles(Identity(), np.array([[0.2], [2.0]]), [0.1], BOX01,
-                           NORM2, 16, 0)
+        lip_local_profile(Identity(), np.array([[0.2], [2.0]]), [0.1], BOX01,
+                          NORM2, 16, 0)
     # no radii at all: no probe, so no scale is seen
     with pytest.raises(EstimationError,
                        match=r"^no admissible sample at scale 0\.1 around the "
                              r"centre \[0\.2\]$"):
-        lip_local_profiles(Identity(), np.array([[0.2]]), [0.1], BOX01, NORM2,
-                           0, 0, shells=0)
+        lip_local_profile(Identity(), np.array([[0.2]]), [0.1], BOX01, NORM2,
+                          0, 0, shells=0)
     with pytest.raises(ValueError):
-        lip_local_profiles(Identity(), np.empty((0, 1)), [0.1], BOX01, NORM2,
-                           16, 0)
+        lip_local_profile(Identity(), np.empty((0, 1)), [0.1], BOX01, NORM2,
+                          16, 0)
 
 
 def test_profile_call_shape(monkeypatch):
@@ -229,7 +236,7 @@ def test_profile_call_shape(monkeypatch):
     probes = Box.probes
     monkeypatch.setattr(Box, "probes", lambda self, xs, *a: drawn.append(
         len(xs)) or probes(self, xs, *a))
-    lip_local_profiles(root, grid, [0.2, 0.1], BOX01, NORM2, 64, 5, 8)
+    lip_local_profile(root, grid, [0.2, 0.1], BOX01, NORM2, 64, 5, 8)
     assert drawn == [9]
 
 
@@ -384,7 +391,7 @@ def test_random_nonexpansive_contract():
 def test_certificate_soundness_property(seed):
     m = random_nonexpansive(BOX1, seed=seed)
     est = lip_global_est(m, BOX1, NORM2, pairs=1000, seed=seed)
-    assert est.lower_bound <= m.certificate + CERT_SLACK
+    assert est <= m.certificate + CERT_SLACK
 
 
 def test_estimator_rejects_coincident_samples():

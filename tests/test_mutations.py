@@ -9,7 +9,7 @@ import nelab.maps as maps
 import nelab.porosity as porosity
 import nelab.space as space
 from nelab.harness import ExperimentConfig, run_porosity, run_verify
-from nelab.maps import LipEstimate, Tent
+from nelab.maps import Tent
 from nelab.perturb import BumpWitnesses, DirectionField
 from nelab.space import Norm, body_from_desc, nearest
 from test_space import (cell_boundary_cases, net_nearest_violations,
@@ -19,19 +19,24 @@ from test_space import (cell_boundary_cases, net_nearest_violations,
 def test_zero_slope_estimates_break_the_cover_consistency(monkeypatch):
     # with every local slope read as 0, Identity and the steep contraction
     # look low-slope: half of the 4 maps x 12 grid points disagree with
-    # their exact slope
-    profiles = maps.lip_local_profiles
+    # their exact slope; and every hole probe looks like a member of the
+    # low-slope set, so no hole lies outside it
+    profile = maps.lip_local_profile
 
     def flat(*args, **kwargs):
-        est = profiles(*args, **kwargs)
-        return LipEstimate(0.0 * est.lower_bound, est.witness, est.samples)
+        return 0.0 * profile(*args, **kwargs)
 
-    monkeypatch.setattr(maps, "lip_local_profiles", flat)
-    monkeypatch.setattr(harness, "lip_local_profiles", flat)
+    for module in (maps, porosity, harness):
+        monkeypatch.setattr(module, "lip_local_profile", flat)
     rep = run_verify(ExperimentConfig(suite="holes"))
-    case = {c.case_id: c for c in rep.cases}["holes/cover-consistency"]
+    cases = {c.case_id: c for c in rep.cases}
+    case = cases["holes/cover-consistency"]
     assert not case.passed
     assert case.measured == {"checked": 48, "consistent": 24}
+    holes = [c for i, c in cases.items() if i.startswith("holes/hole-")]
+    assert holes
+    assert all(not c.passed and c.measured["hole_outside_set"] is False
+               for c in holes)
 
 
 def test_swapped_anchors_break_the_branch_rule(monkeypatch):

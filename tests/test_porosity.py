@@ -8,8 +8,9 @@ import pytest
 from nelab.errors import GaugeError, ParameterError
 from nelab.gauges import (GaugePair, PiecewiseGauge, PowerGauge, build_pair,
                           gauge_from_desc, ladder)
-from nelab.maps import Constant, ConvexCombo, Identity, random_nonexpansive
-from nelab.perturb import flat_collapse
+from nelab.maps import (AffineContraction, Constant, ConvexCombo, Identity,
+                        lip_local_profile, random_nonexpansive)
+from nelab.perturb import bump_perturb, flat_collapse
 from nelab.porosity import (DYADIC_BITS, GAMMA_PER_AXIS, GAMMA_ROUNDS,
                             LOWER_LEVELS, TARGETS, UPPER_EPS,
                             FinitePointSet, IntervalUnionSet,
@@ -25,7 +26,7 @@ BOX01 = Box(np.array([0.0]), np.array([1.0]))
 IDENT = PowerGauge(p=1.0)
 SQRT = PowerGauge(p=0.5)
 
-REC = ReciprocalSet.default()
+REC = oracle_from_desc("reciprocal", NORM2)
 ZERO = FinitePointSet(np.array([[0.0]]), BOX1, NORM2)
 EMPTY = FinitePointSet(np.empty((0, 1)), BOX1, NORM2)
 CANTOR3 = IntervalUnionSet.cantor(3)
@@ -307,7 +308,9 @@ def test_lower_porous_implies_upper_porous():
 def _porous_reference(kind, oracle, q, phi, eps_grid, trials, seed):
     # each constant 2^-1 .. 2^-DYADIC_BITS in turn: every scale's first
     # candidate (q, the lattice, row ei of the one generator's draws) in
-    # range whose ball of radius phi^{-1}(t) misses P, by the scalar inverse
+    # range whose ball of radius phi^{-1}(t) misses P, by the scalar
+    # inverse; a t <= inf phi takes the ball of radius min(d(q', P), eta)
+    # when that is positive
     q = np.asarray(q, dtype=float)
     upper = kind == "upper"
     per_axis = 33 if q.size == 1 else (9 if q.size == 2 else 5)
@@ -330,6 +333,9 @@ def _porous_reference(kind, oracle, q, phi, eps_grid, trials, seed):
         for eps, cs, d, dist in scales:
             for j, (dq, dp) in enumerate(zip(d, dist)):
                 t = c * (dq if upper else eps)
+                if t <= lo and dp > 0.0:
+                    holes.append((cs[j], eps, min(dp, phi.eta)))
+                    break
                 if lo < t < hi and dp >= phi.inverse(t):
                     holes.append((cs[j], eps, phi.inverse(t)))
                     break
@@ -373,6 +379,29 @@ def test_derived_lower_verdict_at_the_offset_range_edge():
     for q in (0.0, 0.5, 0.3):
         verdict = lower_porous_at(REC, [q], phi, eps0=4.0)
         _assert_matches_reference(verdict, REC, phi, eps_grid, 0)
+
+
+def test_offset_gauge_verdicts_hold_any_positive_hole():
+    # inf phi = 1 under offset:0.5, so every radius demanded at these
+    # scales is met by any positive one: the empty set and {0} are porous
+    # with holes that re-verify, the whole space stays undetected
+    phi = gauge_from_desc("offset:0.5")
+    for target, porous in (("empty", True), ("zero", True), ("full", False)):
+        oracle = oracle_from_desc(target, NORM2)
+        for q in (0.0, 0.5, -0.3):
+            for v in (upper_porous_at(oracle, [q], phi),
+                      lower_porous_at(oracle, [q], phi, eps0=0.25)):
+                case = (target, q, v.kind)
+                assert v.porous == porous and v.verify_holes(oracle, phi), case
+                assert len(v.radii) == (len(v.eps) if porous else 0), case
+                assert np.all(v.radii > 0.0), case
+    # a claim below inf phi still needs a ball of positive radius that
+    # misses P
+    assert _claim("lower", 0.5, 0.1, 0.5, 0.1).verify_holes(ZERO, phi)
+    assert not _claim("lower", 0.5, 0.1, 0.5, 0.0).verify_holes(ZERO, phi)
+    assert _claim("upper", 0.05, 0.2, 0.1, 0.1).verify_holes(ZERO, phi)
+    assert not _claim("upper", 0.05, 0.2, 0.1, 0.0).verify_holes(ZERO, phi)
+    assert not _claim("upper", 0.05, 0.2, 0.1, 0.2).verify_holes(ZERO, phi)
 
 
 def test_a_hole_of_exactly_the_demanded_radius_counts():
@@ -454,23 +483,52 @@ def test_low_slope_alpha_hand_values():
 
 def test_low_slope_membership_examples():
     lad = ladder(SQRT, BOX01, NORM2, rungs=12)
-    const = low_slope_member(Constant([0.4]), [0.5], 0.1, lad, j_max=8,
+    xs = [[0.2], [0.5], [0.9]]
+    const = low_slope_member(Constant([0.4]), xs, 0.1, lad, j_max=8,
                              body=BOX01, norm=NORM2)
-    assert const.member
-    assert all(e == 0.0 for e in const.estimates)
-    ident = low_slope_member(Identity(), [0.5], 0.9, lad, j_max=8,
+    assert const.tolist() == [True, True, True]
+    ident = low_slope_member(Identity(), xs, 0.9, lad, j_max=8,
                              body=BOX01, norm=NORM2)
-    assert not ident.member
+    assert ident.tolist() == [False, False, False]
+    # max(x - 0.5, 0): flat at 0.2, slope 1 at 0.9
     ramp = ConvexCombo(0.5, Constant([0.0]),
                        flat_collapse([0.0], 0.5, 1.0, BOX01, NORM2))
-    flat_side = low_slope_member(ramp, [0.2], 0.5, lad, j_max=8,
-                                 body=BOX01, norm=NORM2)
-    assert flat_side.member
+    assert low_slope_member(ramp, xs[::2], 0.5, lad, j_max=8, body=BOX01,
+                            norm=NORM2).tolist() == [True, False]
     with pytest.raises(ParameterError):
         low_slope_member(Identity(), [0.5], 0.5, lad, l=5, j_max=3,
                          body=BOX01, norm=NORM2)
     with pytest.raises(TypeError):
         low_slope_member(Identity(), [0.5], 0.5, lad, j_max=8)   # body missing
+
+
+def test_a_batch_draws_what_its_one_row_calls_draw():
+    # one k-row call on a Generator gives the bounds, the verdicts and the
+    # stream position of k consecutive one-row calls on it, which is why
+    # batching `dual`'s cover and hole checks keeps their bytes
+    lad = ladder(SQRT, BOX01, NORM2, rungs=12)
+    net = greedy_net(BOX01, NORM2, 0.125, grid_candidates(BOX01, 161))
+    tent = bump_perturb(Constant([0.3]), net, 0.5, BOX01, NORM2)
+    xs = net.points[1:6] + 0.5 * tent.rho
+    scales = [lad.gauge.inverse(lad.rung(j)) for j in range(2, 9)]
+
+    def profile(f, x, rng):
+        return lip_local_profile(f, x, scales, BOX01, NORM2, 64, rng, 8)
+
+    def member(f, x, rng):
+        return low_slope_member(f, x, 0.75, lad, l=2, j_max=8, body=BOX01,
+                                norm=NORM2, seed=rng)
+
+    for f in (Identity(), Constant([0.4]), AffineContraction(0.5, [0.2]),
+              tent):
+        for run in (profile, member):
+            one, many = np.random.default_rng(7), np.random.default_rng(7)
+            batch = run(f, xs, many)
+            rows = np.concatenate([run(f, x[None, :], one) for x in xs])
+            assert batch.shape[0] == 5 and np.array_equal(batch, rows)
+            assert many.bit_generator.state == one.bit_generator.state
+    assert member(tent, xs, 0).tolist() == [False] * 5
+    assert member(AffineContraction(0.5, [0.2]), xs, 0).tolist() == [True] * 5
 
 
 def _rung_nets(lad, body, norm, upto):
