@@ -29,7 +29,7 @@ from .porosity import (FinitePointSet, IntervalUnionSet, LadderWitnessReport,
 from .reports import CaseRecord, Report, dumps
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, as_point,
                     body_from_desc, distances, greedy_net, grid_candidates,
-                    nearest)
+                    lattice_net, nearest)
 
 __version__ = "0.1.0"
 

@@ -97,10 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
+    """The config of the flags, unchecked: `_run` or `gauge` validates it."""
     names = {f.name for f in fields(ExperimentConfig)}
-    cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _gauge_csv(cfg: ExperimentConfig, rungs: int, points: int) -> str:
@@ -127,6 +126,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(args)
         if args.command == "gauge":
+            cfg.validate()
             if args.rungs < 1 or args.points < 2:
                 raise ValueError("gauge table needs rungs >= 1, points >= 2")
             write_text(_gauge_csv(cfg, args.rungs, args.points), cfg.out)

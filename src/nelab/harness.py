@@ -49,7 +49,7 @@ from .porosity import (IntervalUnionSet, closing_bound, gamma_est,
                        lower_porous_at, oracle_from_desc, upper_porous_at)
 from .reports import CaseRecord, Report
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, body_from_desc,
-                    greedy_net, grid_candidates, nearest)
+                    grid_candidates, lattice_net, nearest)
 
 LAM_SWEEP = (0.1, 0.25, 0.5, 0.75, 0.9)
 K_SWEEP = (1.5, 2.0, 4.0)
@@ -98,6 +98,11 @@ class ExperimentConfig:
             raise ValueError("window and eps0 must be positive and finite")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
+        # one parser judges each descriptor, whichever command carries it
+        norm = Norm(self.norm_p)
+        body_from_desc(self.body, self.dim, norm)
+        gauge_from_desc(self.gauge)
+        oracle_from_desc(self.target, norm)
 
     def scaled(self, pinned: float) -> float:
         """A check tolerance pinned at default `tol`; scales with --tol."""
@@ -140,14 +145,6 @@ def _random_space(cfg: ExperimentConfig, tag: str, i: int, dims: int,
     else:
         body = Hull(rng.uniform(-1.5, 1.5, size=(dim + 3, dim)))
     return rng, dim, norm, body, body.diameter(norm)
-
-
-def _net_for(body: ConvexBody, norm: Norm, s: float,
-             per_axis: tuple[int, int, int] = (41, 13, 7)) -> Net:
-    """The greedy s-net over the body's lattice of per_axis[dim - 1] points
-    per axis."""
-    return greedy_net(body, norm, s,
-                      grid_candidates(body, per_axis[body.dim - 1]))
 
 
 def _raises(exc: type[Exception], fn, *args) -> bool:
@@ -277,9 +274,9 @@ def _bump_case(cfg: ExperimentConfig, i: int) -> CaseRecord:
                                                allow_hull=False)
     lo_s = 0.22 if dim < 3 else 0.3
     s = float(rng.uniform(lo_s, 0.45)) * min(1.0, diam)
-    # a coarse candidate grid: about half the net points of _net_for's
+    # a coarse candidate grid: about half the net points of lattice_net's
     # default one, which the bump report bytes are still pinned to
-    net = _net_for(body, norm, s, per_axis=(41, 9, 5))
+    net = lattice_net(body, norm, s, per_axis=(41, 9, 5))
     f = random_nonexpansive(body, seed=_sub_seed(rng))
     eps = float(rng.uniform(0.1, 0.8))
     g = bump_perturb(f, net, eps, body, norm)
@@ -332,7 +329,7 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
         rng, dim, norm, body, diam = _random_space(cfg, "witness", gi, 2,
                                                    allow_hull=False)
         s = float(rng.uniform(0.22, 0.45)) * min(1.0, diam)
-        net = _net_for(body, norm, s)
+        net = lattice_net(body, norm, s)
         lam = float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9]))
         eps = float(rng.uniform(0.1, 0.8))
         f = random_nonexpansive(body, seed=_sub_seed(rng))
@@ -533,9 +530,8 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
         rng = _case_rng(cfg, "ladder", wi)
         pair = build_pair(phi)
         ladg = ladder(phi, body, norm, rungs=12)
-        nets = [_net_for(body, norm, ladg.rung(j)) for j in range(1, 4)]
         f = random_nonexpansive(body, seed=_sub_seed(rng))
-        rep = ladder_witness(f, eps, cfg.lam, ladg, nets, pair,
+        rep = ladder_witness(f, eps, cfg.lam, ladg, pair,
                              body=body, norm=norm, seed=_sub_seed(rng))
         minq = float(rep.min_quotients.min())
         cases.append(CaseRecord(
@@ -684,7 +680,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
     cases = []
     if phi.inf > 0.0:
         rng = _case_rng(cfg, tag, 0)
-        net = _net_for(body, norm, 0.25 * min(1.0, diam))
+        net = lattice_net(body, norm, 0.25 * min(1.0, diam))
         f = Constant(body.sample(rng))
         g = bump_perturb(f, net, 0.25, body, norm)
         dens = steep_density(g, body, norm, 0.99, 0.5 * g.rho, net.points,
@@ -697,7 +693,6 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
     lad = ladder(phi, body, norm, rungs=12)
     lam = cfg.lam
     alpha = low_slope_alpha(lam, diam)
-    nets = [_net_for(body, norm, lad.rung(j)) for j in range(1, 5)]
     j_top = min(12, len(lad))
     for ei, frac in enumerate((0.9, 0.45)):
         rng = _case_rng(cfg, tag, ei)
@@ -707,7 +702,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
 
         def witness() -> tuple[dict, bool]:
             nonlocal rep
-            rep = ladder_witness(f, eps, lam, lad, nets, pair, body=body,
+            rep = ladder_witness(f, eps, lam, lad, pair, body=body,
                                  norm=norm, seed=_sub_seed(rng))
             minq = float(rep.min_quotients.min())
             return ({"min_quotient": minq, "beta": rep.beta,
@@ -723,7 +718,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         if rep is None:
             continue        # no witnesses to probe for holes
         s_j = lad.rung(rep.j)
-        net_pts = nets[rep.j - 1].points
+        net_pts = rep.g.centers
 
         def hole(x, z, hole_r) -> tuple[dict, bool]:
             fit = hole_r <= rep.probe_r * (1.0 + 1e-12)
@@ -879,7 +874,7 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
 
     def net_at(j: int) -> tuple[Net, np.ndarray]:
         if j not in net_cache:
-            net = _net_for(body, norm, 2.0 ** -j * diam)
+            net = lattice_net(body, norm, 2.0 ** -j * diam)
             far = net.nearest(grid, norm)[1] > net.s / 2.0
             net_cache[j] = net, grid[far]
         return net_cache[j]

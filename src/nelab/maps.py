@@ -95,43 +95,37 @@ class AffineContraction(MapExpr):
 class FlatCollapse(MapExpr):
     """Collapse each ball B(c, delta) to its centre, identity outside B(c, r).
 
-    With t = ||x - c|| the radial profile is
+    The centres are the points of `net` and r = net.s / 2; both are kept
+    as the attributes `centers` and `r`.  With t = ||x - c|| the radial
+    profile is
 
         x -> c                                     if t <= delta,
         x -> c + ((r - r delta/t)/(r - delta)) (x - c)   if delta < t < r,
         x -> x                                     if t >= r,
 
-    applied around the nearest centre.  Centres must be pairwise >= 2r
-    apart so the modified balls are disjoint (closer centres, or radii
-    outside 0 < delta < r, raise ParameterError); then the global Lipschitz
-    constant is at most 1 + delta/(r - delta).  The two outer branches are
-    evaluated exactly (no arithmetic on the identity branch).  A point
-    farther than r from every centre takes the identity branch whichever
-    centre is nearest, so the centres' nearest-centre query is that of
-    `net`, the centres as a 2r-net, which is exact only within r.  A caller
-    that holds that net passes it, so that the collapses on one net share
-    its cached index; a net with other points or separation raises
-    ParameterError.
+    applied around the nearest centre.  A net closer than its separation
+    2r, which would make the modified balls overlap, or radii outside
+    0 < delta < r raise ParameterError; then the global Lipschitz constant
+    is at most 1 + delta/(r - delta).  The two outer branches are evaluated
+    exactly (no arithmetic on the identity branch).  A point farther than r
+    from every centre takes the identity branch whichever centre is
+    nearest, so the nearest-centre query is the net's, which is exact only
+    within r, and the collapses on one net share its cached index.
     """
 
-    centers: np.ndarray
+    net: Net
     delta: float
-    r: float
     norm: Norm = Norm(2.0)
-    net: Net | None = None
 
     def __post_init__(self):
-        ctrs = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        object.__setattr__(self, "centers", ctrs)
-        if not (0.0 < self.delta < self.r):
+        r = 0.5 * self.net.s
+        if not (0.0 < self.delta < r):
             raise ParameterError(
-                f"need 0 < delta < r, got delta={self.delta}, r={self.r}")
-        net = Net(ctrs, 2.0 * self.r) if self.net is None else self.net
-        if net.s != 2.0 * self.r or not np.array_equal(net.points, ctrs):
-            raise ParameterError("collapse net is not the centres at separation 2r")
-        if not net.check_separated(self.norm):
+                f"need 0 < delta < r, got delta={self.delta}, r={r}")
+        if not self.net.check_separated(self.norm):
             raise ParameterError("collapse centres closer than 2r: balls would overlap")
-        object.__setattr__(self, "net", net)
+        object.__setattr__(self, "centers", self.net.points)
+        object.__setattr__(self, "r", r)
 
     def _apply(self, pts):
         return self._profile(pts, *self.net.nearest(pts, self.norm))

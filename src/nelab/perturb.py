@@ -5,7 +5,7 @@ Three building blocks, each built straight from its parameters:
 * ``flat_collapse(center, delta, r, body, norm)`` — pinch a ball
   B(x0, delta) to its centre while leaving everything outside B(x0, r)
   alone; costs at most delta in the sup metric and 1 + delta/(r - delta)
-  in the Lipschitz constant.
+  in the Lipschitz constant; its net is the one point x0 at s = 2r.
 
 * ``direction_field`` — a unit direction e_z for every z in the body such
   that the whole segment [z, z + (s/3) e_z] stays inside the body.  Built
@@ -23,8 +23,9 @@ Three building blocks, each built straight from its parameters:
   contracts towards the body centre by 1 - delta/r so that slack opens up
   around every value, and finally plants a radial tent of height delta at
   each net point along a direction the field guarantees to be admissible.
-  ``bump_perturb`` is the one place that derives r and delta; the Tent
-  carries them (``g.collapse.r``, ``g.delta``) and its bump radius is
+  The collapse takes the net whole and reads r = net.s/2 from it, and
+  ``bump_perturb`` derives delta; the Tent carries both (``g.collapse.r``,
+  ``g.delta``) and its bump radius is
   ``g.rho`` = delta/2 = eps s / (12 (1 + diam C)).
 
 ``bump_witnesses(g, lam, body, norm)`` turns the isometry of a Tent into
@@ -53,7 +54,7 @@ def flat_collapse(center, delta: float, r: float, body: ConvexBody,
     center = as_point(center)
     if not body.contains(center, tol=1e-9):
         raise DomainError("collapse centre lies outside the body")
-    return FlatCollapse(center[None, :], delta, r, norm)
+    return FlatCollapse(Net(center[None, :], 2.0 * r), delta, norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +117,9 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody,
                  norm: Norm) -> Tent:
     """Non-expansive perturbation of f with isometric bumps on the net.
 
-    Stage 1 collapses B(x, r) to x at every net point x (r = net.s/2; the
-    collapse rejects a net closer than 2r, and answers its nearest-centre
-    queries from the net's cached index) and feeds the result to f;
+    Stage 1 collapses B(x, r) to x at every net point x (the collapse
+    takes the net whole: r = net.s/2, a net closer than net.s is rejected,
+    and queries go to the net's cached index) and feeds the result to f;
     stage 2 contracts by 1 - delta/r towards the body centre; stage 3
     plants a tent of height delta at each net point along the direction
     field evaluated at the stage-2 value of x.
@@ -139,10 +140,9 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody,
         raise DomainError("body centre escaped the body")
     r = 0.5 * s
     delta = eps * r / (3.0 * (1.0 + body.diameter(norm)))
-    pts = net.points
-    g0 = Compose(f, FlatCollapse(pts, delta, r, norm, net))
+    g0 = Compose(f, FlatCollapse(net, delta, norm))
     g1 = Compose(AffineContraction(1.0 - delta / r, anchor), g0)
-    apexes = g1._apply(pts)
+    apexes = g1._apply(net.points)
     dirs = direction_field(body, norm, s)(apexes)
     # the tent needs room of height delta above each apex; the field
     # guarantees a segment of length s/3 > delta
@@ -168,7 +168,7 @@ def bump_witnesses(g: Tent, lam: float, body: ConvexBody,
     """Probe points certifying steep quotients for every map beta*eps-close to g.
 
     g is a bump perturbation as `bump_perturb` builds it: its centres are
-    the net points and s = 2 g.collapse.r.  For each net point x the probe
+    the net points and s = g.collapse.net.s.  For each net point x the probe
     is y_x = x + (g.delta/4) e_x = x + (eps*s/(24(1+diam))) e_x, which lies
     inside the bump ball B(x, g.rho); the isometry there forces, for any h
     with sup-distance at most beta*eps from g,
@@ -182,7 +182,7 @@ def bump_witnesses(g: Tent, lam: float, body: ConvexBody,
     if not isinstance(g, Tent):
         raise ParameterError("g is not a bump perturbation (tent stage missing)")
     diam = body.diameter(norm)
-    s = 2.0 * g.collapse.r
+    s = g.collapse.net.s
     beta = (1.0 - lam) * s / (96.0 * (1.0 + diam))
     bound = 1.0 - 48.0 * beta * (1.0 + diam) / s
     xs = g.centers

@@ -47,7 +47,7 @@ from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
 from .perturb import bump_perturb, direction_field
-from .space import Box, ConvexBody, Net, Norm, as_point, nearest
+from .space import Box, ConvexBody, Norm, as_point, lattice_net, nearest
 
 DYADIC_BITS = 16
 GAMMA_ROUNDS = 9            # gamma_est: lattice halvings
@@ -517,13 +517,13 @@ class LadderWitnessReport:
     min_quotients: np.ndarray  # (k,): least quotient over h and x's probes
 
 
-def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
+def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder,
                    pair: GaugePair, *, body: ConvexBody, norm: Norm,
                    seed: int = 0) -> LadderWitnessReport:
     """Perturb f at the rung selected by eps and verify steep quotients.
 
-    The rung j satisfies inv_ratio(j+1) < eps <= inv_ratio(j); the net of
-    that rung receives bumps with budget eps.  For each net point x the
+    The rung j satisfies inv_ratio(j+1) < eps <= inv_ratio(j); bumps with
+    budget eps go on the `lattice_net` at s_j.  For each net point x the
     witness z = x + (phi^{-1}(s_j)/(24(1+diam))) e_x and probe points y
     within (1-lam) phi^{-1}(s_j)/(48(1+diam)) of x must give
 
@@ -538,20 +538,14 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder, nets,
     j = select_j(lad, eps)
     s_j = lad.rung(j)
     phi_inv_s_j = lad.gauge.inverse(s_j)
-    if j > len(nets):
-        raise ParameterError(f"no net supplied for rung {j}")
-    net: Net = nets[j - 1]
-    if abs(net.s - s_j) > 1e-9 * max(1.0, s_j):
-        raise ParameterError("net separation does not match the selected rung")
     diam = body.diameter(norm)
     d1 = 1.0 + diam
     beta, bound, margin = closing_bound(lam, pair.K, diam)
-    if beta * pair.K >= 1.0:
-        raise ParameterError("inconsistent constants: beta*K >= 1")
     h_radius = pair.xi.inverse(beta * eps)
     if not pair.holds(h_radius):
         raise GaugeError(f"pair inequality fails at the certified radius "
                          f"{h_radius:.3g}")
+    net = lattice_net(body, norm, s_j)
     g = bump_perturb(f, net, eps, body, norm)
     z_off = phi_inv_s_j / (24.0 * d1)
     probe_r = (1.0 - lam) * phi_inv_s_j / (48.0 * d1)

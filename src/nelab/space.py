@@ -7,8 +7,8 @@ query, `contains_all`, for a batch of points; `contains` is its view of a
 single point.  Bodies also expose exact diameters, one seeded batched
 rejection sampler of C, a handful of extreme points, and `probes`, the one
 sampler of the sets B(x, r) ∩ C, which draws along chords and needs no
-membership query.  Nets are finite s-separated families of points built
-greedily from a candidate stream.
+membership query.  Nets are finite s-separated point families, built
+greedily; every pipeline's net is `lattice_net`'s, from a lattice over C.
 """
 from __future__ import annotations
 
@@ -93,21 +93,12 @@ def distances(a, b, norm: Norm) -> np.ndarray:
     return norm.of(a[:, None, :] - b[None, :, :], axis=2)
 
 
-NEAREST_BLOCK = 1 << 18     # coordinates per (rows, k, n) temporary of `nearest`
-
-
 def nearest(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest centre for each row of pts (the first one on
-    ties) and the distance to it, by a scan over every centre.  Rows go in
-    blocks, which bounds the temporaries without changing any distance."""
-    m = pts.shape[0]
-    idx, d = np.empty(m, dtype=np.intp), np.empty(m)
-    step = max(1, NEAREST_BLOCK // centers.size)
-    for lo in range(0, m, step):
-        block = distances(pts[lo:lo + step], centers, norm)
-        i = np.argmin(block, axis=1)
-        idx[lo:lo + step], d[lo:lo + step] = i, block[np.arange(i.size), i]
-    return idx, d
+    ties) and the distance to it, by a scan over every centre."""
+    dist = distances(pts, centers, norm)
+    idx = np.argmin(dist, axis=1)
+    return idx, dist[np.arange(idx.size), idx]
 
 
 class ConvexBody:
@@ -523,10 +514,10 @@ class Net:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def check_separated(self, norm: Norm, tol: float = 0.0) -> bool:
+    def check_separated(self, norm: Norm) -> bool:
         gaps = distances(self.points, self.points, norm)
         np.fill_diagonal(gaps, np.inf)
-        return bool(gaps.min() >= self.s - tol)
+        return bool(gaps.min() >= self.s)
 
     def nearest(self, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
         """`nearest` on the rows of pts with a net point within s/2, bit for
@@ -564,3 +555,11 @@ def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:
             accepted.append(i)
             free[i + 1:] &= norm.of(cands[i + 1:] - cands[i], axis=1) >= s
     return Net(cands[accepted], s)
+
+
+def lattice_net(body: ConvexBody, norm: Norm, s: float,
+                per_axis: tuple[int, int, int] = (41, 13, 7)) -> Net:
+    """The greedy s-net over the body's lattice of per_axis[dim - 1] points
+    per axis: the one net builder of the pipelines."""
+    return greedy_net(body, norm, s,
+                      grid_candidates(body, per_axis[body.dim - 1]))

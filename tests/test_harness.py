@@ -31,7 +31,8 @@ def test_config_validation():
                 dict(trials=0), dict(tol=-1.0), dict(lam=1.0),
                 dict(window=0.0), dict(eps0=-2.0), dict(fmt="xml"),
                 dict(tol=nan), dict(tol=inf), dict(window=inf),
-                dict(window=nan), dict(eps0=inf), dict(eps0=nan)):
+                dict(window=nan), dict(eps0=inf), dict(eps0=nan),
+                dict(body="bogus"), dict(gauge="power:7"), dict(target="nope")):
         with pytest.raises(ValueError):
             _cfg(**bad).validate()
 
@@ -415,6 +416,10 @@ def test_cli_usage_errors():
     ["typical", "--body", "ball:"],
     ["dual", "--gauge", "offset:"],
     ["gauge", "--gauge", "power:"],
+    # descriptors that a command does not read are still checked
+    ["verify", "--suite", "pairs", "--body", "bogus", "--gauge", "power:7"],
+    ["typical", "--gauge", "nope"],
+    ["porosity", "--body", "nope"],
 ])
 def test_cli_malformed_argv_exits_two(argv, tmp_path, capsys):
     # a usage error: exit 2 and one `error:` line, never a traceback or a

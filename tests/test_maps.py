@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nelab import space
-from nelab.errors import DomainError, EstimationError
+from nelab.errors import DomainError, EstimationError, ParameterError
 from nelab.maps import (AffineContraction, Compose, Constant, ConvexCombo,
                         FlatCollapse, Identity, Tent, lip_global_est,
                         lip_local_profile, pair_quotients,
@@ -61,26 +61,30 @@ def test_convex_combo_weight_sits_on_the_right():
 
 
 def test_flat_collapse_radial_profile():
-    m = FlatCollapse(np.array([[0.0]]), 0.25, 0.5, NORM2)
+    m = FlatCollapse(Net([[0.0]], 1.0), 0.25, NORM2)
     assert m.certificate == 2.0                       # 1 + 0.25/0.25
     assert np.array_equal(m([0.1]), [0.0])            # collapsed branch
     assert m([0.3])[0] == pytest.approx(0.1, abs=1e-15)
     out = np.array([[0.6], [-0.9], [0.5]])
     assert np.array_equal(m._apply(out), out)         # identity branch, bitwise
     with pytest.raises(ValueError):
-        FlatCollapse(np.array([[0.0]]), 0.5, 0.5, NORM2)
-    with pytest.raises(ValueError):
-        FlatCollapse(np.array([[0.0], [0.7]]), 0.1, 0.4, NORM2)  # balls overlap
-    # a net passed in must be the centres at separation 2r
-    ctrs = np.array([[0.0], [1.0]])
-    assert FlatCollapse(ctrs, 0.25, 0.5, NORM2, Net(ctrs, 1.0)).net.s == 1.0
-    for net in (Net(ctrs, 1.2), Net(ctrs + 0.1, 1.0)):
-        with pytest.raises(ValueError):
-            FlatCollapse(ctrs, 0.25, 0.5, NORM2, net)
+        FlatCollapse(Net([[0.0]], 1.0), 0.5, NORM2)
+    # the centres and r are the net's points and half its separation
+    net = Net([[0.0], [1.0]], 1.0)
+    m = FlatCollapse(net, 0.25, NORM2)
+    assert m.centers is net.points and m.r == 0.5 and m.net is net
+    # a net closer than its separation: the balls would overlap.  In 2-D
+    # the points are 0.5 apart in the sup norm, a net at exactly 0.5
+    with pytest.raises(ParameterError, match="closer than 2r"):
+        FlatCollapse(Net([[0.0], [0.7]], 0.8), 0.1, NORM2)
+    pts = [[0.0, 0.0], [0.5, 0.5]]
+    FlatCollapse(Net(pts, 0.5), 0.1, Norm(math.inf))
+    with pytest.raises(ParameterError, match="closer than 2r"):
+        FlatCollapse(Net(pts, 0.6), 0.1, Norm(math.inf))
 
 
 def test_flat_collapse_quotient_bracket():
-    m = FlatCollapse(np.array([[0.0]]), 0.25, 0.5, NORM2)
+    m = FlatCollapse(Net([[0.0]], 1.0), 0.25, NORM2)
     est = lip_global_est(m, BOX1, NORM2, pairs=10_000, seed=0)
     assert 1.8 <= est <= m.certificate + CERT_SLACK
 
@@ -90,7 +94,7 @@ def test_pair_quotients_match_the_pairwise_loop():
     rng = np.random.default_rng(2)
     xs, ys = box2.sample_many(rng, 300), box2.sample_many(rng, 300)
     for norm in (Norm(1.0), Norm(math.inf)):
-        collapse = FlatCollapse(np.array([[0.0, 0.0], [0.9, 0.9]]), 0.1, 0.4,
+        collapse = FlatCollapse(Net([[0.0, 0.0], [0.9, 0.9]], 0.8), 0.1,
                                 norm)
         for m in (collapse, Compose(
                 random_nonexpansive(box2, seed=4), collapse)):
@@ -121,7 +125,7 @@ def test_lip_local_ramp_is_steep_only_past_the_knee():
 def test_lip_local_sees_steepness_that_only_outward_probes_reach():
     # flat inward of 0.9 and slope 10 on [0.9, 1]: at x = 0.9 only probes
     # toward the nearer face of [-1, 1] see the slope
-    m = FlatCollapse(np.array([[0.0]]), 0.9, 1.0)
+    m = FlatCollapse(Net([[0.0]], 2.0), 0.9)
     for seed in range(20):
         est = lip_local_profile(m, [0.9], [0.1], BOX1, NORM2, seed=seed)
         assert est[0, 0] > 1.0, seed
@@ -260,7 +264,7 @@ def test_steep_density_extremes():
 
 
 def _collapsed_base():
-    collapse = FlatCollapse(np.array([[0.0], [0.8]]), 0.1, 0.3, NORM2)
+    collapse = FlatCollapse(Net([[0.0], [0.8]], 0.6), 0.1, NORM2)
     return collapse, Compose(AffineContraction(0.5, [0.0]), collapse)
 
 

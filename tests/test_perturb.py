@@ -36,6 +36,9 @@ def test_flat_collapse_validation():
 
 def test_flat_collapse_sup_distance_is_delta():
     m = flat_collapse([0.5], 0.1, 0.3, BOX01, NORM2)
+    # the collapse of the one-point net {0.5} at separation 2r
+    assert m.net.points.tolist() == [[0.5]]
+    assert m.net.s == 2 * 0.3 and m.r == 0.3
     assert m.certificate == pytest.approx(1.5, abs=1e-15)
     assert sup_dist_est(m, Identity(), BOX01, NORM2, samples=2000) \
         <= 0.1 + 1e-12

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nelab import porosity, space
 from nelab.errors import GaugeError, ParameterError
 from nelab.gauges import (GaugePair, PiecewiseGauge, PowerGauge, build_pair,
                           gauge_from_desc, ladder)
@@ -531,18 +532,12 @@ def test_a_batch_draws_what_its_one_row_calls_draw():
     assert member(AffineContraction(0.5, [0.2]), xs, 0).tolist() == [True] * 5
 
 
-def _rung_nets(lad, body, norm, upto):
-    cands = grid_candidates(body, 161)
-    return [greedy_net(body, norm, lad.rung(j), cands) for j in range(1, upto + 1)]
-
-
 def test_ladder_witness_constants_and_quotients():
     lam = 0.5
     pair = build_pair(SQRT)
     lad = ladder(SQRT, BOX1, NORM2, rungs=12)
-    nets = _rung_nets(lad, BOX1, NORM2, 3)
     f = random_nonexpansive(BOX1, seed=5)
-    rep = ladder_witness(f, 0.1, lam, lad, nets, pair, body=BOX1, norm=NORM2,
+    rep = ladder_witness(f, 0.1, lam, lad, pair, body=BOX1, norm=NORM2,
                          seed=3)
     assert rep.j == 2
     assert (rep.min_quotients > lam).all()
@@ -554,7 +549,7 @@ def test_ladder_witness_constants_and_quotients():
     z_off = 0.125 ** 2 / (24.0 * 3.0)
     assert rep.probe_r == pytest.approx(0.5 * 0.125 ** 2 / (48.0 * 3.0),
                                         rel=1e-12)
-    xs = nets[rep.j - 1].points
+    xs = rep.g.centers
     assert rep.zs.shape == xs.shape and rep.min_quotients.shape == (len(xs),)
     assert np.all(rep.min_quotients > lam)
     assert NORM2.of(rep.zs - xs, axis=1) == pytest.approx(z_off, rel=1e-12)
@@ -587,27 +582,39 @@ def test_ladder_witness_rejects_a_pair_that_fails_at_its_radius():
     cut = GaugePair(phi, PiecewiseGauge(kt[keep], ky[keep]), pair.K)
     cut.check()
     lad = ladder(phi, BOX1, NORM2, rungs=12)
-    nets = _rung_nets(lad, BOX1, NORM2, 1)
     f = random_nonexpansive(BOX1, seed=5)
     eps = 0.9 * lad.inv_ratio(1)
-    ladder_witness(f, eps, 0.5, lad, nets, pair, body=BOX1, norm=NORM2)
+    ladder_witness(f, eps, 0.5, lad, pair, body=BOX1, norm=NORM2)
     with pytest.raises(GaugeError, match="certified radius"):
-        ladder_witness(f, eps, 0.5, lad, nets, cut, body=BOX1, norm=NORM2)
+        ladder_witness(f, eps, 0.5, lad, cut, body=BOX1, norm=NORM2)
 
 
 def test_ladder_witness_validation():
     pair = build_pair(SQRT)
     lad = ladder(SQRT, BOX1, NORM2, rungs=12)
-    nets = _rung_nets(lad, BOX1, NORM2, 2)
     with pytest.raises(TypeError):
-        ladder_witness(Identity(), 0.1, 0.5, lad, nets, pair)   # body missing
+        ladder_witness(Identity(), 0.1, 0.5, lad, pair)   # body missing
     with pytest.raises(ParameterError):
-        ladder_witness(Identity(), 0.1, 1.5, lad, nets, pair,
+        ladder_witness(Identity(), 0.1, 1.5, lad, pair,
                        body=BOX1, norm=NORM2)
-    with pytest.raises(ParameterError):
-        ladder_witness(Identity(), 0.05, 0.5, lad, nets, pair,
-                       body=BOX1, norm=NORM2)                    # rung 3 net missing
-    bad = [nets[1], nets[1]]
-    with pytest.raises(ParameterError):
-        ladder_witness(Identity(), 0.2, 0.5, lad, bad, pair,
-                       body=BOX1, norm=NORM2)                    # separation off
+
+
+def test_ladder_witness_builds_only_its_rungs_net(monkeypatch):
+    built = []
+
+    def spy(body, norm, s):
+        built.append(space.lattice_net(body, norm, s))
+        return built[-1]
+
+    monkeypatch.setattr(porosity, "lattice_net", spy)
+    pair = build_pair(SQRT)
+    box2 = Box(-np.ones(2), np.ones(2))
+    for body in (BOX1, box2):
+        lad = ladder(SQRT, body, NORM2, rungs=12)
+        for eps in (0.2, 0.1, 0.05):
+            built.clear()
+            rep = ladder_witness(random_nonexpansive(body, seed=5), eps, 0.5,
+                                 lad, pair, body=body, norm=NORM2, seed=3)
+            [net] = built
+            assert net.s == lad.rung(rep.j)
+            assert np.array_equal(rep.g.centers, net.points)

@@ -270,7 +270,6 @@ def test_net_separation_helpers():
     assert net.check_separated(Norm(2.0))          # the closest pair is 0.5 apart
     assert not Net(net.points, 0.5 + 1e-12).check_separated(Norm(2.0))
     assert not Net(np.array([[0.0], [0.3]]), 0.5).check_separated(Norm(2.0))
-    assert Net(np.array([[0.0], [0.3]]), 0.5).check_separated(Norm(2.0), tol=0.2)
     single = Net(np.array([0.2]), 0.1)
     assert len(single) == 1 and single.check_separated(Norm(2.0))
 
