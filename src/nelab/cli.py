@@ -21,12 +21,11 @@ from dataclasses import fields
 from functools import cache
 
 from .errors import NelabError
-from .gauges import build_pair, gauge_from_desc, ladder
+from .gauges import build_pair, ladder
 from .harness import (ExperimentConfig, run_dual, run_porosity, run_typical,
                       run_verify)
 from .porosity import TARGETS
 from .reports import csv_value, dumps, write_text
-from .space import Norm, body_from_desc
 
 
 def _add_space(p: argparse.ArgumentParser) -> None:
@@ -40,8 +39,7 @@ def _add_space(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gauge", default=ExperimentConfig.gauge,
                    help="gauge: sqrt | power:p | power:a/b | sqrt-ratio | "
                         "ratio | offset:p | identity")
-    p.add_argument("--out", default=ExperimentConfig.out,
-                   help="output path ('-' or omitted: stdout)")
+    p.add_argument("--out", help="output path ('-' or omitted: stdout)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -55,8 +53,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="scales every pinned check tolerance (default 1e-9)")
     p.add_argument("--lam", type=float, default=ExperimentConfig.lam,
                    help="slope threshold in (0, 1); default 0.5 (typical: 0.99)")
-    p.add_argument("--format", choices=("json", "csv"),
-                   default=ExperimentConfig.fmt, dest="fmt",
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   dest="fmt",
                    help="report serialization")
 
 
@@ -97,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    """The config of the flags, unchecked: `_run` or `gauge` validates it."""
+    """The config of the flags, checked and with its descriptors parsed;
+    `--out` and `--format` say where the report goes and stay out."""
     names = {f.name for f in fields(ExperimentConfig)}
     return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
 
@@ -105,16 +104,13 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
 def _gauge_csv(cfg: ExperimentConfig, rungs: int, points: int) -> str:
     """Plot data: the pair inequality curve, then ladder rungs (when the
     gauge vanishes at zero; otherwise there is no ladder to tabulate)."""
-    phi = gauge_from_desc(cfg.gauge)
-    pair = build_pair(phi)
+    pair = build_pair(cfg.phi)
     lines = ["kind,t,phi,xi,prod_over_t,j,s_j,inv_ratio"]
     for t, pv, xv in zip(*pair.grid(points)):
         lines.append(f"curve,{csv_value(t)},{csv_value(pv)},{csv_value(xv)},"
                      f"{csv_value(pv * xv / t)},,,")
-    if phi.inf == 0.0:
-        norm = Norm(cfg.norm_p)
-        body = body_from_desc(cfg.body, cfg.dim, norm)
-        lad = ladder(phi, body, norm, rungs=rungs)
+    if cfg.phi.inf == 0.0:
+        lad = ladder(cfg.phi, cfg.convex_body, cfg.norm, rungs=rungs)
         for j in range(1, len(lad) + 1):
             lines.append(f"rung,,,,,{j},{csv_value(lad.rung(j))},"
                          f"{csv_value(lad.inv_ratio(j))}")
@@ -126,10 +122,9 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(args)
         if args.command == "gauge":
-            cfg.validate()
             if args.rungs < 1 or args.points < 2:
                 raise ValueError("gauge table needs rungs >= 1, points >= 2")
-            write_text(_gauge_csv(cfg, args.rungs, args.points), cfg.out)
+            write_text(_gauge_csv(cfg, args.rungs, args.points), args.out)
             return 0
         runner = {"verify": run_verify, "typical": run_typical,
                   "dual": run_dual, "porosity": run_porosity}[args.command]
@@ -141,7 +136,7 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     try:
-        write_text(dumps(report, cfg.fmt), cfg.out)
+        write_text(dumps(report, args.fmt), args.out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -60,9 +60,16 @@ _TAGS = {"flat": 1, "field": 2, "bump": 3, "witness": 4, "witness2": 5,
          "typical": 11, "dual": 12}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run depends on; no ambient entropy enters anywhere."""
+    """Everything a run depends on; no ambient entropy enters anywhere.
+
+    Construction checks every field and parses the descriptors, whichever
+    command carries them, with the one parser of each: `norm`,
+    `convex_body` (from `body`), `phi` (from `gauge`) and `oracle` (from
+    `target`) are plain attributes, not fields, so `as_dict` holds only the
+    experiment's fields and the runners parse nothing.  The config is
+    frozen, so the parsed objects always match the fields."""
 
     suite: str = "all"
     dim: int = 1
@@ -77,17 +84,13 @@ class ExperimentConfig:
     point: float = 0.0              # porosity runs: the probed point
     window: float = 0.01            # porosity runs: hole-size window radius
     eps0: float = 0.25              # porosity runs: lower-pattern start scale
-    out: str | None = None
-    fmt: str = "json"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.suite != "all" and self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r} "
                              f"(choose from {', '.join(SUITES)}, all)")
         if not (1 <= self.dim <= 3):
             raise ValueError("dim must be 1, 2 or 3")
-        if not (self.norm_p >= 1.0):
-            raise ValueError("norm-p must be >= 1")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not (0.0 <= self.tol < math.inf):
@@ -96,13 +99,14 @@ class ExperimentConfig:
             raise ValueError("lam must lie in (0, 1)")
         if not (0.0 < self.window < math.inf and 0.0 < self.eps0 < math.inf):
             raise ValueError("window and eps0 must be positive and finite")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-        # one parser judges each descriptor, whichever command carries it
         norm = Norm(self.norm_p)
-        body_from_desc(self.body, self.dim, norm)
-        gauge_from_desc(self.gauge)
-        oracle_from_desc(self.target, norm)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "convex_body",
+                           body_from_desc(self.body, self.dim, norm))
+        object.__setattr__(self, "phi", gauge_from_desc(self.gauge))
+        object.__setattr__(self, "oracle", oracle_from_desc(self.target, norm))
+        if not self.oracle.ambient.contains(np.array([self.point])):
+            raise ValueError(f"point {self.point} outside the ambient space")
 
     def scaled(self, pinned: float) -> float:
         """A check tolerance pinned at default `tol`; scales with --tol."""
@@ -111,9 +115,6 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         d = asdict(self)
         d["trials"] = -1 if d["trials"] is None else d["trials"]
-        # where the report is written is not part of the experiment, and
-        # keeping it out lets reports from different sinks compare equal
-        del d["out"], d["fmt"]
         return d
 
 
@@ -672,9 +673,7 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
 
 
 def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
-    norm = Norm(cfg.norm_p)
-    body = body_from_desc(cfg.body, cfg.dim, norm)
-    phi = gauge_from_desc(cfg.gauge)
+    norm, body, phi = cfg.norm, cfg.convex_body, cfg.phi
     diam = body.diameter(norm)
     pair = build_pair(phi)
     cases = []
@@ -724,8 +723,8 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
             fit = hole_r <= rep.probe_r * (1.0 + 1e-12)
             ys = body.probes(x[None, :], hole_r * np.arange(1, 26) / 25,
                              norm, rng)[0]
-            quot_ok = bool(np.all(pair_quotients(
-                rep.g, norm, ys, np.broadcast_to(z, ys.shape)) > lam))
+            quot_ok = bool(np.all(
+                pair_quotients(rep.g, norm, z[None, :], ys[None]) > lam))
             mem_ok = not low_slope_member(rep.g, ys[:5], lam, lad, l=rep.j,
                                           j_max=j_top, body=body, norm=norm,
                                           seed=rng).any()
@@ -793,8 +792,7 @@ SUITES = {
 
 
 def _run(suite: str, cfg: ExperimentConfig, cases_of) -> Report:
-    """Validate cfg, build the cases `cases_of(cfg)` and time it all."""
-    cfg.validate()
+    """Build the cases `cases_of(cfg)` and time it all."""
     t0 = time.perf_counter()
     # cases are sorted by id, never by completion order
     cases = sorted(cases_of(cfg), key=lambda c: c.case_id)
@@ -862,8 +860,7 @@ def run_typical(cfg: ExperimentConfig) -> Report:
 
 
 def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
-    norm = Norm(cfg.norm_p)
-    body = body_from_desc(cfg.body, cfg.dim, norm)
+    norm, body = cfg.norm, cfg.convex_body
     diam = body.diameter(norm)
     lam = cfg.lam
     n_maps = cfg.trials or 10
@@ -946,12 +943,8 @@ def run_porosity(cfg: ExperimentConfig) -> Report:
 
 
 def _porosity_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
-    norm = Norm(cfg.norm_p)
-    oracle = oracle_from_desc(cfg.target, norm)
-    phi = gauge_from_desc(cfg.gauge)
+    oracle, phi = cfg.oracle, cfg.phi
     q = np.array([cfg.point])
-    if not oracle.ambient.contains(q):
-        raise ValueError(f"point {cfg.point} outside the ambient space")
     rng = _case_rng(cfg, "porosity", 1000)
     cases = []
     exact = oracle.exact_gamma(q, cfg.window)

@@ -256,9 +256,20 @@ class Compose(MapExpr):
 
 def pair_quotients(m: MapExpr, norm: Norm, xs: np.ndarray,
                    ys: np.ndarray) -> np.ndarray:
-    """Difference quotients ||m(y) - m(x)|| / ||y - x|| of aligned (k, n)
-    batches, with one map evaluation per side."""
-    return norm.of(m._apply(ys) - m._apply(xs), axis=1) / norm.of(ys - xs, axis=1)
+    """Difference quotients ||m(y) - m(x)|| / ||y - x||, the one kernel.
+
+    xs is a (k, n) batch; ys is either an aligned (k, n) batch, giving the
+    (k,) quotients of the pairs (xs[i], ys[i]), or (k, p, n) blocks, giving
+    the (k, p) quotients of each xs[i] against the rows of its block.  One
+    map evaluation covers xs and ys, xs first; a coincident pair gives nan.
+    """
+    k = xs.shape[0]
+    fs = m._apply(np.concatenate([xs, ys.reshape(-1, xs.shape[1])]))
+    fx, fy = fs[:k], fs[k:].reshape(ys.shape)
+    if ys.ndim == 3:
+        xs, fx = xs[:, None, :], fx[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return norm.of(fy - fx, axis=-1) / norm.of(ys - xs, axis=-1)
 
 
 # pairs closer than MIN_SEP_REL * diam are dropped: at tiny separations the
@@ -302,7 +313,8 @@ def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
     distinct scale r, blocks at r and its dyadic subdivisions down to
     r 2^-(shells-1), then `samples` probes at max(scales) k / samples,
     k = 1 .. samples.  Probes lie in the body, so the one membership query
-    is on the centres, and one map evaluation covers centres and probes.
+    is on the centres, and one `pair_quotients` call, with its one map
+    evaluation, covers centres and probes.
     Returns the (k, S) bounds over centres x scales, in the given order:
     each is the best quotient over the probes within r of its centre, so
     the bounds are monotone in r.  The draws depend only on the radii, so
@@ -310,8 +322,7 @@ def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
     centres draws.  An error is that of the first failing centre.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    k = xs.shape[0]
-    if k == 0:
+    if xs.shape[0] == 0:
         raise ValueError("no profile centres")
     if not np.all(np.isfinite(xs)):
         raise ValueError("point has a non-finite coordinate")
@@ -325,10 +336,8 @@ def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
     radii = np.concatenate([np.repeat(shell_radii, per_shell),
                             levels[0] * np.arange(1, samples + 1) / samples])
     pool = body.probes(xs, radii, norm, np.random.default_rng(seed))
-    fs = m._apply(np.vstack([xs, pool.reshape(-1, xs.shape[1])]))
+    q = pair_quotients(m, norm, xs, pool)
     d = norm.of(pool - xs[:, None, :], axis=2)
-    df = norm.of(fs[k:].reshape(pool.shape) - fs[:k, None, :], axis=2)
-    q = np.where(d > 0, df / np.where(d > 0, d, 1.0), -np.inf)
     # sel[i, s, p]: probe p of centre i is admissible at scale s
     sel = (d[:, None, :] > 0) & (d[:, None, :] <= np.asarray(scales)[:, None])
     counts = sel.sum(axis=2)

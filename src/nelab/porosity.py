@@ -561,9 +561,8 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder,
     # the probes of each x: x itself, then chords into B(x, probe_r) ∩ body
     radii = probe_r * np.arange(1, LADDER_PROBES) / (LADDER_PROBES - 1)
     ys = np.concatenate([pts[:, None, :], body.probes(pts, radii, norm, rng)],
-                        axis=1).reshape(-1, pts.shape[1])
-    zs_rep = np.repeat(zs, LADDER_PROBES, axis=0)
-    q = np.min([pair_quotients(h, norm, ys, zs_rep) for h in h_family], axis=0)
-    best = q.reshape(-1, LADDER_PROBES).min(axis=1)
+                        axis=1)
+    best = np.min([pair_quotients(h, norm, zs, ys).min(axis=1)
+                   for h in h_family], axis=0)
     return LadderWitnessReport(j, g, beta, h_radius, probe_r, bound, margin,
                                zs, best)

@@ -1,5 +1,6 @@
 """Experiment harness, report serialization, and the command line."""
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -24,27 +25,58 @@ def _cfg(**kw):
 
 
 def test_config_validation():
-    _cfg().validate()
-    _cfg(norm_p=float("inf")).validate()
+    _cfg()
+    _cfg(norm_p=float("inf"))
+    _cfg(target="zero", point=-1.0)
     nan, inf = float("nan"), float("inf")
     for bad in (dict(suite="frobnicate"), dict(dim=4), dict(norm_p=0.5),
-                dict(trials=0), dict(tol=-1.0), dict(lam=1.0),
-                dict(window=0.0), dict(eps0=-2.0), dict(fmt="xml"),
+                dict(norm_p=nan), dict(trials=0), dict(tol=-1.0),
+                dict(lam=1.0), dict(window=0.0), dict(eps0=-2.0),
                 dict(tol=nan), dict(tol=inf), dict(window=inf),
                 dict(window=nan), dict(eps0=inf), dict(eps0=nan),
-                dict(body="bogus"), dict(gauge="power:7"), dict(target="nope")):
+                dict(body="bogus"), dict(gauge="power:7"), dict(target="nope"),
+                dict(point=2.0), dict(point=nan)):
         with pytest.raises(ValueError):
-            _cfg(**bad).validate()
+            _cfg(**bad)
 
 
 def test_config_scaled_tolerance_and_dict():
     cfg = _cfg(tol=2e-9)
     assert cfg.scaled(1e-12) == 2e-12
     assert _cfg(tol=0.0).scaled(1e-9) == 0.0
-    d = _cfg(out="/tmp/somewhere.json", fmt="csv").as_dict()
-    assert "out" not in d and "fmt" not in d   # sink never enters the bytes
+    d = cfg.as_dict()
+    # the parsed descriptors never enter the bytes
+    assert list(d) == [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert d["trials"] == -1                   # None normalized for JSON
     assert _cfg(trials=7).as_dict()["trials"] == 7
+
+
+_PARSERS = ("body_from_desc", "gauge_from_desc", "oracle_from_desc")
+
+
+@pytest.mark.parametrize("argv", [
+    ["typical", "--trials", "1"], ["dual", "--dim", "2"],
+    ["porosity", "--target", "zero"], ["gauge", "--gauge", "power:2/3"],
+    ["verify", "--suite", "pairs"]], ids=lambda argv: argv[0])
+def test_cli_parses_each_descriptor_once(argv, monkeypatch, capsys):
+    calls = dict.fromkeys(_PARSERS, 0)
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    # the parsers wherever a nelab module holds them by name
+    spies = {name: counted(name, getattr(nelab, name)) for name in _PARSERS}
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("nelab"):
+            for name in _PARSERS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spies[name])
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == dict.fromkeys(_PARSERS, 1)
 
 
 def test_closing_bound_margin_closed_form():
@@ -420,6 +452,9 @@ def test_cli_usage_errors():
     ["verify", "--suite", "pairs", "--body", "bogus", "--gauge", "power:7"],
     ["typical", "--gauge", "nope"],
     ["porosity", "--body", "nope"],
+    # the report format and the probed point
+    ["verify", "--format", "xml"],
+    ["porosity", "--point", "2"],
 ])
 def test_cli_malformed_argv_exits_two(argv, tmp_path, capsys):
     # a usage error: exit 2 and one `error:` line, never a traceback or a

@@ -103,6 +103,52 @@ def test_pair_quotients_match_the_pairwise_loop():
             assert pair_quotients(m, norm, xs, ys).tolist() == loop
 
 
+def test_pair_quotient_blocks_match_the_aligned_rows(monkeypatch):
+    # each centre against a block of 8 points, itself first (a coincident
+    # pair, nan), as (k, 8, n) blocks and as aligned rows with the centres
+    # repeated: the same bits, each from one evaluation of the root map on
+    # 9k and 16k rows.  The k of 2, 6 and 12 put the two forms' nearest-
+    # centre queries below, on either side of and above NEAREST_GRID_MIN
+    box2 = Box(-np.ones(2), np.ones(2))
+    f = random_nonexpansive(box2, seed=3)
+    sides = set()
+    for p in (1.0, 2.0, math.inf):
+        norm = Norm(p)
+        net = greedy_net(box2, norm, 0.5, grid_candidates(box2, 13))
+        g = bump_perturb(f, net, 0.5, box2, norm)
+        kinds = (Identity(), Constant([0.1, -0.2]),
+                 AffineContraction(0.5, [0.0, 0.3]),
+                 ConvexCombo(0.3, Identity(), f), Compose(f, g.collapse),
+                 g.collapse, g)
+        radii = np.linspace(0.1, 0.9, 7) * net.s
+        rng = np.random.default_rng(int(min(p, 9)))
+        for k in (2, 6, 12):
+            xs = np.vstack([net.points[:k // 2],
+                            box2.sample_many(rng, k - k // 2)])
+            ys = np.concatenate([xs[:, None, :],
+                                 box2.probes(xs, radii, norm, rng)], axis=1)
+            sides.add(tuple(rows * net.points.size >= space.NEAREST_GRID_MIN
+                            for rows in (9 * k, 16 * k)))
+            for m in kinds:
+                rows, apply = [], type(m)._apply
+
+                def spy(self, pts, m=m, rows=rows, apply=apply):
+                    if self is m:
+                        rows.append(len(pts))
+                    return apply(self, pts)
+
+                with monkeypatch.context() as mp:
+                    mp.setattr(type(m), "_apply", spy)
+                    block = pair_quotients(m, norm, xs, ys)
+                    aligned = pair_quotients(m, norm, np.repeat(xs, 8, axis=0),
+                                             ys.reshape(-1, 2))
+                assert rows == [9 * k, 16 * k]
+                assert block.shape == (k, 8) and np.isnan(block[:, 0]).all()
+                assert np.array_equal(block, aligned.reshape(k, 8),
+                                      equal_nan=True)
+    assert sides == {(False, False), (False, True), (True, True)}
+
+
 def test_lip_global_linear_maps_are_exact():
     assert lip_global_est(AffineContraction(0.5, [0.0]), BOX1, NORM2, 200) \
         == pytest.approx(0.5, abs=1e-12)
@@ -172,9 +218,7 @@ def test_profiles_see_every_scale_at_vertex_centres(monkeypatch):
                 assert est.shape == (len(xs), len(scales))
                 for x, ys, row in zip(xs, pool, est):
                     d = norm.of(ys - x, axis=1)
-                    with np.errstate(invalid="ignore"):     # 0/0 at d = 0
-                        q = pair_quotients(
-                            m, norm, np.broadcast_to(x, ys.shape), ys)
+                    [q] = pair_quotients(m, norm, x[None, :], ys[None])
                     for r, bound in zip(scales, row):
                         near = (0.0 < d) & (d <= r)
                         assert near.any() and bound == q[near].max()

@@ -10,10 +10,10 @@ from nelab.errors import GaugeError, ParameterError
 from nelab.gauges import (GaugePair, PiecewiseGauge, PowerGauge, build_pair,
                           gauge_from_desc, ladder)
 from nelab.maps import (AffineContraction, Constant, ConvexCombo, Identity,
-                        lip_local_profile, random_nonexpansive)
+                        Tent, lip_local_profile, random_nonexpansive)
 from nelab.perturb import bump_perturb, flat_collapse
 from nelab.porosity import (DYADIC_BITS, GAMMA_PER_AXIS, GAMMA_ROUNDS,
-                            LOWER_LEVELS, TARGETS, UPPER_EPS,
+                            LADDER_H_COUNT, LADDER_PROBES, LOWER_LEVELS, TARGETS, UPPER_EPS,
                             FinitePointSet, IntervalUnionSet,
                             PorosityVerdict, ReciprocalSet, _hole_radii, _lattice,
                             closing_bound, gamma_est, ladder_witness, low_slope_alpha,
@@ -618,3 +618,40 @@ def test_ladder_witness_builds_only_its_rungs_net(monkeypatch):
             [net] = built
             assert net.s == lad.rung(rep.j)
             assert np.array_equal(rep.g.centers, net.points)
+
+
+def test_ladder_witness_evaluates_each_map_once(monkeypatch):
+    # each test map h meets the quotient kernel once, with the witnesses
+    # zs and their (k, LADDER_PROBES, n) probe blocks, and is evaluated
+    # once, on k (1 + LADDER_PROBES) rows
+    seen, roots, depth = [], [], [0]
+    kernel = porosity.pair_quotients
+
+    def spy_kernel(m, norm, xs, ys):
+        seen.append((m, xs.shape, ys.shape))
+        return kernel(m, norm, xs, ys)
+
+    monkeypatch.setattr(porosity, "pair_quotients", spy_kernel)
+    for cls in (Tent, ConvexCombo):
+        def spy_apply(self, pts, apply=cls._apply):
+            if depth[0] == 0:
+                roots.append((self, len(pts)))
+            depth[0] += 1
+            try:
+                return apply(self, pts)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(cls, "_apply", spy_apply)
+    pair = build_pair(SQRT)
+    for body in (BOX1, Box(-np.ones(2), np.ones(2))):
+        seen.clear()
+        roots.clear()
+        lad = ladder(SQRT, body, NORM2, rungs=12)
+        rep = ladder_witness(random_nonexpansive(body, seed=5), 0.1, 0.5, lad,
+                             pair, body=body, norm=NORM2, seed=3)
+        k, n = rep.zs.shape
+        assert len(seen) == 1 + LADDER_H_COUNT and seen[0][0] is rep.g
+        for m, xs_shape, ys_shape in seen:
+            assert xs_shape == (k, n) and ys_shape == (k, LADDER_PROBES, n)
+            assert [rows for h, rows in roots if h is m] \
+                == [k * (1 + LADDER_PROBES)]
