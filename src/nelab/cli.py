@@ -94,11 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     """The config of the flags, checked and with its descriptors parsed;
     `--out` and `--format` say where the report goes and stay out."""
-    names = {f.name for f in fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in vars(args).items() if k in names})
+    return ExperimentConfig(**{k: v for k, v in vars(args).items()
+                               if k in _CONFIG_FIELDS})
 
 
 def _gauge_csv(cfg: ExperimentConfig, rungs: int, points: int) -> str:

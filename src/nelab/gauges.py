@@ -227,10 +227,10 @@ def gauge_from_desc(desc: str) -> Gauge:
         return PowerGauge(p=a / b)
     if desc == "offset" or name == "offset" and arg:
         return PowerGauge(p=float(arg) if arg else 0.5, offset=1.0)
-    fixed = {"sqrt": PowerGauge(p=0.5), "sqrt-ratio": SqrtRatioGauge(),
-             "ratio": RatioGauge(), "identity": PowerGauge(p=1.0)}
+    fixed = {"sqrt": lambda: PowerGauge(p=0.5), "sqrt-ratio": SqrtRatioGauge,
+             "ratio": RatioGauge, "identity": lambda: PowerGauge(p=1.0)}
     if name in fixed and not sep:
-        return fixed[name]
+        return fixed[name]()
     raise ValueError(f"unknown gauge descriptor {desc!r} (sqrt | power:p | "
                      f"power:a/b | sqrt-ratio | ratio | offset:p | identity)")
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class ExperimentConfig:
         return pinned * (self.tol / 1e-9)
 
     def as_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["trials"] = -1 if d["trials"] is None else d["trials"]
         return d
 

@@ -47,7 +47,7 @@ from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
 from .perturb import bump_perturb, direction_field
-from .space import Box, ConvexBody, Norm, as_point, lattice_net, nearest
+from .space import Box, ConvexBody, Norm, as_point, distances, lattice_net
 
 DYADIC_BITS = 16
 GAMMA_ROUNDS = 9            # gamma_est: lattice halvings
@@ -114,7 +114,7 @@ class FinitePointSet(SetOracle):
         centers = np.asarray(centers, dtype=float)
         if self.points.shape[0] == 0:
             return np.full(centers.shape[0], np.inf)
-        return nearest(self.points, centers, self.norm)[1]
+        return distances(centers, self.points, self.norm).min(axis=1)
 
     def obstructions(self, a: float, b: float) -> np.ndarray | None:
         if self.ambient.dim != 1:
@@ -219,9 +219,14 @@ class IntervalUnionSet(SetOracle):
                    Norm(2.0))
 
     def distance(self, centers) -> np.ndarray:
-        c = np.asarray(centers, dtype=float)[:, :1]
+        # the nearest interval is the last one starting at or below c or
+        # the one after it: every other is no nearer, even after rounding
+        c = np.asarray(centers, dtype=float)[:, 0]
         lo, hi = self.intervals[:, 0], self.intervals[:, 1]
-        return np.maximum(np.maximum(lo - c, c - hi), 0.0).min(axis=1)
+        i = np.searchsorted(lo, c, side="right")
+        a, b = np.maximum(i - 1, 0), np.minimum(i, len(lo) - 1)
+        return np.maximum(np.minimum(np.maximum(lo[a] - c, c - hi[a]),
+                                     np.maximum(lo[b] - c, c - hi[b])), 0.0)
 
     def obstructions(self, a: float, b: float) -> np.ndarray:
         iv = self.intervals
@@ -274,6 +279,8 @@ def _lattice(spans, per_axis: int, dim: int) -> np.ndarray:
     s = spans[..., None]
     axis = np.arange(per_axis) * ((s + s) / (per_axis - 1)) - s
     axis[..., -1] = s[..., 0]
+    if dim == 1:
+        return axis[..., None]
     return axis[..., _lattice_index(per_axis, dim)]
 
 
@@ -329,16 +336,17 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
     for _ in range(GAMMA_ROUNDS):
         cs = centers[:, None, :] + _lattice(spans, per_axis, q.size)
         s = _hole_radii(oracle, q, r, cs.reshape(-1, q.size)).reshape(len(best), -1)
-        rows = np.arange(len(best))
         i = np.argmax(s, axis=1)        # the first best, as a running max keeps
-        top = s[rows, i]
-        up = top > best
-        best = np.where(up, top, best)
-        centers = np.where(up[:, None], cs[rows, i], centers)
+        top = s[np.arange(len(best)), i]
+        up = np.flatnonzero(top > best)
+        best[up] = top[up]
+        centers[up] = cs[up, i[up]]
+        spans *= 0.5
         live = best > 0.0               # a chain without a hole stops
-        centers, spans, best = centers[live], 0.5 * spans[live], best[live]
-        if not len(best):
-            return None
+        if not live.all():
+            centers, spans, best = centers[live], spans[live], best[live]
+            if not len(best):
+                return None
     return float(best.max())
 
 
@@ -396,6 +404,16 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
     hole, of radius phi^{-1}(t), the scalar inverse confirms.  A t <= inf
     phi (an offset gauge) is met by any positive radius: its witness
     radius is min(D, eta).
+
+    The admit sets are nested: halving c halves t = c x exactly (and
+    rounding is monotone where it underflows), and each test, t < sup phi,
+    t <= inf phi and c <= c* (1 + 1e-9), can only turn true as c and t
+    shrink.  So the constants every scale admits are a tail 2^-l ..
+    2^-DYADIC_BITS, and a galloping bisection finds l; a scale with no
+    candidate in range and off P admits none, and ends the search.  Each
+    scale's first admitted candidate is confirmed; only when rounding
+    leaves its hole short are the later ones tried, and only when some
+    scale has none does the next constant get its turn.
     """
     upper = kind == "upper"
     eps = np.asarray(eps_grid, dtype=float)
@@ -408,29 +426,68 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
                          q + (2.0 * u - 1.0) * eps[:, None, None]], axis=1)
     d = oracle.norm.of(cs - q, axis=-1)
     dist = oracle.distance(cs.reshape(-1, n)).reshape(d.shape)
+    undetected = PorosityVerdict("not-detected", kind, None, q,
+                                 np.empty((0, n)), np.empty(0), np.empty(0))
+    base = ((d <= eps[:, None]) & ((d > 0.0) | (not upper))
+            & oracle.ambient.contains_all(cs.reshape(-1, n)).reshape(d.shape)
+            & (dist > 0.0))
+    if not base.any(axis=1).all():
+        return undetected
     x = d if upper else np.broadcast_to(eps[:, None], d.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c_star = phi.value(np.minimum(dist, phi.eta)) / x
-    c = 2.0 ** -np.arange(1.0, DYADIC_BITS + 1.0)[:, None, None]
-    t = c * x
-    low = t <= phi.inf                  # met by any positive radius
-    # 1e-9 of slack: rounding must not hide a hole the inverse confirms
-    admits = ((d <= eps[:, None]) & ((d > 0.0) | (not upper))
-              & oracle.ambient.contains_all(cs.reshape(-1, n)).reshape(d.shape)
-              & (dist > 0.0) & (t < phi.sup)
-              & (low | (c <= c_star * (1.0 + 1e-9))))
-    for ci in np.flatnonzero(admits.any(axis=2).all(axis=1)):
-        js = [next((j for j in np.flatnonzero(admits[ci, ei]) if low[ci, ei, j]
-                    or dist[ei, j] >= phi.inverse(float(t[ci, ei, j]))), None)
-              for ei in range(k)]
-        if None not in js:              # else rounding left a scale bare
-            radii = np.array([min(dist[ei, j], phi.eta) if low[ci, ei, j]
-                              else phi.inverse(float(t[ci, ei, j]))
-                              for ei, j in enumerate(js)])
-            return PorosityVerdict("porous-at-point", kind, float(c[ci, 0, 0]),
-                                   q, cs[np.arange(k), js], eps, radii)
-    return PorosityVerdict("not-detected", kind, None, q,
-                           np.empty((0, q.size)), np.empty(0), np.empty(0))
+        # 1e-9 of slack: rounding must not hide a hole the inverse confirms
+        c_max = phi.value(np.minimum(dist, phi.eta)) / x * (1.0 + 1e-9)
+    inf, sup = phi.inf, phi.sup
+
+    @functools.cache
+    def admits(level: int):
+        """(admits, t, low) at c = 2^-level, low: met by any positive radius."""
+        c = 2.0 ** -level
+        t = c * x
+        low = t <= inf
+        return base & (t < sup) & (low | (c <= c_max)), t, low
+
+    def every_scale(level: int) -> bool:
+        return bool(admits(level)[0].any(axis=1).all())
+
+    # gallop from 2^-1, where most verdicts land, then bisect: levels
+    # below lo fail, and hi passes or is past the last
+    hi = 1
+    while hi <= DYADIC_BITS and not every_scale(hi):
+        hi *= 2
+    lo, hi = hi // 2 + 1, min(hi, DYADIC_BITS + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if every_scale(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    for level in range(lo, DYADIC_BITS + 1):
+        ok, t, low = admits(level)
+
+        def hole(ei: int, j: int) -> float | None:
+            """Radius of candidate j's hole at scale ei; None if short."""
+            if low[ei, j]:
+                return min(dist[ei, j], phi.eta)
+            r = phi.inverse(float(t[ei, j]))
+            return r if dist[ei, j] >= r else None
+
+        js = ok.argmax(axis=1)          # each scale's first admitted candidate
+        radii = []
+        for ei, j in enumerate(js):
+            r = hole(ei, j)
+            if r is None:               # rounding: try the later candidates
+                later = ((j, hole(ei, j)) for j in np.flatnonzero(ok[ei])[1:])
+                js[ei], r = next((w for w in later if w[1] is not None),
+                                 (j, None))
+            if r is None:
+                break                   # rounding left this scale bare
+            radii.append(r)
+        else:
+            return PorosityVerdict("porous-at-point", kind, 2.0 ** -level,
+                                   q, cs[np.arange(k), js], eps,
+                                   np.array(radii))
+    return undetected
 
 
 def upper_porous_at(oracle: SetOracle, q, phi: Gauge, trials: int = 64,

@@ -8,9 +8,9 @@ report object for the human summary line — is excluded from the bytes.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -91,13 +91,14 @@ def _emit(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)     # json.dumps of a str
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
+        items = (f"{encode_basestring_ascii(str(k))}: {_emit(v)}"
+                 for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

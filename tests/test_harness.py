@@ -146,6 +146,9 @@ GOLDEN = {
     "sweep-empty-0-0.01": "0ded6e3642aa95110233340943e203c56591817b0386a0cb323a47d55c58deb1",
     "sweep-empty-0-0.1": "0930c3898eb099b53dc63e4c4e5f2a7079f4b9705c0a5c777e120ed8bc7bb77d",
     "sweep-empty-0.5-0.1": "3e1cf1090a0ba4af6344331bfe34abc4160e2f232919569087a283fb00ee33da",
+    # porosity-sweep's last operation, and the acceptance command
+    "verify-porosity": "c68947dad077b57acd48990198f19de1740bad671782f46b035b72566890b01d",
+    "verify-all": "249ad234d4e6f534e64b26c83cc23ab2f25099ac8f030dbaf8dfc377846ce070",
 }
 # sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
 GOLDEN_GAUGE_CSV = {
@@ -196,7 +199,9 @@ def test_golden_report_digests():
                    target=target, point=float(point), window=float(window)))
                   for target in ("reciprocal", "zero", "cantor", "empty")
                   for point, window in (("0", "0.01"), ("0", "0.1"),
-                                        ("0.5", "0.1"))}}
+                                        ("0.5", "0.1"))},
+               "verify-porosity": run_verify(_cfg(suite="porosity")),
+               "verify-all": run_verify(_cfg())}
     for name, rep in reports.items():
         digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
         assert digest == GOLDEN[name], name

@@ -54,6 +54,16 @@ def test_oracle_distances_match_brute_force():
     ref = [min(max(lo - c[0], c[0] - hi, 0.0) for lo, hi in CANTOR3.intervals)
            for c in cs]
     assert np.array_equal(CANTOR3.distance(cs), ref)
+    # the binary search against the dense rows x intervals broadcast, at
+    # every endpoint, every gap midpoint and beyond both ends
+    for oracle in [IntervalUnionSet.cantor(level) for level in range(6)] + [
+            oracle_from_desc("full", NORM2)]:
+        lo, hi = oracle.intervals[:, 0], oracle.intervals[:, 1]
+        cs = np.concatenate([lo, hi, (hi[:-1] + lo[1:]) / 2.0,
+                             [lo[0] - 0.3, lo[0] - 1e-300, hi[-1] + 1e-300,
+                              hi[-1] + 0.3]])[:, None]
+        dense = np.maximum(np.maximum(lo - cs, cs - hi), 0.0).min(axis=1)
+        assert np.array_equal(oracle.distance(cs), dense)
     hand = REC.distance([[0.0], [1.0 / 7.0], [1.5], [-1.0 / 3.0]])
     assert list(hand) == [0.0, 0.0, 0.5, 0.0]
     assert EMPTY.distance([[0.3]])[0] == math.inf
@@ -418,6 +428,51 @@ def test_a_hole_of_exactly_the_demanded_radius_counts():
     assert verdict.constant == 0.5 and verdict.centers[0, 0] == 0.0
     eps_grid = [eps0 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
     _assert_matches_reference(verdict, oracle, phi, eps_grid, 0)
+
+
+def test_a_first_candidate_inside_the_slack_falls_back_to_a_later_one():
+    # the hole at q' = q is 5e-10 short of the radius demanded at c = 1/2
+    # and the first scale: inside the 1e-9 slack, so q is admitted, but the
+    # scalar inverse rejects it and a lattice point further from P carries
+    # that scale's witness
+    eps0 = 0.25
+    eps1 = eps0 / 2.0
+    r = IDENT.inverse(0.5 * eps1) * (1.0 - 5e-10)
+    oracle = FinitePointSet(np.array([[r]]), BOX1, NORM2)
+    assert IDENT.value(r) / eps1 * (1.0 + 1e-9) >= 0.5
+    assert r < IDENT.inverse(0.5 * eps1)
+    verdict = lower_porous_at(oracle, [0.0], IDENT, eps0=eps0)
+    assert verdict.constant == 0.5
+    assert verdict.centers[0, 0] < 0.0 and np.all(verdict.centers[1:] == 0.0)
+    assert verdict.verify_holes(oracle, IDENT)
+    eps_grid = [eps0 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
+    _assert_matches_reference(verdict, oracle, IDENT, eps_grid, 0)
+
+
+def test_a_scale_without_candidates_is_not_detected_at_once(monkeypatch):
+    # inside the full set no candidate has a hole; inside [-1, 0.5] at 0.4
+    # only the scales reaching past 0.5 have one.  Either way some scale
+    # has no candidate, and the search ends before it evaluates the gauge
+    calls = []
+    for name in ("value", "inverse"):
+        def counted(self, y, _f=getattr(PowerGauge, name), _name=name):
+            calls.append(_name)
+            return _f(self, y)
+
+        monkeypatch.setattr(PowerGauge, name, counted)
+    eps_lower = [0.25 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
+    half = IntervalUnionSet(np.array([[-1.0, 0.5]]), BOX1, NORM2)
+    cases = [(oracle, verdict, grid)
+             for oracle, q in ((oracle_from_desc("full", NORM2), 0.0),
+                               (half, 0.4))
+             for verdict, grid in (
+                 (upper_porous_at(oracle, [q], SQRT), UPPER_EPS),
+                 (lower_porous_at(oracle, [q], SQRT, eps0=0.25), eps_lower))]
+    assert calls == []
+    monkeypatch.undo()
+    for oracle, verdict, grid in cases:
+        assert not verdict.porous and len(verdict.centers) == 0
+        _assert_matches_reference(verdict, oracle, SQRT, grid, 0)
 
 
 def test_a_verdict_makes_one_distance_query(monkeypatch):
