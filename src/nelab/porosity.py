@@ -279,8 +279,6 @@ def _lattice(spans, per_axis: int, dim: int) -> np.ndarray:
     s = spans[..., None]
     axis = np.arange(per_axis) * ((s + s) / (per_axis - 1)) - s
     axis[..., -1] = s[..., 0]
-    if dim == 1:
-        return axis[..., None]
     return axis[..., _lattice_index(per_axis, dim)]
 
 
@@ -405,15 +403,11 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
     phi (an offset gauge) is met by any positive radius: its witness
     radius is min(D, eta).
 
-    The admit sets are nested: halving c halves t = c x exactly (and
-    rounding is monotone where it underflows), and each test, t < sup phi,
-    t <= inf phi and c <= c* (1 + 1e-9), can only turn true as c and t
-    shrink.  So the constants every scale admits are a tail 2^-l ..
-    2^-DYADIC_BITS, and a galloping bisection finds l; a scale with no
-    candidate in range and off P admits none, and ends the search.  Each
-    scale's first admitted candidate is confirmed; only when rounding
-    leaves its hole short are the later ones tried, and only when some
-    scale has none does the next constant get its turn.
+    The constants are tried from 2^-1 down, one level at a time, so no
+    array carries the levels as an axis; a scale with no candidate in
+    range, in the space and off P admits none, and ends the search at
+    once.  Only when rounding leaves some scale without a confirmed hole
+    does the next constant get its turn.
     """
     upper = kind == "upper"
     eps = np.asarray(eps_grid, dtype=float)
@@ -437,55 +431,34 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
     with np.errstate(divide="ignore", invalid="ignore"):
         # 1e-9 of slack: rounding must not hide a hole the inverse confirms
         c_max = phi.value(np.minimum(dist, phi.eta)) / x * (1.0 + 1e-9)
-    inf, sup = phi.inf, phi.sup
-
-    @functools.cache
-    def admits(level: int):
-        """(admits, t, low) at c = 2^-level, low: met by any positive radius."""
+    for level in range(1, DYADIC_BITS + 1):
         c = 2.0 ** -level
         t = c * x
-        low = t <= inf
-        return base & (t < sup) & (low | (c <= c_max)), t, low
-
-    def every_scale(level: int) -> bool:
-        return bool(admits(level)[0].any(axis=1).all())
-
-    # gallop from 2^-1, where most verdicts land, then bisect: levels
-    # below lo fail, and hi passes or is past the last
-    hi = 1
-    while hi <= DYADIC_BITS and not every_scale(hi):
-        hi *= 2
-    lo, hi = hi // 2 + 1, min(hi, DYADIC_BITS + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if every_scale(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    for level in range(lo, DYADIC_BITS + 1):
-        ok, t, low = admits(level)
-
-        def hole(ei: int, j: int) -> float | None:
-            """Radius of candidate j's hole at scale ei; None if short."""
-            if low[ei, j]:
-                return min(dist[ei, j], phi.eta)
-            r = phi.inverse(float(t[ei, j]))
-            return r if dist[ei, j] >= r else None
-
-        js = ok.argmax(axis=1)          # each scale's first admitted candidate
-        radii = []
-        for ei, j in enumerate(js):
-            r = hole(ei, j)
-            if r is None:               # rounding: try the later candidates
-                later = ((j, hole(ei, j)) for j in np.flatnonzero(ok[ei])[1:])
-                js[ei], r = next((w for w in later if w[1] is not None),
-                                 (j, None))
-            if r is None:
+        low = t <= phi.inf              # met by any positive radius
+        ok = base & (t < phi.sup) & (low | (c <= c_max))
+        if not ok.any(axis=1).all():
+            continue
+        js, radii = [], []
+        # each scale in candidate order, from its first admitted one: the
+        # first whose hole the scalar inverse confirms is its witness
+        for ei, j0 in enumerate(ok.argmax(axis=1).tolist()):
+            for j in range(j0, ok.shape[1]):
+                if not ok[ei, j]:
+                    continue
+                if low[ei, j]:
+                    r = min(dist[ei, j], phi.eta)
+                else:
+                    r = phi.inverse(float(t[ei, j]))
+                    if dist[ei, j] < r:
+                        continue
+                js.append(j)
+                radii.append(r)
+                break
+            else:
                 break                   # rounding left this scale bare
-            radii.append(r)
         else:
-            return PorosityVerdict("porous-at-point", kind, 2.0 ** -level,
-                                   q, cs[np.arange(k), js], eps,
+            return PorosityVerdict("porous-at-point", kind, c, q,
+                                   cs[np.arange(k), js], eps,
                                    np.array(radii))
     return undetected
 

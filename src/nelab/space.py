@@ -205,10 +205,8 @@ class Box(ConvexBody):
 
     def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        axes = zip(pts.T, self.lo - tol, self.hi + tol)
-        x, lo, hi = next(axes)
-        inside = (x >= lo) & (x <= hi)
-        for x, lo, hi in axes:
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for x, lo, hi in zip(pts.T, self.lo - tol, self.hi + tol):
             inside &= (x >= lo) & (x <= hi)
         return inside
 
