@@ -279,6 +279,8 @@ def _lattice(spans, per_axis: int, dim: int) -> np.ndarray:
     s = spans[..., None]
     axis = np.arange(per_axis) * ((s + s) / (per_axis - 1)) - s
     axis[..., -1] = s[..., 0]
+    if dim == 1:                        # the 1-D lattice is its axis
+        return axis[..., None]
     return axis[..., _lattice_index(per_axis, dim)]
 
 
