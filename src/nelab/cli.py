@@ -113,7 +113,7 @@ def _gauge_csv(cfg: ExperimentConfig, rungs: int, points: int) -> str:
         lines.append(f"curve,{csv_value(t)},{csv_value(pv)},{csv_value(xv)},"
                      f"{csv_value(pv * xv / t)},,,")
     if cfg.phi.inf == 0.0:
-        lad = ladder(cfg.phi, cfg.convex_body, cfg.norm, rungs=rungs)
+        lad = ladder(cfg.phi, cfg.convex_body, rungs=rungs)
         for j in range(1, len(lad) + 1):
             lines.append(f"rung,,,,,{j},{csv_value(lad.rung(j))},"
                          f"{csv_value(lad.inv_ratio(j))}")

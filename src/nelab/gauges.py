@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GaugeError, LadderExhausted, RangeError
-from .space import ConvexBody, Norm
+from .space import ConvexBody
 
 BISECT_CAP = 200
 
@@ -428,15 +428,14 @@ def _next_rung(phi: Gauge, sj: float) -> float:
     return out
 
 
-def ladder(phi: Gauge, body: ConvexBody, norm: Norm, rungs: int = 20) -> Ladder:
+def ladder(phi: Gauge, body: ConvexBody, rungs: int = 20) -> Ladder:
     """Scale ladder for the gauge over the body; s_1 = min{1, sup phi, diam}/4.
 
     At most `rungs` rungs: a steep power's ladder ends at its last rung
     above 0.0, where the closed form underflows."""
     if rungs < 1:
         raise ValueError("need at least one rung")
-    diam = body.diameter(norm)
-    s1 = 0.25 * min(1.0, phi.sup, diam)
+    s1 = 0.25 * min(1.0, phi.sup, body.diameter)
     s = [s1]
     for _ in range(rungs - 1):
         nxt = _next_rung(phi, s[-1])

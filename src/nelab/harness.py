@@ -65,11 +65,11 @@ class ExperimentConfig:
     """Everything a run depends on; no ambient entropy enters anywhere.
 
     Construction checks every field and parses the descriptors, whichever
-    command carries them, with the one parser of each: `norm`,
-    `convex_body` (from `body`), `phi` (from `gauge`) and `oracle` (from
-    `target`) are plain attributes, not fields, so `as_dict` holds only the
-    experiment's fields and the runners parse nothing.  The config is
-    frozen, so the parsed objects always match the fields."""
+    command carries them, with the one parser of each: `convex_body` (from
+    `body`) and `oracle` (from `target`), both in the norm of `norm_p`, and
+    `phi` (from `gauge`) are plain attributes, not fields, so `as_dict`
+    holds only the experiment's fields and the runners parse nothing.  The
+    config is frozen, so the parsed objects always match the fields."""
 
     suite: str = "all"
     dim: int = 1
@@ -100,7 +100,6 @@ class ExperimentConfig:
         if not (0.0 < self.window < math.inf and 0.0 < self.eps0 < math.inf):
             raise ValueError("window and eps0 must be positive and finite")
         norm = Norm(self.norm_p)
-        object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "convex_body",
                            body_from_desc(self.body, self.dim, norm))
         object.__setattr__(self, "phi", gauge_from_desc(self.gauge))
@@ -127,11 +126,11 @@ def _sub_seed(rng: np.random.Generator) -> int:
 
 
 def _random_space(cfg: ExperimentConfig, tag: str, i: int, dims: int,
-                  allow_hull: bool) -> tuple[np.random.Generator, int, Norm,
-                                             ConvexBody, float]:
-    """Case i's generator and its random space: (rng, dim, norm, body,
-    diam), with dim = 1 + i % dims, an l1, l2 or sup norm and a random box,
-    ball or (when allowed, in 1-D and 2-D) hull."""
+                  allow_hull: bool) -> tuple[np.random.Generator, int,
+                                             ConvexBody]:
+    """Case i's generator and its random space: (rng, dim, body), with
+    dim = 1 + i % dims and a random box, ball or (when allowed, in 1-D and
+    2-D) hull in an l1, l2 or sup norm."""
     rng = _case_rng(cfg, tag, i)
     dim = 1 + i % dims
     norm = Norm(float(rng.choice([1.0, 2.0, math.inf])))
@@ -139,13 +138,13 @@ def _random_space(cfg: ExperimentConfig, tag: str, i: int, dims: int,
     if roll < 0.45:
         half = 1.0 + rng.uniform(0.0, 1.0, size=dim)
         mid = rng.uniform(-0.3, 0.3, size=dim)
-        body: ConvexBody = Box(mid - half, mid + half)
+        body: ConvexBody = Box(mid - half, mid + half, norm)
     elif roll < 0.85 or not allow_hull or dim > 2:
         c = rng.uniform(-0.3, 0.3, size=dim)
         body = Ball(c, float(rng.uniform(0.8, 1.6)), norm)
     else:
-        body = Hull(rng.uniform(-1.5, 1.5, size=(dim + 3, dim)))
-    return rng, dim, norm, body, body.diameter(norm)
+        body = Hull(rng.uniform(-1.5, 1.5, size=(dim + 3, dim)), norm)
+    return rng, dim, body
 
 
 def _raises(exc: type[Exception], fn, *args) -> bool:
@@ -171,18 +170,17 @@ def _attempt(measure, *args) -> tuple[dict, bool]:
 
 
 def _flat_inner_exact(m: MapExpr, center: np.ndarray, delta: float,
-                      body: ConvexBody, norm: Norm,
-                      rng: np.random.Generator) -> bool:
+                      body: ConvexBody, rng: np.random.Generator) -> bool:
     radii = 0.999 * delta * np.arange(17) / 16      # the centre itself first
-    pts = body.probes(center[None, :], radii, norm, rng)[0]
+    pts = body.probes(center[None, :], radii, rng)[0]
     return bool(np.all(m._apply(pts) == center))
 
 
 def _flat_outer_exact(m: MapExpr, center: np.ndarray, r: float,
-                      body: ConvexBody, norm: Norm,
+                      body: ConvexBody,
                       rng: np.random.Generator) -> tuple[bool, int]:
     cand = np.vstack([body.sample_many(rng, 200), body.extreme_points()])
-    far = cand[norm.of(cand - center, axis=1) >= r]
+    far = cand[body.norm.of(cand - center, axis=1) >= r]
     if far.shape[0] == 0:
         return True, 0
     return bool(np.all(m._apply(far) == far)), int(far.shape[0])
@@ -192,23 +190,23 @@ def suite_flat(cfg: ExperimentConfig) -> list[CaseRecord]:
     n = cfg.trials or 50
     cases = []
     for i in range(n):
-        rng, dim, norm, body, diam = _random_space(cfg, "flat", i, 3,
-                                                   allow_hull=(i % 9 == 7))
+        rng, dim, body = _random_space(cfg, "flat", i, 3, allow_hull=i % 9 == 7)
+        diam = body.diameter
         center = body.sample(rng)
         r = float(rng.uniform(0.15, 0.45)) * diam
         delta = float(rng.uniform(0.05, 0.85)) * r
-        m = flat_collapse(center, delta, r, body, norm)
+        m = flat_collapse(center, delta, r, body)
         cert = m.certificate
-        mq = lip_global_est(m, body, norm, pairs=1000, seed=rng)
-        sd = sup_dist_est(m, Identity(), body, norm, samples=400,
+        mq = lip_global_est(m, body, pairs=1000, seed=rng)
+        sd = sup_dist_est(m, Identity(), body, samples=400,
                           seed=_sub_seed(rng))
-        inner = _flat_inner_exact(m, center, delta, body, norm, rng)
-        outer, far_n = _flat_outer_exact(m, center, r, body, norm, rng)
+        inner = _flat_inner_exact(m, center, delta, body, rng)
+        outer, far_n = _flat_outer_exact(m, center, r, body, rng)
         passed = (mq <= cert + cfg.scaled(1e-9)
                   and sd <= delta + cfg.scaled(1e-12) and inner and outer)
         cases.append(CaseRecord(
             f"flat/{i:03d}",
-            {"dim": dim, "p": norm.p, "body": type(body).__name__,
+            {"dim": dim, "p": body.norm.p, "body": type(body).__name__,
              "delta": delta, "r": r, "diam": diam},
             {"max_quotient": mq, "sup_dist_id": sd, "inner_exact": inner,
              "outer_exact": outer, "outer_points": far_n},
@@ -226,10 +224,10 @@ def suite_field(cfg: ExperimentConfig) -> list[CaseRecord]:
     n = cfg.trials or 30
     cases = []
     for i in range(n):
-        rng, dim, norm, body, diam = _random_space(cfg, "field", i, 3,
-                                                   allow_hull=True)
-        s = float(rng.uniform(0.15, 0.6)) * min(1.0, diam)
-        fld = direction_field(body, norm, s)
+        rng, dim, body = _random_space(cfg, "field", i, 3, allow_hull=True)
+        norm = body.norm
+        s = float(rng.uniform(0.15, 0.6)) * min(1.0, body.diameter)
+        fld = direction_field(body, s)
         zs = body.sample_many(rng, 40)
         es = fld(zs)
         worst_unit = float(np.abs(norm.of(es, axis=1) - 1.0).max())
@@ -259,10 +257,9 @@ def suite_field(cfg: ExperimentConfig) -> list[CaseRecord]:
 
 
 def _isometry_residual(g: MapExpr, net: Net, rho: float, body: ConvexBody,
-                       norm: Norm, rng: np.random.Generator,
-                       probes: int) -> float:
-    xs = net.points
-    ys = body.probes(xs, rho * np.arange(1, probes + 1) / probes, norm, rng)
+                       rng: np.random.Generator, probes: int) -> float:
+    xs, norm = net.points, body.norm
+    ys = body.probes(xs, rho * np.arange(1, probes + 1) / probes, rng)
     gys = g._apply(ys.reshape(-1, xs.shape[1])).reshape(ys.shape)
     res = np.abs(norm.of(gys - g._apply(xs)[:, None, :], axis=2)
                  - norm.of(ys - xs[:, None, :], axis=2))
@@ -271,19 +268,18 @@ def _isometry_residual(g: MapExpr, net: Net, rho: float, body: ConvexBody,
 
 def _bump_case(cfg: ExperimentConfig, i: int) -> CaseRecord:
     """Case i of `bump`, drawn only from its own generator."""
-    rng, dim, norm, body, diam = _random_space(cfg, "bump", i, 3,
-                                               allow_hull=False)
+    rng, dim, body = _random_space(cfg, "bump", i, 3, allow_hull=False)
     lo_s = 0.22 if dim < 3 else 0.3
-    s = float(rng.uniform(lo_s, 0.45)) * min(1.0, diam)
+    s = float(rng.uniform(lo_s, 0.45)) * min(1.0, body.diameter)
     # a coarse candidate grid: about half the net points of lattice_net's
     # default one, which the bump report bytes are still pinned to
-    net = lattice_net(body, norm, s, per_axis=(41, 9, 5))
+    net = lattice_net(body, s, per_axis=(41, 9, 5))
     f = random_nonexpansive(body, seed=_sub_seed(rng))
     eps = float(rng.uniform(0.1, 0.8))
-    g = bump_perturb(f, net, eps, body, norm)
-    sd = sup_dist_est(g, f, body, norm, samples=600, seed=_sub_seed(rng))
-    lb = lip_global_est(g, body, norm, pairs=10000, seed=_sub_seed(rng))
-    iso = _isometry_residual(g, net, g.rho, body, norm, rng, probes=100)
+    g = bump_perturb(f, net, eps, body)
+    sd = sup_dist_est(g, f, body, samples=600, seed=_sub_seed(rng))
+    lb = lip_global_est(g, body, pairs=10000, seed=_sub_seed(rng))
+    iso = _isometry_residual(g, net, g.rho, body, rng, probes=100)
     # g's certificate is max(1, (1 - delta/r) cert(f) (1 + delta/(r - delta)));
     # the product is at most 1 exactly but can round one ulp above it
     q_bound = 1.0 + cfg.scaled(1e-9)
@@ -291,8 +287,8 @@ def _bump_case(cfg: ExperimentConfig, i: int) -> CaseRecord:
               and iso <= cfg.scaled(1e-9) and g.certificate <= q_bound)
     return CaseRecord(
         f"bump/{i:03d}",
-        {"dim": dim, "p": norm.p, "body": type(body).__name__, "s": net.s,
-         "eps": eps, "net_size": len(net), "rho": g.rho},
+        {"dim": dim, "p": body.norm.p, "body": type(body).__name__,
+         "s": net.s, "eps": eps, "net_size": len(net), "rho": g.rho},
         {"sup_dist": sd, "pair_quotient": lb, "isometry_residual": iso,
          "certificate": g.certificate},
         {"eps": eps, "quotient_bound": q_bound,
@@ -327,15 +323,15 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
     groups = max(1, math.ceil(total / 10))
     cases = []
     for gi in range(groups):
-        rng, dim, norm, body, diam = _random_space(cfg, "witness", gi, 2,
-                                                   allow_hull=False)
+        rng, dim, body = _random_space(cfg, "witness", gi, 2, allow_hull=False)
+        norm, diam = body.norm, body.diameter
         s = float(rng.uniform(0.22, 0.45)) * min(1.0, diam)
-        net = lattice_net(body, norm, s)
+        net = lattice_net(body, s)
         lam = float(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9]))
         eps = float(rng.uniform(0.1, 0.8))
         f = random_nonexpansive(body, seed=_sub_seed(rng))
-        g = bump_perturb(f, net, eps, body, norm)
-        w = bump_witnesses(g, lam, body, norm)
+        g = bump_perturb(f, net, eps, body)
+        w = bump_witnesses(g, lam, body)
         h_per = min(10, total - 10 * gi)
         for hi in range(h_per):
             if hi == 0:
@@ -353,20 +349,21 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
                 {"dim": dim, "p": norm.p, "s": net.s, "eps": eps, "lam": lam,
                  "tau": tau, "net_size": len(net)}, minq, w, lam))
     for pi in range(20):
-        rng, dim, norm, body, diam = _random_space(cfg, "witness2", pi, 2,
-                                                   allow_hull=False)
+        rng, dim, body = _random_space(cfg, "witness2", pi, 2,
+                                       allow_hull=False)
+        norm, diam = body.norm, body.diameter
         x = body.sample(rng)
         y = body.sample(rng)
         while float(norm.of(y - x)) < 0.2 * diam:
             y = body.sample(rng)
         s = min(float(norm.of(y - x)), 0.5)
-        net = Net(np.stack([x, y]), s)
+        net = Net(np.stack([x, y]), s, norm)
         lam = float(rng.uniform(0.2, 0.8))
         eps = float(rng.uniform(0.2, 0.7))
         f: MapExpr = Identity() if pi % 2 == 0 else \
             random_nonexpansive(body, seed=_sub_seed(rng))
-        g = bump_perturb(f, net, eps, body, norm)
-        w = bump_witnesses(g, lam, body, norm)
+        g = bump_perturb(f, net, eps, body)
+        w = bump_witnesses(g, lam, body)
         tau = w.beta * eps / diam
         minq = float(min(
             pair_quotients(g, norm, w.xs, w.ys).min(),
@@ -491,8 +488,7 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
                     {"beta": beta, "bound": bound, "margin": margin},
                     {"margin_closed_form": closed}, ok))
     body = Box(np.array([-1.0]), np.array([1.0]))
-    norm = Norm(2.0)
-    lad = ladder(PowerGauge(p=0.5), body, norm, rungs=20)
+    lad = ladder(PowerGauge(p=0.5), body, rungs=20)
     rung_err = max(abs(lad.rung(j) - 0.25 * 2.0 ** (1 - j))
                    for j in range(1, 21))
     resid = max(abs(lad.inv_ratio(j + 1) - 0.5 * lad.inv_ratio(j))
@@ -502,14 +498,14 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
         {"max_rung_error": rung_err, "max_residual": resid},
         {"tol": cfg.scaled(1e-10)},
         rung_err <= cfg.scaled(1e-10) and resid <= cfg.scaled(1e-10)))
-    lad23 = ladder(PowerGauge(p=2.0 / 3.0), body, norm, rungs=12)
+    lad23 = ladder(PowerGauge(p=2.0 / 3.0), body, rungs=12)
     err23 = max(abs(lad23.rung(j + 1) - lad23.rung(j) / 4.0)
                 for j in range(1, 12))
     cases.append(CaseRecord(
         "ladder/power-2/3-quartering", {"gauge": "power-2/3", "rungs": 12},
         {"max_step_error": err23}, {"tol": cfg.scaled(1e-10)},
         err23 <= cfg.scaled(1e-10)))
-    ladsr = ladder(SqrtRatioGauge(), body, norm, rungs=10)
+    ladsr = ladder(SqrtRatioGauge(), body, rungs=10)
     residsr = max(abs(ladsr.inv_ratio(j + 1) - 0.5 * ladsr.inv_ratio(j))
                   / ladsr.inv_ratio(j) for j in range(1, 10))
     cases.append(CaseRecord(
@@ -530,10 +526,10 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
              ("power-2/3", PowerGauge(p=2.0 / 3.0), 0.3))):
         rng = _case_rng(cfg, "ladder", wi)
         pair = build_pair(phi)
-        ladg = ladder(phi, body, norm, rungs=12)
+        ladg = ladder(phi, body, rungs=12)
         f = random_nonexpansive(body, seed=_sub_seed(rng))
-        rep = ladder_witness(f, eps, cfg.lam, ladg, pair,
-                             body=body, norm=norm, seed=_sub_seed(rng))
+        rep = ladder_witness(f, eps, cfg.lam, ladg, pair, body=body,
+                             seed=_sub_seed(rng))
         minq = float(rep.min_quotients.min())
         cases.append(CaseRecord(
             f"ladder/witness-{gname}",
@@ -648,17 +644,17 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
         {"expected": "0.5/144, 1/48"}, oka))
 
     body01 = Box(np.array([0.0]), np.array([1.0]))
-    lad01 = ladder(PowerGauge(p=0.5), body01, norm, rungs=12)
+    lad01 = ladder(PowerGauge(p=0.5), body01, rungs=12)
 
     def member(f: MapExpr, x: float, lam: float) -> bool:
         return bool(low_slope_member(f, [[x]], lam, lad01, body=body01,
-                                     norm=norm, seed=_sub_seed(rng))[0])
+                                     seed=_sub_seed(rng))[0])
 
     m_const = member(Constant(np.array([0.4])), 0.5, 0.1)
     m_id = member(Identity(), 0.5, 0.9)
     ramp = ConvexCombo(
         0.5, Constant(np.array([0.0])),
-        flat_collapse(np.array([0.0]), 0.5, 1.0, body01, norm))
+        flat_collapse(np.array([0.0]), 0.5, 1.0, body01))
     m_ramp = member(ramp, 0.2, 0.5)
     okm = m_const and not m_id and m_ramp
     cases.append(CaseRecord(
@@ -673,23 +669,22 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
 
 
 def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
-    norm, body, phi = cfg.norm, cfg.convex_body, cfg.phi
-    diam = body.diameter(norm)
+    body, phi = cfg.convex_body, cfg.phi
+    diam = body.diameter
     pair = build_pair(phi)
     cases = []
     if phi.inf > 0.0:
         rng = _case_rng(cfg, tag, 0)
-        net = lattice_net(body, norm, 0.25 * min(1.0, diam))
+        net = lattice_net(body, 0.25 * min(1.0, diam))
         f = Constant(body.sample(rng))
-        g = bump_perturb(f, net, 0.25, body, norm)
-        dens = steep_density(g, body, norm, 0.99, 0.5 * g.rho, net.points,
-                             samples=32, seed=rng)
+        g = bump_perturb(f, net, 0.25, body)
+        dens = steep_density(g, body, 0.99, 0.5 * g.rho, net.points, seed=rng)
         cases.append(CaseRecord(
             f"{tag}/reduced-to-plain-density",
             {"gauge": cfg.gauge, "K": pair.K, "inf_phi": phi.inf},
             {"net_density": dens}, {"expected": 1.0}, dens == 1.0))
         return cases
-    lad = ladder(phi, body, norm, rungs=12)
+    lad = ladder(phi, body, rungs=12)
     lam = cfg.lam
     alpha = low_slope_alpha(lam, diam)
     j_top = min(12, len(lad))
@@ -702,7 +697,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         def witness() -> tuple[dict, bool]:
             nonlocal rep
             rep = ladder_witness(f, eps, lam, lad, pair, body=body,
-                                 norm=norm, seed=_sub_seed(rng))
+                                 seed=_sub_seed(rng))
             minq = float(rep.min_quotients.min())
             return ({"min_quotient": minq, "beta": rep.beta,
                      "bound": rep.bound, "margin": rep.margin},
@@ -722,11 +717,11 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         def hole(x, z, hole_r) -> tuple[dict, bool]:
             fit = hole_r <= rep.probe_r * (1.0 + 1e-12)
             ys = body.probes(x[None, :], hole_r * np.arange(1, 26) / 25,
-                             norm, rng)[0]
+                             rng)[0]
             quot_ok = bool(np.all(
-                pair_quotients(rep.g, norm, z[None, :], ys[None]) > lam))
+                pair_quotients(rep.g, body.norm, z[None, :], ys[None]) > lam))
             mem_ok = not low_slope_member(rep.g, ys[:5], lam, lad, l=rep.j,
-                                          j_max=j_top, body=body, norm=norm,
+                                          j_max=j_top, body=body,
                                           seed=rng).any()
             return ({"fits_probe_ball": fit, "quotients_steep": quot_ok,
                      "hole_outside_set": mem_ok, "probed": len(ys)},
@@ -734,7 +729,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
 
         for qi in range(4):
             q = body.sample(rng)
-            [xi_idx], [dq] = nearest(net_pts, q[None, :], norm)
+            [xi_idx], [dq] = nearest(net_pts, q[None, :], body.norm)
             d = min(float(dq), s_j)
             if d <= 0.0:
                 continue
@@ -757,7 +752,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         checked = consistent = 0
         for f, slope in exact:
             member = low_slope_member(f, grid, lam, lad, j_max=j_top,
-                                      body=body, norm=norm, seed=rng)
+                                      body=body, seed=rng)
             checked += len(grid)
             consistent += int(np.sum(member == (slope <= lam)))
         return {"checked": checked, "consistent": consistent}, \
@@ -860,8 +855,8 @@ def run_typical(cfg: ExperimentConfig) -> Report:
 
 
 def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
-    norm, body = cfg.norm, cfg.convex_body
-    diam = body.diameter(norm)
+    body = cfg.convex_body
+    diam = body.diameter
     lam = cfg.lam
     n_maps = cfg.trials or 10
     cases = []
@@ -871,8 +866,8 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
 
     def net_at(j: int) -> tuple[Net, np.ndarray]:
         if j not in net_cache:
-            net = lattice_net(body, norm, 2.0 ** -j * diam)
-            far = net.nearest(grid, norm)[1] > net.s / 2.0
+            net = lattice_net(body, 2.0 ** -j * diam)
+            far = net.nearest(grid)[1] > net.s / 2.0
             net_cache[j] = net, grid[far]
         return net_cache[j]
 
@@ -889,16 +884,16 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
 
         def perturbed_map() -> tuple[dict, bool]:
             f = random_nonexpansive(body, seed=_sub_seed(rng))
-            g = bump_perturb(f, net, eps, body, norm)
+            g = bump_perturb(f, net, eps, body)
             bump_scale = 0.5 * g.rho
             s_jk = [2.0 ** -(j + k) * min(1.0, diam) for k in (1, 2, 3)]
             params.update(bump_scale=bump_scale, coarse_scales=s_jk)
             # (net points, scales): the bump scale, then the coarse ones
             steep = lip_local_profile(g, net.points, [bump_scale] + s_jk,
-                                      body, norm, 64, rng) > lam
+                                      body, 64, rng) > lam
             dens_net, *coarse_dens = steep.mean(axis=0).tolist()
-            dens_off = steep_density(g, body, norm, lam, bump_scale, off[:6],
-                                     samples=32, seed=rng) if len(off) else 0.0
+            dens_off = steep_density(g, body, lam, bump_scale, off[:6],
+                                     seed=rng) if len(off) else 0.0
             return ({"net_density": dens_net, "coarse_densities": coarse_dens,
                      "offnet_density": dens_off},
                     dens_net == 1.0 and all(d == 1.0 for d in coarse_dens))
@@ -915,8 +910,7 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
         def constant_map() -> tuple[dict, bool]:
             g0 = Constant(body.sample(rng))
             scale = 0.5 * (2.0 ** -j * sep / (12.0 * (1.0 + diam)))
-            dens = steep_density(g0, body, norm, lam, scale, net.points,
-                                 samples=32, seed=rng)
+            dens = steep_density(g0, body, lam, scale, net.points, seed=rng)
             return {"net_density": dens}, dens == 0.0
 
         measured, passed = _attempt(constant_map)

@@ -8,6 +8,7 @@ give matching lower bounds, so every estimate is bracketed:
 
     sampled lower bound  <=  Lip(f)  <=  certificate.
 
+Estimators measure in the norm of the body they sample.
 Certificate rules: identity -> 1, constant -> 0, contraction -> its scale,
 composition -> product, convex combination -> weighted average, ball
 collapse -> 1 + delta/(r - delta), tent field -> max(base, 1); a Tent
@@ -95,9 +96,9 @@ class AffineContraction(MapExpr):
 class FlatCollapse(MapExpr):
     """Collapse each ball B(c, delta) to its centre, identity outside B(c, r).
 
-    The centres are the points of `net` and r = net.s / 2; both are kept
-    as the attributes `centers` and `r`.  With t = ||x - c|| the radial
-    profile is
+    The centres are the points of `net`, measured in its norm, and
+    r = net.s / 2; both are kept as the attributes `centers` and `r`.
+    With t = ||x - c|| the radial profile is
 
         x -> c                                     if t <= delta,
         x -> c + ((r - r delta/t)/(r - delta)) (x - c)   if delta < t < r,
@@ -115,20 +116,19 @@ class FlatCollapse(MapExpr):
 
     net: Net
     delta: float
-    norm: Norm = Norm(2.0)
 
     def __post_init__(self):
         r = 0.5 * self.net.s
         if not (0.0 < self.delta < r):
             raise ParameterError(
                 f"need 0 < delta < r, got delta={self.delta}, r={r}")
-        if not self.net.check_separated(self.norm):
+        if not self.net.check_separated():
             raise ParameterError("collapse centres closer than 2r: balls would overlap")
         object.__setattr__(self, "centers", self.net.points)
         object.__setattr__(self, "r", r)
 
     def _apply(self, pts):
-        return self._profile(pts, *self.net.nearest(pts, self.norm))
+        return self._profile(pts, *self.net.nearest(pts))
 
     def _profile(self, pts, idx, d):
         """The radial profile at pts, given their nearest centres and
@@ -154,8 +154,8 @@ class Tent(MapExpr):
     The base must be a FlatCollapse or a chain Compose(s_k, ...
     Compose(s_1, collapse)) that starts with one, and 0 < delta <= the
     collapse's inner radius; anything else raises ValueError.  The tents sit
-    at the collapse's centres and use its norm.  With t = ||z - c|| for the
-    nearest centre c, its apex a = base(c) and unit direction u:
+    at the collapse's centres and use its net's norm.  With t = ||z - c||
+    for the nearest centre c, its apex a = base(c) and unit direction u:
 
         z -> a + t u              if t < rho = delta/2,
         z -> a + (delta - t) u    if rho <= t < delta,
@@ -188,7 +188,7 @@ class Tent(MapExpr):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
         if dirs.shape != node.centers.shape:
             raise ValueError("tent directions must align with the collapse centres")
-        if np.any(np.abs(node.norm.of(dirs, axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(node.net.norm.of(dirs, axis=1) - 1.0) > 1e-9):
             raise ValueError("tent directions must be unit vectors in the ambient norm")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "collapse", node)
@@ -197,7 +197,7 @@ class Tent(MapExpr):
         object.__setattr__(self, "apexes", self.base._apply(node.centers))
 
     def _apply(self, pts):
-        idx, d = self.collapse.net.nearest(pts, self.collapse.norm)
+        idx, d = self.collapse.net.nearest(pts)
         out = self.collapse._profile(pts, idx, d)
         for stage in self.stages:
             out = stage._apply(out)
@@ -276,9 +276,10 @@ def pair_quotients(m: MapExpr, norm: Norm, xs: np.ndarray,
 # rounding error of the evaluated difference dominates the quotient, which
 # would poison upper-bound comparisons at 1e-9 tolerances
 MIN_SEP_REL = 1e-4
+STEEP_SAMPLES = 32          # steep_density: the profile's `samples`
 
 
-def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
+def lip_global_est(m: MapExpr, body: ConvexBody, pairs: int = 1000,
                    seed: int | np.random.Generator = 0) -> float:
     """Max sampled difference quotient over uniform pairs plus extreme-point
     pairs: a lower bound for the global Lipschitz constant.
@@ -297,13 +298,13 @@ def lip_global_est(m: MapExpr, body: ConvexBody, norm: Norm, pairs: int = 1000,
         ii, jj = np.triu_indices(ext.shape[0], k=1)
         xs = np.vstack([xs, ext[ii]])
         ys = np.vstack([ys, ext[jj]])
-    keep = norm.of(ys - xs, axis=1) >= MIN_SEP_REL * body.diameter(norm)
+    keep = body.norm.of(ys - xs, axis=1) >= MIN_SEP_REL * body.diameter
     if not np.any(keep):
         raise EstimationError("all sampled pairs effectively coincident")
-    return float(pair_quotients(m, norm, xs[keep], ys[keep]).max())
+    return float(pair_quotients(m, body.norm, xs[keep], ys[keep]).max())
 
 
-def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
+def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody,
                       samples: int = 64, seed=0,
                       shells: int = 4) -> np.ndarray:
     """Local Lipschitz estimates at several scales around each row of xs.
@@ -335,9 +336,9 @@ def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
     shell_radii = [r * 0.5 ** j for r in levels for j in range(shells)]
     radii = np.concatenate([np.repeat(shell_radii, per_shell),
                             levels[0] * np.arange(1, samples + 1) / samples])
-    pool = body.probes(xs, radii, norm, np.random.default_rng(seed))
-    q = pair_quotients(m, norm, xs, pool)
-    d = norm.of(pool - xs[:, None, :], axis=2)
+    pool = body.probes(xs, radii, np.random.default_rng(seed))
+    q = pair_quotients(m, body.norm, xs, pool)
+    d = body.norm.of(pool - xs[:, None, :], axis=2)
     # sel[i, s, p]: probe p of centre i is admissible at scale s
     sel = (d[:, None, :] > 0) & (d[:, None, :] <= np.asarray(scales)[:, None])
     counts = sel.sum(axis=2)
@@ -352,21 +353,21 @@ def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody, norm: Norm,
     return np.where(sel, q[:, None, :], -np.inf).max(axis=2)
 
 
-def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody, norm: Norm,
+def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody,
                  samples: int = 1000, seed: int = 0) -> float:
     """Sampled sup-metric distance max_x ||m1(x) - m2(x)|| (a lower bound)."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     xs = np.vstack([body.sample_many(rng, samples), body.extreme_points()])
-    return float(norm.of(m1._apply(xs) - m2._apply(xs), axis=1).max())
+    return float(body.norm.of(m1._apply(xs) - m2._apply(xs), axis=1).max())
 
 
-def steep_density(m: MapExpr, body: ConvexBody, norm: Norm, lam: float,
-                  scale: float, grid, samples: int = 64, seed=0) -> float:
+def steep_density(m: MapExpr, body: ConvexBody, lam: float, scale: float,
+                  grid, seed=0) -> float:
     """Fraction of grid points whose local slope estimate at `scale` exceeds
     lam; `seed` seeds one `lip_local_profile` call over the whole grid."""
-    est = lip_local_profile(m, grid, [scale], body, norm, samples, seed)
+    est = lip_local_profile(m, grid, [scale], body, STEEP_SAMPLES, seed)
     return float(np.mean(est[:, 0] > lam))
 
 

@@ -1,8 +1,9 @@
 """Constructive perturbations of non-expansive self-maps of a convex body.
 
-Three building blocks, each built straight from its parameters:
+Three building blocks, each built straight from its parameters and
+measured in the norm the body carries:
 
-* ``flat_collapse(center, delta, r, body, norm)`` — pinch a ball
+* ``flat_collapse(center, delta, r, body)`` — pinch a ball
   B(x0, delta) to its centre while leaving everything outside B(x0, r)
   alone; costs at most delta in the sup metric and 1 + delta/(r - delta)
   in the Lipschitz constant; its net is the one point x0 at s = 2r.
@@ -12,8 +13,8 @@ Three building blocks, each built straight from its parameters:
   from a fixed far pair (v, w) with ||w - v|| > 2s/3: aim at v when z is
   at least s/3 away from it, otherwise aim at w.
 
-* ``bump_perturb(f, net, eps, body, norm)`` — given a non-expansive base
-  map f, an s-separated net (s = net.s) and a budget eps, produce a
+* ``bump_perturb(f, net, eps, body)`` — given a non-expansive base map
+  f, an s-separated net (s = net.s) and a budget eps, produce a
   non-expansive Tent g with sup-distance at most eps from f that is an
   exact isometry towards each net point x on the ball B(x, g.rho):
   ||g(y) - g(x)|| = ||y - x||  for ||y - x|| <= g.rho.
@@ -28,7 +29,7 @@ Three building blocks, each built straight from its parameters:
   ``g.delta``) and its bump radius is
   ``g.rho`` = delta/2 = eps s / (12 (1 + diam C)).
 
-``bump_witnesses(g, lam, body, norm)`` turns the isometry of a Tent into
+``bump_witnesses(g, lam, body)`` turns the isometry of a Tent into
 a stable certificate: probe points y_x at distance g.delta/4 =
 eps s / (24 (1 + diam C)) from each net point witness a difference
 quotient above 1 - 48 beta (1 + diam C)/s >= (1+lam)/2 for every map
@@ -47,14 +48,14 @@ from .space import ConvexBody, Net, Norm, as_point, distances
 SEGMENT_CHECKS = 20     # segment_inside: points checked per segment, ends included
 
 
-def flat_collapse(center, delta: float, r: float, body: ConvexBody,
-                  norm: Norm) -> FlatCollapse:
+def flat_collapse(center, delta: float, r: float,
+                  body: ConvexBody) -> FlatCollapse:
     """Single-centre collapse map as an expression node; FlatCollapse
     itself rejects radii outside 0 < delta < r."""
     center = as_point(center)
     if not body.contains(center, tol=1e-9):
         raise DomainError("collapse centre lies outside the body")
-    return FlatCollapse(Net(center[None, :], 2.0 * r), delta, norm)
+    return FlatCollapse(Net(center[None, :], 2.0 * r, body.norm), delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,21 +101,20 @@ class DirectionField:
         return bool(body.contains_all(pts.reshape(-1, zs.shape[1]), tol=1e-9).all())
 
 
-def direction_field(body: ConvexBody, norm: Norm, s: float) -> DirectionField:
+def direction_field(body: ConvexBody, s: float) -> DirectionField:
     """Direction field on the body anchored at a diameter-realising pair of
     extreme points (the first such pair in row order)."""
     if not (s > 0.0):
         raise ParameterError("field scale s must be positive")
     ext = body.extreme_points()
-    d = distances(ext, ext, norm)
+    d = distances(ext, ext, body.norm)
     i, j = np.unravel_index(np.argmax(d), d.shape)
     if not d[i, j] > 2.0 * s / 3.0:
         raise GeometryError("no admissible far pair among extreme points")
-    return DirectionField(ext[i], ext[j], s, norm)
+    return DirectionField(ext[i], ext[j], s, body.norm)
 
 
-def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody,
-                 norm: Norm) -> Tent:
+def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody) -> Tent:
     """Non-expansive perturbation of f with isometric bumps on the net.
 
     Stage 1 collapses B(x, r) to x at every net point x (the collapse
@@ -125,6 +125,8 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody,
     field evaluated at the stage-2 value of x.
     """
     s = net.s
+    if net.norm != body.norm:
+        raise ParameterError("the net and the body are in different norms")
     if not (0.0 < s < 1.0):
         raise ParameterError(f"net scale must satisfy 0 < s < 1, got {s}")
     if not (0.0 < eps < 1.0):
@@ -139,11 +141,11 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody,
     if not body.contains(anchor, tol=1e-9):
         raise DomainError("body centre escaped the body")
     r = 0.5 * s
-    delta = eps * r / (3.0 * (1.0 + body.diameter(norm)))
-    g0 = Compose(f, FlatCollapse(net, delta, norm))
+    delta = eps * r / (3.0 * (1.0 + body.diameter))
+    g0 = Compose(f, FlatCollapse(net, delta))
     g1 = Compose(AffineContraction(1.0 - delta / r, anchor), g0)
     apexes = g1._apply(net.points)
-    dirs = direction_field(body, norm, s)(apexes)
+    dirs = direction_field(body, s)(apexes)
     # the tent needs room of height delta above each apex; the field
     # guarantees a segment of length s/3 > delta
     if not np.all(body.contains_all(apexes + delta * dirs, tol=1e-9)):
@@ -163,8 +165,7 @@ class BumpWitnesses:
     bound: float
 
 
-def bump_witnesses(g: Tent, lam: float, body: ConvexBody,
-                   norm: Norm) -> BumpWitnesses:
+def bump_witnesses(g: Tent, lam: float, body: ConvexBody) -> BumpWitnesses:
     """Probe points certifying steep quotients for every map beta*eps-close to g.
 
     g is a bump perturbation as `bump_perturb` builds it: its centres are
@@ -181,12 +182,12 @@ def bump_witnesses(g: Tent, lam: float, body: ConvexBody,
         raise ParameterError(f"lam must lie in (0, 1), got {lam}")
     if not isinstance(g, Tent):
         raise ParameterError("g is not a bump perturbation (tent stage missing)")
-    diam = body.diameter(norm)
+    diam = body.diameter
     s = g.collapse.net.s
     beta = (1.0 - lam) * s / (96.0 * (1.0 + diam))
     bound = 1.0 - 48.0 * beta * (1.0 + diam) / s
     xs = g.centers
-    ys = xs + (g.delta / 4.0) * direction_field(body, norm, s)(xs)
+    ys = xs + (g.delta / 4.0) * direction_field(body, s)(xs)
     if not np.all(body.contains_all(ys, tol=1e-9)):
         raise GeometryError("witness probe escaped the body")
     return BumpWitnesses(xs.copy(), ys, beta, bound)

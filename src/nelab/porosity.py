@@ -61,11 +61,10 @@ LOW_SLOPE_SHELLS = 8        # low_slope_member: dyadic levels per scale
 
 
 class SetOracle:
-    """A subset P of a metric ambient space, known through its distance
-    function: the open ball B(c, s) misses P exactly when d(c, P) >= s."""
+    """A subset P of an ambient body, known through its distance in the
+    body's norm: the open ball B(c, s) misses P exactly when d(c, P) >= s."""
 
     ambient: ConvexBody
-    norm: Norm
 
     def distance(self, centers) -> np.ndarray:
         """d(c, P) for each row c of the (k, n) batch `centers`; inf when P
@@ -101,7 +100,6 @@ class FinitePointSet(SetOracle):
 
     points: np.ndarray
     ambient: ConvexBody
-    norm: Norm
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -114,7 +112,7 @@ class FinitePointSet(SetOracle):
         centers = np.asarray(centers, dtype=float)
         if self.points.shape[0] == 0:
             return np.full(centers.shape[0], np.inf)
-        return distances(centers, self.points, self.norm).min(axis=1)
+        return distances(centers, self.points, self.ambient.norm).min(axis=1)
 
     def obstructions(self, a: float, b: float) -> np.ndarray | None:
         if self.ambient.dim != 1:
@@ -168,7 +166,6 @@ class ReciprocalSet(SetOracle):
     """P = {1/n : n a nonzero integer} with exact gap structure on the line."""
 
     ambient: ConvexBody
-    norm: Norm
 
     def distance(self, centers) -> np.ndarray:
         # the reciprocals next to |c| are 1/m and 1/(m+1), m = max(1,
@@ -196,7 +193,6 @@ class IntervalUnionSet(SetOracle):
 
     intervals: np.ndarray            # (k, 2) rows lo <= hi, sorted, disjoint
     ambient: ConvexBody
-    norm: Norm
 
     def __post_init__(self):
         iv = np.atleast_2d(np.asarray(self.intervals, dtype=float))
@@ -208,15 +204,15 @@ class IntervalUnionSet(SetOracle):
         object.__setattr__(self, "intervals", iv)
 
     @classmethod
-    def cantor(cls, level: int) -> "IntervalUnionSet":
+    def cantor(cls, level: int, norm: Norm = Norm(2.0)) -> "IntervalUnionSet":
         """The level-th Cantor iterate on [0, 1], in the ambient [-0.5, 1.5]."""
         segs = [(0.0, 1.0)]
         for _ in range(level):
             segs = [piece
                     for lo, hi in segs
                     for piece in ((lo, lo + (hi - lo) / 3.0), (hi - (hi - lo) / 3.0, hi))]
-        return cls(np.asarray(segs), Box(np.array([-0.5]), np.array([1.5])),
-                   Norm(2.0))
+        return cls(np.asarray(segs),
+                   Box(np.array([-0.5]), np.array([1.5]), norm))
 
     def distance(self, centers) -> np.ndarray:
         # the nearest interval is the last one starting at or below c or
@@ -239,17 +235,17 @@ TARGETS = ("reciprocal", "zero", "cantor", "full", "empty")
 def oracle_from_desc(desc: str, norm: Norm) -> SetOracle:
     """Example set from a descriptor, one of TARGETS: the reciprocals 1/n,
     the point 0, the level-4 Cantor iterate, all of [-1, 1], or nothing."""
-    amb = Box(np.array([-1.0]), np.array([1.0]))
+    amb = Box(np.array([-1.0]), np.array([1.0]), norm)
     if desc == "reciprocal":
-        return ReciprocalSet(amb, norm)
+        return ReciprocalSet(amb)
     if desc == "zero":
-        return FinitePointSet(np.array([[0.0]]), amb, norm)
+        return FinitePointSet(np.array([[0.0]]), amb)
     if desc == "cantor":
-        return IntervalUnionSet.cantor(4)
+        return IntervalUnionSet.cantor(4, norm)
     if desc == "full":
-        return IntervalUnionSet(np.array([[-1.0, 1.0]]), amb, norm)
+        return IntervalUnionSet(np.array([[-1.0, 1.0]]), amb)
     if desc == "empty":
-        return FinitePointSet(np.empty((0, 1)), amb, norm)
+        return FinitePointSet(np.empty((0, 1)), amb)
     raise ValueError(f"unknown set descriptor {desc!r} "
                      f"(choose from {', '.join(TARGETS)})")
 
@@ -258,7 +254,7 @@ def _hole_radii(oracle: SetOracle, q: np.ndarray, r: float,
                 cs: np.ndarray) -> np.ndarray:
     """Radius of the largest ball at each centre of cs that lies inside
     B(q, r) and misses P; 0 for centres outside the window or the space."""
-    cap = r - oracle.norm.of(cs - q, axis=1)
+    cap = r - oracle.ambient.norm.of(cs - q, axis=1)
     usable = (cap > 0.0) & oracle.ambient.contains_all(cs)
     return np.where(usable, np.minimum(cap, oracle.distance(cs)), 0.0)
 
@@ -326,7 +322,7 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
     # edge probe if it has a hole, and every draw beating all earlier ones
     i = int(np.argmax(s_edge))
     hit = [i] if s_edge[i] > 0.0 else []
-    cap = r - oracle.norm.of(edge[hit] - q, axis=1)
+    cap = r - oracle.ambient.norm.of(edge[hit] - q, axis=1)
     before = np.maximum.accumulate(np.concatenate([[0.0], s_draw]))[:-1]
     rec = np.flatnonzero(s_draw > before)
     centers = np.vstack([q[None, :], edge[hit], draws[rec]])
@@ -376,7 +372,7 @@ class PorosityVerdict:
         claim t = alpha d(q, q') or beta eps in (0, inf phi] asks only for
         a positive radius, as phi(s) > inf phi >= t for every s > 0."""
         cs = self.centers
-        d = oracle.norm.of(cs - self.q, axis=1)
+        d = oracle.ambient.norm.of(cs - self.q, axis=1)
         near = (d <= self.eps) & ((d > 0.0) | (self.kind != "upper"))
         args = [self.constant * float(t)
                 for t in (d if self.kind == "upper" else self.eps)]
@@ -420,7 +416,7 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
     cs = np.concatenate([np.broadcast_to(q, (k, 1, n)),
                          q + _lattice(eps, per_axis, n),
                          q + (2.0 * u - 1.0) * eps[:, None, None]], axis=1)
-    d = oracle.norm.of(cs - q, axis=-1)
+    d = oracle.ambient.norm.of(cs - q, axis=-1)
     dist = oracle.distance(cs.reshape(-1, n)).reshape(d.shape)
     undetected = PorosityVerdict("not-detected", kind, None, q,
                                  np.empty((0, n)), np.empty(0), np.empty(0))
@@ -503,7 +499,7 @@ def low_slope_alpha(lam: float, diam: float) -> float:
 
 
 def low_slope_member(f: MapExpr, xs, lam: float, lad: Ladder, l: int = 1,
-                     j_max: int = 12, *, body: ConvexBody, norm: Norm,
+                     j_max: int = 12, *, body: ConvexBody,
                      seed=0) -> np.ndarray:
     """For each row x of xs: is the sampled local slope of f at x at most
     lam at every ladder scale phi^{-1}(s_j), j = l .. j_max?  Returns a
@@ -521,8 +517,8 @@ def low_slope_member(f: MapExpr, xs, lam: float, lad: Ladder, l: int = 1,
             f"j_max={j_max} beyond the ladder ({len(lad)} rungs); extend it"
         )
     scales = [lad.gauge.inverse(lad.rung(j)) for j in range(l, j_max + 1)]
-    est = lip_local_profile(f, xs, scales, body, norm, LOW_SLOPE_SAMPLES,
-                            seed, LOW_SLOPE_SHELLS)
+    est = lip_local_profile(f, xs, scales, body, LOW_SLOPE_SAMPLES, seed,
+                            LOW_SLOPE_SHELLS)
     return np.all(est <= lam, axis=1)
 
 
@@ -550,7 +546,7 @@ class LadderWitnessReport:
 
 
 def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder,
-                   pair: GaugePair, *, body: ConvexBody, norm: Norm,
+                   pair: GaugePair, *, body: ConvexBody,
                    seed: int = 0) -> LadderWitnessReport:
     """Perturb f at the rung selected by eps and verify steep quotients.
 
@@ -570,15 +566,15 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder,
     j = select_j(lad, eps)
     s_j = lad.rung(j)
     phi_inv_s_j = lad.gauge.inverse(s_j)
-    diam = body.diameter(norm)
+    diam = body.diameter
     d1 = 1.0 + diam
     beta, bound, margin = closing_bound(lam, pair.K, diam)
     h_radius = pair.xi.inverse(beta * eps)
     if not pair.holds(h_radius):
         raise GaugeError(f"pair inequality fails at the certified radius "
                          f"{h_radius:.3g}")
-    net = lattice_net(body, norm, s_j)
-    g = bump_perturb(f, net, eps, body, norm)
+    net = lattice_net(body, s_j)
+    g = bump_perturb(f, net, eps, body)
     z_off = phi_inv_s_j / (24.0 * d1)
     probe_r = (1.0 - lam) * phi_inv_s_j / (48.0 * d1)
     if not z_off <= g.rho + 1e-15:
@@ -589,12 +585,12 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder,
         tau = h_radius * rng.uniform(0.25, 1.0) / diam
         h_family.append(ConvexCombo(tau, g, Constant(body.sample(rng))))
     pts = net.points
-    zs = pts + z_off * direction_field(body, norm, s_j)(pts)
+    zs = pts + z_off * direction_field(body, s_j)(pts)
     # the probes of each x: x itself, then chords into B(x, probe_r) ∩ body
     radii = probe_r * np.arange(1, LADDER_PROBES) / (LADDER_PROBES - 1)
-    ys = np.concatenate([pts[:, None, :], body.probes(pts, radii, norm, rng)],
+    ys = np.concatenate([pts[:, None, :], body.probes(pts, radii, rng)],
                         axis=1)
-    best = np.min([pair_quotients(h, norm, zs, ys).min(axis=1)
+    best = np.min([pair_quotients(h, body.norm, zs, ys).min(axis=1)
                    for h in h_family], axis=0)
     return LadderWitnessReport(j, g, beta, h_radius, probe_r, bound, margin,
                                zs, best)

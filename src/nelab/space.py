@@ -1,20 +1,22 @@
 """Finite-dimensional normed spaces, convex bodies and separated nets.
 
-Everything downstream works over an lp norm on R^n (n small, p in
-[1, inf]) and a bounded convex body: axis-aligned boxes, lp balls and
-convex hulls of finite vertex sets.  Each body answers one membership
+Everything downstream works over a bounded convex body in R^n (n small)
+that carries its lp norm (p in [1, inf]): axis-aligned boxes, lp balls
+and convex hulls of finite vertex sets.  Each body answers one membership
 query, `contains_all`, for a batch of points; `contains` is its view of a
-single point.  Bodies also expose exact diameters, one seeded batched
+single point.  Bodies also expose their diameter, one seeded batched
 rejection sampler of C, a handful of extreme points, and `probes`, the one
 sampler of the sets B(x, r) ∩ C, which draws along chords and needs no
 membership query.  Nets are finite s-separated point families, built
-greedily; every pipeline's net is `lattice_net`'s, from a lattice over C.
+greedily in the body's norm; every pipeline's net is `lattice_net`'s.
+Only the point-level primitives take a norm of their own.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +53,8 @@ class Norm:
         if v.ndim > 1 and 0 < v.shape[axis] < 8:
             return self._of_columns(v, axis % v.ndim)
         a = np.abs(v)
-        if math.isinf(self.p):
+        # one coordinate: |x| for every p, no power to round or underflow
+        if math.isinf(self.p) or v.shape[axis] == 1:
             return a.max(axis=axis)
         if self.p == 1.0:
             return a.sum(axis=axis)
@@ -68,7 +71,7 @@ class Norm:
         lead = (slice(None),) * axis
         cols = [v[lead + (j,)] for j in range(v.shape[axis])]
         out = np.abs(cols[0])
-        if math.isinf(self.p):
+        if math.isinf(self.p) or len(cols) == 1:
             for c in cols[1:]:
                 np.maximum(out, np.abs(c), out=out)
             return out
@@ -102,9 +105,10 @@ def nearest(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ConvexBody:
-    """Bounded convex body with exact membership and diameter."""
+    """Bounded convex body with exact membership, measured in its `norm`."""
 
     dim: int
+    norm: Norm
 
     def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         """Membership of each row of a (k, n) batch, up to tol."""
@@ -113,7 +117,9 @@ class ConvexBody:
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return bool(self.contains_all(x, tol)[0])
 
-    def diameter(self, norm: Norm) -> float:
+    @cached_property
+    def diameter(self) -> float:
+        """sup ||x - y|| over x, y in C, in the body's norm; computed once."""
         raise NotImplementedError
 
     @property
@@ -128,8 +134,7 @@ class ConvexBody:
         """Deterministic boundary probe points (corners / axis points / vertices)."""
         raise NotImplementedError
 
-    def probes(self, xs, radii, norm: Norm,
-               rng: np.random.Generator) -> np.ndarray:
+    def probes(self, xs, radii, rng: np.random.Generator) -> np.ndarray:
         """Points of B(x_i, r_j) ∩ C for each row x_i of xs and each radius
         r_j: a (k, m, n) array for k centres and m radii.
 
@@ -150,7 +155,7 @@ class ConvexBody:
         verts = np.vstack([self.extreme_points(), self.center])
         w = rng.random((xs.shape[0], radii.size, verts.shape[0])) ** 15
         step = (w / w.sum(axis=2, keepdims=True)) @ verts - xs[:, None, :]
-        gap = norm.of(step, axis=2)
+        gap = self.norm.of(step, axis=2)
         frac = np.minimum(1.0, radii / np.where(gap > 0, gap, np.inf))
         return xs[:, None, :] + frac[..., None] * step
 
@@ -188,6 +193,7 @@ class Box(ConvexBody):
 
     lo: np.ndarray
     hi: np.ndarray
+    norm: Norm = Norm(2.0)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_point(self.lo))
@@ -210,8 +216,9 @@ class Box(ConvexBody):
             inside &= (x >= lo) & (x <= hi)
         return inside
 
-    def diameter(self, norm: Norm) -> float:
-        return float(norm.of(self.hi - self.lo))
+    @cached_property
+    def diameter(self) -> float:
+        return float(self.norm.of(self.hi - self.lo))
 
     @property
     def center(self) -> np.ndarray:
@@ -246,13 +253,9 @@ class Ball(ConvexBody):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.norm.of(pts - self.c, axis=1) <= self.radius + tol
 
-    def diameter(self, norm: Norm) -> float:
-        # sup {||u||_q : ||u||_p <= 1} is 1 for q >= p and n^(1/q - 1/p) below,
-        # with 1/inf read as 0; the diameter doubles the radius times that factor.
-        p_own = 0.0 if math.isinf(self.norm.p) else 1.0 / self.norm.p
-        p_meas = 0.0 if math.isinf(norm.p) else 1.0 / norm.p
-        factor = self.dim ** max(0.0, p_meas - p_own)
-        return 2.0 * self.radius * factor
+    @cached_property
+    def diameter(self) -> float:
+        return 2.0 * self.radius
 
     @property
     def center(self) -> np.ndarray:
@@ -295,6 +298,7 @@ class Hull(ConvexBody):
     """
 
     vertices: np.ndarray
+    norm: Norm = Norm(2.0)
     facets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -339,8 +343,9 @@ class Hull(ConvexBody):
         return (xs @ self.facets.T).max(axis=1) <= tol * (
             1.0 + np.linalg.norm(xs, axis=1))
 
-    def diameter(self, norm: Norm) -> float:
-        return float(distances(self.vertices, self.vertices, norm).max())
+    @cached_property
+    def diameter(self) -> float:
+        return float(distances(self.vertices, self.vertices, self.norm).max())
 
     @property
     def center(self) -> np.ndarray:
@@ -363,13 +368,13 @@ def body_from_desc(desc: str, dim: int, norm: Norm) -> ConvexBody:
         if len(bounds) != 2:
             raise ValueError(f"box descriptor is box:lo,hi, got {desc!r}")
         lo, hi = (float(v) for v in bounds)
-        return Box(np.full(dim, lo), np.full(dim, hi))
+        return Box(np.full(dim, lo), np.full(dim, hi), norm)
     if desc == "ball" or name == "ball" and arg:
         radius = float(arg) if arg else 1.0
         return Ball(np.zeros(dim), radius, norm)
     if name == "simplex" and not sep:
         verts = np.vstack([np.zeros(dim), np.eye(dim)])
-        return Hull(verts)
+        return Hull(verts, norm)
     raise ValueError(f"unknown body descriptor {desc!r} "
                      f"(box | box:lo,hi | ball | ball:r | simplex)")
 
@@ -498,11 +503,12 @@ class _CellIndex:
 
 @dataclass(eq=False)
 class Net:
-    """Finite s-separated point family inside a body."""
+    """Finite s-separated point family inside a body, in the body's norm."""
 
     points: np.ndarray
     s: float
-    _index: dict = field(default_factory=dict, init=False, repr=False)
+    norm: Norm
+    _index: _CellIndex | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -514,26 +520,27 @@ class Net:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def check_separated(self, norm: Norm) -> bool:
-        gaps = distances(self.points, self.points, norm)
+    def check_separated(self) -> bool:
+        gaps = distances(self.points, self.points, self.norm)
         np.fill_diagonal(gaps, np.inf)
         return bool(gaps.min() >= self.s)
 
-    def nearest(self, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """`nearest` on the rows of pts with a net point within s/2, bit for
         bit, separated or not; every other row reports some distance
         d > s/2 and some valid index.  A query of at least NEAREST_GRID_MIN
-        coordinates pairs is answered from a cell index, built for each
-        norm on first use and kept; a smaller one is `nearest` itself."""
+        coordinates pairs is answered from a cell index, built on first
+        use and kept; a smaller one is `nearest` itself."""
         if pts.shape[0] * self.points.size < NEAREST_GRID_MIN:
-            return nearest(self.points, pts, norm)
-        if norm not in self._index:
-            self._index[norm] = _CellIndex(self.points, 0.5 * self.s, norm)
-        return self._index[norm].query(pts)
+            return nearest(self.points, pts, self.norm)
+        if self._index is None:
+            self._index = _CellIndex(self.points, 0.5 * self.s, self.norm)
+        return self._index.query(pts)
 
 
-def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:
-    """First-fit greedy s-separated subset of a candidate stream.
+def greedy_net(body: ConvexBody, s: float, candidates) -> Net:
+    """First-fit greedy s-separated subset of a candidate stream, in the
+    body's norm.
 
     Candidates are scanned in order; one is accepted when it is at least s
     away from everything accepted so far.  Every candidate therefore ends
@@ -542,7 +549,7 @@ def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:
     cands = np.atleast_2d(np.asarray(candidates, dtype=float))
     if cands.shape[0] == 0:
         raise ValueError("empty candidate stream")
-    diam = body.diameter(norm)
+    diam = body.diameter
     if not (0.0 < s <= diam):
         raise ValueError(f"need 0 < s <= diam C = {diam}, got s={s}")
     if not body.contains_all(cands, tol=1e-9).all():
@@ -553,13 +560,13 @@ def greedy_net(body: ConvexBody, norm: Norm, s: float, candidates) -> Net:
     for i in range(cands.shape[0]):
         if free[i]:
             accepted.append(i)
-            free[i + 1:] &= norm.of(cands[i + 1:] - cands[i], axis=1) >= s
-    return Net(cands[accepted], s)
+            free[i + 1:] &= body.norm.of(cands[i + 1:] - cands[i], axis=1) >= s
+    return Net(cands[accepted], s, body.norm)
 
 
-def lattice_net(body: ConvexBody, norm: Norm, s: float,
+def lattice_net(body: ConvexBody, s: float,
                 per_axis: tuple[int, int, int] = (41, 13, 7)) -> Net:
     """The greedy s-net over the body's lattice of per_axis[dim - 1] points
     per axis: the one net builder of the pipelines."""
-    return greedy_net(body, norm, s,
-                      grid_candidates(body, per_axis[body.dim - 1]))
+    return greedy_net(body, s, candidates=grid_candidates(
+        body, per_axis[body.dim - 1]))

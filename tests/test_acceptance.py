@@ -68,7 +68,7 @@ def test_criterion_4_gauge_pairs_and_ladders():
         rep = run_verify(ExperimentConfig(suite=suite))
         problems += [f"case {c.case_id} failed" for c in rep.failures]
     lad = ladder(PowerGauge(p=0.5), Box(np.array([-1.0]), np.array([1.0])),
-                 Norm(2.0), rungs=20)
+                 rungs=20)
     for j in range(1, 21):
         want = 0.25 * 2.0 ** -(j - 1)
         if abs(lad.rung(j) - want) > 1e-10:
@@ -98,7 +98,7 @@ def test_criterion_5_porosity_landmarks():
         problems.append(f"expected lower-porous with constant >= 0.25, "
                         f"got {lo.status} {lo.constant}")
     zero = FinitePointSet(np.array([[0.0]]),
-                          Box(np.array([-1.0]), np.array([1.0])), Norm(2.0))
+                          Box(np.array([-1.0]), np.array([1.0])))
     for r in (0.1, 0.3):
         ratio = gamma_est([0.0], r, zero, trials=128, seed=0) / r
         if not 0.475 <= ratio <= 0.525:

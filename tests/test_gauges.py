@@ -12,10 +12,9 @@ from nelab.gauges import (Gauge, GaugePair, Ladder, PiecewiseGauge, PowerGauge,
                           RatioGauge, SqrtRatioGauge, build_pair,
                           gauge_from_desc, gauge_K, ladder,
                           least_concave_majorant, select_j)
-from nelab.space import Box, Norm
+from nelab.space import Box
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
-NORM2 = Norm(2.0)
 
 SQRT = PowerGauge(p=0.5)
 POW23 = PowerGauge(p=2.0 / 3.0)
@@ -173,7 +172,7 @@ def test_build_pair_rejects_linear_growth():
 
 
 def test_ladder_sqrt_closed_form():
-    lad = ladder(SQRT, BOX1, NORM2, rungs=20)
+    lad = ladder(SQRT, BOX1, rungs=20)
     assert len(lad) == 20
     for j in range(1, 21):
         assert lad.rung(j) == 0.25 * 2.0 ** (1 - j)
@@ -184,14 +183,14 @@ def test_ladder_sqrt_closed_form():
 
 
 def test_ladder_power23_quarters():
-    lad = ladder(POW23, BOX1, NORM2, rungs=10)
+    lad = ladder(POW23, BOX1, rungs=10)
     for j in range(1, 10):
         assert lad.rung(j + 1) / lad.rung(j) == pytest.approx(0.25, rel=1e-12)
         assert lad.inv_ratio(j) == pytest.approx(math.sqrt(lad.rung(j)), rel=1e-10)
 
 
 def test_ladder_sqrt_ratio_bisected():
-    lad = ladder(SQRT_RATIO, BOX1, NORM2, rungs=12)
+    lad = ladder(SQRT_RATIO, BOX1, rungs=12)
     assert lad.rung(1) == 0.125           # 0.25 * sup phi = 0.25 * 0.5
     for j in range(1, 12):
         assert abs(lad.inv_ratio(j + 1) - 0.5 * lad.inv_ratio(j)) \
@@ -199,21 +198,21 @@ def test_ladder_sqrt_ratio_bisected():
 
 
 def test_ladder_rung_bounds_and_extension():
-    lad = ladder(SQRT, BOX1, NORM2, rungs=5)
+    lad = ladder(SQRT, BOX1, rungs=5)
     with pytest.raises(RangeError):
         lad.rung(0)
     with pytest.raises(RangeError):
         lad.rung(6)
-    longer = ladder(SQRT, BOX1, NORM2, rungs=8)
+    longer = ladder(SQRT, BOX1, rungs=8)
     assert longer.s[:5] == lad.s and longer.rung(8) == 0.25 * 2.0 ** -7
     with pytest.raises(ValueError):
-        ladder(SQRT, BOX1, NORM2, rungs=0)
+        ladder(SQRT, BOX1, rungs=0)
 
 
 def test_ladder_of_a_steep_power_ends_at_its_last_positive_rung(tmp_path):
     # the rungs of t^0.99 shrink by 2^-99 each, so the twelfth underflows
     # to 0.0, which has no inverse; the ladder and its table stop before it
-    lad = ladder(PowerGauge(p=0.99), BOX1, NORM2, rungs=12)
+    lad = ladder(PowerGauge(p=0.99), BOX1, rungs=12)
     assert len(lad) == 11
     assert all(s > 0.0 for s in lad.s)
     assert all(lad.inv_ratio(j) > 0.0 for j in range(1, len(lad) + 1))
@@ -224,7 +223,7 @@ def test_ladder_of_a_steep_power_ends_at_its_last_positive_rung(tmp_path):
 
 
 def test_select_j_hand_traces():
-    lad = ladder(SQRT, BOX1, NORM2, rungs=20)
+    lad = ladder(SQRT, BOX1, rungs=20)
     assert select_j(lad, 0.2) == 1
     assert select_j(lad, 0.25) == 1
     assert select_j(lad, 0.1) == 2
@@ -233,7 +232,7 @@ def test_select_j_hand_traces():
 
 
 def test_select_j_bracket_is_exclusive_below():
-    lad = ladder(SQRT, BOX1, NORM2, rungs=20)
+    lad = ladder(SQRT, BOX1, rungs=20)
     # eps exactly at inv_ratio(j) belongs to rung j, just below to rung j
     assert select_j(lad, lad.inv_ratio(2)) == 2
     assert select_j(lad, lad.inv_ratio(2) * (1 - 1e-12)) == 2
@@ -241,7 +240,7 @@ def test_select_j_bracket_is_exclusive_below():
 
 
 def test_select_j_errors():
-    lad = ladder(SQRT, BOX1, NORM2, rungs=20)
+    lad = ladder(SQRT, BOX1, rungs=20)
     with pytest.raises(RangeError):
         select_j(lad, 0.5)
     with pytest.raises(RangeError):

@@ -28,7 +28,7 @@ def _ramp():
     # max(x - 0.5, 0) on [0, 1]: half of the collapse that pins [0, 0.5]
     # to 0 and ramps back to the identity at 1
     return ConvexCombo(0.5, Constant([0.0]),
-                       flat_collapse([0.0], 0.5, 1.0, BOX01, NORM2))
+                       flat_collapse([0.0], 0.5, 1.0, BOX01))
 
 
 def test_leaf_certificates_and_values():
@@ -61,31 +61,31 @@ def test_convex_combo_weight_sits_on_the_right():
 
 
 def test_flat_collapse_radial_profile():
-    m = FlatCollapse(Net([[0.0]], 1.0), 0.25, NORM2)
+    m = FlatCollapse(Net([[0.0]], 1.0, NORM2), 0.25)
     assert m.certificate == 2.0                       # 1 + 0.25/0.25
     assert np.array_equal(m([0.1]), [0.0])            # collapsed branch
     assert m([0.3])[0] == pytest.approx(0.1, abs=1e-15)
     out = np.array([[0.6], [-0.9], [0.5]])
     assert np.array_equal(m._apply(out), out)         # identity branch, bitwise
     with pytest.raises(ValueError):
-        FlatCollapse(Net([[0.0]], 1.0), 0.5, NORM2)
+        FlatCollapse(Net([[0.0]], 1.0, NORM2), 0.5)
     # the centres and r are the net's points and half its separation
-    net = Net([[0.0], [1.0]], 1.0)
-    m = FlatCollapse(net, 0.25, NORM2)
+    net = Net([[0.0], [1.0]], 1.0, NORM2)
+    m = FlatCollapse(net, 0.25)
     assert m.centers is net.points and m.r == 0.5 and m.net is net
     # a net closer than its separation: the balls would overlap.  In 2-D
     # the points are 0.5 apart in the sup norm, a net at exactly 0.5
     with pytest.raises(ParameterError, match="closer than 2r"):
-        FlatCollapse(Net([[0.0], [0.7]], 0.8), 0.1, NORM2)
+        FlatCollapse(Net([[0.0], [0.7]], 0.8, NORM2), 0.1)
     pts = [[0.0, 0.0], [0.5, 0.5]]
-    FlatCollapse(Net(pts, 0.5), 0.1, Norm(math.inf))
+    FlatCollapse(Net(pts, 0.5, Norm(math.inf)), 0.1)
     with pytest.raises(ParameterError, match="closer than 2r"):
-        FlatCollapse(Net(pts, 0.6), 0.1, Norm(math.inf))
+        FlatCollapse(Net(pts, 0.6, Norm(math.inf)), 0.1)
 
 
 def test_flat_collapse_quotient_bracket():
-    m = FlatCollapse(Net([[0.0]], 1.0), 0.25, NORM2)
-    est = lip_global_est(m, BOX1, NORM2, pairs=10_000, seed=0)
+    m = FlatCollapse(Net([[0.0]], 1.0, NORM2), 0.25)
+    est = lip_global_est(m, BOX1, pairs=10_000, seed=0)
     assert 1.8 <= est <= m.certificate + CERT_SLACK
 
 
@@ -94,8 +94,7 @@ def test_pair_quotients_match_the_pairwise_loop():
     rng = np.random.default_rng(2)
     xs, ys = box2.sample_many(rng, 300), box2.sample_many(rng, 300)
     for norm in (Norm(1.0), Norm(math.inf)):
-        collapse = FlatCollapse(Net([[0.0, 0.0], [0.9, 0.9]], 0.8), 0.1,
-                                norm)
+        collapse = FlatCollapse(Net([[0.0, 0.0], [0.9, 0.9]], 0.8, norm), 0.1)
         for m in (collapse, Compose(
                 random_nonexpansive(box2, seed=4), collapse)):
             loop = [float(norm.of(m(y) - m(x))) / float(norm.of(y - x))
@@ -114,8 +113,9 @@ def test_pair_quotient_blocks_match_the_aligned_rows(monkeypatch):
     sides = set()
     for p in (1.0, 2.0, math.inf):
         norm = Norm(p)
-        net = greedy_net(box2, norm, 0.5, grid_candidates(box2, 13))
-        g = bump_perturb(f, net, 0.5, box2, norm)
+        body = Box(box2.lo, box2.hi, norm)
+        net = greedy_net(body, 0.5, grid_candidates(body, 13))
+        g = bump_perturb(f, net, 0.5, body)
         kinds = (Identity(), Constant([0.1, -0.2]),
                  AffineContraction(0.5, [0.0, 0.3]),
                  ConvexCombo(0.3, Identity(), f), Compose(f, g.collapse),
@@ -126,7 +126,7 @@ def test_pair_quotient_blocks_match_the_aligned_rows(monkeypatch):
             xs = np.vstack([net.points[:k // 2],
                             box2.sample_many(rng, k - k // 2)])
             ys = np.concatenate([xs[:, None, :],
-                                 box2.probes(xs, radii, norm, rng)], axis=1)
+                                 body.probes(xs, radii, rng)], axis=1)
             sides.add(tuple(rows * net.points.size >= space.NEAREST_GRID_MIN
                             for rows in (9 * k, 16 * k)))
             for m in kinds:
@@ -150,20 +150,20 @@ def test_pair_quotient_blocks_match_the_aligned_rows(monkeypatch):
 
 
 def test_lip_global_linear_maps_are_exact():
-    assert lip_global_est(AffineContraction(0.5, [0.0]), BOX1, NORM2, 200) \
+    assert lip_global_est(AffineContraction(0.5, [0.0]), BOX1, 200) \
         == pytest.approx(0.5, abs=1e-12)
-    assert lip_global_est(Identity(), BOX1, NORM2, 200) \
+    assert lip_global_est(Identity(), BOX1, 200) \
         == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        lip_global_est(Identity(), BOX1, NORM2, 0)
+        lip_global_est(Identity(), BOX1, 0)
 
 
 def test_lip_local_ramp_is_steep_only_past_the_knee():
     m = _ramp()
-    steep = lip_local_profile(m, [0.9], [0.1], BOX01, NORM2, samples=128,
+    steep = lip_local_profile(m, [0.9], [0.1], BOX01, samples=128,
                               seed=0)
     assert steep.tolist() == [[pytest.approx(1.0, rel=1e-12)]]
-    flat = lip_local_profile(m, [0.2], [0.1], BOX01, NORM2, samples=128,
+    flat = lip_local_profile(m, [0.2], [0.1], BOX01, samples=128,
                              seed=0)
     assert flat.tolist() == [[0.0]]
 
@@ -171,25 +171,25 @@ def test_lip_local_ramp_is_steep_only_past_the_knee():
 def test_lip_local_sees_steepness_that_only_outward_probes_reach():
     # flat inward of 0.9 and slope 10 on [0.9, 1]: at x = 0.9 only probes
     # toward the nearer face of [-1, 1] see the slope
-    m = FlatCollapse(Net([[0.0]], 2.0), 0.9)
+    m = FlatCollapse(Net([[0.0]], 2.0, NORM2), 0.9)
     for seed in range(20):
-        est = lip_local_profile(m, [0.9], [0.1], BOX1, NORM2, seed=seed)
+        est = lip_local_profile(m, [0.9], [0.1], BOX1, seed=seed)
         assert est[0, 0] > 1.0, seed
 
 
 def test_lip_local_profile_monotone_in_scale():
     for seed in range(5):
         m = random_nonexpansive(BOX1, seed=seed)
-        [lows] = lip_local_profile(m, [0.1], [0.01, 0.05, 0.2], BOX1, NORM2,
+        [lows] = lip_local_profile(m, [0.1], [0.01, 0.05, 0.2], BOX1,
                                    samples=96, seed=seed).tolist()
         assert lows == sorted(lows)
 
 
 def test_lip_local_domain_and_exhaustion_errors():
     with pytest.raises(DomainError):
-        lip_local_profile(Identity(), [2.0], [0.1], BOX1, NORM2)
+        lip_local_profile(Identity(), [2.0], [0.1], BOX1)
     with pytest.raises(ValueError):
-        lip_local_profile(Identity(), [0.0], [], BOX1, NORM2)
+        lip_local_profile(Identity(), [0.0], [], BOX1)
 
 
 def test_profiles_see_every_scale_at_vertex_centres(monkeypatch):
@@ -213,7 +213,7 @@ def test_profiles_see_every_scale_at_vertex_centres(monkeypatch):
 
                 with monkeypatch.context() as mp:
                     mp.setattr(type(body), "probes", spy)
-                    est = lip_local_profile(m, xs, scales, body, norm, 32, rng)
+                    est = lip_local_profile(m, xs, scales, body, 32, rng)
                 [pool] = pools
                 assert est.shape == (len(xs), len(scales))
                 for x, ys, row in zip(xs, pool, est):
@@ -227,30 +227,28 @@ def test_profiles_see_every_scale_at_vertex_centres(monkeypatch):
 
 def test_profile_batch_raises_the_first_centres_error():
     # at 0.5 every probe 1e-300 away rounds back onto the centre, at 0 it
-    # does not (under l1: the l2 square would underflow); 2.0 lies outside
-    # the unit interval
-    xs, norm1 = np.array([[0.0], [0.5], [2.0]]), Norm(1.0)
+    # does not (a one-coordinate l2 length is its absolute value, with no
+    # square to underflow); 2.0 lies outside the unit interval
+    xs = np.array([[0.0], [0.5], [2.0]])
     with pytest.raises(EstimationError,
                        match=r"^no admissible sample at scale 1e-300 around "
                              r"the centre \[0\.5\]$"):
-        lip_local_profile(Identity(), xs, [0.1, 1e-300, 1e-301], BOX01,
-                          norm1, 16, 0)
-    assert lip_local_profile(Identity(), xs[:1], [1e-300], BOX01, norm1,
+        lip_local_profile(Identity(), xs, [0.1, 1e-300, 1e-301], BOX01, 16, 0)
+    assert lip_local_profile(Identity(), xs[:1], [1e-300], BOX01,
                              16, 0).shape == (1, 1)
     with pytest.raises(DomainError):
-        lip_local_profile(Identity(), xs[::-1], [1e-300], BOX01, norm1, 16, 0)
+        lip_local_profile(Identity(), xs[::-1], [1e-300], BOX01, 16, 0)
     with pytest.raises(DomainError):
         lip_local_profile(Identity(), np.array([[0.2], [2.0]]), [0.1], BOX01,
-                          NORM2, 16, 0)
+                          16, 0)
     # no radii at all: no probe, so no scale is seen
     with pytest.raises(EstimationError,
                        match=r"^no admissible sample at scale 0\.1 around the "
                              r"centre \[0\.2\]$"):
-        lip_local_profile(Identity(), np.array([[0.2]]), [0.1], BOX01, NORM2,
-                          0, 0, shells=0)
+        lip_local_profile(Identity(), np.array([[0.2]]), [0.1], BOX01, 0, 0,
+                          shells=0)
     with pytest.raises(ValueError):
-        lip_local_profile(Identity(), np.empty((0, 1)), [0.1], BOX01, NORM2,
-                          16, 0)
+        lip_local_profile(Identity(), np.empty((0, 1)), [0.1], BOX01, 16, 0)
 
 
 def test_profile_call_shape(monkeypatch):
@@ -272,43 +270,43 @@ def test_profile_call_shape(monkeypatch):
     monkeypatch.setattr(Box, "contains_all", spy_contains)
     monkeypatch.setattr(ConvexCombo, "_apply", spy_apply)
     grid = np.linspace(0.0, 1.0, 9)[:, None]
-    steep_density(root, BOX01, NORM2, 0.5, 0.1, grid, samples=32, seed=4)
+    steep_density(root, BOX01, 0.5, 0.1, grid, seed=4)
     assert member == [9]
     assert len(applied) == 1 and applied[0] > 9
     member.clear()
     applied.clear()
-    lip_local_profile(root, [0.3], [0.2, 0.1, 0.05], BOX01, NORM2, seed=1,
+    lip_local_profile(root, [0.3], [0.2, 0.1, 0.05], BOX01, seed=1,
                       shells=8)
     assert member == [1] and len(applied) == 1
     drawn = []
     probes = Box.probes
     monkeypatch.setattr(Box, "probes", lambda self, xs, *a: drawn.append(
         len(xs)) or probes(self, xs, *a))
-    lip_local_profile(root, grid, [0.2, 0.1], BOX01, NORM2, 64, 5, 8)
+    lip_local_profile(root, grid, [0.2, 0.1], BOX01, 64, 5, 8)
     assert drawn == [9]
 
 
 def test_sup_dist_hand_values():
-    assert sup_dist_est(Identity(), Constant([0.0]), BOX1, NORM2) == 1.0
-    assert sup_dist_est(Identity(), AffineContraction(0.5, [0.0]), BOX1,
-                        NORM2) == 0.5
+    assert sup_dist_est(Identity(), Constant([0.0]), BOX1) == 1.0
+    assert sup_dist_est(Identity(), AffineContraction(0.5, [0.0]),
+                        BOX1) == 0.5
     m = _ramp()
-    assert sup_dist_est(m, m, BOX01, NORM2) == 0.0
-    a = sup_dist_est(Identity(), m, BOX01, NORM2, seed=5)
-    b = sup_dist_est(m, Identity(), BOX01, NORM2, seed=5)
+    assert sup_dist_est(m, m, BOX01) == 0.0
+    a = sup_dist_est(Identity(), m, BOX01, seed=5)
+    b = sup_dist_est(m, Identity(), BOX01, seed=5)
     assert a == b
 
 
 def test_steep_density_extremes():
-    net = greedy_net(BOX1, NORM2, 0.5, BOX1.sample_many(np.random.default_rng(0), 64))
-    assert steep_density(Identity(), BOX1, NORM2, 0.5, 0.05, net.points) == 1.0
-    assert steep_density(Constant([0.0]), BOX1, NORM2, 0.1, 0.05, net.points) == 0.0
+    net = greedy_net(BOX1, 0.5, BOX1.sample_many(np.random.default_rng(0), 64))
+    assert steep_density(Identity(), BOX1, 0.5, 0.05, net.points) == 1.0
+    assert steep_density(Constant([0.0]), BOX1, 0.1, 0.05, net.points) == 0.0
     with pytest.raises(ValueError):
-        steep_density(Identity(), BOX1, NORM2, 0.5, 0.05, np.empty((0, 1)))
+        steep_density(Identity(), BOX1, 0.5, 0.05, np.empty((0, 1)))
 
 
 def _collapsed_base():
-    collapse = FlatCollapse(Net([[0.0], [0.8]], 0.6), 0.1, NORM2)
+    collapse = FlatCollapse(Net([[0.0], [0.8]], 0.6, NORM2), 0.1)
     return collapse, Compose(AffineContraction(0.5, [0.0]), collapse)
 
 
@@ -361,7 +359,7 @@ def _full_row_tent(g, pts):
     row, from the unbounded dense nearest-centre scan: the reference for
     kernels whose nearest-centre query is exact only within r."""
     c = g.collapse
-    idx, d = nearest(c.centers, pts, c.norm)
+    idx, d = nearest(c.centers, pts, c.net.norm)
     ctr = c.centers[idx]
     out = pts.copy()
     inner = d <= c.delta
@@ -393,10 +391,11 @@ def test_restricted_kernels_match_the_full_row_kernels(monkeypatch, grid):
         f = random_nonexpansive(box, seed=dim)
         for p in (1.0, 2.0, math.inf):
             norm = Norm(p)
-            nets = (Net(lattice, 0.5),
-                    greedy_net(box, norm, 0.4, grid_candidates(box, 13)))
+            body = Box(box.lo, box.hi, norm)
+            nets = (Net(lattice, 0.5, norm),
+                    greedy_net(body, 0.4, grid_candidates(body, 13)))
             for net in nets:
-                g = bump_perturb(f, net, 0.5, box, norm)
+                g = bump_perturb(f, net, 0.5, body)
                 c = g.collapse
                 rng = np.random.default_rng(dim)
                 steps = np.concatenate([np.eye(dim), -np.eye(dim)])
@@ -438,12 +437,12 @@ def test_random_nonexpansive_contract():
 @given(seed=st.integers(0, 10**6))
 def test_certificate_soundness_property(seed):
     m = random_nonexpansive(BOX1, seed=seed)
-    est = lip_global_est(m, BOX1, NORM2, pairs=1000, seed=seed)
+    est = lip_global_est(m, BOX1, pairs=1000, seed=seed)
     assert est <= m.certificate + CERT_SLACK
 
 
 def test_estimator_rejects_coincident_samples():
     # below float resolution every probe rounds onto the centre itself
     with pytest.raises(EstimationError):
-        lip_local_profile(Identity(), [0.5], [1e-300], BOX01, NORM2,
+        lip_local_profile(Identity(), [0.5], [1e-300], BOX01,
                           samples=16)

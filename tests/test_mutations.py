@@ -107,7 +107,7 @@ def test_a_short_tent_breaks_the_bump_isometry(monkeypatch):
 
     def short(self, pts):
         out = apply(self, pts)
-        idx, d = nearest(self.centers, pts, self.collapse.norm)
+        idx, d = nearest(self.centers, pts, self.collapse.net.norm)
         inner = d < self.rho
         out[inner] -= 0.001 * d[inner, None] * self.directions[idx[inner]]
         return out
@@ -152,7 +152,7 @@ def test_a_cell_index_without_its_margin_misses_rows(monkeypatch):
     for dim in (1, 2, 3):
         for p in (1.0, 2.0, 3.0, math.inf):
             norm = Norm(p)
-            missed += sum(net_nearest_violations(net, row[None, :], norm)
+            missed += sum(net_nearest_violations(net, row[None, :])
                           for net, row in cell_boundary_cases(dim, norm))
     assert missed > 0
 
@@ -168,9 +168,8 @@ def test_a_cell_index_for_half_the_reach_misses_rows(monkeypatch):
     monkeypatch.setattr(space._CellIndex, "__init__", short)
     rng = np.random.default_rng(0)
     for dim in (1, 2, 3):
-        box = space.Box(-np.ones(dim), np.ones(dim))
         for p in (1.0, 2.0, 3.0, math.inf):
-            norm = Norm(p)
-            net = space.greedy_net(box, norm, 0.3, space.grid_candidates(box, 9))
+            box = space.Box(-np.ones(dim), np.ones(dim), Norm(p))
+            net = space.greedy_net(box, 0.3, space.grid_candidates(box, 9))
             queries = box.sample_many(rng, 500)
-            assert net_nearest_violations(net, queries, norm) > 0
+            assert net_nearest_violations(net, queries) > 0

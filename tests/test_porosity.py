@@ -28,8 +28,8 @@ IDENT = PowerGauge(p=1.0)
 SQRT = PowerGauge(p=0.5)
 
 REC = oracle_from_desc("reciprocal", NORM2)
-ZERO = FinitePointSet(np.array([[0.0]]), BOX1, NORM2)
-EMPTY = FinitePointSet(np.empty((0, 1)), BOX1, NORM2)
+ZERO = FinitePointSet(np.array([[0.0]]), BOX1)
+EMPTY = FinitePointSet(np.empty((0, 1)), BOX1)
 CANTOR3 = IntervalUnionSet.cantor(3)
 
 # largest hole of {1/n} in (-0.01, 0.01): half the gap from 1/101 to the
@@ -42,7 +42,7 @@ def test_oracle_distances_match_brute_force():
     box2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     pts, cs = rng.uniform(-1.0, 1.0, (7, 2)), rng.uniform(-1.5, 1.5, (40, 2))
     for p in (1.0, 2.0, math.inf):
-        cloud = FinitePointSet(pts, box2, Norm(p))
+        cloud = FinitePointSet(pts, Box(box2.lo, box2.hi, Norm(p)))
         ref = [Norm(p).of(pts - c, axis=1).min() for c in cs]
         assert np.array_equal(cloud.distance(cs), ref)
     # |c| >= 1e-3 puts the nearest reciprocal at n <= 1000
@@ -85,7 +85,7 @@ def test_exact_gamma_hand_values():
     assert EMPTY.exact_gamma([0.0], 0.25) == 0.25
     assert CANTOR3.exact_gamma([0.5], 0.5) == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert CANTOR3.exact_gamma([0.5], 0.05) == 0.05      # inside the middle gap
-    full = IntervalUnionSet(np.array([[-1.0, 1.0]]), BOX1, NORM2)
+    full = IntervalUnionSet(np.array([[-1.0, 1.0]]), BOX1)
     assert full.exact_gamma([0.3], 0.2) is None
 
 
@@ -140,7 +140,7 @@ def test_exact_gamma_matches_the_distance_grid():
     # gamma by at most one grid step and may not exceed it
     sets = [oracle_from_desc(t, NORM2) for t in TARGETS]
     sets += [IntervalUnionSet.cantor(2),
-             FinitePointSet(np.array([[-0.6], [0.1], [0.15], [0.8]]), BOX1, NORM2)]
+             FinitePointSet(np.array([[-0.6], [0.1], [0.15], [0.8]]), BOX1)]
     rng = np.random.default_rng(9)
     for oracle in sets:
         for q, r in _gamma_windows(oracle, rng, 300):
@@ -161,10 +161,27 @@ def test_gamma_est_tracks_the_exact_values():
     assert gamma_est([0.0], 0.25, EMPTY, seed=0) == 0.25
     est = gamma_est([0.5], 0.5, CANTOR3, seed=0)
     assert 0.99 * (1.0 / 6.0) <= est <= (1.0 / 6.0) * (1.0 + 1e-12)
-    full = IntervalUnionSet(np.array([[-1.0, 1.0]]), BOX1, NORM2)
+    full = IntervalUnionSet(np.array([[-1.0, 1.0]]), BOX1)
     assert gamma_est([0.3], 0.2, full, seed=0) is None
     with pytest.raises(ValueError):
         gamma_est([0.0], -0.1, ZERO)
+
+
+def test_example_sets_take_their_norm_from_the_ambient():
+    for p in (1.0, 3.0, math.inf):
+        for target in TARGETS:
+            oracle = oracle_from_desc(target, Norm(p))
+            assert oracle.ambient.norm == Norm(p), target
+
+
+def test_gamma_est_recovers_a_hole_far_below_the_l2_square_range():
+    # a window under 1e-154 squares to below the least normal: a
+    # one-coordinate length must still be its absolute value
+    for p in (1.5, 2.0, 3.0):
+        zero = oracle_from_desc("zero", Norm(p))
+        for r in (1e-160, 1e-200, 1e-300):
+            assert zero.exact_gamma([0.0], r) == r / 2.0
+            assert gamma_est([0.0], r, zero, seed=0) == r / 2.0, (p, r)
 
 
 def test_gamma_est_finds_the_boundary_hole_of_the_reciprocals():
@@ -231,7 +248,7 @@ def _gamma_reference(q, r, oracle, trials, seed):
     s = _hole_radii(oracle, q, r, cs)
     i = int(np.argmax(s))
     if s[i] > 0.0:
-        cap = r - float(oracle.norm.of(cs[i] - q))
+        cap = r - float(oracle.ambient.norm.of(cs[i] - q))
         best_r = max(best_r, _refine_reference(oracle, q, r, cs[i], 2.0 * cap,
                                                per_axis, float(s[i])))
     rng = np.random.default_rng(seed)
@@ -255,9 +272,9 @@ def test_gamma_est_matches_the_chain_by_chain_reference():
         for q in (0.0, 0.5, float(rng.uniform(-1.0, 1.0))):
             for r in (1e-3, 1e-2, 0.1, 1.0):
                 cases += [([q], r, oracle, trials) for trials in (16, 64, 128)]
-    box2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     for p in (2.0, math.inf):
-        cloud = FinitePointSet(rng.uniform(-1.0, 1.0, (12, 2)), box2, Norm(p))
+        box2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), Norm(p))
+        cloud = FinitePointSet(rng.uniform(-1.0, 1.0, (12, 2)), box2)
         for r in (1e-2, 0.1, 1.0):
             q = rng.uniform(-1.0, 1.0, 2)
             cases += [(q, r, cloud, trials) for trials in (16, 64)]
@@ -332,7 +349,7 @@ def _porous_reference(kind, oracle, q, phi, eps_grid, trials, seed):
         grid = np.stack(np.meshgrid(*[axis] * q.size, indexing="ij"), -1)
         cs = np.vstack([q, q + grid.reshape(-1, q.size),
                         q + (2.0 * u[ei] - 1.0) * eps])
-        d = oracle.norm.of(cs - q, axis=1)
+        d = oracle.ambient.norm.of(cs - q, axis=1)
         keep = ((d <= eps) & ((d > 0.0) | (not upper))
                 & oracle.ambient.contains_all(cs))
         scales.append((eps, cs[keep], d[keep].tolist(),
@@ -423,7 +440,7 @@ def test_a_hole_of_exactly_the_demanded_radius_counts():
     eps0 = 0.254375
     r = phi.inverse(0.5 * eps0 / 2.0)
     assert phi.value(r) < 0.5 * eps0 / 2.0
-    oracle = FinitePointSet(np.array([[r]]), BOX1, NORM2)
+    oracle = FinitePointSet(np.array([[r]]), BOX1)
     verdict = lower_porous_at(oracle, [0.0], phi, eps0=eps0)
     assert verdict.constant == 0.5 and verdict.centers[0, 0] == 0.0
     eps_grid = [eps0 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
@@ -438,7 +455,7 @@ def test_a_first_candidate_inside_the_slack_falls_back_to_a_later_one():
     eps0 = 0.25
     eps1 = eps0 / 2.0
     r = IDENT.inverse(0.5 * eps1) * (1.0 - 5e-10)
-    oracle = FinitePointSet(np.array([[r]]), BOX1, NORM2)
+    oracle = FinitePointSet(np.array([[r]]), BOX1)
     assert IDENT.value(r) / eps1 * (1.0 + 1e-9) >= 0.5
     assert r < IDENT.inverse(0.5 * eps1)
     verdict = lower_porous_at(oracle, [0.0], IDENT, eps0=eps0)
@@ -461,7 +478,7 @@ def test_a_scale_without_candidates_is_not_detected_at_once(monkeypatch):
 
         monkeypatch.setattr(PowerGauge, name, counted)
     eps_lower = [0.25 * 2.0 ** -i for i in range(1, LOWER_LEVELS + 1)]
-    half = IntervalUnionSet(np.array([[-1.0, 0.5]]), BOX1, NORM2)
+    half = IntervalUnionSet(np.array([[-1.0, 0.5]]), BOX1)
     cases = [(oracle, verdict, grid)
              for oracle, q in ((oracle_from_desc("full", NORM2), 0.0),
                                (half, 0.4))
@@ -538,22 +555,21 @@ def test_low_slope_alpha_hand_values():
 
 
 def test_low_slope_membership_examples():
-    lad = ladder(SQRT, BOX01, NORM2, rungs=12)
+    lad = ladder(SQRT, BOX01, rungs=12)
     xs = [[0.2], [0.5], [0.9]]
     const = low_slope_member(Constant([0.4]), xs, 0.1, lad, j_max=8,
-                             body=BOX01, norm=NORM2)
+                             body=BOX01)
     assert const.tolist() == [True, True, True]
     ident = low_slope_member(Identity(), xs, 0.9, lad, j_max=8,
-                             body=BOX01, norm=NORM2)
+                             body=BOX01)
     assert ident.tolist() == [False, False, False]
     # max(x - 0.5, 0): flat at 0.2, slope 1 at 0.9
     ramp = ConvexCombo(0.5, Constant([0.0]),
-                       flat_collapse([0.0], 0.5, 1.0, BOX01, NORM2))
-    assert low_slope_member(ramp, xs[::2], 0.5, lad, j_max=8, body=BOX01,
-                            norm=NORM2).tolist() == [True, False]
+                       flat_collapse([0.0], 0.5, 1.0, BOX01))
+    assert low_slope_member(ramp, xs[::2], 0.5, lad, j_max=8, body=BOX01).tolist() == [True, False]
     with pytest.raises(ParameterError):
         low_slope_member(Identity(), [0.5], 0.5, lad, l=5, j_max=3,
-                         body=BOX01, norm=NORM2)
+                         body=BOX01)
     with pytest.raises(TypeError):
         low_slope_member(Identity(), [0.5], 0.5, lad, j_max=8)   # body missing
 
@@ -562,18 +578,18 @@ def test_a_batch_draws_what_its_one_row_calls_draw():
     # one k-row call on a Generator gives the bounds, the verdicts and the
     # stream position of k consecutive one-row calls on it, which is why
     # batching `dual`'s cover and hole checks keeps their bytes
-    lad = ladder(SQRT, BOX01, NORM2, rungs=12)
-    net = greedy_net(BOX01, NORM2, 0.125, grid_candidates(BOX01, 161))
-    tent = bump_perturb(Constant([0.3]), net, 0.5, BOX01, NORM2)
+    lad = ladder(SQRT, BOX01, rungs=12)
+    net = greedy_net(BOX01, 0.125, grid_candidates(BOX01, 161))
+    tent = bump_perturb(Constant([0.3]), net, 0.5, BOX01)
     xs = net.points[1:6] + 0.5 * tent.rho
     scales = [lad.gauge.inverse(lad.rung(j)) for j in range(2, 9)]
 
     def profile(f, x, rng):
-        return lip_local_profile(f, x, scales, BOX01, NORM2, 64, rng, 8)
+        return lip_local_profile(f, x, scales, BOX01, 64, rng, 8)
 
     def member(f, x, rng):
         return low_slope_member(f, x, 0.75, lad, l=2, j_max=8, body=BOX01,
-                                norm=NORM2, seed=rng)
+                                seed=rng)
 
     for f in (Identity(), Constant([0.4]), AffineContraction(0.5, [0.2]),
               tent):
@@ -590,9 +606,9 @@ def test_a_batch_draws_what_its_one_row_calls_draw():
 def test_ladder_witness_constants_and_quotients():
     lam = 0.5
     pair = build_pair(SQRT)
-    lad = ladder(SQRT, BOX1, NORM2, rungs=12)
+    lad = ladder(SQRT, BOX1, rungs=12)
     f = random_nonexpansive(BOX1, seed=5)
-    rep = ladder_witness(f, 0.1, lam, lad, pair, body=BOX1, norm=NORM2,
+    rep = ladder_witness(f, 0.1, lam, lad, pair, body=BOX1,
                          seed=3)
     assert rep.j == 2
     assert (rep.min_quotients > lam).all()
@@ -617,8 +633,8 @@ def test_pair_holds_at_the_radius_dual_certifies(a):
     # 1e-40 at p = 0.9): the sandwich must hold there
     phi = PowerGauge(p=a)
     pair = build_pair(phi)
-    lad = ladder(phi, BOX1, NORM2, rungs=12)
-    beta = closing_bound(0.5, pair.K, BOX1.diameter(NORM2))[0]
+    lad = ladder(phi, BOX1, rungs=12)
+    beta = closing_bound(0.5, pair.K, BOX1.diameter)[0]
     for frac in (0.9, 0.45):
         h = pair.xi.inverse(beta * frac * lad.inv_ratio(1))
         ratio = float(phi.value(h)) * float(pair.xi.value(h)) / h
@@ -636,40 +652,40 @@ def test_ladder_witness_rejects_a_pair_that_fails_at_its_radius():
     keep = (kt == 0.0) | (kt >= 1e-12)
     cut = GaugePair(phi, PiecewiseGauge(kt[keep], ky[keep]), pair.K)
     cut.check()
-    lad = ladder(phi, BOX1, NORM2, rungs=12)
+    lad = ladder(phi, BOX1, rungs=12)
     f = random_nonexpansive(BOX1, seed=5)
     eps = 0.9 * lad.inv_ratio(1)
-    ladder_witness(f, eps, 0.5, lad, pair, body=BOX1, norm=NORM2)
+    ladder_witness(f, eps, 0.5, lad, pair, body=BOX1)
     with pytest.raises(GaugeError, match="certified radius"):
-        ladder_witness(f, eps, 0.5, lad, cut, body=BOX1, norm=NORM2)
+        ladder_witness(f, eps, 0.5, lad, cut, body=BOX1)
 
 
 def test_ladder_witness_validation():
     pair = build_pair(SQRT)
-    lad = ladder(SQRT, BOX1, NORM2, rungs=12)
+    lad = ladder(SQRT, BOX1, rungs=12)
     with pytest.raises(TypeError):
         ladder_witness(Identity(), 0.1, 0.5, lad, pair)   # body missing
     with pytest.raises(ParameterError):
         ladder_witness(Identity(), 0.1, 1.5, lad, pair,
-                       body=BOX1, norm=NORM2)
+                       body=BOX1)
 
 
 def test_ladder_witness_builds_only_its_rungs_net(monkeypatch):
     built = []
 
-    def spy(body, norm, s):
-        built.append(space.lattice_net(body, norm, s))
+    def spy(body, s):
+        built.append(space.lattice_net(body, s))
         return built[-1]
 
     monkeypatch.setattr(porosity, "lattice_net", spy)
     pair = build_pair(SQRT)
     box2 = Box(-np.ones(2), np.ones(2))
     for body in (BOX1, box2):
-        lad = ladder(SQRT, body, NORM2, rungs=12)
+        lad = ladder(SQRT, body, rungs=12)
         for eps in (0.2, 0.1, 0.05):
             built.clear()
             rep = ladder_witness(random_nonexpansive(body, seed=5), eps, 0.5,
-                                 lad, pair, body=body, norm=NORM2, seed=3)
+                                 lad, pair, body=body, seed=3)
             [net] = built
             assert net.s == lad.rung(rep.j)
             assert np.array_equal(rep.g.centers, net.points)
@@ -701,9 +717,9 @@ def test_ladder_witness_evaluates_each_map_once(monkeypatch):
     for body in (BOX1, Box(-np.ones(2), np.ones(2))):
         seen.clear()
         roots.clear()
-        lad = ladder(SQRT, body, NORM2, rungs=12)
+        lad = ladder(SQRT, body, rungs=12)
         rep = ladder_witness(random_nonexpansive(body, seed=5), 0.1, 0.5, lad,
-                             pair, body=body, norm=NORM2, seed=3)
+                             pair, body=body, seed=3)
         k, n = rep.zs.shape
         assert len(seen) == 1 + LADDER_H_COUNT and seen[0][0] is rep.g
         for m, xs_shape, ys_shape in seen:

@@ -1,4 +1,5 @@
 """Norms, convex bodies, candidate grids and greedy separated nets."""
+import inspect
 import itertools
 import math
 
@@ -10,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
-from nelab import space
+import nelab
+from nelab import porosity, space
 from nelab.errors import DegenerateBodyError
 from nelab.space import (Ball, Box, Hull, Net, Norm, as_point, body_from_desc,
                          distances, greedy_net, grid_candidates, nearest)
@@ -34,6 +36,18 @@ def test_norm_of_one_vector_matches_its_batch_row():
             v = rng.normal(size=(500, dim))
             batch = norm.of(v, axis=1)
             assert [norm.of(row) for row in v] == batch.tolist()
+
+
+def test_one_coordinate_norm_is_its_absolute_value():
+    # no power to round it and no square to underflow, on a single vector
+    # and on a one-column batch alike
+    xs = [1e-160, -1e-200, 1e-300, 5e-324, 0.3, -7.0, 1e200]
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        norm = Norm(p)
+        assert [float(norm.of([x])) for x in xs] == [abs(x) for x in xs]
+        col = np.array(xs)[:, None]
+        assert norm.of(col, axis=1).tolist() == [abs(x) for x in xs]
+        assert norm.of(col.T, axis=0).tolist() == [abs(x) for x in xs]
 
 
 def test_norm_rejects_bad_input():
@@ -61,23 +75,24 @@ def test_norm_triangle_inequality(v, w, u, p):
 
 
 def test_box_diameter_matches_corner_norm():
-    box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    assert box.diameter(Norm(2.0)) == float(Norm(2.0).of(box.hi - box.lo))
-    assert box.diameter(Norm(2.0)) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
-    assert box.diameter(Norm(1.0)) == 4.0
-    assert box.diameter(Norm(math.inf)) == 2.0
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    box = Box(lo, hi)
+    assert box.norm == Norm(2.0)
+    assert box.diameter == float(Norm(2.0).of(box.hi - box.lo))
+    assert box.diameter == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+    assert Box(lo, hi, Norm(1.0)).diameter == 4.0
+    assert Box(lo, hi, Norm(math.inf)).diameter == 2.0
 
 
 def test_ball_diameter_across_norms():
-    for p in (1.0, 2.0, math.inf):
-        assert Ball(np.zeros(2), 1.0, Norm(p)).diameter(Norm(p)) == 2.0
-    # sup-ball corners measured in l1: the factor is dim^(1/1 - 0) = 2
-    assert Ball(np.zeros(2), 1.0, Norm(math.inf)).diameter(Norm(1.0)) == 4.0
+    for p in (1.0, 2.0, 3.0, math.inf):
+        assert Ball(np.zeros(2), 1.0, Norm(p)).diameter == 2.0
 
 
 def test_hull_triangle_diameter_and_membership():
-    tri = Hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert tri.diameter(Norm(1.0)) == 2.0
+    tri = Hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), Norm(1.0))
+    assert "diameter" not in vars(tri)          # computed on first use, once
+    assert tri.diameter == 2.0 and vars(tri)["diameter"] == 2.0
     assert tri.contains([0.2, 0.2])
     assert tri.contains([0.5, 0.5])          # edge midpoint
     assert tri.contains([1.0, 0.0])          # vertex
@@ -102,6 +117,33 @@ def test_degenerate_bodies_rejected():
                   [[0.0, 0.0], [1.0, 1.0]]):
         with pytest.raises(DegenerateBodyError):
             Hull(np.array(verts))
+
+
+def _kinds(fn) -> set:
+    """Which of "body" and "norm" the parameters of fn name: a body is a
+    parameter called body or ambient or annotated ConvexBody, a norm one
+    called norm or annotated Norm."""
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except (TypeError, ValueError):
+        return set()
+    return {"body" if p.name in ("body", "ambient")
+            or "ConvexBody" in str(p.annotation) else
+            "norm" if p.name == "norm" or str(p.annotation) == "Norm" else ""
+            for p in params}
+
+
+def test_no_callable_takes_both_a_body_and_a_norm():
+    # a body carries its norm: no public function or constructor, and no
+    # method of a body, net or oracle, asks for the two separately
+    owners = [space.ConvexBody, Box, Ball, Hull, Net, porosity.SetOracle,
+              porosity.FinitePointSet, porosity.ReciprocalSet,
+              porosity.IntervalUnionSet]
+    fns = [getattr(nelab, name) for name in nelab.__all__]
+    fns += [getattr(cls, name) for cls in owners for name in vars(cls)
+            if not name.startswith("__") or name == "__init__"]
+    both = [fn for fn in fns if callable(fn) and {"body", "norm"} <= _kinds(fn)]
+    assert not both, both
 
 
 def test_sampling_is_seeded_and_lands_inside():
@@ -159,7 +201,7 @@ def test_probes_lie_in_the_body_within_their_radius():
                 rng = np.random.default_rng([dim, int(min(p, 9)), len(desc)])
                 xs = np.vstack([body.sample_many(rng, 5), body.extreme_points(),
                                 body.center])
-                ys = body.probes(xs, radii, norm, rng)
+                ys = body.probes(xs, radii, rng)
                 assert ys.shape == (len(xs), len(radii), dim)
                 assert body.contains_all(ys.reshape(-1, dim), tol=1e-12).all()
                 d = norm.of(ys - xs[:, None, :], axis=2)
@@ -178,7 +220,7 @@ def test_probes_point_every_way_from_an_interior_centre():
             for desc in ("box", "ball", "simplex"):
                 body = body_from_desc(desc, dim, norm)
                 x = body.center + 0.3 * (body.extreme_points()[0] - body.center)
-                steps = body.probes(x, np.full(512, 1e-3), norm,
+                steps = body.probes(x, np.full(512, 1e-3),
                                     np.random.default_rng(dim))[0] - x
                 share = np.minimum((steps > 0).mean(axis=0),
                                    (steps < 0).mean(axis=0))
@@ -199,23 +241,23 @@ def test_greedy_net_ordered_grid_trace():
     # first-fit over 0, 0.1, ..., 1.0 with s = 0.4 accepts exactly 0, 0.4, 0.8
     box = Box(np.array([0.0]), np.array([1.0]))
     cands = np.array([[i / 10] for i in range(11)])
-    net = greedy_net(box, Norm(2.0), 0.4, cands)
+    net = greedy_net(box, 0.4, cands)
     assert np.array_equal(net.points.ravel(), [0.0, 0.4, 0.8])
-    assert net.s == 0.4
+    assert net.s == 0.4 and net.norm == box.norm
 
 
 def test_greedy_net_collapses_tight_cluster():
     box = Box(np.array([0.0]), np.array([1.0]))
-    net = greedy_net(box, Norm(2.0), 0.9, np.array([[0.3], [0.5], [0.6]]))
+    net = greedy_net(box, 0.9, np.array([[0.3], [0.5], [0.6]]))
     assert np.array_equal(net.points, [[0.3]])
 
 
 def test_greedy_net_contract_on_random_candidates():
-    box = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     norm = Norm(math.inf)
+    box = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]), norm)
     cands = box.sample_many(np.random.default_rng(3), 200)
-    net = greedy_net(box, norm, 0.25, cands)
-    assert net.check_separated(norm)
+    net = greedy_net(box, 0.25, cands)
+    assert net.norm == norm and net.check_separated()
     # first-fit leaves every candidate within s of an accepted point
     gaps = norm.of(cands[:, None, :] - net.points[None, :, :], axis=2)
     assert (gaps.min(axis=1) <= net.s).all()
@@ -246,32 +288,37 @@ def test_greedy_net_matches_the_candidate_loop():
             norm = Norm(p)
             for cands in (lattice, rand, shuffled, repeated):
                 for s in (0.3, 0.5, 0.7):
-                    net = greedy_net(box, norm, s, cands)
+                    net = greedy_net(Box(box.lo, box.hi, norm), s, cands)
                     ref = greedy_rows(cands, norm, s)
                     assert net.points.tobytes() == ref.tobytes(), (dim, p, s)
     # on the lattice the ties at exactly s are kept
     box = Box(np.array([-1.0]), np.array([1.0]))
-    net = greedy_net(box, Norm(2.0), 0.5, grid_candidates(box, 9))
+    net = greedy_net(box, 0.5, grid_candidates(box, 9))
     assert net.points.ravel().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
 def test_greedy_net_input_errors():
     box = Box(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        greedy_net(box, Norm(2.0), 0.4, np.empty((0, 1)))
+        greedy_net(box, 0.4, np.empty((0, 1)))
     with pytest.raises(ValueError):
-        greedy_net(box, Norm(2.0), 2.0, np.array([[0.5]]))       # s > diam
+        greedy_net(box, 2.0, np.array([[0.5]]))       # s > diam
     with pytest.raises(ValueError):
-        greedy_net(box, Norm(2.0), 0.4, np.array([[1.5]]))       # outside
+        greedy_net(box, 0.4, np.array([[1.5]]))       # outside
 
 
 def test_net_separation_helpers():
-    net = Net(np.array([[0.0], [0.5], [1.0]]), 0.5)
-    assert net.check_separated(Norm(2.0))          # the closest pair is 0.5 apart
-    assert not Net(net.points, 0.5 + 1e-12).check_separated(Norm(2.0))
-    assert not Net(np.array([[0.0], [0.3]]), 0.5).check_separated(Norm(2.0))
-    single = Net(np.array([0.2]), 0.1)
-    assert len(single) == 1 and single.check_separated(Norm(2.0))
+    l2 = Norm(2.0)
+    net = Net(np.array([[0.0], [0.5], [1.0]]), 0.5, l2)
+    assert net.check_separated()          # the closest pair is 0.5 apart
+    assert not Net(net.points, 0.5 + 1e-12, l2).check_separated()
+    assert not Net(np.array([[0.0], [0.3]]), 0.5, l2).check_separated()
+    single = Net(np.array([0.2]), 0.1, l2)
+    assert len(single) == 1 and single.check_separated()
+    # the separation is measured in the net's own norm
+    diag = np.array([[0.0, 0.0], [0.3, 0.3]])
+    assert Net(diag, 0.5, Norm(1.0)).check_separated()
+    assert not Net(diag, 0.5, Norm(math.inf)).check_separated()
 
 
 def test_distances_and_nearest_match_the_row_loop():
@@ -300,16 +347,16 @@ def test_distances_and_nearest_match_the_row_loop():
     assert idx.tolist() == [0, 1, 1] and d.tolist() == [1.0, 0.0, 1.0]
 
 
-def net_nearest_violations(net, queries, norm) -> int:
+def net_nearest_violations(net, queries) -> int:
     """Rows on which `Net.nearest` breaks its contract: a row with a net
     point within s/2 gets the dense scan's (idx, d) bit for bit, any other
     row some d > s/2 and a valid index.  The rows are repeated until the
     query is large enough for the net's cell index to answer it."""
     short = space.NEAREST_GRID_MIN / (queries.shape[0] * net.points.size)
     queries = np.repeat(queries, max(1, math.ceil(short)), axis=0)
-    idx, d = net.nearest(queries, norm)
-    assert norm in net._index
-    ref_idx, ref_d = nearest(net.points, queries, norm)
+    idx, d = net.nearest(queries)
+    assert net._index is not None
+    ref_idx, ref_d = nearest(net.points, queries, net.norm)
     within = ref_d <= net.s / 2.0
     bad = np.where(within, (idx != ref_idx) | (d != ref_d), ~(d > net.s / 2.0))
     return int((bad | (idx < 0) | (idx >= len(net))).sum())
@@ -337,7 +384,8 @@ def cell_boundary_cases(dim, norm, reach=0.05):
                 c = origin.copy()
                 c[0] = x + way * reach + k * np.spacing(reach)
                 if norm.of(row - c) <= reach < norm.of(edge - c):
-                    yield Net(np.vstack([ends[0], c, ends[1]]), 2.0 * reach), row
+                    yield Net(np.vstack([ends[0], c, ends[1]]), 2.0 * reach,
+                              norm), row
                     break
 
 
@@ -348,7 +396,7 @@ def test_net_nearest_on_cell_boundaries():
             cases = list(cell_boundary_cases(dim, norm))
             assert len(cases) >= 10
             for net, row in cases:
-                assert net_nearest_violations(net, row[None, :], norm) == 0
+                assert net_nearest_violations(net, row[None, :]) == 0
 
 
 def test_nearest_within_reach_matches_the_dense_scan():
@@ -362,8 +410,9 @@ def test_nearest_within_reach_matches_the_dense_scan():
         box = Box(-np.ones(dim), np.ones(dim))
         for p in (1.0, 2.0, 3.0, math.inf):
             norm = Norm(p)
-            pts = greedy_net(box, norm, s, grid_candidates(box, per_net)).points
-            net, reach = Net(pts, 1.2 * s), 0.6 * s
+            body = Box(box.lo, box.hi, norm)
+            pts = greedy_net(body, s, grid_candidates(body, per_net)).points
+            net, reach = Net(pts, 1.2 * s, norm), 0.6 * s
 
             def gap(x):
                 return distances(x, pts, norm).min(axis=1)
@@ -385,7 +434,7 @@ def test_nearest_within_reach_matches_the_dense_scan():
             ties = (ref == ref.min(axis=1)[:, None]).sum(axis=1) > 1
             assert (within & ties).any() and not within.all()
             assert (np.abs(queries) > 1.0 + reach).any(axis=1).any()
-            assert net_nearest_violations(net, queries, norm) == 0
+            assert net_nearest_violations(net, queries) == 0
 
 
 def test_net_nearest_breaks_ties_like_the_dense_scan():
@@ -398,10 +447,10 @@ def test_net_nearest_breaks_ties_like_the_dense_scan():
         pts, queries = grid_candidates(box, per_net), grid_candidates(box, per_query)
         for p in (1.0, 2.0, 3.0, math.inf):
             norm = Norm(p)
-            net = Net(pts, 4.0 / (per_net - 1))
+            net = Net(pts, 4.0 / (per_net - 1), norm)
             ref = distances(queries, pts, norm)
             assert ((ref == ref.min(axis=1)[:, None]).sum(axis=1) > 1).any()
-            assert net_nearest_violations(net, queries, norm) == 0
+            assert net_nearest_violations(net, queries) == 0
     # rows bisected onto the l3 bisector of two centres, where rounding
     # decides which one is nearer
     rng, norm = np.random.default_rng(3), Norm(3.0)
@@ -412,7 +461,7 @@ def test_net_nearest_breaks_ties_like_the_dense_scan():
         mid = 0.5 * (a + b)
         left = (norm.of(mid - c[0], axis=1) <= norm.of(mid - c[1], axis=1))[:, None]
         a, b = np.where(left, mid, a), np.where(left, b, mid)
-    assert net_nearest_violations(Net(c, 20.0), np.vstack([a, b]), norm) == 0
+    assert net_nearest_violations(Net(c, 20.0, norm), np.vstack([a, b])) == 0
 
 
 def test_net_nearest_caps_its_cells():
@@ -423,11 +472,11 @@ def test_net_nearest_caps_its_cells():
         pts = rng.uniform(-1.0, 1.0, size=(60, dim))
         for p in (1.0, 2.0, 3.0, math.inf):
             norm, s = Norm(p), 1e-8
-            net = Net(pts, s)
+            net = Net(pts, s, norm)
             queries = np.vstack([pts + 0.5 * s * rng.uniform(-1.0, 1.0, size=pts.shape),
                                  rng.uniform(-1.0, 1.0, size=(200, dim))])
-            assert net_nearest_violations(net, queries, norm) == 0
-            index = net._index[norm]
+            assert net_nearest_violations(net, queries) == 0
+            index = net._index
             assert np.prod(index.shape) <= space.GRID_CELLS
             assert index.side > s
 
@@ -440,9 +489,11 @@ def test_net_nearest_caps_its_cells():
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
 def test_column_norms_equal_numpy_reductions(v, p):
     # Norm.of reduces an axis of fewer than 8 entries column by column; the
-    # callers pass the last axis as axis=1, axis=2 or the default
+    # callers pass the last axis as axis=1, axis=2 or the default.  One
+    # column's norm is its absolute value, which the power or the square
+    # root of the square may round off
     a = np.abs(v)
-    if math.isinf(p):
+    if math.isinf(p) or v.shape[-1] == 1:
         want = a.max(axis=-1)
     elif p == 1.0:
         want = a.sum(axis=-1)
