@@ -135,7 +135,7 @@ class FlatCollapse(MapExpr):
         distances; idx and d need to be exact only on the rows with d < r.
         Every branch is built on every row: the division's inf and nan, at
         d = 0, land only on rows that another branch takes."""
-        ctr = self.centers[idx]
+        ctr = self.centers.take(idx, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = (self.r - self.r * self.delta / d) / (self.r - self.delta)
             moved = ctr + coef[:, None] * (pts - ctr)
@@ -202,7 +202,9 @@ class Tent(MapExpr):
         for stage in self.stages:
             out = stage._apply(out)
         near = np.flatnonzero(d < self.delta)
-        t, apex, u = d[near], self.apexes[idx[near]], self.directions[idx[near]]
+        j = idx.take(near)
+        t, apex, u = (d.take(near), self.apexes.take(j, axis=0),
+                      self.directions.take(j, axis=0))
         height = np.where(t < self.rho, t, self.delta - t)
         out[near] = apex + height[:, None] * u
         return out
@@ -301,7 +303,8 @@ def lip_global_est(m: MapExpr, body: ConvexBody, pairs: int = 1000,
     keep = body.norm.of(ys - xs, axis=1) >= MIN_SEP_REL * body.diameter
     if not np.any(keep):
         raise EstimationError("all sampled pairs effectively coincident")
-    return float(pair_quotients(m, body.norm, xs[keep], ys[keep]).max())
+    return float(pair_quotients(m, body.norm, xs.compress(keep, axis=0),
+                                ys.compress(keep, axis=0)).max())
 
 
 def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody,

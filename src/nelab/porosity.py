@@ -174,11 +174,18 @@ class ReciprocalSet(SetOracle):
         # a hole
         c = np.abs(np.asarray(centers, dtype=float)[:, 0])
         with np.errstate(divide="ignore", over="ignore"):
-            inv = 1.0 / c
-        finite = np.isfinite(inv)
-        m = np.maximum(np.floor(np.where(finite, inv, 1.0)), 1.0)
-        d = np.minimum(np.abs(c - 1.0 / m), np.abs(c - 1.0 / (m + 1.0)))
-        return np.where(finite, d, 0.0)
+            m = np.divide(1.0, c)
+        lost = ~np.isfinite(m)
+        m[lost] = 1.0
+        np.maximum(np.floor(m, out=m), 1.0, out=m)
+        d = np.divide(1.0, m)
+        np.abs(np.subtract(c, d, out=d), out=d)         # |c - 1/m|
+        m += 1.0
+        np.divide(1.0, m, out=m)
+        np.abs(np.subtract(c, m, out=m), out=m)         # |c - 1/(m + 1)|
+        np.minimum(d, m, out=d)
+        d[lost] = 0.0
+        return d
 
     def obstructions(self, a: float, b: float) -> np.ndarray:
         # the negative side mirrors the positive one: row (lo, hi) of
@@ -329,20 +336,30 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
     spans = np.concatenate([[r], 2.0 * cap, np.maximum(4.0 * s_draw[rec], r / 64.0)])
     best = np.concatenate([[0.0], s_edge[hit], s_draw[rec]])
 
-    for _ in range(GAMMA_ROUNDS):
-        cs = centers[:, None, :] + _lattice(spans, per_axis, q.size)
+    # every round's lattice at once, over the spans halved round by round
+    # (repeated halving, so that a subnormal span rounds as it always has)
+    halves = np.full((GAMMA_ROUNDS, len(spans)), 0.5)
+    halves[0] = spans
+    lattices = _lattice(np.multiply.accumulate(halves, axis=0), per_axis, q.size)
+    rows = np.arange(len(best))
+    for k in range(GAMMA_ROUNDS):
+        cs = centers[:, None, :] + lattices[k]
         s = _hole_radii(oracle, q, r, cs.reshape(-1, q.size)).reshape(len(best), -1)
-        i = np.argmax(s, axis=1)        # the first best, as a running max keeps
-        top = s[np.arange(len(best)), i]
-        up = np.flatnonzero(top > best)
+        i = s.argmax(axis=1)            # the first best, as a running max keeps
+        top = s[rows, i]
+        up = (top > best).nonzero()[0]
         best[up] = top[up]
         centers[up] = cs[up, i[up]]
-        spans *= 0.5
-        live = best > 0.0               # a chain without a hole stops
-        if not live.all():
-            centers, spans, best = centers[live], spans[live], best[live]
-            if not len(best):
-                return None
+        if k == 0:
+            # a chain without a hole stops.  Only the whole-window chain
+            # starts without one, and records never fall, so this is the
+            # one round that can stop a chain
+            live = best > 0.0
+            if not live.all():
+                if not live.any():
+                    return None
+                centers, best = centers[live], best[live]
+                lattices, rows = lattices[:, live], rows[:len(best)]
     return float(best.max())
 
 

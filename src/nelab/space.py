@@ -50,6 +50,8 @@ class Norm:
 
     def of(self, v, axis: int = -1):
         v = np.asarray(v, dtype=float)
+        if v.ndim > 1 and v.shape[-1] == 1 and axis in (-1, v.ndim - 1):
+            return np.abs(v[..., 0])    # a one-column batch: |x| per row
         if v.ndim > 1 and 0 < v.shape[axis] < 8:
             return self._of_columns(v, axis % v.ndim)
         a = np.abs(v)
@@ -174,7 +176,7 @@ class ConvexBody:
             if have == count:
                 break
             cand = lo + rng.random((count - have, self.dim)) * (hi - lo)
-            keep = cand[self.contains_all(cand)]
+            keep = cand.compress(self.contains_all(cand), axis=0)
             out[have:have + keep.shape[0]] = keep
             have += keep.shape[0]
         if have < count:
@@ -211,9 +213,10 @@ class Box(ConvexBody):
 
     def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for x, lo, hi in zip(pts.T, self.lo - tol, self.hi + tol):
-            inside &= (x >= lo) & (x <= hi)
+        lo, hi = self.lo - tol, self.hi + tol
+        inside = (pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
+        for a in range(1, pts.shape[1]):
+            inside &= (pts[:, a] >= lo[a]) & (pts[:, a] <= hi[a])
         return inside
 
     @cached_property
@@ -386,8 +389,7 @@ def grid_candidates(body: ConvexBody, per_axis: int) -> np.ndarray:
     lo, hi = body.bounds()
     axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(body.dim)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    keep = body.contains_all(mesh, tol=1e-9)
-    return mesh[keep]
+    return mesh.compress(body.contains_all(mesh, tol=1e-9), axis=0)
 
 
 # the cell index of `Net.nearest`: at most GRID_CELLS cells inside its
@@ -487,14 +489,15 @@ class _CellIndex:
         several = np.flatnonzero(idx < 0)
         slot = -1 - idx[several]
         idx[several] = 0
-        d = self.norm.of(pts - self.centers[idx], axis=1)
+        d = self.norm.of(pts - self.centers.take(idx, axis=0), axis=1)
         if several.size:
             # each list is padded with repeats of its last centre, which
             # argmin, taking the first minimum, never picks over the original
             count = self.counts[slot][:, None]
             pick = np.minimum(np.arange(count.max()), count - 1)
             cand = self.cands[self.starts[slot][:, None] + pick]
-            dist = self.norm.of(pts[several][:, None, :] - self.centers[cand], axis=2)
+            dist = self.norm.of(pts.take(several, axis=0)[:, None, :]
+                                - self.centers.take(cand, axis=0), axis=2)
             j = np.argmin(dist, axis=1)
             rows = np.arange(several.size)
             idx[several], d[several] = cand[rows, j], dist[rows, j]

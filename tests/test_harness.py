@@ -160,7 +160,7 @@ GOLDEN_GAUGE_CSV = {
 }
 
 
-def test_golden_report_digests():
+def test_golden_report_digests(tmp_path):
     reports = {"typical": run_typical(_cfg(trials=4, lam=0.99)),
                # dim 2 reaches the multi-point ladder-witness batches
                "dual": run_dual(_cfg(gauge="sqrt", dim=2)),
@@ -195,15 +195,23 @@ def test_golden_report_digests():
                # the draws of the verdict's one generator
                "porosity-reciprocal-power-3/4": run_porosity(_cfg(
                    target="reciprocal", gauge="power:3/4")),
-               **{f"sweep-{target}-{point}-{window}": run_porosity(_cfg(
-                   target=target, point=float(point), window=float(window)))
-                  for target in ("reciprocal", "zero", "cantor", "empty")
-                  for point, window in (("0", "0.01"), ("0", "0.1"),
-                                        ("0.5", "0.1"))},
-               "verify-porosity": run_verify(_cfg(suite="porosity")),
                "verify-all": run_verify(_cfg())}
-    for name, rep in reports.items():
-        digest = hashlib.sha256(dumps_json(rep).encode()).hexdigest()
+    digests = {name: hashlib.sha256(dumps_json(rep).encode()).hexdigest()
+               for name, rep in reports.items()}
+    # perfbench's porosity-sweep at seed 0, through the CLI with the
+    # benchmark's own argv: its 12 `porosity` operations, then its verify
+    out = tmp_path / "report.json"
+    argvs = {f"sweep-{target}-{point}-{window}":
+             ["porosity", "--target", target, "--point", point,
+              "--window", window, "--seed", "0"]
+             for target in ("reciprocal", "zero", "cantor", "empty")
+             for point, window in (("0", "0.01"), ("0", "0.1"), ("0.5", "0.1"))}
+    argvs["verify-porosity"] = ["verify", "--suite", "porosity", "--seed", "0"]
+    for name, argv in argvs.items():
+        assert cli.main(argv + ["--out", str(out)]) == 0, name
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests.keys() == GOLDEN.keys()
+    for name, digest in digests.items():
         assert digest == GOLDEN[name], name
 
 
@@ -343,6 +351,17 @@ def test_porosity_run_on_the_singleton():
     by_id = {c.case_id: c for c in rep.cases}
     assert by_id["porosity/upper"].measured["alpha"] == 0.5
     assert by_id["porosity/gamma"].measured["exact"] == 0.15
+
+
+@pytest.mark.parametrize("window", [1e-16, 1e-200])
+def test_porosity_gamma_check_rejects_a_tiny_overestimate(window):
+    # for |c| <= 2^-53, m + 1 rounds to m in the reciprocals' distance,
+    # which then misses 1/(m + 1), and the estimate reads twice the exact
+    # hole: a relative bound rejects it however small both values are
+    rep = run_porosity(_cfg(target="reciprocal", point=0.0, window=window))
+    gamma = {c.case_id: c for c in rep.cases}["porosity/gamma"]
+    assert gamma.measured["estimate"] == 2.0 * gamma.measured["exact"]
+    assert not gamma.passed and not rep.passed
 
 
 def test_cli_verify_writes_report_and_exits_zero(tmp_path):

@@ -50,6 +50,16 @@ def test_oracle_distances_match_brute_force():
     recips = 1.0 / np.arange(1, 100_001)
     ref = [min(np.abs(c - recips).min(), np.abs(c + recips).min()) for c in cs]
     assert np.array_equal(REC.distance(cs), ref)
+    # the in-place arithmetic gives the bits of the plain expression at
+    # every magnitude, down to the subnormals whose reciprocal overflows
+    c = np.concatenate([[0.0, 5e-324, 1e-310], 10.0 ** rng.uniform(-320.0, 0.5, 300)])
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / c
+    m = np.maximum(np.floor(np.where(np.isfinite(inv), inv, 1.0)), 1.0)
+    plain = np.where(np.isfinite(inv), np.minimum(np.abs(c - 1.0 / m),
+                                                  np.abs(c - 1.0 / (m + 1.0))), 0.0)
+    signs = rng.choice([-1.0, 1.0], c.size)
+    assert np.array_equal(REC.distance((signs * c)[:, None]), plain)
     cs = rng.uniform(-0.5, 1.5, (200, 1))
     ref = [min(max(lo - c[0], c[0] - hi, 0.0) for lo, hi in CANTOR3.intervals)
            for c in cs]
@@ -289,6 +299,77 @@ def test_gamma_est_matches_the_chain_by_chain_reference():
             (q, r, oracle, trials, seed)
         found.append(want)
     assert None in found            # `full` reached the stop
+
+
+def _gamma_round_by_round(q, r, oracle, trials, seed):
+    # gamma_est as a loop over rounds: each round builds its own lattice,
+    # halves the spans in place and drops the chains still without a hole
+    q = space.as_point(q)
+    per_axis = GAMMA_PER_AXIS if q.size == 1 else (9 if q.size == 2 else 5)
+    steps = np.array([sign * e for e in np.eye(q.size) for sign in (-1.0, 1.0)])
+    reach = r * (1.0 - 2.0 ** -np.arange(2, 15))
+    edge = (q + steps[:, None, :] * reach[:, None]).reshape(-1, q.size)
+    rng = np.random.default_rng(seed)
+    draws = q + (2.0 * rng.random((trials, q.size)) - 1.0) * r
+    s = _hole_radii(oracle, q, r, np.vstack([edge, draws]))
+    s_edge, s_draw = s[:len(edge)], s[len(edge):]
+    i = int(np.argmax(s_edge))
+    hit = [i] if s_edge[i] > 0.0 else []
+    cap = r - oracle.ambient.norm.of(edge[hit] - q, axis=1)
+    before = np.maximum.accumulate(np.concatenate([[0.0], s_draw]))[:-1]
+    rec = np.flatnonzero(s_draw > before)
+    centers = np.vstack([q[None, :], edge[hit], draws[rec]])
+    spans = np.concatenate([[r], 2.0 * cap, np.maximum(4.0 * s_draw[rec], r / 64.0)])
+    best = np.concatenate([[0.0], s_edge[hit], s_draw[rec]])
+    for _ in range(GAMMA_ROUNDS):
+        cs = centers[:, None, :] + _lattice(spans, per_axis, q.size)
+        s = _hole_radii(oracle, q, r, cs.reshape(-1, q.size)).reshape(len(best), -1)
+        i = np.argmax(s, axis=1)
+        top = s[np.arange(len(best)), i]
+        up = np.flatnonzero(top > best)
+        best[up] = top[up]
+        centers[up] = cs[up, i[up]]
+        spans *= 0.5
+        live = best > 0.0
+        if not live.all():
+            centers, spans, best = centers[live], spans[live], best[live]
+            if not len(best):
+                return None
+    return float(best.max())
+
+
+def test_gamma_est_matches_the_round_by_round_loop():
+    # one lattice stack for all rounds, with chains dropped after the
+    # first round only, gives the bits of the loop, for windows down to
+    # the subnormals and at dims 1-3
+    rng = np.random.default_rng(30)
+    windows = (0.01, 0.1, 1e-30, 1e-300, 1e-310)
+    cases = []
+    for target in TARGETS:
+        oracle = oracle_from_desc(target, NORM2)
+        for q in (0.0, 0.5, float(rng.uniform(-1.0, 1.0))):
+            cases += [([q], r, oracle, trials, seed) for r in windows
+                      for trials in (0, 16, 128) for seed in (0, 1)]
+    for dim, p in ((2, 2.0), (2, math.inf), (3, 1.0), (3, 2.0)):
+        box = Box(-np.ones(dim), np.ones(dim), Norm(p))
+        cloud = FinitePointSet(rng.uniform(-1.0, 1.0, (10, dim)), box)
+        for q in (cloud.points[0], rng.uniform(-1.0, 1.0, dim)):
+            cases += [(q, r, cloud, trials, seed) for r in windows
+                      for trials in (0, 32) for seed in (2, 3)]
+    # P on every inner point of the first lattice and every edge probe:
+    # the one chain has no hole after its first round and stops, though
+    # the second round's lattice would find one
+    reach = 0.5 * (1.0 - 2.0 ** -np.arange(2, 15))
+    pts = np.concatenate([np.linspace(-0.5, 0.5, GAMMA_PER_AXIS)[1:-1],
+                          reach, -reach])
+    cases.append(([0.0], 0.5, FinitePointSet(pts[:, None], BOX1), 0, 0))
+    found = set()
+    for q, r, oracle, trials, seed in cases:
+        want = _gamma_round_by_round(q, r, oracle, trials, seed)
+        assert gamma_est(q, r, oracle, trials=trials, seed=seed) == want, \
+            (q, r, oracle, trials, seed)
+        found.add(want is None)
+    assert found == {True, False}
 
 
 def test_upper_porosity_of_the_singleton():
