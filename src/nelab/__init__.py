@@ -19,12 +19,11 @@ from .maps import (AffineContraction, Compose, Constant, ConvexCombo,
                    FlatCollapse, Identity, MapExpr, Tent, lip_global_est,
                    lip_local_profile, pair_quotients, random_nonexpansive,
                    steep_density, sup_dist_est)
-from .perturb import (BumpWitnesses, DirectionField, bump_perturb,
-                      bump_witnesses, direction_field, flat_collapse)
+from .perturb import (Closing, DirectionField, bump_perturb, bump_witnesses,
+                      direction_field, flat_collapse)
 from .porosity import (FinitePointSet, IntervalUnionSet, LadderWitnessReport,
-                       PorosityVerdict, ReciprocalSet, SetOracle,
-                       closing_bound, gamma_est, ladder_witness,
-                       low_slope_alpha, low_slope_member, lower_porous_at,
+                       PorosityVerdict, ReciprocalSet, SetOracle, gamma_est,
+                       ladder_witness, low_slope_member, lower_porous_at,
                        oracle_from_desc, upper_porous_at)
 from .reports import CaseRecord, Report, dumps
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, as_point,

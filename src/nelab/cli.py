@@ -50,7 +50,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
                    help="root seed (explicit)")
     p.add_argument("--tol", type=float, default=ExperimentConfig.tol,
-                   help="scales every pinned check tolerance (default 1e-9)")
+                   help="scales the flat, field, bump, witness, pairs and "
+                        "ladder closed-form tolerances (default 1e-9)")
     p.add_argument("--lam", type=float, default=ExperimentConfig.lam,
                    help="slope threshold in (0, 1); default 0.5 (typical: 0.99)")
     p.add_argument("--format", choices=("json", "csv"), default="json",

@@ -42,11 +42,11 @@ from .gauges import (Gauge, PiecewiseGauge, PowerGauge, RatioGauge,
 from .maps import (AffineContraction, Constant, ConvexCombo, Identity, MapExpr,
                    lip_global_est, lip_local_profile, pair_quotients,
                    random_nonexpansive, steep_density, sup_dist_est)
-from .perturb import (BumpWitnesses, bump_perturb, bump_witnesses,
-                      direction_field, flat_collapse)
-from .porosity import (IntervalUnionSet, closing_bound, gamma_est,
-                       ladder_witness, low_slope_alpha, low_slope_member,
-                       lower_porous_at, oracle_from_desc, upper_porous_at)
+from .perturb import (Closing, bump_perturb, bump_witnesses, direction_field,
+                      flat_collapse)
+from .porosity import (IntervalUnionSet, gamma_est, ladder_witness,
+                       low_slope_member, lower_porous_at, oracle_from_desc,
+                       upper_porous_at)
 from .reports import CaseRecord, Report
 from .space import (Ball, Box, ConvexBody, Hull, Net, Norm, body_from_desc,
                     grid_candidates, lattice_net, nearest)
@@ -309,13 +309,14 @@ def suite_bump(cfg: ExperimentConfig) -> list[CaseRecord]:
 
 
 def _witness_case(cfg: ExperimentConfig, case_id: str, params: dict,
-                  minq: float, w: BumpWitnesses, lam: float) -> CaseRecord:
+                  minq: float, beta: float, bound: float,
+                  lam: float) -> CaseRecord:
     """A witness verdict: the least quotient beats lam and, up to
-    bound_tol, the certified bound of the witnesses w."""
+    bound_tol, the bound certified for maps beta*eps-close to g."""
     tol = cfg.scaled(1e-9)
-    return CaseRecord(case_id, params, {"min_quotient": minq, "beta": w.beta},
-                      {"lam": lam, "bound": w.bound, "bound_tol": tol},
-                      minq > lam and minq >= w.bound - tol)
+    return CaseRecord(case_id, params, {"min_quotient": minq, "beta": beta},
+                      {"lam": lam, "bound": bound, "bound_tol": tol},
+                      minq > lam and minq >= bound - tol)
 
 
 def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
@@ -331,7 +332,8 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
         eps = float(rng.uniform(0.1, 0.8))
         f = random_nonexpansive(body, seed=_sub_seed(rng))
         g = bump_perturb(f, net, eps, body)
-        w = bump_witnesses(g, lam, body)
+        beta, bound = Closing(diam).bump(lam, net.s)
+        ys = bump_witnesses(g, body)
         h_per = min(10, total - 10 * gi)
         for hi in range(h_per):
             if hi == 0:
@@ -340,14 +342,14 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
                 u = 0.0
             else:
                 u = float(rng.uniform(0.05, 1.0))
-            tau = u * w.beta * eps / diam
+            tau = u * beta * eps / diam
             h: MapExpr = g if tau == 0.0 else \
                 ConvexCombo(tau, g, Constant(body.sample(rng)))
-            minq = float(pair_quotients(h, norm, w.xs, w.ys).min())
+            minq = float(pair_quotients(h, norm, g.centers, ys).min())
             cases.append(_witness_case(
                 cfg, f"witness/{gi:02d}-{hi:02d}",
                 {"dim": dim, "p": norm.p, "s": net.s, "eps": eps, "lam": lam,
-                 "tau": tau, "net_size": len(net)}, minq, w, lam))
+                 "tau": tau, "net_size": len(net)}, minq, beta, bound, lam))
     for pi in range(20):
         rng, dim, body = _random_space(cfg, "witness2", pi, 2,
                                        allow_hull=False)
@@ -363,16 +365,17 @@ def suite_witness(cfg: ExperimentConfig) -> list[CaseRecord]:
         f: MapExpr = Identity() if pi % 2 == 0 else \
             random_nonexpansive(body, seed=_sub_seed(rng))
         g = bump_perturb(f, net, eps, body)
-        w = bump_witnesses(g, lam, body)
-        tau = w.beta * eps / diam
+        beta, bound = Closing(diam).bump(lam, s)
+        ys = bump_witnesses(g, body)
+        tau = beta * eps / diam
         minq = float(min(
-            pair_quotients(g, norm, w.xs, w.ys).min(),
+            pair_quotients(g, norm, g.centers, ys).min(),
             pair_quotients(ConvexCombo(tau, g, Constant(body.sample(rng))),
-                           norm, w.xs, w.ys).min()))
+                           norm, g.centers, ys).min()))
         cases.append(_witness_case(
             cfg, f"witness/two-{pi:02d}",
             {"dim": dim, "p": norm.p, "s": s, "eps": eps, "lam": lam},
-            minq, w, lam))
+            minq, beta, bound, lam))
     return cases
 
 
@@ -479,7 +482,7 @@ def suite_ladder(cfg: ExperimentConfig) -> list[CaseRecord]:
     for lam in LAM_SWEEP:
         for K in K_SWEEP:
             for diam in DIAM_SWEEP:
-                beta, bound, margin = closing_bound(lam, K, diam)
+                beta, bound, margin = Closing(diam).gauge(lam, K)
                 closed = (1.0 - lam) ** 2 / (97.0 * (3.0 - lam))
                 ok = margin > 0.0 and abs(margin - closed) <= 1e-12
                 cases.append(CaseRecord(
@@ -635,8 +638,8 @@ def suite_porosity(cfg: ExperimentConfig) -> list[CaseRecord]:
         {"exact": exc, "estimate": estc, "inside_gap": exc2},
         {"expected": 1.0 / 6.0}, okc))
 
-    a1 = low_slope_alpha(0.5, 2.0)
-    a2 = low_slope_alpha(0.0, 0.0)
+    a1 = Closing(2.0).alpha(0.5)
+    a2 = Closing(0.0).alpha(0.0)
     oka = abs(a1 - 0.5 / 144.0) <= 1e-18 and a2 == 1.0 / 48.0
     cases.append(CaseRecord(
         "porosity/alpha-formula", {"cases": 2},
@@ -686,7 +689,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
         return cases
     lad = ladder(phi, body, rungs=12)
     lam = cfg.lam
-    alpha = low_slope_alpha(lam, diam)
+    alpha = Closing(diam).alpha(lam)
     j_top = min(12, len(lad))
     for ei, frac in enumerate((0.9, 0.45)):
         rng = _case_rng(cfg, tag, ei)
@@ -845,11 +848,12 @@ def _verify_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
 def run_typical(cfg: ExperimentConfig) -> Report:
     """Density of the unit-slope set at net points of perturbed maps.
 
-    For each random base map, bumps are planted on a maximal
-    2^{-j} diam-separated net with budget 2^{-j}; the local slope then
-    reaches 1 at every net point at the bump scale and at each coarser
-    scale 2^{-j-k} min{1, diam}, while unperturbed constant maps show
-    density 0.
+    For each random base map, bumps are planted with budget 2^{-j} on the
+    2^{-j} diam-separated `lattice_net`, maximal only among the body's
+    lattice points (its covering radius may exceed the separation); the
+    local slope then reaches 1 at every net point at the bump scale and at
+    each coarser scale 2^{-j-k} min{1, diam}, while unperturbed constant
+    maps show density 0.
     """
     return _run("typical", cfg, _typical_cases)
 
@@ -909,7 +913,7 @@ def _typical_cases(cfg: ExperimentConfig) -> list[CaseRecord]:
 
         def constant_map() -> tuple[dict, bool]:
             g0 = Constant(body.sample(rng))
-            scale = 0.5 * (2.0 ** -j * sep / (12.0 * (1.0 + diam)))
+            scale = 0.25 * Closing(diam).depth(2.0 ** -j, sep)
             dens = steep_density(g0, body, lam, scale, net.points, seed=rng)
             return {"net_density": dens}, dens == 0.0
 

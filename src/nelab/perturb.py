@@ -20,20 +20,18 @@ measured in the norm the body carries:
   ||g(y) - g(x)|| = ||y - x||  for ||y - x|| <= g.rho.
 
   The composite first collapses B(x, r) to x for every net point
-  (r = s/2, collapse radius delta = eps r / (3 (1 + diam C))), then
-  contracts towards the body centre by 1 - delta/r so that slack opens up
-  around every value, and finally plants a radial tent of height delta at
-  each net point along a direction the field guarantees to be admissible.
-  The collapse takes the net whole and reads r = net.s/2 from it, and
-  ``bump_perturb`` derives delta; the Tent carries both (``g.collapse.r``,
-  ``g.delta``) and its bump radius is
-  ``g.rho`` = delta/2 = eps s / (12 (1 + diam C)).
+  (r = s/2), then contracts towards the body centre by 1 - delta/r so that
+  slack opens up around every value, and finally plants a radial tent of
+  height delta at each net point along a direction the field guarantees
+  to be admissible.  The collapse takes the net whole and reads
+  r = net.s/2 from it; the Tent carries r and delta (``g.collapse.r``,
+  ``g.delta``) and its bump radius ``g.rho`` = delta/2.
 
-``bump_witnesses(g, lam, body)`` turns the isometry of a Tent into
-a stable certificate: probe points y_x at distance g.delta/4 =
-eps s / (24 (1 + diam C)) from each net point witness a difference
-quotient above 1 - 48 beta (1 + diam C)/s >= (1+lam)/2 for every map
-within beta = (1-lam) s / (96 (1 + diam C)) * eps of g.
+``bump_witnesses(g, body)`` turns the isometry of a Tent into a stable
+certificate: one probe per net point, inside its bump ball.
+
+`Closing` derives every constant of the argument (delta, the probe
+offset, beta, the bound, the margin and the low-slope alpha) in one place.
 """
 from __future__ import annotations
 
@@ -114,6 +112,70 @@ def direction_field(body: ConvexBody, s: float) -> DirectionField:
     return DirectionField(ext[i], ext[j], s, body.norm)
 
 
+@dataclass(frozen=True)
+class Closing:
+    """The argument's closing constants on a body of diameter `diam`, in
+    the order it derives them (d1 = 1 + diam; each method keeps its
+    callers' operation order, so reports keep their bits).
+
+    1. depth(eps, s) = delta = eps (s/2) / (3 d1): collapse radius and tent
+       height of a budget-eps bump perturbation on an s-net, s < 1.  The
+       collapse, the contraction by 1 - 2 delta/s and the tents move f by
+       at most eps (s + diam) / (3 d1) < eps, and g is an isometry towards
+       each net point x on B(x, delta/2).
+    2. offset(delta) = delta/4: the probe y_x lies in B(x, delta/2), so
+       ||g(y_x) - g(x)|| = ||y_x - x|| = delta/4.
+    3. bump(lam, s) = (beta, bound), beta = (1 - lam) s / (96 d1): every h
+       within beta eps of g keeps ||h(y_x) - h(x)|| >= delta/4 - 2 beta eps,
+       a quotient of at least bound = 1 - 48 beta d1 / s = (1 + lam)/2 > lam.
+    4. alpha(lam) = (1 - lam) / (48 d1), the low-slope set's porosity
+       constant; probe_radius(lam, t) = (1 - lam) t / (48 d1) at the gauge
+       scale t = phi^{-1}(s_j) bounds the holes phi^{-1}(alpha d).
+    5. gauge(lam, K) = (beta, bound, margin) for a pair with constant K:
+       beta = (1 - lam)^2 (1 + lam) / (97 (3 - lam) K d1), bound =
+       ((1 + lam)^2 - 96 (3 - lam) beta K d1) / ((1 + lam)(3 - lam)) and
+       margin = bound - lam = (1 - lam)^2 / (97 (3 - lam)) > 0; the ladder
+       witness sits at offset(depth(1, t)) = t / (24 d1) from x.
+    """
+
+    diam: float
+
+    def __post_init__(self):
+        if not self.diam >= 0.0:
+            raise ParameterError(f"diameter cannot be negative, got {self.diam}")
+
+    def depth(self, eps: float, s: float) -> float:
+        return eps * (0.5 * s) / (3.0 * (1.0 + self.diam))
+
+    @staticmethod
+    def offset(delta: float) -> float:
+        return delta / 4.0
+
+    def bump(self, lam: float, s: float) -> tuple[float, float]:
+        if not (0.0 < lam < 1.0):
+            raise ParameterError(f"lam must lie in (0, 1), got {lam}")
+        beta = (1.0 - lam) * s / (96.0 * (1.0 + self.diam))
+        bound = 1.0 - 48.0 * beta * (1.0 + self.diam) / s
+        return beta, bound
+
+    def alpha(self, lam: float) -> float:
+        if not (0.0 <= lam < 1.0):
+            raise ParameterError(f"lam must lie in [0, 1), got {lam}")
+        return (1.0 - lam) / (48.0 * (1.0 + self.diam))
+
+    def probe_radius(self, lam: float, t: float) -> float:
+        return (1.0 - lam) * t / (48.0 * (1.0 + self.diam))
+
+    def gauge(self, lam: float, K: float) -> tuple[float, float, float]:
+        if not (0.0 < lam < 1.0):
+            raise ParameterError(f"lam must lie in (0, 1), got {lam}")
+        d1 = 1.0 + self.diam
+        beta = (1.0 - lam) ** 2 * (1.0 + lam) / (97.0 * (3.0 - lam) * K * d1)
+        bound = ((1.0 + lam) ** 2 - 96.0 * (3.0 - lam) * beta * K * d1) / (
+            (1.0 + lam) * (3.0 - lam))
+        return beta, bound, bound - lam
+
+
 def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody) -> Tent:
     """Non-expansive perturbation of f with isometric bumps on the net.
 
@@ -141,7 +203,7 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody) -> Tent:
     if not body.contains(anchor, tol=1e-9):
         raise DomainError("body centre escaped the body")
     r = 0.5 * s
-    delta = eps * r / (3.0 * (1.0 + body.diameter))
+    delta = Closing(body.diameter).depth(eps, s)
     g0 = Compose(f, FlatCollapse(net, delta))
     g1 = Compose(AffineContraction(1.0 - delta / r, anchor), g0)
     apexes = g1._apply(net.points)
@@ -153,41 +215,19 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody) -> Tent:
     return Tent(dirs, delta, g1)
 
 
-@dataclass(frozen=True)
-class BumpWitnesses:
-    """Stable-quotient certificate around a bump perturbation: row i of `ys`
-    is the probe of net point `xs[i]`, and each pair's quotient is at least
-    `bound` for every map beta*eps-close to g."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    beta: float
-    bound: float
-
-
-def bump_witnesses(g: Tent, lam: float, body: ConvexBody) -> BumpWitnesses:
-    """Probe points certifying steep quotients for every map beta*eps-close to g.
+def bump_witnesses(g: Tent, body: ConvexBody) -> np.ndarray:
+    """The probes certifying steep quotients around a bump perturbation.
 
     g is a bump perturbation as `bump_perturb` builds it: its centres are
-    the net points and s = g.collapse.net.s.  For each net point x the probe
-    is y_x = x + (g.delta/4) e_x = x + (eps*s/(24(1+diam))) e_x, which lies
-    inside the bump ball B(x, g.rho); the isometry there forces, for any h
-    with sup-distance at most beta*eps from g,
-
-        ||h(y_x) - h(x)|| / ||y_x - x||  >=  1 - 48 beta (1+diam)/s,
-
-    and with beta = (1-lam) s/(96(1+diam)) the right side is (1+lam)/2 > lam.
+    the net points and s = g.collapse.net.s.  Row i is the probe
+    y = x + Closing.offset(g.delta) e_x of the net point x = g.centers[i],
+    inside its bump ball; `Closing.bump` gives the beta and the bound that
+    the quotient of every pair certifies.
     """
-    if not (0.0 < lam < 1.0):
-        raise ParameterError(f"lam must lie in (0, 1), got {lam}")
     if not isinstance(g, Tent):
         raise ParameterError("g is not a bump perturbation (tent stage missing)")
-    diam = body.diameter
-    s = g.collapse.net.s
-    beta = (1.0 - lam) * s / (96.0 * (1.0 + diam))
-    bound = 1.0 - 48.0 * beta * (1.0 + diam) / s
     xs = g.centers
-    ys = xs + (g.delta / 4.0) * direction_field(body, s)(xs)
+    ys = xs + Closing.offset(g.delta) * direction_field(body, g.collapse.net.s)(xs)
     if not np.all(body.contains_all(ys, tol=1e-9)):
         raise GeometryError("witness probe escaped the body")
-    return BumpWitnesses(xs.copy(), ys, beta, bound)
+    return ys

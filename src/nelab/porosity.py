@@ -46,7 +46,7 @@ from .errors import GaugeError, LadderExhausted, ParameterError
 from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
-from .perturb import bump_perturb, direction_field
+from .perturb import Closing, bump_perturb, direction_field
 from .space import Box, ConvexBody, Norm, as_point, distances, lattice_net
 
 DYADIC_BITS = 16
@@ -506,15 +506,6 @@ def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
                       trials, seed)
 
 
-def low_slope_alpha(lam: float, diam: float) -> float:
-    """Upper-porosity constant (1 - lam) / (48 (1 + diam)) for low-slope sets."""
-    if not (0.0 <= lam < 1.0):
-        raise ParameterError(f"lam must lie in [0, 1), got {lam}")
-    if diam < 0.0:
-        raise ParameterError("diameter cannot be negative")
-    return (1.0 - lam) / (48.0 * (1.0 + diam))
-
-
 def low_slope_member(f: MapExpr, xs, lam: float, lad: Ladder, l: int = 1,
                      j_max: int = 12, *, body: ConvexBody,
                      seed=0) -> np.ndarray:
@@ -539,14 +530,6 @@ def low_slope_member(f: MapExpr, xs, lam: float, lad: Ladder, l: int = 1,
     return np.all(est <= lam, axis=1)
 
 
-def closing_bound(lam: float, K: float, diam: float) -> tuple[float, float, float]:
-    """(beta, bound, margin) of the gauge-scale witness constants."""
-    beta = (1.0 - lam) ** 2 * (1.0 + lam) / (97.0 * (3.0 - lam) * K * (1.0 + diam))
-    bound = ((1.0 + lam) ** 2 - 96.0 * (3.0 - lam) * beta * K * (1.0 + diam)) / (
-        (1.0 + lam) * (3.0 - lam))
-    return beta, bound, bound - lam
-
-
 @dataclass(frozen=True)
 class LadderWitnessReport:
     """Bump perturbation at a selected rung with certified steep quotients."""
@@ -555,9 +538,9 @@ class LadderWitnessReport:
     g: MapExpr
     beta: float
     h_radius: float          # sup-distance ball xi^{-1}(beta eps) around g
-    probe_r: float           # probe ball radius (1-lam) phi^{-1}(s_j)/(48(1+diam))
-    bound: float             # certified closing bound, > lam by construction
-    margin: float            # bound - lam = (1-lam)^2 / (97 (3-lam))
+    probe_r: float           # probe ball radius, Closing.probe_radius
+    bound: float             # certified closing bound, Closing.gauge
+    margin: float            # bound - lam, Closing.gauge
     zs: np.ndarray           # (k, n): the witness z of each net point x
     min_quotients: np.ndarray  # (k,): least quotient over h and x's probes
 
@@ -569,37 +552,33 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder,
 
     The rung j satisfies inv_ratio(j+1) < eps <= inv_ratio(j); bumps with
     budget eps go on the `lattice_net` at s_j.  For each net point x the
-    witness z = x + (phi^{-1}(s_j)/(24(1+diam))) e_x and probe points y
-    within (1-lam) phi^{-1}(s_j)/(48(1+diam)) of x must give
+    witness z and the probe points y within the probe radius of x, at the
+    gauge scale phi^{-1}(s_j) and with the constants of `Closing`, must give
 
         ||h(z) - h(y)|| / ||z - y||  >  lam
 
-    for every test map h within xi^{-1}(beta eps) of g in the sup metric,
-    where beta = (1-lam)^2 (1+lam) / (97 (3-lam) K (1+diam)).  The pair
-    inequality must hold at that radius, else GaugeError.
+    for every test map h within xi^{-1}(beta eps) of g in the sup metric.
+    The pair inequality must hold at that radius, else GaugeError.
     """
-    if not (0.0 < lam < 1.0):
-        raise ParameterError(f"lam must lie in (0, 1), got {lam}")
+    closing = Closing(body.diameter)
+    beta, bound, margin = closing.gauge(lam, pair.K)
     j = select_j(lad, eps)
     s_j = lad.rung(j)
     phi_inv_s_j = lad.gauge.inverse(s_j)
-    diam = body.diameter
-    d1 = 1.0 + diam
-    beta, bound, margin = closing_bound(lam, pair.K, diam)
     h_radius = pair.xi.inverse(beta * eps)
     if not pair.holds(h_radius):
         raise GaugeError(f"pair inequality fails at the certified radius "
                          f"{h_radius:.3g}")
     net = lattice_net(body, s_j)
     g = bump_perturb(f, net, eps, body)
-    z_off = phi_inv_s_j / (24.0 * d1)
-    probe_r = (1.0 - lam) * phi_inv_s_j / (48.0 * d1)
+    z_off = closing.offset(closing.depth(1.0, phi_inv_s_j))
+    probe_r = closing.probe_radius(lam, phi_inv_s_j)
     if not z_off <= g.rho + 1e-15:
         raise ParameterError("witness offset escaped the bump ball")
     rng = np.random.default_rng(seed)
     h_family = [g]
     for _ in range(LADDER_H_COUNT):
-        tau = h_radius * rng.uniform(0.25, 1.0) / diam
+        tau = h_radius * rng.uniform(0.25, 1.0) / closing.diam
         h_family.append(ConvexCombo(tau, g, Constant(body.sample(rng))))
     pts = net.points
     zs = pts + z_off * direction_field(body, s_j)(pts)

@@ -9,8 +9,8 @@ import re
 import time
 
 from nelab.gauges import PowerGauge, ladder
-from nelab.harness import (ExperimentConfig, closing_bound, run_typical,
-                           run_verify)
+from nelab.harness import ExperimentConfig, run_typical, run_verify
+from nelab.perturb import Closing
 from nelab.porosity import (FinitePointSet, gamma_est, lower_porous_at,
                             oracle_from_desc, upper_porous_at)
 from nelab.reports import dumps_csv, dumps_json
@@ -115,7 +115,7 @@ def test_criterion_6_closing_margin_sweep():
     for lam in (0.1, 0.5, 0.9):
         for K in (1.5, 2.0, 4.0):
             for diam in (1.0, 2.0, 4.0):
-                beta, bound, margin = closing_bound(lam, K, diam)
+                beta, bound, margin = Closing(diam).gauge(lam, K)
                 if not margin > 0.0:
                     problems.append(
                         f"margin {margin} at lam={lam} K={K} diam={diam}")

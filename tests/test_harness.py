@@ -3,6 +3,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -14,9 +15,11 @@ import pytest
 import nelab
 from nelab import cli, harness
 from nelab.errors import EstimationError, GaugeError, ParameterError
-from nelab.gauges import PowerGauge
-from nelab.harness import (ExperimentConfig, closing_bound, run_dual,
+from nelab.gauges import PowerGauge, SqrtRatioGauge, ladder
+from nelab.harness import (DIAM_SWEEP, LAM_SWEEP, ExperimentConfig, run_dual,
                            run_porosity, run_typical, run_verify)
+from nelab.perturb import Closing
+from nelab.space import Box
 from nelab.reports import Report, dumps_csv, dumps_json
 
 
@@ -83,12 +86,29 @@ def test_closing_bound_margin_closed_form():
     for lam in (0.1, 0.5, 0.9):
         for K in (1.5, 2.0, 4.0):
             for diam in (1.0, 2.0, 4.0):
-                beta, bound, margin = closing_bound(lam, K, diam)
+                beta, bound, margin = Closing(diam).gauge(lam, K)
                 assert beta * K < 1.0
                 assert margin > 0.0
                 assert margin == pytest.approx(
                     (1.0 - lam) ** 2 / (97.0 * (3.0 - lam)), rel=1e-12)
                 assert bound == pytest.approx(lam + margin, rel=1e-12)
+    # the bump bound is (1 + lam)/2 up to rounding, at every net scale
+    for lam in LAM_SWEEP:
+        for diam in DIAM_SWEEP:
+            for s in (0.1, 0.25, 0.3, 0.45, 0.9):
+                bound = Closing(diam).bump(lam, s)[1]
+                half = (1.0 + lam) / 2.0
+                assert abs(bound - half) <= 2.0 * math.ulp(half), (lam, diam, s)
+    # the ladder offset is phi^{-1}(s_j) / (24 (1 + diam)), bit for bit
+    body = Box([-1.0], [1.0])
+    for phi in (PowerGauge(p=0.5), PowerGauge(p=0.75), SqrtRatioGauge()):
+        lad = ladder(phi, body, rungs=12)
+        for diam in DIAM_SWEEP:
+            closing = Closing(diam)
+            for j in range(1, len(lad) + 1):
+                t = phi.inverse(lad.rung(j))
+                assert closing.offset(closing.depth(1.0, t)) == \
+                    t / (24.0 * (1.0 + diam)), (phi, diam, j)
 
 
 def test_flat_suite_reports_sorted_cases():
@@ -149,6 +169,8 @@ GOLDEN = {
     # porosity-sweep's last operation, and the acceptance command
     "verify-porosity": "c68947dad077b57acd48990198f19de1740bad671782f46b035b72566890b01d",
     "verify-all": "249ad234d4e6f534e64b26c83cc23ab2f25099ac8f030dbaf8dfc377846ce070",
+    "dual-sqrt-ratio": "30872fd9ea9b02e83a925de0fdfe4b918986ea8bdf924f951fdfa9479cd24c8a",
+    "dual-offset-0.5": "f72d73b1b7bcae457d68dbae45b3c25ddec1450bbb13f18366cb3446278795c5",
 }
 # sha256 of `nelab gauge` CSV tables (the pair grid and the ladder rungs)
 GOLDEN_GAUGE_CSV = {
@@ -195,7 +217,12 @@ def test_golden_report_digests(tmp_path):
                # the draws of the verdict's one generator
                "porosity-reciprocal-power-3/4": run_porosity(_cfg(
                    target="reciprocal", gauge="power:3/4")),
-               "verify-all": run_verify(_cfg())}
+               "verify-all": run_verify(_cfg()),
+               # the bisected ladder and the piecewise companion's K
+               "dual-sqrt-ratio": run_dual(_cfg(gauge="sqrt-ratio")),
+               # inf phi > 0: the dual reduces to the plain density of one
+               # bump perturbation
+               "dual-offset-0.5": run_dual(_cfg(gauge="offset:0.5"))}
     digests = {name: hashlib.sha256(dumps_json(rep).encode()).hexdigest()
                for name, rep in reports.items()}
     # perfbench's porosity-sweep at seed 0, through the CLI with the

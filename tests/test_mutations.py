@@ -10,7 +10,7 @@ import nelab.porosity as porosity
 import nelab.space as space
 from nelab.harness import ExperimentConfig, run_porosity, run_verify
 from nelab.maps import Tent
-from nelab.perturb import BumpWitnesses, DirectionField
+from nelab.perturb import DirectionField
 from nelab.space import Norm, body_from_desc, nearest
 from test_space import (cell_boundary_cases, net_nearest_violations,
                         nnls_contains, simplex_rows)
@@ -90,9 +90,9 @@ def test_edge_probes_fail_the_bump_witnesses(monkeypatch):
     # rounding, so every quotient falls far below the bound
     witnesses = harness.bump_witnesses
 
-    def at_edge(*args, **kwargs):
-        w = witnesses(*args, **kwargs)
-        return BumpWitnesses(w.xs, w.xs + 4.0 * (w.ys - w.xs), w.beta, w.bound)
+    def at_edge(g, body):
+        xs = g.centers
+        return xs + 4.0 * (witnesses(g, body) - xs)
 
     monkeypatch.setattr(harness, "bump_witnesses", at_edge)
     rep = run_verify(ExperimentConfig(suite="witness", trials=10))

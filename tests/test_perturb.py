@@ -1,16 +1,19 @@
 """Collapse maps, direction fields, isometric bumps and their witnesses."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nelab
 from nelab.errors import DomainError, GeometryError, ParameterError
 from nelab.maps import (Constant, ConvexCombo, Identity, Tent, lip_global_est,
                         sup_dist_est)
-from nelab.perturb import (DirectionField, bump_perturb, bump_witnesses,
-                           direction_field, flat_collapse)
+from nelab.perturb import (Closing, DirectionField, bump_perturb,
+                           bump_witnesses, direction_field, flat_collapse)
 from nelab.space import Box, Net, Norm
 
 NORM2 = Norm(2.0)
@@ -138,17 +141,23 @@ def test_bump_perturb_isometry_on_inner_balls():
 
 def test_bump_witness_constants_frozen():
     g = bump_perturb(Identity(), NET3, 0.5, BOX01)
-    w = bump_witnesses(g, 0.5, BOX01)
-    # beta = (1-lam) s / (96 (1+diam)) and bound = (1+lam)/2, by hand
-    assert w.beta == pytest.approx(0.25 / 192.0, abs=1e-18)
-    assert w.bound == pytest.approx(0.75, abs=1e-15)
-    assert np.array_equal(w.xs, NET3.points)
-    assert w.ys.shape == NET3.points.shape
+    ys = bump_witnesses(g, BOX01)
+    # delta = eps (s/2) / (3 (1+diam)), beta = (1-lam) s / (96 (1+diam))
+    # and bound = (1+lam)/2, by hand
+    closing = Closing(BOX01.diameter)
+    assert g.delta == closing.depth(0.5, 0.5) == pytest.approx(0.125 / 6.0,
+                                                               abs=1e-18)
+    beta, bound = closing.bump(0.5, 0.5)
+    assert beta == pytest.approx(0.25 / 192.0, abs=1e-18)
+    assert bound == pytest.approx(0.75, abs=1e-15)
+    assert np.array_equal(g.centers, NET3.points)
+    assert ys.shape == NET3.points.shape
     offset = 0.5 * 0.5 / (24.0 * 2.0)
-    for x, y in zip(w.xs, w.ys):
+    assert closing.offset(g.delta) == pytest.approx(offset, abs=1e-18)
+    for x, y in zip(g.centers, ys):
         assert float(NORM2.of(y - x)) == pytest.approx(offset, abs=1e-15)
     # the probes sit inside the isometry ball, so g itself scores exactly 1
-    for x, y in zip(w.xs, w.ys):
+    for x, y in zip(g.centers, ys):
         q = float(NORM2.of(g(y) - g(x))) / float(NORM2.of(y - x))
         assert q == pytest.approx(1.0, rel=1e-12)
 
@@ -156,22 +165,28 @@ def test_bump_witness_constants_frozen():
 def test_bump_witnesses_validation():
     g = bump_perturb(Identity(), NET3, 0.5, BOX01)
     with pytest.raises(ParameterError):
-        bump_witnesses(Identity(), 0.5, BOX01)
+        bump_witnesses(Identity(), BOX01)
+    closing = Closing(BOX01.diameter)
+    for lam in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ParameterError):
+            closing.bump(lam, g.collapse.net.s)
     with pytest.raises(ParameterError):
-        bump_witnesses(g, 1.0, BOX01)
+        Closing(-1.0)
+    assert bump_witnesses(g, BOX01).shape == g.centers.shape
 
 
 def test_witness_quotients_survive_nearby_maps():
     g = bump_perturb(Identity(), NET3, 0.5, BOX01)
     lam = 0.5
-    w = bump_witnesses(g, lam, BOX01)
+    ys = bump_witnesses(g, BOX01)
+    beta, bound = Closing(BOX01.diameter).bump(lam, NET3.s)
     # drag g towards a constant by exactly the allowed sup-distance beta*eps
-    tau = w.beta * 0.5 / 1.0        # sup distance tau * diam = beta * eps
+    tau = beta * 0.5 / 1.0        # sup distance tau * diam = beta * eps
     h = ConvexCombo(tau, g, Constant([0.3]))
-    for x, y in zip(w.xs, w.ys):
+    for x, y in zip(g.centers, ys):
         q = float(NORM2.of(h(y) - h(x))) / float(NORM2.of(y - x))
         assert q > lam
-        assert q >= w.bound - 1e-9
+        assert q >= bound - 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -183,9 +198,64 @@ def test_witness_quotients_survive_nearby_maps():
 def test_witness_bound_property_two_point_net(lam, eps, u):
     net = Net(np.array([[0.1, 0.1], [0.8, 0.9]]), 0.5, NORM2)
     g = bump_perturb(Identity(), net, eps, BOX2)
-    w = bump_witnesses(g, lam, BOX2)
-    tau = u * w.beta * eps / BOX2.diameter
+    ys = bump_witnesses(g, BOX2)
+    beta, bound = Closing(BOX2.diameter).bump(lam, net.s)
+    tau = u * beta * eps / BOX2.diameter
     h = ConvexCombo(tau, g, Constant([0.4, 0.6]))
-    for x, y in zip(w.xs, w.ys):
+    for x, y in zip(g.centers, ys):
         q = float(NORM2.of(h(y) - h(x))) / float(NORM2.of(y - x))
-        assert q > lam and q >= w.bound - 1e-9
+        assert q > lam and q >= bound - 1e-9
+
+
+# the closing literals of the argument, and the two closed-form reference
+# checks that must stay independent of `Closing`: (module, function, value)
+CLOSING_LITERALS = (12.0, 24.0, 48.0, 96.0, 97.0)
+CLOSED_FORM_REFERENCES = {("harness", "suite_ladder", 97.0),
+                          ("harness", "suite_porosity", 48.0)}
+
+
+def _closing_literals(tree: ast.Module):
+    """(function, value, line) of each closing literal in a module: a float
+    in CLOSING_LITERALS, or the 3.0 of a product 3.0 * (1.0 + ...)."""
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "Closing":
+                continue
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else func
+            if (isinstance(child, ast.Constant)
+                    and type(child.value) is float
+                    and child.value in CLOSING_LITERALS):
+                yield func, child.value, child.lineno
+            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult)
+                    and isinstance(child.left, ast.Constant)
+                    and child.left.value == 3.0
+                    and isinstance(child.right, ast.BinOp)
+                    and isinstance(child.right.op, ast.Add)
+                    and isinstance(child.right.left, ast.Constant)
+                    and child.right.left.value == 1.0):
+                yield func, 3.0, child.lineno
+            yield from walk(child, inner)
+    yield from walk(tree, None)
+
+
+def test_closing_constants_live_only_in_closing():
+    # beta, the bound, the margin, alpha, delta and the offsets are derived
+    # in `Closing` alone; a restated constant elsewhere could drift from it
+    src = Path(nelab.__file__).parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func, value, line in _closing_literals(tree):
+            if (path.stem, func, value) not in CLOSED_FORM_REFERENCES:
+                stray.append(f"{path.name}:{line} {value} in {func}")
+    assert not stray, stray
+    # the guard sees the literals it exempts, and those inside Closing
+    tree = ast.parse((src / "harness.py").read_text())
+    assert {(f, v) for f, v, _ in _closing_literals(tree)} == {
+        (f, v) for _, f, v in CLOSED_FORM_REFERENCES}
+    closing = next(node for node in ast.walk(ast.parse(
+        (src / "perturb.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "Closing")
+    inside = {v for _, v, _ in _closing_literals(ast.Module(closing.body, []))}
+    assert inside == {3.0, 48.0, 96.0, 97.0}

@@ -11,13 +11,12 @@ from nelab.gauges import (GaugePair, PiecewiseGauge, PowerGauge, build_pair,
                           gauge_from_desc, ladder)
 from nelab.maps import (AffineContraction, Constant, ConvexCombo, Identity,
                         Tent, lip_local_profile, random_nonexpansive)
-from nelab.perturb import bump_perturb, flat_collapse
+from nelab.perturb import Closing, bump_perturb, flat_collapse
 from nelab.porosity import (DYADIC_BITS, GAMMA_PER_AXIS, GAMMA_ROUNDS,
                             LADDER_H_COUNT, LADDER_PROBES, LOWER_LEVELS, TARGETS, UPPER_EPS,
                             FinitePointSet, IntervalUnionSet,
                             PorosityVerdict, ReciprocalSet, _hole_radii, _lattice,
-                            closing_bound, gamma_est, ladder_witness, low_slope_alpha,
-                            low_slope_member, lower_porous_at, oracle_from_desc,
+                            gamma_est, ladder_witness, low_slope_member, lower_porous_at, oracle_from_desc,
                             upper_porous_at)
 from nelab.space import Box, Norm, greedy_net, grid_candidates
 
@@ -627,12 +626,12 @@ def test_verify_holes_flags_a_bogus_witness():
 
 
 def test_low_slope_alpha_hand_values():
-    assert low_slope_alpha(0.5, 2.0) == pytest.approx(0.5 / 144.0, abs=1e-18)
-    assert low_slope_alpha(0.0, 0.0) == pytest.approx(1.0 / 48.0, abs=1e-18)
+    assert Closing(2.0).alpha(0.5) == pytest.approx(0.5 / 144.0, abs=1e-18)
+    assert Closing(0.0).alpha(0.0) == pytest.approx(1.0 / 48.0, abs=1e-18)
     with pytest.raises(ParameterError):
-        low_slope_alpha(1.0, 2.0)
+        Closing(2.0).alpha(1.0)
     with pytest.raises(ParameterError):
-        low_slope_alpha(0.5, -1.0)
+        Closing(-1.0).alpha(0.5)
 
 
 def test_low_slope_membership_examples():
@@ -698,9 +697,12 @@ def test_ladder_witness_constants_and_quotients():
     assert rep.margin == pytest.approx((1 - lam) ** 2 / (97.0 * (3.0 - lam)),
                                        rel=1e-12)
     assert rep.bound == pytest.approx(lam + rep.margin, rel=1e-12)
+    closing = Closing(BOX1.diameter)
+    assert (rep.beta, rep.bound, rep.margin) == closing.gauge(lam, pair.K)
     z_off = 0.125 ** 2 / (24.0 * 3.0)
     assert rep.probe_r == pytest.approx(0.5 * 0.125 ** 2 / (48.0 * 3.0),
                                         rel=1e-12)
+    assert rep.probe_r == closing.probe_radius(lam, 0.125 ** 2)
     xs = rep.g.centers
     assert rep.zs.shape == xs.shape and rep.min_quotients.shape == (len(xs),)
     assert np.all(rep.min_quotients > lam)
@@ -715,7 +717,7 @@ def test_pair_holds_at_the_radius_dual_certifies(a):
     phi = PowerGauge(p=a)
     pair = build_pair(phi)
     lad = ladder(phi, BOX1, rungs=12)
-    beta = closing_bound(0.5, pair.K, BOX1.diameter)[0]
+    beta = Closing(BOX1.diameter).gauge(0.5, pair.K)[0]
     for frac in (0.9, 0.45):
         h = pair.xi.inverse(beta * frac * lad.inv_ratio(1))
         ratio = float(phi.value(h)) * float(pair.xi.value(h)) / h
