@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("dim must be 1, 2 or 3")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.tol < math.inf):
             raise ValueError("tol must be finite and >= 0")
         if not (0.0 < self.lam < 1.0):
@@ -180,7 +182,7 @@ def _flat_outer_exact(m: MapExpr, center: np.ndarray, r: float,
                       body: ConvexBody,
                       rng: np.random.Generator) -> tuple[bool, int]:
     cand = np.vstack([body.sample_many(rng, 200), body.extreme_points()])
-    far = cand.compress(body.norm.of(cand - center, axis=1) >= r, axis=0)
+    far = cand.compress(body.norm.of(cand - center) >= r, axis=0)
     if far.shape[0] == 0:
         return True, 0
     return bool(np.all(m._apply(far) == far)), int(far.shape[0])
@@ -230,13 +232,13 @@ def suite_field(cfg: ExperimentConfig) -> list[CaseRecord]:
         fld = direction_field(body, s)
         zs = body.sample_many(rng, 40)
         es = fld(zs)
-        worst_unit = float(np.abs(norm.of(es, axis=1) - 1.0).max())
+        worst_unit = float(np.abs(norm.of(es) - 1.0).max())
         # the branch rule picks v from at least s/3 away, else w; a step of
         # s/3 along e_z must bring z exactly s/3 closer to that anchor
-        far = norm.of(fld.v - zs, axis=1) >= s / 3.0
+        far = norm.of(fld.v - zs) >= s / 3.0
         anchor = np.where(far[:, None], fld.v, fld.w)
-        gain = norm.of(anchor - zs, axis=1) \
-            - norm.of(anchor - (zs + (s / 3.0) * es), axis=1)
+        gain = norm.of(anchor - zs) \
+            - norm.of(anchor - (zs + (s / 3.0) * es))
         branch_ok = bool(np.all(np.abs(gain - s / 3.0) <= cfg.scaled(1e-12)))
         seg_ok = fld.segment_inside(body, zs)
         unit_ok = worst_unit <= cfg.scaled(1e-12)
@@ -261,8 +263,8 @@ def _isometry_residual(g: MapExpr, net: Net, rho: float, body: ConvexBody,
     xs, norm = net.points, body.norm
     ys = body.probes(xs, rho * np.arange(1, probes + 1) / probes, rng)
     gys = g._apply(ys.reshape(-1, xs.shape[1])).reshape(ys.shape)
-    res = np.abs(norm.of(gys - g._apply(xs)[:, None, :], axis=2)
-                 - norm.of(ys - xs[:, None, :], axis=2))
+    res = np.abs(norm.of(gys - g._apply(xs)[:, None, :])
+                 - norm.of(ys - xs[:, None, :]))
     return float(res.max())
 
 

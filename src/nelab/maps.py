@@ -12,8 +12,8 @@ Estimators measure in the norm of the body they sample.
 Certificate rules: identity -> 1, constant -> 0, contraction -> its scale,
 composition -> product, convex combination -> weighted average, ball
 collapse -> 1 + delta/(r - delta), tent field -> max(base, 1); a Tent
-accepts only a base whose first stage is a FlatCollapse at least as deep
-as the tent, which makes the base constant on every tent ball.
+is built on a FlatCollapse and takes its inner radius as its height, which
+makes the base constant on every tent ball.
 """
 from __future__ import annotations
 
@@ -151,11 +151,11 @@ class FlatCollapse(MapExpr):
 class Tent(MapExpr):
     """Replace a collapsed base map on the balls B(c, delta) by radial tents.
 
-    The base must be a FlatCollapse or a chain Compose(s_k, ...
-    Compose(s_1, collapse)) that starts with one, and 0 < delta <= the
-    collapse's inner radius; anything else raises ValueError.  The tents sit
-    at the collapse's centres and use its net's norm.  With t = ||z - c||
-    for the nearest centre c, its apex a = base(c) and unit direction u:
+    The base is the FlatCollapse `collapse` followed by the `stages`, in
+    the order they apply; a collapse of another kind raises ValueError.
+    The tents sit at the collapse's centres, take its inner radius delta
+    as their height and use its net's norm.  With t = ||z - c|| for the
+    nearest centre c, its apex a = base(c) and unit direction u = field(a):
 
         z -> a + t u              if t < rho = delta/2,
         z -> a + (delta - t) u    if rho <= t < delta,
@@ -164,37 +164,32 @@ class Tent(MapExpr):
     The collapse makes the base constant (= a) on each B(c, delta) and its
     2r-separation makes the balls disjoint, so the inner branch is an
     isometry towards c and the whole map is no more expansive than
-    max(base, 1).  `collapse`, `centers`, `apexes` and the outer `stages`
-    (in the order they apply) are derived from the base.  One query of
-    the collapse's `net`, exact within its outer radius r, drives both the
-    collapse and the tents; the tent branches are written only for the
-    rows within delta.
+    max(base, 1).  The collapse fixes its centres, so the `apexes` are the
+    stages at the `centers` and the `directions` the field at the apexes,
+    each evaluated once; directions that are not unit vectors, one per
+    centre, raise ValueError.  One query of the collapse's `net`, exact
+    within its outer radius r, drives both the collapse and the tents; the
+    tent branches are written only for the rows within delta.
     """
 
-    directions: np.ndarray
-    delta: float
-    base: MapExpr
+    collapse: FlatCollapse
+    stages: tuple[MapExpr, ...]
+    field: object           # (k, n) apexes -> (k, n) unit directions
 
     def __post_init__(self):
-        stages, node = [], self.base
-        while isinstance(node, Compose):
-            stages.append(node.outer)
-            node = node.inner
-        if not isinstance(node, FlatCollapse):
+        if not isinstance(self.collapse, FlatCollapse):
             raise ValueError("tent base must start with a FlatCollapse")
-        if not (0.0 < self.delta <= node.delta):
-            raise ValueError(f"tent height must satisfy 0 < delta <= {node.delta} "
-                             f"(the collapse's inner radius), got {self.delta}")
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        if dirs.shape != node.centers.shape:
+        apexes = self.collapse.centers
+        for stage in self.stages:
+            apexes = stage._apply(apexes)
+        dirs = np.atleast_2d(np.asarray(self.field(apexes), dtype=float))
+        if dirs.shape != apexes.shape:
             raise ValueError("tent directions must align with the collapse centres")
-        if np.any(np.abs(node.net.norm.of(dirs, axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(self.collapse.net.norm.of(dirs) - 1.0) > 1e-9):
             raise ValueError("tent directions must be unit vectors in the ambient norm")
+        object.__setattr__(self, "centers", self.collapse.centers)
+        object.__setattr__(self, "apexes", apexes)
         object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "collapse", node)
-        object.__setattr__(self, "centers", node.centers)
-        object.__setattr__(self, "stages", tuple(reversed(stages)))
-        object.__setattr__(self, "apexes", self.base._apply(node.centers))
 
     def _apply(self, pts):
         idx, d = self.collapse.net.nearest(pts)
@@ -210,6 +205,10 @@ class Tent(MapExpr):
         return out
 
     @property
+    def delta(self) -> float:
+        return self.collapse.delta
+
+    @property
     def rho(self) -> float:
         """Radius delta/2 of the balls B(c, rho) on which the tent is an
         isometry towards c."""
@@ -217,7 +216,11 @@ class Tent(MapExpr):
 
     @property
     def certificate(self) -> float:
-        return max(self.base.certificate, 1.0)
+        # the stages fold onto the collapse as a Compose chain would
+        cert = self.collapse.certificate
+        for stage in self.stages:
+            cert = stage.certificate * cert
+        return max(cert, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +274,7 @@ def pair_quotients(m: MapExpr, norm: Norm, xs: np.ndarray,
     if ys.ndim == 3:
         xs, fx = xs[:, None, :], fx[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return norm.of(fy - fx, axis=-1) / norm.of(ys - xs, axis=-1)
+        return norm.of(fy - fx) / norm.of(ys - xs)
 
 
 # pairs closer than MIN_SEP_REL * diam are dropped: at tiny separations the
@@ -300,7 +303,7 @@ def lip_global_est(m: MapExpr, body: ConvexBody, pairs: int = 1000,
         ii, jj = np.triu_indices(ext.shape[0], k=1)
         xs = np.vstack([xs, ext[ii]])
         ys = np.vstack([ys, ext[jj]])
-    keep = body.norm.of(ys - xs, axis=1) >= MIN_SEP_REL * body.diameter
+    keep = body.norm.of(ys - xs) >= MIN_SEP_REL * body.diameter
     if not np.any(keep):
         raise EstimationError("all sampled pairs effectively coincident")
     return float(pair_quotients(m, body.norm, xs.compress(keep, axis=0),
@@ -341,7 +344,7 @@ def lip_local_profile(m: MapExpr, xs, scales, body: ConvexBody,
                             levels[0] * np.arange(1, samples + 1) / samples])
     pool = body.probes(xs, radii, np.random.default_rng(seed))
     q = pair_quotients(m, body.norm, xs, pool)
-    d = body.norm.of(pool - xs[:, None, :], axis=2)
+    d = body.norm.of(pool - xs[:, None, :])
     # sel[i, s, p]: probe p of centre i is admissible at scale s
     sel = (d[:, None, :] > 0) & (d[:, None, :] <= np.asarray(scales)[:, None])
     counts = sel.sum(axis=2)
@@ -363,7 +366,7 @@ def sup_dist_est(m1: MapExpr, m2: MapExpr, body: ConvexBody,
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     xs = np.vstack([body.sample_many(rng, samples), body.extreme_points()])
-    return float(body.norm.of(m1._apply(xs) - m2._apply(xs), axis=1).max())
+    return float(body.norm.of(m1._apply(xs) - m2._apply(xs)).max())
 
 
 def steep_density(m: MapExpr, body: ConvexBody, lam: float, scale: float,

@@ -19,13 +19,14 @@ measured in the norm the body carries:
   exact isometry towards each net point x on the ball B(x, g.rho):
   ||g(y) - g(x)|| = ||y - x||  for ||y - x|| <= g.rho.
 
-  The composite first collapses B(x, r) to x for every net point
-  (r = s/2), then contracts towards the body centre by 1 - delta/r so that
-  slack opens up around every value, and finally plants a radial tent of
-  height delta at each net point along a direction the field guarantees
-  to be admissible.  The collapse takes the net whole and reads
-  r = net.s/2 from it; the Tent carries r and delta (``g.collapse.r``,
-  ``g.delta``) and its bump radius ``g.rho`` = delta/2.
+  The Tent is built from its parts: a collapse of B(x, r) to x for
+  every net point (r = s/2); the stages f and a contraction towards the
+  body centre by 1 - delta/r, which opens slack around every value; and
+  the direction field, along which a radial tent of height delta rises
+  at each net point, admissibly by the field's guarantee.  The collapse
+  takes the net whole and reads r = net.s/2 from it; the Tent reads r and
+  delta from the collapse (``g.collapse.r``, ``g.delta``), keeps the field
+  (``g.field``) and has the bump radius ``g.rho`` = delta/2.
 
 ``bump_witnesses(g, body)`` turns the isometry of a Tent into a stable
 certificate: one probe per net point, inside its bump ball.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GeometryError, ParameterError
-from .maps import AffineContraction, Compose, FlatCollapse, MapExpr, Tent
+from .maps import AffineContraction, FlatCollapse, MapExpr, Tent
 from .space import ConvexBody, Net, Norm, as_point, distances
 
 SEGMENT_CHECKS = 20     # segment_inside: points checked per segment, ends included
@@ -80,12 +81,12 @@ class DirectionField:
         if z.ndim < 2:
             return self(as_point(z)[None, :])[0]
         out = self.v - z
-        dv = self.norm.of(out, axis=1)
+        dv = self.norm.of(out)
         far = dv >= self.s / 3.0
         out[far] /= dv[far, None]
         # rows within s/3 of v are over s/3 from w (||w - v|| > 2s/3): no 0/0
         to_w = self.w - z[~far]
-        out[~far] = to_w / self.norm.of(to_w, axis=1)[:, None]
+        out[~far] = to_w / self.norm.of(to_w)[:, None]
         return out
 
     def segment_inside(self, body: ConvexBody, zs) -> bool:
@@ -204,30 +205,29 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody) -> Tent:
         raise DomainError("body centre escaped the body")
     r = 0.5 * s
     delta = Closing(body.diameter).depth(eps, s)
-    g0 = Compose(f, FlatCollapse(net, delta))
-    g1 = Compose(AffineContraction(1.0 - delta / r, anchor), g0)
-    apexes = g1._apply(net.points)
-    dirs = direction_field(body, s)(apexes)
+    g = Tent(FlatCollapse(net, delta),
+             (f, AffineContraction(1.0 - delta / r, anchor)),
+             direction_field(body, s))
     # the tent needs room of height delta above each apex; the field
     # guarantees a segment of length s/3 > delta
-    if not np.all(body.contains_all(apexes + delta * dirs, tol=1e-9)):
+    if not np.all(body.contains_all(g.apexes + delta * g.directions, tol=1e-9)):
         raise GeometryError("tent tip escaped the body")
-    return Tent(dirs, delta, g1)
+    return g
 
 
 def bump_witnesses(g: Tent, body: ConvexBody) -> np.ndarray:
     """The probes certifying steep quotients around a bump perturbation.
 
     g is a bump perturbation as `bump_perturb` builds it: its centres are
-    the net points and s = g.collapse.net.s.  Row i is the probe
-    y = x + Closing.offset(g.delta) e_x of the net point x = g.centers[i],
-    inside its bump ball; `Closing.bump` gives the beta and the bound that
-    the quotient of every pair certifies.
+    the net points and its field e the body's at s = g.collapse.net.s.
+    Row i is the probe y = x + Closing.offset(g.delta) e_x of the net point
+    x = g.centers[i], inside its bump ball; `Closing.bump` gives the beta
+    and the bound that the quotient of every pair certifies.
     """
     if not isinstance(g, Tent):
         raise ParameterError("g is not a bump perturbation (tent stage missing)")
     xs = g.centers
-    ys = xs + Closing.offset(g.delta) * direction_field(body, g.collapse.net.s)(xs)
+    ys = xs + Closing.offset(g.delta) * g.field(xs)
     if not np.all(body.contains_all(ys, tol=1e-9)):
         raise GeometryError("witness probe escaped the body")
     return ys

@@ -46,7 +46,7 @@ from .errors import GaugeError, LadderExhausted, ParameterError
 from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
-from .perturb import Closing, bump_perturb, direction_field
+from .perturb import Closing, bump_perturb
 from .space import Box, ConvexBody, Norm, as_point, distances, lattice_net
 
 DYADIC_BITS = 16
@@ -261,7 +261,7 @@ def _hole_radii(oracle: SetOracle, q: np.ndarray, r: float,
                 cs: np.ndarray) -> np.ndarray:
     """Radius of the largest ball at each centre of cs that lies inside
     B(q, r) and misses P; 0 for centres outside the window or the space."""
-    cap = r - oracle.ambient.norm.of(cs - q, axis=1)
+    cap = r - oracle.ambient.norm.of(cs - q)
     usable = (cap > 0.0) & oracle.ambient.contains_all(cs)
     return np.where(usable, np.minimum(cap, oracle.distance(cs)), 0.0)
 
@@ -329,7 +329,7 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
     # edge probe if it has a hole, and every draw beating all earlier ones
     i = int(np.argmax(s_edge))
     hit = [i] if s_edge[i] > 0.0 else []
-    cap = r - oracle.ambient.norm.of(edge[hit] - q, axis=1)
+    cap = r - oracle.ambient.norm.of(edge[hit] - q)
     before = np.maximum.accumulate(np.concatenate([[0.0], s_draw]))[:-1]
     rec = np.flatnonzero(s_draw > before)
     centers = np.vstack([q[None, :], edge[hit], draws[rec]])
@@ -389,7 +389,7 @@ class PorosityVerdict:
         claim t = alpha d(q, q') or beta eps in (0, inf phi] asks only for
         a positive radius, as phi(s) > inf phi >= t for every s > 0."""
         cs = self.centers
-        d = oracle.ambient.norm.of(cs - self.q, axis=1)
+        d = oracle.ambient.norm.of(cs - self.q)
         near = (d <= self.eps) & ((d > 0.0) | (self.kind != "upper"))
         args = [self.constant * float(t)
                 for t in (d if self.kind == "upper" else self.eps)]
@@ -433,7 +433,7 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
     cs = np.concatenate([np.broadcast_to(q, (k, 1, n)),
                          q + _lattice(eps, per_axis, n),
                          q + (2.0 * u - 1.0) * eps[:, None, None]], axis=1)
-    d = oracle.ambient.norm.of(cs - q, axis=-1)
+    d = oracle.ambient.norm.of(cs - q)
     dist = oracle.distance(cs.reshape(-1, n)).reshape(d.shape)
     undetected = PorosityVerdict("not-detected", kind, None, q,
                                  np.empty((0, n)), np.empty(0), np.empty(0))
@@ -581,7 +581,7 @@ def ladder_witness(f: MapExpr, eps: float, lam: float, lad: Ladder,
         tau = h_radius * rng.uniform(0.25, 1.0) / closing.diam
         h_family.append(ConvexCombo(tau, g, Constant(body.sample(rng))))
     pts = net.points
-    zs = pts + z_off * direction_field(body, s_j)(pts)
+    zs = pts + z_off * g.field(pts)
     # the probes of each x: x itself, then chords into B(x, probe_r) ∩ body
     radii = probe_r * np.arange(1, LADDER_PROBES) / (LADDER_PROBES - 1)
     ys = np.concatenate([pts[:, None, :], body.probes(pts, radii, rng)],

@@ -48,54 +48,39 @@ class Norm:
         if not (self.p >= 1.0):
             raise ValueError(f"lp norm needs p >= 1, got p={self.p}")
 
-    def of(self, v, axis: int = -1):
+    def of(self, v):
+        """The norm of v over its last axis; a single vector is a one-row
+        batch.  One column at a time, left to right: numpy reduces fewer
+        than 8 elements sequentially too, so up to 7 coordinates the bits
+        are those of its reductions, at a tenth of their cost."""
         v = np.asarray(v, dtype=float)
-        if v.ndim > 1 and v.shape[-1] == 1 and axis in (-1, v.ndim - 1):
-            return np.abs(v[..., 0])    # a one-column batch: |x| per row
-        if v.ndim > 1 and 0 < v.shape[axis] < 8:
-            return self._of_columns(v, axis % v.ndim)
-        a = np.abs(v)
+        rows = v.reshape(1, -1) if v.ndim < 2 else v
+        cols = range(1, rows.shape[-1])
+        out = np.abs(rows[..., 0])
         # one coordinate: |x| for every p, no power to round or underflow
-        if math.isinf(self.p) or v.shape[axis] == 1:
-            return a.max(axis=axis)
-        if self.p == 1.0:
-            return a.sum(axis=axis)
-        if self.p == 2.0:
-            return np.sqrt((a * a).sum(axis=axis))
-        # the ufunc, not `**`: on a single vector `**` would take numpy's
-        # scalar power, which can round one ulp off the batched one
-        return np.power((a ** self.p).sum(axis=axis), 1.0 / self.p)
-
-    def _of_columns(self, v, axis: int):
-        """`of` one column of v at a time, left to right along axis.  numpy
-        reduces fewer than 8 elements sequentially too, so the bits are
-        those of its reductions, at a tenth of their cost."""
-        lead = (slice(None),) * axis
-        cols = [v[lead + (j,)] for j in range(v.shape[axis])]
-        out = np.abs(cols[0])
-        if math.isinf(self.p) or len(cols) == 1:
-            for c in cols[1:]:
-                np.maximum(out, np.abs(c), out=out)
-            return out
-        if self.p == 1.0:
-            for c in cols[1:]:
-                out += np.abs(c)
-            return out
-        if self.p == 2.0:
+        if math.isinf(self.p) or not cols:
+            for j in cols:
+                np.maximum(out, np.abs(rows[..., j]), out=out)
+        elif self.p == 1.0:
+            for j in cols:
+                out += np.abs(rows[..., j])
+        elif self.p == 2.0:
             out *= out
-            for c in cols[1:]:
-                out += c * c
-            return np.sqrt(out, out=out)
-        out **= self.p
-        for c in cols[1:]:
-            out += np.abs(c) ** self.p
-        return np.power(out, 1.0 / self.p, out=out)
+            for j in cols:
+                out += np.square(rows[..., j])
+            np.sqrt(out, out=out)
+        else:
+            out **= self.p
+            for j in cols:
+                out += np.abs(rows[..., j]) ** self.p
+            np.power(out, 1.0 / self.p, out=out)
+        return out if v.ndim > 1 else out[0]
 
 
 def distances(a, b, norm: Norm) -> np.ndarray:
     """(m, k) matrix of the distances ||a_i - b_j|| between the rows of two
     point batches."""
-    return norm.of(a[:, None, :] - b[None, :, :], axis=2)
+    return norm.of(a[:, None, :] - b[None, :, :])
 
 
 def nearest(centers, pts, norm: Norm) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +142,7 @@ class ConvexBody:
         verts = np.vstack([self.extreme_points(), self.center])
         w = rng.random((xs.shape[0], radii.size, verts.shape[0])) ** 15
         step = (w / w.sum(axis=2, keepdims=True)) @ verts - xs[:, None, :]
-        gap = self.norm.of(step, axis=2)
+        gap = self.norm.of(step)
         frac = np.minimum(1.0, radii / np.where(gap > 0, gap, np.inf))
         return xs[:, None, :] + frac[..., None] * step
 
@@ -254,7 +239,7 @@ class Ball(ConvexBody):
 
     def contains_all(self, pts, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.norm.of(pts - self.c, axis=1) <= self.radius + tol
+        return self.norm.of(pts - self.c) <= self.radius + tol
 
     @cached_property
     def diameter(self) -> float:
@@ -396,7 +381,6 @@ def grid_candidates(body: ConvexBody, per_axis: int) -> np.ndarray:
 # border, and cells and radius widened by a relative GRID_MARGIN
 GRID_CELLS = 1 << 16
 GRID_MARGIN = 1e-9
-GRID_BLOCK = 1 << 16        # candidate cells per temporary of an index build
 # rows x centres x dim from which `Net.nearest` asks its index.  Timed on
 # greedy nets in dims 1-3, the dense scan won on every query below 2^11
 # and the index on every one above 2^13
@@ -451,22 +435,16 @@ class _CellIndex:
         gap = np.maximum(np.maximum(below - c, c - above), 0.0)
         gap[cell > last[:, :, None]] = np.inf
         # the cells each ball meets: the norm of the gaps over the cell
-        # product, a block of centres at a time
-        step = max(1, GRID_BLOCK // width ** n)
-        flats, owners = [], []
-        for c0 in range(0, k, step):
-            b = min(step, k - c0)
-            gaps = np.empty((n, b) + (width,) * n)
-            for a in range(n):
-                gaps[a] = gap[c0:c0 + b, a].reshape((b,) + (1,) * a + (width,)
-                                                   + (1,) * (n - a - 1))
-            hit = np.nonzero(norm.of(gaps, axis=0) <= radius)
-            flats.append(sum((cell[c0 + hit[0], a, hit[a + 1]] + 1.0) * self.strides[a]
-                             for a in range(n)))
-            owners.append(c0 + hit[0])
-        flat = np.concatenate(flats).astype(np.intp)
+        # product, for every centre at once, with the axes along the last
+        gaps = np.empty((k,) + (width,) * n + (n,))
+        for a in range(n):
+            gaps[..., a] = gap[:, a].reshape((k,) + (1,) * a + (width,)
+                                             + (1,) * (n - a - 1))
+        hit = np.nonzero(norm.of(gaps) <= radius)
+        flat = sum((cell[hit[0], a, hit[a + 1]] + 1.0) * self.strides[a]
+                   for a in range(n)).astype(np.intp)
         order = np.argsort(flat, kind="stable")      # centre order within a cell
-        flat, self.cands = flat[order], np.concatenate(owners)[order]
+        flat, self.cands = flat[order], hit[0][order]
         self.starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
         self.counts = np.diff(np.r_[self.starts, flat.size])
         cells = flat[self.starts]
@@ -489,7 +467,7 @@ class _CellIndex:
         several = np.flatnonzero(idx < 0)
         slot = -1 - idx[several]
         idx[several] = 0
-        d = self.norm.of(pts - self.centers.take(idx, axis=0), axis=1)
+        d = self.norm.of(pts - self.centers.take(idx, axis=0))
         if several.size:
             # each list is padded with repeats of its last centre, which
             # argmin, taking the first minimum, never picks over the original
@@ -497,7 +475,7 @@ class _CellIndex:
             pick = np.minimum(np.arange(count.max()), count - 1)
             cand = self.cands[self.starts[slot][:, None] + pick]
             dist = self.norm.of(pts.take(several, axis=0)[:, None, :]
-                                - self.centers.take(cand, axis=0), axis=2)
+                                - self.centers.take(cand, axis=0))
             j = np.argmin(dist, axis=1)
             rows = np.arange(several.size)
             idx[several], d[several] = cand[rows, j], dist[rows, j]
@@ -563,7 +541,7 @@ def greedy_net(body: ConvexBody, s: float, candidates) -> Net:
     for i in range(cands.shape[0]):
         if free[i]:
             accepted.append(i)
-            free[i + 1:] &= body.norm.of(cands[i + 1:] - cands[i], axis=1) >= s
+            free[i + 1:] &= body.norm.of(cands[i + 1:] - cands[i]) >= s
     return Net(cands[accepted], s, body.norm)
 
 

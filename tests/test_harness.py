@@ -33,7 +33,7 @@ def test_config_validation():
     _cfg(target="zero", point=-1.0)
     nan, inf = float("nan"), float("inf")
     for bad in (dict(suite="frobnicate"), dict(dim=4), dict(norm_p=0.5),
-                dict(norm_p=nan), dict(trials=0), dict(tol=-1.0),
+                dict(norm_p=nan), dict(trials=0), dict(seed=-1), dict(tol=-1.0),
                 dict(lam=1.0), dict(window=0.0), dict(eps0=-2.0),
                 dict(tol=nan), dict(tol=inf), dict(window=inf),
                 dict(window=nan), dict(eps0=inf), dict(eps0=nan),
@@ -482,6 +482,8 @@ def test_cli_usage_errors():
     ["porosity", "--window", "inf"],
     ["porosity", "--eps0", "inf"],
     ["verify", "--suite", "pairs", "--tol", "nan"],
+    ["verify", "--suite", "flat", "--seed", "-1"],
+    ["verify", "--suite", "all", "--seed", "-1"],
     ["gauge", "--format", "json"],
     ["gauge", "--trials", "3"],
     ["gauge", "--seed", "1"],

@@ -217,7 +217,7 @@ def test_profiles_see_every_scale_at_vertex_centres(monkeypatch):
                 [pool] = pools
                 assert est.shape == (len(xs), len(scales))
                 for x, ys, row in zip(xs, pool, est):
-                    d = norm.of(ys - x, axis=1)
+                    d = norm.of(ys - x)
                     [q] = pair_quotients(m, norm, x[None, :], ys[None])
                     for r, bound in zip(scales, row):
                         near = (0.0 < d) & (d <= r)
@@ -305,47 +305,68 @@ def test_steep_density_extremes():
         steep_density(Identity(), BOX1, 0.5, 0.05, np.empty((0, 1)))
 
 
-def _collapsed_base():
+def _tent_parts():
     collapse = FlatCollapse(Net([[0.0], [0.8]], 0.6, NORM2), 0.1)
-    return collapse, Compose(AffineContraction(0.5, [0.0]), collapse)
+    return collapse, (AffineContraction(0.5, [0.0]),)
+
+
+def _fixed_field(dirs):
+    """A direction field that returns `dirs` whatever the apexes."""
+    return lambda apexes: np.asarray(dirs, dtype=float)
 
 
 def test_tent_input_validation():
-    _, base = _collapsed_base()
-    up = np.array([[1.0], [1.0]])
-    Tent(up, 0.1, base)                              # valid
+    collapse, stages = _tent_parts()
+    Tent(collapse, stages, _fixed_field([[1.0], [1.0]]))        # valid
     with pytest.raises(ValueError):
-        Tent(np.array([[2.0], [1.0]]), 0.1, base)    # direction not unit
+        Tent(collapse, stages, _fixed_field([[2.0], [1.0]]))    # not unit
     with pytest.raises(ValueError):
-        Tent(np.array([[1.0]]), 0.1, base)           # one direction per centre
-    with pytest.raises(ValueError):
-        Tent(up, 0.0, base)                          # flat tent
+        Tent(collapse, stages, _fixed_field([[1.0]]))           # one per centre
 
 
 def test_forged_tent_is_rejected():
     # max(base, 1) certifies a tent only over a base that is constant on
     # every tent ball: one whose first stage collapses those balls
-    collapse, base = _collapsed_base()
-    up = np.array([[1.0], [1.0]])
+    collapse, stages = _tent_parts()
+    up = _fixed_field([[1.0], [1.0]])
     with pytest.raises(ValueError):
-        Tent(up, 0.1, Identity())
+        Tent(Identity(), stages, up)
     with pytest.raises(ValueError):
-        Tent(up, 0.1, Compose(collapse, AffineContraction(0.5, [0.0])))
+        Tent(Compose(collapse, AffineContraction(0.5, [0.0])), (), up)
     with pytest.raises(ValueError):
-        Tent(up, 0.1 * (1.0 + 1e-9), base)          # taller than the collapse
-    g = Tent(up, 0.1, base)
+        Tent(stages[0], (collapse,), up)
+    # a genuine tent's height is the collapse's, and its apexes and its
+    # certificate are those of the Compose chain its parts stand for, bit
+    # for bit; the field is asked once, at the apexes
+    f = ConvexCombo(0.3, Identity(), AffineContraction(0.5, [0.2, 0.1]))
+    collapse = FlatCollapse(Net([[-0.5, 0.0], [0.5, 0.25]], 0.8, NORM2), 0.3)
+    stages = (f, AffineContraction(0.95, [0.1, 0.0]),
+              AffineContraction(0.99, [0.0, -0.2]))
+    base = collapse
+    for stage in stages:
+        base = Compose(stage, base)
+    asked = []
+
+    def field(apexes):
+        asked.append(apexes.copy())
+        return np.tile([0.6, 0.8], (len(apexes), 1))
+
+    g = Tent(collapse, stages, field)
+    assert g.delta == collapse.delta and g.rho == 0.5 * collapse.delta
+    assert g.stages == stages and g.field is field
     assert np.array_equal(g.centers, collapse.centers)
-    assert np.array_equal(g.apexes, base._apply(collapse.centers))
-    assert g.stages == (base.outer,)
+    assert g.apexes.tobytes() == base._apply(collapse.centers).tobytes()
+    assert len(asked) == 1 and asked[0].tobytes() == g.apexes.tobytes()
+    assert g.certificate == base.certificate > 1.0
 
 
 def test_tent_matches_the_stacked_evaluation():
     # one nearest-centre query drives both the collapse and the tents; the
     # result must equal the base map with the tent formula laid over it
-    collapse, base = _collapsed_base()
-    g = Tent(np.array([[1.0], [-1.0]]), 0.1, base)
+    collapse, stages = _tent_parts()
+    g = Tent(collapse, stages, _fixed_field([[1.0], [-1.0]]))
     pts = BOX1.sample_many(np.random.default_rng(3), 2000)
-    want = base._apply(pts)
+    want = Compose(stages[0], collapse)._apply(pts)
     for x, row in zip(pts, want):
         i = int(np.argmin(np.abs(collapse.centers[:, 0] - x[0])))
         t = abs(x[0] - collapse.centers[i, 0])

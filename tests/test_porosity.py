@@ -11,7 +11,8 @@ from nelab.gauges import (GaugePair, PiecewiseGauge, PowerGauge, build_pair,
                           gauge_from_desc, ladder)
 from nelab.maps import (AffineContraction, Constant, ConvexCombo, Identity,
                         Tent, lip_local_profile, random_nonexpansive)
-from nelab.perturb import Closing, bump_perturb, flat_collapse
+from nelab.perturb import (Closing, DirectionField, bump_perturb,
+                           bump_witnesses, flat_collapse)
 from nelab.porosity import (DYADIC_BITS, GAMMA_PER_AXIS, GAMMA_ROUNDS,
                             LADDER_H_COUNT, LADDER_PROBES, LOWER_LEVELS, TARGETS, UPPER_EPS,
                             FinitePointSet, IntervalUnionSet,
@@ -42,7 +43,7 @@ def test_oracle_distances_match_brute_force():
     pts, cs = rng.uniform(-1.0, 1.0, (7, 2)), rng.uniform(-1.5, 1.5, (40, 2))
     for p in (1.0, 2.0, math.inf):
         cloud = FinitePointSet(pts, Box(box2.lo, box2.hi, Norm(p)))
-        ref = [Norm(p).of(pts - c, axis=1).min() for c in cs]
+        ref = [Norm(p).of(pts - c).min() for c in cs]
         assert np.array_equal(cloud.distance(cs), ref)
     # |c| >= 1e-3 puts the nearest reciprocal at n <= 1000
     cs = rng.uniform(1e-3, 1.2, (200, 1)) * rng.choice([-1.0, 1.0], (200, 1))
@@ -314,7 +315,7 @@ def _gamma_round_by_round(q, r, oracle, trials, seed):
     s_edge, s_draw = s[:len(edge)], s[len(edge):]
     i = int(np.argmax(s_edge))
     hit = [i] if s_edge[i] > 0.0 else []
-    cap = r - oracle.ambient.norm.of(edge[hit] - q, axis=1)
+    cap = r - oracle.ambient.norm.of(edge[hit] - q)
     before = np.maximum.accumulate(np.concatenate([[0.0], s_draw]))[:-1]
     rec = np.flatnonzero(s_draw > before)
     centers = np.vstack([q[None, :], edge[hit], draws[rec]])
@@ -429,7 +430,7 @@ def _porous_reference(kind, oracle, q, phi, eps_grid, trials, seed):
         grid = np.stack(np.meshgrid(*[axis] * q.size, indexing="ij"), -1)
         cs = np.vstack([q, q + grid.reshape(-1, q.size),
                         q + (2.0 * u[ei] - 1.0) * eps])
-        d = oracle.ambient.norm.of(cs - q, axis=1)
+        d = oracle.ambient.norm.of(cs - q)
         keep = ((d <= eps) & ((d > 0.0) | (not upper))
                 & oracle.ambient.contains_all(cs))
         scales.append((eps, cs[keep], d[keep].tolist(),
@@ -706,7 +707,7 @@ def test_ladder_witness_constants_and_quotients():
     xs = rep.g.centers
     assert rep.zs.shape == xs.shape and rep.min_quotients.shape == (len(xs),)
     assert np.all(rep.min_quotients > lam)
-    assert NORM2.of(rep.zs - xs, axis=1) == pytest.approx(z_off, rel=1e-12)
+    assert NORM2.of(rep.zs - xs) == pytest.approx(z_off, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [2.0 / 3.0, 0.75, 0.9])
@@ -772,6 +773,29 @@ def test_ladder_witness_builds_only_its_rungs_net(monkeypatch):
             [net] = built
             assert net.s == lad.rung(rep.j)
             assert np.array_equal(rep.g.centers, net.points)
+
+
+def test_a_perturbation_builds_its_direction_field_once(monkeypatch):
+    # the Tent keeps its field: bump_witnesses and ladder_witness read it
+    # rather than build the body's field at the net's scale again
+    built = []
+    init = DirectionField.__post_init__
+
+    def spy(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(DirectionField, "__post_init__", spy)
+    box2 = Box(-np.ones(2), np.ones(2))
+    net = greedy_net(box2, 0.5, grid_candidates(box2, 9))
+    g = bump_perturb(Identity(), net, 0.5, box2)
+    bump_witnesses(g, box2)
+    assert built == [g.field]
+    pair, lad = build_pair(SQRT), ladder(SQRT, box2, rungs=12)
+    built.clear()
+    rep = ladder_witness(random_nonexpansive(box2, seed=5), 0.1, 0.5, lad,
+                         pair, body=box2, seed=3)
+    assert built == [rep.g.field]
 
 
 def test_ladder_witness_evaluates_each_map_once(monkeypatch):

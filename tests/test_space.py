@@ -34,7 +34,7 @@ def test_norm_of_one_vector_matches_its_batch_row():
         norm = Norm(p)
         for dim in (1, 2, 3):
             v = rng.normal(size=(500, dim))
-            batch = norm.of(v, axis=1)
+            batch = norm.of(v)
             assert [norm.of(row) for row in v] == batch.tolist()
 
 
@@ -46,8 +46,7 @@ def test_one_coordinate_norm_is_its_absolute_value():
         norm = Norm(p)
         assert [float(norm.of([x])) for x in xs] == [abs(x) for x in xs]
         col = np.array(xs)[:, None]
-        assert norm.of(col, axis=1).tolist() == [abs(x) for x in xs]
-        assert norm.of(col.T, axis=0).tolist() == [abs(x) for x in xs]
+        assert norm.of(col).tolist() == [abs(x) for x in xs]
 
 
 def test_norm_rejects_bad_input():
@@ -204,7 +203,7 @@ def test_probes_lie_in_the_body_within_their_radius():
                 ys = body.probes(xs, radii, rng)
                 assert ys.shape == (len(xs), len(radii), dim)
                 assert body.contains_all(ys.reshape(-1, dim), tol=1e-12).all()
-                d = norm.of(ys - xs[:, None, :], axis=2)
+                d = norm.of(ys - xs[:, None, :])
                 assert np.all(d <= radii * (1.0 + 1e-12)), (dim, p, desc)
                 assert (d.reshape(len(xs), -1, 8) > 0.0).any(axis=2).all(), \
                     (dim, p, desc)
@@ -259,7 +258,7 @@ def test_greedy_net_contract_on_random_candidates():
     net = greedy_net(box, 0.25, cands)
     assert net.norm == norm and net.check_separated()
     # first-fit leaves every candidate within s of an accepted point
-    gaps = norm.of(cands[:, None, :] - net.points[None, :, :], axis=2)
+    gaps = norm.of(cands[:, None, :] - net.points[None, :, :])
     assert (gaps.min(axis=1) <= net.s).all()
     assert len(net) >= 2
 
@@ -268,7 +267,7 @@ def greedy_rows(cands, norm, s):
     """The candidate-by-candidate first-fit loop greedy_net replaced."""
     accepted = []
     for c in cands:
-        if not accepted or float(norm.of(np.asarray(accepted) - c, axis=1).min()) >= s:
+        if not accepted or float(norm.of(np.asarray(accepted) - c).min()) >= s:
             accepted.append(c)
     return np.asarray(accepted)
 
@@ -403,15 +402,17 @@ def test_nearest_within_reach_matches_the_dense_scan():
     # rows bisected onto the reach sphere, lattice rows with exact ties
     # inside reach (the net is Net(points, 1.2 s) over an s-separated
     # greedy net, so reach is 0.6 s and balls overlap), and rows beyond
-    # the grid box around the reach balls
+    # the grid box around the reach balls.  The last net is the whole 7^3
+    # lattice, whose cell index is built from 343 x 6^3 candidate cells
     rng = np.random.default_rng(17)
     for dim, per_net, per_query, s in ((1, 41, 321, 0.1), (2, 11, 21, 0.4),
-                                       (3, 5, 9, 0.5)):
+                                       (3, 5, 9, 0.5), (3, 7, 13, 0.3)):
         box = Box(-np.ones(dim), np.ones(dim))
         for p in (1.0, 2.0, 3.0, math.inf):
             norm = Norm(p)
             body = Box(box.lo, box.hi, norm)
             pts = greedy_net(body, s, grid_candidates(body, per_net)).points
+            assert (dim, per_net) != (3, 7) or len(pts) == 7 ** 3
             net, reach = Net(pts, 1.2 * s, norm), 0.6 * s
 
             def gap(x):
@@ -459,7 +460,7 @@ def test_net_nearest_breaks_ties_like_the_dense_scan():
     a, b = c[0] + shift, c[1] + shift
     for _ in range(60):
         mid = 0.5 * (a + b)
-        left = (norm.of(mid - c[0], axis=1) <= norm.of(mid - c[1], axis=1))[:, None]
+        left = (norm.of(mid - c[0]) <= norm.of(mid - c[1]))[:, None]
         a, b = np.where(left, mid, a), np.where(left, b, mid)
     assert net_nearest_violations(Net(c, 20.0, norm), np.vstack([a, b])) == 0
 
@@ -488,10 +489,9 @@ def test_net_nearest_caps_its_cells():
                     elements=st.floats(-1e6, 1e6, allow_subnormal=True)),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
 def test_column_norms_equal_numpy_reductions(v, p):
-    # Norm.of reduces an axis of fewer than 8 entries column by column; the
-    # callers pass the last axis as axis=1, axis=2 or the default.  One
-    # column's norm is its absolute value, which the power or the square
-    # root of the square may round off
+    # Norm.of reduces the last axis column by column; below 8 entries numpy
+    # sums sequentially too.  One column's norm is its absolute value,
+    # which the power or the square root of the square may round off
     a = np.abs(v)
     if math.isinf(p) or v.shape[-1] == 1:
         want = a.max(axis=-1)
@@ -501,8 +501,22 @@ def test_column_norms_equal_numpy_reductions(v, p):
         want = np.sqrt((a * a).sum(axis=-1))
     else:
         want = np.power((a ** p).sum(axis=-1), 1.0 / p)
-    for axis in (v.ndim - 1, -1):
-        assert Norm(p).of(v, axis=axis).tobytes() == want.tobytes()
+    assert Norm(p).of(v).tobytes() == want.tobytes()
+
+
+def test_wide_norms_agree_with_numpy_reductions():
+    # from 8 entries numpy sums pairwise and Norm.of still sequentially, so
+    # the bits may differ, but not by more than rounding
+    rng = np.random.default_rng(23)
+    for width in (8, 9, 16, 33, 64):
+        v = rng.normal(size=(50, width)) * rng.uniform(1e-3, 1e3, size=(50, 1))
+        a = np.abs(v)
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            if math.isinf(p):
+                want = a.max(axis=-1)
+            else:
+                want = (a ** p).sum(axis=-1) ** (1.0 / p)
+            assert Norm(p).of(v) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_segment_stays_inside_hull():
