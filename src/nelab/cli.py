@@ -133,14 +133,10 @@ def main(argv=None) -> int:
         runner = {"verify": run_verify, "typical": run_typical,
                   "dual": run_dual, "porosity": run_porosity}[args.command]
         report = runner(cfg)
+        write_text(dumps(report, args.fmt), args.out)
     except (NelabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        write_text(dumps(report, args.fmt), args.out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

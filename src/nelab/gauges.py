@@ -1,7 +1,8 @@
 """Gauge functions, equivalence pairs and scale ladders.
 
 A gauge phi is a strictly increasing concave function on an interval
-(0, eta).  The pair construction finds, for a gauge with phi(t)/t -> inf
+(0, eta): eta = 1 for the analytic gauges, the last knot for a piecewise
+one.  The pair construction finds, for a gauge with phi(t)/t -> inf
 as t -> 0, a companion gauge xi and a constant K >= 1 with
 
     t/K  <=  phi(t) * xi(t)  <=  K t        on (0, 1/K),
@@ -38,9 +39,9 @@ BISECT_CAP = 200
 
 
 class Gauge:
-    """Strictly increasing concave function on (0, eta)."""
+    """Strictly increasing concave function on (0, eta); eta = 1 by default."""
 
-    eta: float
+    eta = 1.0
 
     def value(self, t):
         raise NotImplementedError
@@ -82,13 +83,12 @@ class PowerGauge(Gauge):
     p: float = 0.5
     coeff: float = 1.0
     offset: float = 0.0
-    eta: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0):
             raise GaugeError(f"power gauge needs p in (0, 1], got {self.p}")
-        if self.coeff <= 0.0 or self.offset < 0.0 or self.eta <= 0.0:
-            raise GaugeError("power gauge needs coeff > 0, offset >= 0, eta > 0")
+        if self.coeff <= 0.0 or self.offset < 0.0:
+            raise GaugeError("power gauge needs coeff > 0, offset >= 0")
 
     def value(self, t):
         return self.offset + self.coeff * np.asarray(t, dtype=float) ** self.p
@@ -111,8 +111,6 @@ class PowerGauge(Gauge):
 class RatioGauge(Gauge):
     """t -> t / (1 + t); concave, bounded slope at zero."""
 
-    eta: float = 1.0
-
     def value(self, t):
         t = np.asarray(t, dtype=float)
         return t / (1.0 + t)
@@ -134,8 +132,6 @@ class RatioGauge(Gauge):
 @dataclass(frozen=True)
 class SqrtRatioGauge(Gauge):
     """t -> sqrt(t) / (1 + sqrt(t)); the growth-adjusted rational gauge."""
-
-    eta: float = 1.0
 
     def value(self, t):
         u = np.sqrt(np.asarray(t, dtype=float))
@@ -334,7 +330,7 @@ def build_pair(phi: Gauge) -> GaugePair:
     """
     phi.check()
     if phi.inf > 0.0:
-        xi: Gauge = PowerGauge(p=1.0, coeff=1.0, offset=0.0, eta=phi.eta)
+        xi: Gauge = PowerGauge(p=1.0)
         k0 = max(1.0 / phi.eta, 1.0 / phi.inf, phi.sup, 1.0)
         K = _next_pow2_above(k0)
     else:

@@ -692,7 +692,6 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
     lad = ladder(phi, body, rungs=12)
     lam = cfg.lam
     alpha = Closing(diam).alpha(lam)
-    j_top = min(12, len(lad))
     for ei, frac in enumerate((0.9, 0.45)):
         rng = _case_rng(cfg, tag, ei)
         eps = frac * lad.inv_ratio(1)
@@ -726,8 +725,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
             quot_ok = bool(np.all(
                 pair_quotients(rep.g, body.norm, z[None, :], ys[None]) > lam))
             mem_ok = not low_slope_member(rep.g, ys[:5], lam, lad, l=rep.j,
-                                          j_max=j_top, body=body,
-                                          seed=rng).any()
+                                          body=body, seed=rng).any()
             return ({"fits_probe_ball": fit, "quotients_steep": quot_ok,
                      "hole_outside_set": mem_ok, "probed": len(ys)},
                     fit and quot_ok and mem_ok)
@@ -756,8 +754,7 @@ def _dual_cases(cfg: ExperimentConfig, tag: str) -> list[CaseRecord]:
     def cover() -> tuple[dict, bool]:
         checked = consistent = 0
         for f, slope in exact:
-            member = low_slope_member(f, grid, lam, lad, j_max=j_top,
-                                      body=body, seed=rng)
+            member = low_slope_member(f, grid, lam, lad, body=body, seed=rng)
             checked += len(grid)
             consistent += int(np.sum(member == (slope <= lam)))
         return {"checked": checked, "consistent": consistent}, \

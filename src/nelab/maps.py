@@ -299,10 +299,9 @@ def lip_global_est(m: MapExpr, body: ConvexBody, pairs: int = 1000,
     xs = body.sample_many(rng, pairs)
     ys = body.sample_many(rng, pairs)
     ext = body.extreme_points()
-    if ext.shape[0] >= 2:
-        ii, jj = np.triu_indices(ext.shape[0], k=1)
-        xs = np.vstack([xs, ext[ii]])
-        ys = np.vstack([ys, ext[jj]])
+    ii, jj = np.triu_indices(ext.shape[0], k=1)
+    xs = np.vstack([xs, ext[ii]])
+    ys = np.vstack([ys, ext[jj]])
     keep = body.norm.of(ys - xs) >= MIN_SEP_REL * body.diameter
     if not np.any(keep):
         raise EstimationError("all sampled pairs effectively coincident")

@@ -200,13 +200,10 @@ def bump_perturb(f: MapExpr, net: Net, eps: float, body: ConvexBody) -> Tent:
         raise ParameterError(
             f"base map certificate {f.certificate} exceeds 1: not non-expansive"
         )
-    anchor = body.center
-    if not body.contains(anchor, tol=1e-9):
-        raise DomainError("body centre escaped the body")
     r = 0.5 * s
     delta = Closing(body.diameter).depth(eps, s)
     g = Tent(FlatCollapse(net, delta),
-             (f, AffineContraction(1.0 - delta / r, anchor)),
+             (f, AffineContraction(1.0 - delta / r, body.center)),
              direction_field(body, s))
     # the tent needs room of height delta above each apex; the field
     # guarantees a segment of length s/3 > delta

@@ -9,11 +9,12 @@ set oracle answers one query, the exact distance d(c, P) for a batch of
 centres: the ball B(c, s) misses P exactly when d(c, P) >= s, so the
 largest hole at a centre c of the window is min(r - ||c - q||, d(c, P)).
 The one-dimensional example sets also list their obstructions, closed
-intervals covering P inside a window, so gamma is half the longest gap
-between them; the generic estimator refines chains of hole centres, one
-from a lattice over the window, one from an edge march and one from each
-record of a random stream, in lockstep rounds on shrinking lattices: one
-distance query per round for all chains.
+intervals covering P inside a window, so gamma is read off the gaps
+between them, each hole centred in the space; the generic estimator
+refines chains of hole centres, one from a lattice over the window, one
+from an edge march and one from each record of a random stream, in
+lockstep rounds on shrinking lattices: one distance query per round for
+all chains.
 
 Pointwise verdicts follow two dual patterns for a gauge phi:
 
@@ -30,9 +31,10 @@ largest dyadic constant 2^-k (k <= 16) that every probe scale admits.
 
 The low-slope set of a map f collects the points whose sampled local
 Lipschitz constant stays <= lam at every ladder scale phi^{-1}(s_j),
-j = l .. J_max; `ladder_witness` plants bumps at a net of the selected
-rung and certifies steep quotients for every map xi^{-1}(beta eps)-close
-to the perturbed map, which punches verifiable holes into that set.
+j = l .. J, J the ladder's length; `ladder_witness` plants bumps at a
+net of the selected rung and certifies steep quotients for every map
+xi^{-1}(beta eps)-close to the perturbed map, which punches verifiable
+holes into that set.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaugeError, LadderExhausted, ParameterError
+from .errors import GaugeError, ParameterError
 from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
@@ -78,19 +80,26 @@ class SetOracle:
         return None
 
     def exact_gamma(self, q, r: float) -> float | None:
-        """Analytic hole size from the obstructions: r when none meets the
-        window, else half the longest gap between them and the window's
-        ends; None when that gap is empty or the set has no 1-D
+        """Analytic hole size from the obstructions, each hole centred in
+        the space [lo, hi]: the best, over the gaps (u, v) between them and
+        the window's ends, of min(c - u, v - c) at the gap's midpoint c
+        clipped to the space, (v - u)/2 when no clipping is needed; None
+        when no gap holds a centre of the space or the set has no 1-D
         description."""
         q0 = float(as_point(q)[0])
         a, b = q0 - r, q0 + r
         obs = self.obstructions(a, b)
         if obs is None:
             return None
-        if not len(obs):
+        (lo,), (hi,) = self.ambient.bounds()
+        if not len(obs) and lo <= q0 <= hi:
             return r
         cuts = np.concatenate([[a], obs.ravel(), [b]])
-        best = float(np.max(np.diff(cuts)[::2])) / 2.0
+        u, v = cuts[0::2], cuts[1::2]
+        mid = 0.5 * u + 0.5 * v
+        c = np.clip(mid, lo, hi)
+        half = np.where(c == mid, (v - u) / 2.0, np.minimum(c - u, v - c))
+        best = float(half.max())
         return best if best > 0.0 else None
 
 
@@ -507,24 +516,19 @@ def lower_porous_at(oracle: SetOracle, q, phi: Gauge, eps0: float,
 
 
 def low_slope_member(f: MapExpr, xs, lam: float, lad: Ladder, l: int = 1,
-                     j_max: int = 12, *, body: ConvexBody,
-                     seed=0) -> np.ndarray:
+                     *, body: ConvexBody, seed=0) -> np.ndarray:
     """For each row x of xs: is the sampled local slope of f at x at most
-    lam at every ladder scale phi^{-1}(s_j), j = l .. j_max?  Returns a
-    (k,) bool array from one `lip_local_profile` call.
+    lam at every ladder scale phi^{-1}(s_j), j = l .. J, J = len(lad)?
+    Returns a (k,) bool array from one `lip_local_profile` call.
 
     The probe pool subdivides each scale through LOW_SLOPE_SHELLS dyadic
     levels so that steep behaviour concentrated two orders of magnitude
     below a scale (the bump witnesses live there) is still seen by the
     estimate.  `seed` is anything `np.random.default_rng` accepts.
     """
-    if not (1 <= l <= j_max):
-        raise ParameterError(f"need 1 <= l <= j_max, got l={l}, j_max={j_max}")
-    if j_max > len(lad):
-        raise LadderExhausted(
-            f"j_max={j_max} beyond the ladder ({len(lad)} rungs); extend it"
-        )
-    scales = [lad.gauge.inverse(lad.rung(j)) for j in range(l, j_max + 1)]
+    if not (1 <= l <= len(lad)):
+        raise ParameterError(f"need 1 <= l <= len(lad) = {len(lad)}, got {l}")
+    scales = [lad.gauge.inverse(lad.rung(j)) for j in range(l, len(lad) + 1)]
     est = lip_local_profile(f, xs, scales, body, LOW_SLOPE_SAMPLES, seed,
                             LOW_SLOPE_SHELLS)
     return np.all(est <= lam, axis=1)

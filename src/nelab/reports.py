@@ -92,8 +92,6 @@ def _emit(obj) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)     # json.dumps of a str
-    if isinstance(obj, np.ndarray):
-        return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -118,29 +116,18 @@ def csv_value(v) -> str:
         return str(int(v))
     if v is None:
         return ""
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
     if isinstance(v, (list, tuple)):
         return ";".join(csv_value(x) for x in v)
     return str(v)
-
-
-def _flatten(prefix: str, d: dict, out: dict) -> None:
-    for k, v in d.items():
-        key = f"{prefix}.{k}"
-        if isinstance(v, dict):
-            _flatten(key, v, out)
-        else:
-            out[key] = csv_value(v)
 
 
 def dumps_csv(report: Report) -> str:
     rows = []
     for c in report.cases:
         row = {"case_id": c.case_id, "passed": "true" if c.passed else "false"}
-        _flatten("p", c.params, row)
-        _flatten("m", c.measured, row)
-        _flatten("b", c.bounds, row)
+        for prefix, d in (("p", c.params), ("m", c.measured), ("b", c.bounds)):
+            for k, v in d.items():
+                row[f"{prefix}.{k}"] = csv_value(v)
         rows.append(row)
     cols = ["case_id", "passed"]
     extra = sorted({k for row in rows for k in row} - {"case_id", "passed"})

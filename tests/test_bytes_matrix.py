@@ -6,9 +6,27 @@ of stdout and stderr without its wall time.  Rows that exit nonzero are
 kept with their codes: a later change to any of them, a mend included,
 shows as a moved family.  On a mismatch the rows of each moved family are
 printed, so the moved rows can be compared against a run of the old code.
+
+Run as a script, it prints the rows, each family after a `# family NAME`
+line, or with `--against REV` compares them with the rows of revision
+REV and prints the moved ones, family by family:
+
+    PYTHONPATH=src python tests/test_bytes_matrix.py [--against REV] [FAMILY ...]
+
+REV's `src` is taken from `git archive` into a temporary directory and put
+first on the path of a second run of this script; the exit code is 1 when
+a row moved.
 """
+import argparse
+import contextlib
 import hashlib
+import io
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -61,23 +79,25 @@ DIGESTS = {
 }
 
 
-def _rows(argvs, capsys) -> list[str]:
+def _rows(argvs) -> list[str]:
     """One line per argv: argv, exit code, stdout sha256, stderr without
     the wall time."""
     rows = []
     for argv in argvs:
-        rc = cli.main(argv)
-        out, err = capsys.readouterr()
-        err = re.sub(r" wall=\S+", "", err)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        err = re.sub(r" wall=\S+", "", err.getvalue())
         rows.append(f"{' '.join(argv)}\t{rc}\t"
-                    f"{hashlib.sha256(out.encode()).hexdigest()}\t{err!r}")
+                    f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+                    f"\t{err!r}")
     return rows
 
 
-def test_byte_matrix_is_unmoved(capsys):
+def test_byte_matrix_is_unmoved():
     moved = {}
     for name, argvs in FAMILIES.items():
-        rows = _rows(argvs, capsys)
+        rows = _rows(argvs)
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
         if digest != DIGESTS.get(name):
             moved[name] = (digest, rows)
@@ -86,3 +106,60 @@ def test_byte_matrix_is_unmoved(capsys):
         print("\n".join(rows))
     if moved:
         pytest.fail(f"moved families: {', '.join(moved)}")
+
+
+def _rows_of(rev: str, names: list[str]) -> dict[str, list[str]]:
+    """The rows of revision rev, by family: this script, run on rev's src."""
+    root = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        tar = subprocess.run(["git", "-C", str(root), "archive", rev, "src"],
+                             check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
+        text = subprocess.run([sys.executable, __file__, *names], env=env,
+                              check=True, stdout=subprocess.PIPE,
+                              text=True).stdout
+    rows: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        if line.startswith("# family "):
+            rows[line.removeprefix("# family ")] = family = []
+        else:
+            family.append(line)
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description="Print the byte matrix's rows, or compare them with "
+                    "those of another revision.")
+    ap.add_argument("--against", metavar="REV",
+                    help="git revision to compare with; prints moved rows")
+    ap.add_argument("families", nargs="*", metavar="FAMILY",
+                    help=f"families to run (default all: {', '.join(FAMILIES)})")
+    args = ap.parse_args(argv)
+    unknown = set(args.families) - set(FAMILIES)
+    if unknown:
+        ap.error(f"unknown families: {', '.join(sorted(unknown))}")
+    names = args.families or list(FAMILIES)
+    if args.against is None:
+        for name in names:
+            print(f"# family {name}")
+            print("\n".join(_rows(FAMILIES[name])))
+        return 0
+    old = _rows_of(args.against, names)
+    total = moved = 0
+    for name in names:
+        pairs = [(a, b) for a, b in zip(old[name], _rows(FAMILIES[name]))
+                 if a != b]
+        total += len(FAMILIES[name])
+        moved += len(pairs)
+        print(f"# family {name}: {len(pairs)} of {len(FAMILIES[name])} "
+              f"rows moved")
+        for a, b in pairs:
+            print(f"- {a}\n+ {b}")
+    print(f"# {moved} of {total} rows moved against {args.against}")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@
 and `dual` over dim 1-3 x lp norms x bodies, `dual` under a steep power
 gauge, and `porosity` per norm and per target set x gauge, all exit 0,
 each within RUN_BUDGET_S."""
+import json
 import time
 
 import pytest
@@ -64,3 +65,13 @@ def test_porosity_tiny_window_passes(window, tmp_path):
     assert _run(["porosity", "--target", "reciprocal", "--point", "0",
                  "--window", window,
                  "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_porosity_window_past_the_space_passes(tmp_path):
+    # (0.499, 1.499) around q = 0.999 holds no centre of [-1, 1] off the
+    # full set: the exact hole size and the estimate are both null
+    out = tmp_path / "report.json"
+    assert _run(["porosity", "--target", "full", "--point", "0.999",
+                 "--window", "0.5", "--out", str(out)]) == 0
+    cases = {c["case_id"]: c for c in json.loads(out.read_text())["cases"]}
+    assert cases["porosity/gamma"]["measured"]["exact"] is None

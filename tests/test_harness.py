@@ -470,6 +470,9 @@ def test_cli_builds_one_parser_per_process(tmp_path):
 def test_cli_usage_errors():
     assert cli.main(["verify", "--suite", "frobnicate"]) == 2
     assert cli.main(["typical", "--body", "box:0,0"]) == 2
+    # writing the report is inside the same handler: a path that `open`
+    # rejects with ValueError is a usage error too
+    assert cli.main(["porosity", "--out", "report\0.json"]) == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2

@@ -97,6 +97,10 @@ def test_exact_gamma_hand_values():
     assert CANTOR3.exact_gamma([0.5], 0.05) == 0.05      # inside the middle gap
     full = IntervalUnionSet(np.array([[-1.0, 1.0]]), BOX1)
     assert full.exact_gamma([0.3], 0.2) is None
+    # windows leaving the space: every hole is centred in it
+    assert full.exact_gamma([0.999], 0.5) is None
+    assert oracle_from_desc("cantor", NORM2).exact_gamma([1.0], 2.0) == 0.5
+    assert REC.exact_gamma([0.95], 0.6) == 0.25
 
 
 GRID_CENTRES = 200_001
@@ -104,15 +108,21 @@ GRID_CELL = 100             # fine steps per coarse cell of `_grid_max`
 
 
 def _grid_max(oracle, q, r):
-    """Maximum over GRID_CENTRES evenly spaced centres c of [q - r, q + r]
-    of the largest hole at c, min(r - |c - q|, d(c, P)).
+    """Maximum over GRID_CENTRES evenly spaced centres c of the window
+    [q - r, q + r] ∩ the space, as `_hole_radii` takes them, of the
+    largest hole at c, min(r - |c - q|, d(c, P)); 0 when the window
+    misses the space.
 
     The hole is 1-Lipschitz in c, so no centre between two coarse centres
     GRID_CELL steps apart, with holes u and v, beats (u + v) / 2 plus half
     the cell; only the cells that could beat the coarse maximum are
     evaluated in full.
     """
-    cs = np.linspace(q - r, q + r, GRID_CENTRES)
+    (lo,), (hi,) = oracle.ambient.bounds()
+    a, b = max(q - r, lo), min(q + r, hi)
+    if a > b:
+        return 0.0
+    cs = np.linspace(a, b, GRID_CENTRES)
 
     def hole(c):
         return np.minimum(r - np.abs(c - q), oracle.distance(c[:, None]))
@@ -636,30 +646,28 @@ def test_low_slope_alpha_hand_values():
 
 
 def test_low_slope_membership_examples():
-    lad = ladder(SQRT, BOX01, rungs=12)
+    lad = ladder(SQRT, BOX01, rungs=8)
     xs = [[0.2], [0.5], [0.9]]
-    const = low_slope_member(Constant([0.4]), xs, 0.1, lad, j_max=8,
-                             body=BOX01)
+    const = low_slope_member(Constant([0.4]), xs, 0.1, lad, body=BOX01)
     assert const.tolist() == [True, True, True]
-    ident = low_slope_member(Identity(), xs, 0.9, lad, j_max=8,
-                             body=BOX01)
+    ident = low_slope_member(Identity(), xs, 0.9, lad, body=BOX01)
     assert ident.tolist() == [False, False, False]
     # max(x - 0.5, 0): flat at 0.2, slope 1 at 0.9
     ramp = ConvexCombo(0.5, Constant([0.0]),
                        flat_collapse([0.0], 0.5, 1.0, BOX01))
-    assert low_slope_member(ramp, xs[::2], 0.5, lad, j_max=8, body=BOX01).tolist() == [True, False]
+    assert low_slope_member(ramp, xs[::2], 0.5, lad, body=BOX01).tolist() == [True, False]
     with pytest.raises(ParameterError):
-        low_slope_member(Identity(), [0.5], 0.5, lad, l=5, j_max=3,
+        low_slope_member(Identity(), [0.5], 0.5, lad, l=len(lad) + 1,
                          body=BOX01)
     with pytest.raises(TypeError):
-        low_slope_member(Identity(), [0.5], 0.5, lad, j_max=8)   # body missing
+        low_slope_member(Identity(), [0.5], 0.5, lad)   # body missing
 
 
 def test_a_batch_draws_what_its_one_row_calls_draw():
     # one k-row call on a Generator gives the bounds, the verdicts and the
     # stream position of k consecutive one-row calls on it, which is why
     # batching `dual`'s cover and hole checks keeps their bytes
-    lad = ladder(SQRT, BOX01, rungs=12)
+    lad = ladder(SQRT, BOX01, rungs=8)
     net = greedy_net(BOX01, 0.125, grid_candidates(BOX01, 161))
     tent = bump_perturb(Constant([0.3]), net, 0.5, BOX01)
     xs = net.points[1:6] + 0.5 * tent.rho
@@ -669,8 +677,7 @@ def test_a_batch_draws_what_its_one_row_calls_draw():
         return lip_local_profile(f, x, scales, BOX01, 64, rng, 8)
 
     def member(f, x, rng):
-        return low_slope_member(f, x, 0.75, lad, l=2, j_max=8, body=BOX01,
-                                seed=rng)
+        return low_slope_member(f, x, 0.75, lad, l=2, body=BOX01, seed=rng)
 
     for f in (Identity(), Constant([0.4]), AffineContraction(0.5, [0.2]),
               tent):
