@@ -38,7 +38,6 @@ holes into that set.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +48,8 @@ from .gauges import Gauge, GaugePair, Ladder, select_j
 from .maps import (Constant, ConvexCombo, MapExpr, lip_local_profile,
                    pair_quotients)
 from .perturb import Closing, bump_perturb
-from .space import Box, ConvexBody, Norm, as_point, distances, lattice_net
+from .space import (Box, ConvexBody, Norm, as_point, distances, lattice,
+                    lattice_net)
 
 DYADIC_BITS = 16
 GAMMA_ROUNDS = 9            # gamma_est: lattice halvings
@@ -275,35 +275,19 @@ def _hole_radii(oracle: SetOracle, q: np.ndarray, r: float,
     return np.where(usable, np.minimum(cap, oracle.distance(cs)), 0.0)
 
 
-@functools.cache
-def _lattice_index(per_axis: int, dim: int) -> np.ndarray:
-    """The (per_axis^dim, dim) axis indices of the lattice, in "ij" order."""
-    return np.indices((per_axis,) * dim).reshape(dim, -1).T
-
-
-def _lattice(spans, per_axis: int, dim: int) -> np.ndarray:
-    """Offsets of the per_axis^dim lattice over [-span, span]^dim, in "ij"
-    order, for each entry of `spans`: shape spans.shape + (per_axis^dim,
-    dim).  Each span's axis is linspace's own arithmetic, point i at
-    i ((span + span) / (per_axis - 1)) - span and the last at span, so it
-    has the bits of its own scalar linspace, as long as no span is so
-    small that its step underflows to 0."""
-    s = spans[..., None]
-    axis = np.arange(per_axis) * ((s + s) / (per_axis - 1)) - s
-    axis[..., -1] = s[..., 0]
-    if dim == 1:                        # the 1-D lattice is its axis
-        return axis[..., None]
-    return axis[..., _lattice_index(per_axis, dim)]
-
-
 def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
               seed: int = 0) -> float | None:
     """Sampled lower estimate of the hole size gamma(q, r, P); None if no hole.
 
-    Three candidate streams start refinement chains:
+    Candidates are sampled in window ∩ space: within w of q in every
+    coordinate, w = min(r, the largest distance along an axis from q to
+    the far side of the space's bounding box), so that a window far
+    larger than the space still samples the space.  The holes stay
+    capped by the window r.  Three candidate streams start refinement
+    chains:
 
-    * a lattice over the whole window, with no record yet;
-    * probes marching geometrically toward the window boundary (for a set
+    * a lattice over the whole of [q - w, q + w], with no record yet;
+    * probes marching geometrically out to distance w (for a set
       accumulating at q the largest hole tends to hug the edge, where the
       plain lattice stalls on an interior local maximum), whose best probe
       starts a chain;
@@ -324,13 +308,16 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
         raise ValueError("window radius must be positive")
     per_axis = GAMMA_PER_AXIS if q.size == 1 else (9 if q.size == 2 else 5)
 
-    # the edge march (axis by axis, sign by sign, r (1 - 2^-i) out from q)
+    lo, hi = oracle.ambient.bounds()
+    w = min(r, float(np.max(np.maximum(q - lo, hi - q))))
+
+    # the edge march (axis by axis, sign by sign, w (1 - 2^-i) out from q)
     # and the random stream, in one query
     steps = np.array([sign * e for e in np.eye(q.size) for sign in (-1.0, 1.0)])
-    reach = r * (1.0 - 2.0 ** -np.arange(2, 15))
+    reach = w * (1.0 - 2.0 ** -np.arange(2, 15))
     edge = (q + steps[:, None, :] * reach[:, None]).reshape(-1, q.size)
     rng = np.random.default_rng(seed)
-    draws = q + (2.0 * rng.random((trials, q.size)) - 1.0) * r
+    draws = q + (2.0 * rng.random((trials, q.size)) - 1.0) * w
     s = _hole_radii(oracle, q, r, np.vstack([edge, draws]))
     s_edge, s_draw = s[:len(edge)], s[len(edge):]
 
@@ -338,18 +325,20 @@ def gamma_est(q, r: float, oracle: SetOracle, trials: int = 128,
     # edge probe if it has a hole, and every draw beating all earlier ones
     i = int(np.argmax(s_edge))
     hit = [i] if s_edge[i] > 0.0 else []
-    cap = r - oracle.ambient.norm.of(edge[hit] - q)
+    cap = w - oracle.ambient.norm.of(edge[hit] - q)
     before = np.maximum.accumulate(np.concatenate([[0.0], s_draw]))[:-1]
     rec = np.flatnonzero(s_draw > before)
     centers = np.vstack([q[None, :], edge[hit], draws[rec]])
-    spans = np.concatenate([[r], 2.0 * cap, np.maximum(4.0 * s_draw[rec], r / 64.0)])
+    spans = np.concatenate([[w], 2.0 * cap,
+                            np.maximum(4.0 * np.minimum(s_draw[rec], w), w / 64.0)])
     best = np.concatenate([[0.0], s_edge[hit], s_draw[rec]])
 
     # every round's lattice at once, over the spans halved round by round
     # (repeated halving, so that a subnormal span rounds as it always has)
     halves = np.full((GAMMA_ROUNDS, len(spans)), 0.5)
     halves[0] = spans
-    lattices = _lattice(np.multiply.accumulate(halves, axis=0), per_axis, q.size)
+    spans = np.multiply.accumulate(halves, axis=0)[..., None].repeat(q.size, -1)
+    lattices = lattice(-spans, spans, per_axis)
     rows = np.arange(len(best))
     for k in range(GAMMA_ROUNDS):
         cs = centers[:, None, :] + lattices[k]
@@ -437,10 +426,11 @@ def _porous_at(kind: str, oracle: SetOracle, q: np.ndarray, phi: Gauge,
     eps = np.asarray(eps_grid, dtype=float)
     k, n = eps.size, q.size
     per_axis = 33 if n == 1 else (9 if n == 2 else 5)
+    spans = eps[:, None].repeat(n, 1)
     # one generator for the verdict: row ei of the draws serves scale ei
     u = np.random.default_rng(seed).random((k, trials, n))
     cs = np.concatenate([np.broadcast_to(q, (k, 1, n)),
-                         q + _lattice(eps, per_axis, n),
+                         q + lattice(-spans, spans, per_axis),
                          q + (2.0 * u - 1.0) * eps[:, None, None]], axis=1)
     d = oracle.ambient.norm.of(cs - q)
     dist = oracle.distance(cs.reshape(-1, n)).reshape(d.shape)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -367,13 +367,33 @@ def body_from_desc(desc: str, dim: int, norm: Norm) -> ConvexBody:
                      f"(box | box:lo,hi | ball | ball:r | simplex)")
 
 
+@cache
+def _lattice_index(per_axis: int, dim: int) -> np.ndarray:
+    """The (per_axis^dim, dim) axis indices of the lattice, in "ij" order."""
+    return np.indices((per_axis,) * dim).reshape(dim, -1).T
+
+
+def lattice(lo, hi, per_axis: int) -> np.ndarray:
+    """The per_axis^dim lattice over each box [lo, hi], lo and hi of shape
+    (..., dim), in "ij" order: shape (..., per_axis^dim, dim).  Each axis
+    is linspace's own arithmetic, point i at i ((hi - lo) / (per_axis - 1))
+    + lo and the last at hi, so it has the bits of its own scalar linspace,
+    as long as no axis is so short that its step underflows to 0."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    dim = lo.shape[-1]
+    axes = (np.arange(per_axis) * ((hi - lo)[..., None] / (per_axis - 1))
+            + lo[..., None])
+    axes[..., -1] = hi
+    if dim == 1:                        # the 1-D lattice is its axis
+        return axes.swapaxes(-1, -2)
+    return axes[..., np.arange(dim), _lattice_index(per_axis, dim)]
+
+
 def grid_candidates(body: ConvexBody, per_axis: int) -> np.ndarray:
     """Deterministic membership-filtered lattice over the bounding box."""
     if per_axis < 2:
         raise ValueError("need at least 2 lattice points per axis")
-    lo, hi = body.bounds()
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(body.dim)]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    mesh = lattice(*body.bounds(), per_axis)
     return mesh.compress(body.contains_all(mesh, tol=1e-9), axis=0)
 
 
@@ -410,7 +430,7 @@ class _CellIndex:
 
     def __init__(self, centers: np.ndarray, radius: float, norm: Norm):
         self.centers, self.norm = centers, norm
-        k, n = centers.shape
+        n = centers.shape[1]
         radius *= 1.0 + GRID_MARGIN
         self.lo = centers.min(axis=0) - radius
         span = centers.max(axis=0) + radius - self.lo
@@ -435,16 +455,13 @@ class _CellIndex:
         gap = np.maximum(np.maximum(below - c, c - above), 0.0)
         gap[cell > last[:, :, None]] = np.inf
         # the cells each ball meets: the norm of the gaps over the cell
-        # product, for every centre at once, with the axes along the last
-        gaps = np.empty((k,) + (width,) * n + (n,))
-        for a in range(n):
-            gaps[..., a] = gap[:, a].reshape((k,) + (1,) * a + (width,)
-                                             + (1,) * (n - a - 1))
-        hit = np.nonzero(norm.of(gaps) <= radius)
-        flat = sum((cell[hit[0], a, hit[a + 1]] + 1.0) * self.strides[a]
-                   for a in range(n)).astype(np.intp)
+        # lattice, for every centre at once, with the axes along the last
+        axis, ij = np.arange(n), _lattice_index(width, n)
+        ball, at = np.nonzero(norm.of(gap[:, axis, ij]) <= radius)
+        flat = ((cell[ball[:, None], axis, ij[at]] + 1.0)
+                @ self.strides).astype(np.intp)
         order = np.argsort(flat, kind="stable")      # centre order within a cell
-        flat, self.cands = flat[order], hit[0][order]
+        flat, self.cands = flat[order], ball[order]
         self.starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
         self.counts = np.diff(np.r_[self.starts, flat.size])
         cells = flat[self.starts]

@@ -67,6 +67,29 @@ def test_porosity_tiny_window_passes(window, tmp_path):
                  "--out", str(tmp_path / "report.json")]) == 0
 
 
+@pytest.mark.parametrize("window", ["9e307", "1.7976931348623157e308"])
+@pytest.mark.parametrize("point", ["-1", "0", "0.5"])
+@pytest.mark.parametrize("target", ["reciprocal", "zero", "cantor", "full",
+                                    "empty"])
+def test_porosity_huge_window_passes(target, point, window, tmp_path):
+    # the estimate draws its centres in window ∩ space, so no span
+    # overflows (a RuntimeWarning fails the test); -1 lies outside the
+    # Cantor set's ambient [-0.5, 1.5], a usage error
+    code = _run(["porosity", "--target", target, "--point", point,
+                 "--window", window, "--out", str(tmp_path / "report.json")])
+    assert code == (2 if (target, point) == ("cantor", "-1") else 0)
+
+
+def test_porosity_window_far_past_the_space_finds_the_gap(tmp_path):
+    # only q = 0 of the window's lattice lies in the space [-1, 1]; the
+    # centres inside it find the gap between 1/2 and 1
+    out = tmp_path / "report.json"
+    assert _run(["porosity", "--window", "1e300", "--out", str(out)]) == 0
+    cases = {c["case_id"]: c for c in json.loads(out.read_text())["cases"]}
+    assert cases["porosity/gamma"]["measured"] == {"exact": 0.25,
+                                                   "estimate": 0.25}
+
+
 def test_porosity_window_past_the_space_passes(tmp_path):
     # (0.499, 1.499) around q = 0.999 holds no centre of [-1, 1] off the
     # full set: the exact hole size and the estimate are both null

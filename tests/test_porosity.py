@@ -16,7 +16,7 @@ from nelab.perturb import (Closing, DirectionField, bump_perturb,
 from nelab.porosity import (DYADIC_BITS, GAMMA_PER_AXIS, GAMMA_ROUNDS,
                             LADDER_H_COUNT, LADDER_PROBES, LOWER_LEVELS, TARGETS, UPPER_EPS,
                             FinitePointSet, IntervalUnionSet,
-                            PorosityVerdict, ReciprocalSet, _hole_radii, _lattice,
+                            PorosityVerdict, ReciprocalSet, _hole_radii,
                             gamma_est, ladder_witness, low_slope_member, lower_porous_at, oracle_from_desc,
                             upper_porous_at)
 from nelab.space import Box, Norm, greedy_net, grid_candidates
@@ -221,20 +221,30 @@ def test_gamma_est_monotone_in_trials():
 
 def test_lattice_has_the_bits_of_linspace():
     # every coordinate, the sign of each zero included, is the one that
-    # linspace over the spans gives, laid out in "ij" order; spans run
-    # from 1e-300, whose step 2e-300 / 32 still does not underflow, to 10.
-    # The lattices use m = 2^k + 1; at m = 7 the last point i step - span
-    # can round off the span, so linspace sets it
+    # per-axis linspace and an "ij" meshgrid give, over a (2, 7) batch of
+    # boxes: symmetric ones [-s, s] with s from 1e-300, whose step
+    # 2e-300 / 32 still does not underflow, to 10; boxes with lo != -hi;
+    # and ends drawn from signed zeros and a few values, lo = hi included.
+    # The lattices use m = 2^k + 1; at m = 7 the last point i step + lo
+    # can round off hi, so linspace sets it
     rng = np.random.default_rng(5)
+    ends = np.array([[-0.0, 1.0], [0.0, 0.5], [-1.0, -0.0], [-2.0, 0.0],
+                     [-0.0, -0.0], [0.0, 0.0], [-3.0, 2.5], [-2.0, -2.0]])
     for dim, m in itertools.product((1, 2, 3), (5, 7, 9, 17, 33)):
-        spans = 10.0 ** rng.uniform(-300.0, 1.0, (2, 5 if dim < 3 else 2))
-        spans[0, :2] = 1e-300, 10.0
-        got = _lattice(spans, m, dim)
-        ij = np.stack(np.meshgrid(*[np.arange(m)] * dim, indexing="ij"),
-                      -1).reshape(-1, dim)
-        want = np.linspace(-spans, spans, m, axis=-1)[..., ij]
-        assert np.array_equal(got, want), (dim, m)
-        assert np.array_equal(np.signbit(got), np.signbit(want)), (dim, m)
+        spans = 10.0 ** rng.uniform(-300.0, 1.0, (5, dim))
+        spans[:2] = [[1e-300], [10.0]]
+        shifted = rng.uniform(-3.0, 1.0, (5, dim))
+        drawn = ends[rng.integers(len(ends), size=(4, dim))]
+        lo = np.concatenate([-spans, shifted, drawn[..., 0]]).reshape(2, 7, dim)
+        hi = np.concatenate([spans, shifted + 10.0 ** rng.uniform(-3.0, 1.0, (5, dim)),
+                             drawn[..., 1]]).reshape(2, 7, dim)
+        got = space.lattice(lo, hi, m)
+        assert got.shape == (2, 7, m ** dim, dim)
+        for b in np.ndindex(2, 7):
+            axes = [np.linspace(lo[b][a], hi[b][a], m) for a in range(dim)]
+            want = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+            assert np.array_equal(got[b], want), (dim, m, b)
+            assert np.array_equal(np.signbit(got[b]), np.signbit(want)), (dim, m, b)
 
 
 def _refine_reference(oracle, q, r, center, span, per_axis, best_r=0.0):
@@ -259,24 +269,27 @@ def _refine_reference(oracle, q, r, center, span, per_axis, best_r=0.0):
 
 def _gamma_reference(q, r, oracle, trials, seed):
     # gamma_est's three streams, each chain refined in turn
+    # within w of q in every coordinate: window ∩ space's bounding box
     q = np.asarray(q, dtype=float)
+    lo, hi = oracle.ambient.bounds()
+    w = min(r, max(max(a, b) for a, b in zip(q - lo, hi - q)))
     per_axis = GAMMA_PER_AXIS if q.size == 1 else (9 if q.size == 2 else 5)
-    best_r = _refine_reference(oracle, q, r, q, r, per_axis)
+    best_r = _refine_reference(oracle, q, r, q, w, per_axis)
     steps = np.array([sign * e for e in np.eye(q.size) for sign in (-1.0, 1.0)])
-    reach = r * (1.0 - 2.0 ** -np.arange(2, 15))
+    reach = w * (1.0 - 2.0 ** -np.arange(2, 15))
     cs = (q + steps[:, None, :] * reach[:, None]).reshape(-1, q.size)
     s = _hole_radii(oracle, q, r, cs)
     i = int(np.argmax(s))
     if s[i] > 0.0:
-        cap = r - float(oracle.ambient.norm.of(cs[i] - q))
+        cap = w - float(oracle.ambient.norm.of(cs[i] - q))
         best_r = max(best_r, _refine_reference(oracle, q, r, cs[i], 2.0 * cap,
                                                per_axis, float(s[i])))
     rng = np.random.default_rng(seed)
-    cs = q + (2.0 * rng.random((trials, q.size)) - 1.0) * r
+    cs = q + (2.0 * rng.random((trials, q.size)) - 1.0) * w
     s = _hole_radii(oracle, q, r, cs)
     before = np.maximum.accumulate(np.concatenate([[0.0], s]))[:-1]
     for i in np.flatnonzero(s > before):
-        span = max(4.0 * float(s[i]), r / 64.0)
+        span = max(4.0 * min(float(s[i]), w), w / 64.0)
         best_r = max(best_r, _refine_reference(oracle, q, r, cs[i], span,
                                                per_axis, float(s[i])))
     return best_r if best_r > 0.0 else None
@@ -290,7 +303,7 @@ def test_gamma_est_matches_the_chain_by_chain_reference():
     for target in TARGETS:
         oracle = oracle_from_desc(target, NORM2)
         for q in (0.0, 0.5, float(rng.uniform(-1.0, 1.0))):
-            for r in (1e-3, 1e-2, 0.1, 1.0):
+            for r in (1e-3, 1e-2, 0.1, 1.0, 5.0, 1e300):
                 cases += [([q], r, oracle, trials) for trials in (16, 64, 128)]
     for p in (2.0, math.inf):
         box2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), Norm(p))
@@ -315,24 +328,28 @@ def _gamma_round_by_round(q, r, oracle, trials, seed):
     # gamma_est as a loop over rounds: each round builds its own lattice,
     # halves the spans in place and drops the chains still without a hole
     q = space.as_point(q)
+    lo, hi = oracle.ambient.bounds()
+    w = min(r, float(np.max(np.maximum(q - lo, hi - q))))
     per_axis = GAMMA_PER_AXIS if q.size == 1 else (9 if q.size == 2 else 5)
     steps = np.array([sign * e for e in np.eye(q.size) for sign in (-1.0, 1.0)])
-    reach = r * (1.0 - 2.0 ** -np.arange(2, 15))
+    reach = w * (1.0 - 2.0 ** -np.arange(2, 15))
     edge = (q + steps[:, None, :] * reach[:, None]).reshape(-1, q.size)
     rng = np.random.default_rng(seed)
-    draws = q + (2.0 * rng.random((trials, q.size)) - 1.0) * r
+    draws = q + (2.0 * rng.random((trials, q.size)) - 1.0) * w
     s = _hole_radii(oracle, q, r, np.vstack([edge, draws]))
     s_edge, s_draw = s[:len(edge)], s[len(edge):]
     i = int(np.argmax(s_edge))
     hit = [i] if s_edge[i] > 0.0 else []
-    cap = r - oracle.ambient.norm.of(edge[hit] - q)
+    cap = w - oracle.ambient.norm.of(edge[hit] - q)
     before = np.maximum.accumulate(np.concatenate([[0.0], s_draw]))[:-1]
     rec = np.flatnonzero(s_draw > before)
     centers = np.vstack([q[None, :], edge[hit], draws[rec]])
-    spans = np.concatenate([[r], 2.0 * cap, np.maximum(4.0 * s_draw[rec], r / 64.0)])
+    spans = np.concatenate([[w], 2.0 * cap,
+                            np.maximum(4.0 * np.minimum(s_draw[rec], w), w / 64.0)])
     best = np.concatenate([[0.0], s_edge[hit], s_draw[rec]])
     for _ in range(GAMMA_ROUNDS):
-        cs = centers[:, None, :] + _lattice(spans, per_axis, q.size)
+        half = spans[:, None].repeat(q.size, 1)
+        cs = centers[:, None, :] + space.lattice(-half, half, per_axis)
         s = _hole_radii(oracle, q, r, cs.reshape(-1, q.size)).reshape(len(best), -1)
         i = np.argmax(s, axis=1)
         top = s[np.arange(len(best)), i]
@@ -351,9 +368,9 @@ def _gamma_round_by_round(q, r, oracle, trials, seed):
 def test_gamma_est_matches_the_round_by_round_loop():
     # one lattice stack for all rounds, with chains dropped after the
     # first round only, gives the bits of the loop, for windows down to
-    # the subnormals and at dims 1-3
+    # the subnormals, up to the largest float and at dims 1-3
     rng = np.random.default_rng(30)
-    windows = (0.01, 0.1, 1e-30, 1e-300, 1e-310)
+    windows = (0.01, 0.1, 1e-30, 1e-300, 1e-310, 3.0, 1e300, 1.7976931348623157e308)
     cases = []
     for target in TARGETS:
         oracle = oracle_from_desc(target, NORM2)
